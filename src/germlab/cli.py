@@ -17,7 +17,14 @@ from .fixtures_lib import fixture_text, list_fixtures
 from .invariants import critical_locus, milnor_number
 from .le import euler_char_fibre
 from .polar import gap_ratios, iomdin_threshold, relative_polar_ideal
-from .scenario import GENERIC_LINEAR, Scenario, load_scenario, scenario_to_dict
+from .scenario import (
+    GENERIC_LINEAR,
+    N_MAX,
+    N_MIN,
+    Scenario,
+    load_scenario,
+    scenario_to_dict,
+)
 from .stratified import (
     bls_euler_obstruction,
     brasselet_number,
@@ -42,12 +49,32 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
-def _parse_n_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    n = int(text)
-    return n, n
+def _parse_n_range(parser: argparse.ArgumentParser, text: str) -> tuple[int, int]:
+    """The --N value "n" or "lo..hi" as a nonempty range inside [N_MIN, N_MAX].
+
+    Every malformed or out-of-bounds value is a usage error (exit 2).
+    """
+    lo_text, dots, hi_text = text.partition("..")
+    try:
+        lo = int(lo_text)
+        hi = int(hi_text) if dots else lo
+    except ValueError:
+        parser.error(f"--N expects an integer n or a range lo..hi, got {text!r}")
+    if lo > hi:
+        parser.error(f"--N range {text!r} is empty: {lo} > {hi}")
+    if lo < N_MIN or hi > N_MAX:
+        parser.error(f"--N {text!r} must sit inside [{N_MIN}, {N_MAX}]")
+    return lo, hi
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _scenario_from_args(parser: argparse.ArgumentParser, args) -> Scenario:
@@ -68,7 +95,7 @@ def _scenario_from_args(parser: argparse.ArgumentParser, args) -> Scenario:
     form = getattr(args, "f", None) or getattr(args, "l", None)
     document["f"] = form if form else GENERIC_LINEAR
     if getattr(args, "N", None):
-        lo, hi = _parse_n_range(args.N)
+        lo, hi = _parse_n_range(parser, args.N)
         document["N"] = [lo, hi]
     limits: dict = {}
     if getattr(args, "caps", None):
@@ -217,8 +244,8 @@ def cmd_le(parser, args) -> int:
 
 
 def cmd_verify(parser, args) -> int:
+    n_range = _parse_n_range(parser, args.N) if args.N else None
     scenario = _scenario_from_args(parser, args)
-    n_range = _parse_n_range(args.N) if args.N else None
     table = verify_scenario(
         scenario, n_range=n_range, jobs=args.jobs, relative_to_threshold=args.relative
     )
@@ -272,8 +299,14 @@ def cmd_brasselet(parser, args) -> int:
 
 
 def cmd_export_dataset(parser, args) -> int:
+    n = None
+    if args.N:
+        n, hi = _parse_n_range(parser, args.N)
+        if n != hi:
+            parser.error(f"export-dataset takes a single exponent --N, got {args.N!r}")
     scenario = _scenario_from_args(parser, args)
-    n = int(args.N) if args.N else scenario.n_range[0]
+    if n is None:
+        n = scenario.n_range[0]
     dataset = export_dataset(scenario, n)
     exported = Scenario(
         name=f"{scenario.name}-dataset-N{n}",
@@ -351,7 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("verify", help="run the deformation identity sweep")
     _add_input_flags(sub, with_n=True)
-    sub.add_argument("--jobs", type=int, default=1, help="worker threads for the sweep")
+    sub.add_argument(
+        "--jobs", type=_positive_int, default=1, help="worker threads for the sweep (at least 1)"
+    )
     sub.add_argument(
         "--relative",
         action="store_true",

@@ -10,12 +10,21 @@ IterationLimitError instead of spinning.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import GermlabError, IterationLimitError, RingMismatchError
-from .orders import DEGREVLEX, ELIM_FIRST, LOCAL, MonomialOrder, ecart, leading_term
+from .orders import (
+    DEGREVLEX,
+    ELIM_FIRST,
+    LOCAL,
+    MonomialOrder,
+    ecart,
+    leading_monomial,
+    leading_term,
+)
 from .rings import Exponents, Poly, PolyRing, mono_div, mono_divides, mono_lcm, mono_mul
 
 DEFAULT_REDUCTION_CAP = 10**6
@@ -58,6 +67,27 @@ def _shift(p: Poly, exps: Exponents, coeff: Fraction) -> Poly:
     )
 
 
+def _sub_shifted(h: Poly, g: Poly, exps: Exponents, coeff: Fraction) -> Poly:
+    """h - coeff * x^exps * g, built in one pass over the terms of g."""
+    acc = dict(h.terms)
+    for e, c in g.terms.items():
+        m = mono_mul(e, exps)
+        s = acc.get(m)
+        s = -(c * coeff) if s is None else s - c * coeff
+        if s:
+            acc[m] = s
+        else:
+            del acc[m]
+    return Poly._make(h.ring, acc)
+
+
+def _without(h: Poly, lm: Exponents) -> Poly:
+    """h with its term at lm removed."""
+    acc = dict(h.terms)
+    del acc[lm]
+    return Poly._make(h.ring, acc)
+
+
 def _monic(p: Poly, order: MonomialOrder) -> Poly:
     _, lc = leading_term(p, order)
     return p if lc == 1 else p * (1 / lc)
@@ -78,11 +108,11 @@ def _divide_global(p: Poly, basis: Sequence[Poly], order: MonomialOrder, budget:
         for g, (lmg, lcg) in zip(basis, lead):
             if mono_divides(lmg, lm):
                 budget.spend()
-                h = h - _shift(g, mono_div(lm, lmg), lc / lcg)
+                h = _sub_shifted(h, g, mono_div(lm, lmg), lc / lcg)
                 break
         else:
             rem_terms[lm] = lc
-            h = h - Poly._make(h.ring, {lm: lc})
+            h = _without(h, lm)
     return Poly._make(p.ring, rem_terms)
 
 
@@ -95,14 +125,14 @@ def _mora_weak(p: Poly, basis: Sequence[Poly], order: MonomialOrder, budget: Bud
     standard basis.
     """
     reducers = list(basis)
+    lead = [leading_term(g, order) for g in reducers]
     ecarts = [ecart(g, order) for g in reducers]
     h = p
     while not h.is_zero:
         lm, lc = leading_term(h, order)
         best = -1
         best_ecart = None
-        for i, g in enumerate(reducers):
-            lmg, _ = leading_term(g, order)
+        for i, (lmg, _) in enumerate(lead):
             if mono_divides(lmg, lm) and (best_ecart is None or ecarts[i] < best_ecart):
                 best = i
                 best_ecart = ecarts[i]
@@ -111,11 +141,11 @@ def _mora_weak(p: Poly, basis: Sequence[Poly], order: MonomialOrder, budget: Bud
         eh = h.total_degree() - sum(lm)
         if best_ecart is not None and best_ecart > eh:
             reducers.append(h)
+            lead.append((lm, lc))
             ecarts.append(eh)
-        g = reducers[best]
-        lmg, lcg = leading_term(g, order)
+        lmg, lcg = lead[best]
         budget.spend()
-        h = h - _shift(g, mono_div(lm, lmg), lc / lcg)
+        h = _sub_shifted(h, reducers[best], mono_div(lm, lmg), lc / lcg)
     return h
 
 
@@ -130,7 +160,7 @@ def _reduce_local(p: Poly, basis: Sequence[Poly], order: MonomialOrder, budget: 
             break
         lm, lc = leading_term(h, order)
         rem_terms[lm] = lc
-        h = h - Poly._make(h.ring, {lm: lc})
+        h = _without(h, lm)
     return Poly._make(p.ring, rem_terms)
 
 
@@ -169,7 +199,7 @@ def _spoly(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
     lmf, lcf = leading_term(f, order)
     lmg, lcg = leading_term(g, order)
     lcm = mono_lcm(lmf, lmg)
-    return _shift(f, mono_div(lcm, lmf), 1 / lcf) - _shift(g, mono_div(lcm, lmg), 1 / lcg)
+    return _sub_shifted(_shift(f, mono_div(lcm, lmf), 1 / lcf), g, mono_div(lcm, lmg), 1 / lcg)
 
 
 def _interreduce_global(basis: list[Poly], order: MonomialOrder, budget: Budget) -> list[Poly]:
@@ -193,9 +223,11 @@ def standard_basis_of(
 ) -> tuple[Poly, ...]:
     """Buchberger/Mora completion of the generators under the given order.
 
-    The result is deterministic: pairs are selected by smallest lcm key, the
-    basis is minimalized, made monic, sorted by leading monomial, and (for
-    global orders) fully tail-reduced.
+    The result is deterministic: pairs are selected by smallest lcm key (ties
+    broken by index), the basis is minimalized, made monic, sorted by leading
+    monomial, and (for global orders) fully tail-reduced.  Pairs wait in a
+    heap keyed once, when the pair is formed; basis entries never change after
+    they are appended, so the key of a waiting pair stays valid.
     """
     budget = _as_budget(cap)
     gens = [g for g in generators if not g.is_zero]
@@ -205,25 +237,26 @@ def standard_basis_of(
     gens = [_monic(g, order) for g in gens]
     gens.sort(key=lambda g: order.key(leading_term(g, order)[0]))
     basis: list[Poly] = []
+    lead: list[Exponents] = []
+    pairs: list[tuple] = []  # heap of (order.key(lcm), i, j, lcm) with i < j
+
+    def append(g: Poly) -> None:
+        j = len(basis)
+        lmj = leading_monomial(g, order)
+        for i, lmi in enumerate(lead):
+            lcm = mono_lcm(lmi, lmj)
+            heapq.heappush(pairs, (order.key(lcm), i, j, lcm))
+        basis.append(g)
+        lead.append(lmj)
+
     for g in gens:
         if g not in basis:
-            basis.append(g)
+            append(g)
 
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
     while pairs:
         budget.spend()
-        def pair_key(pr):
-            i, j = pr
-            lcm = mono_lcm(
-                leading_term(basis[i], order)[0], leading_term(basis[j], order)[0]
-            )
-            return (order.key(lcm), i, j)
-
-        i, j = min(pairs, key=pair_key)
-        pairs.discard((i, j))
-        lmi = leading_term(basis[i], order)[0]
-        lmj = leading_term(basis[j], order)[0]
-        if mono_lcm(lmi, lmj) == mono_mul(lmi, lmj):
+        _, i, j, lcm = heapq.heappop(pairs)
+        if lcm == mono_mul(lead[i], lead[j]):
             continue  # coprime leading terms reduce to zero
         s = _spoly(basis[i], basis[j], order)
         if s.is_zero:
@@ -231,13 +264,9 @@ def standard_basis_of(
         r = _weak_nf(s, basis, order, budget)
         if r.is_zero:
             continue
-        r = _monic(r, order)
-        basis.append(r)
-        k = len(basis) - 1
-        pairs.update((i2, k) for i2 in range(k))
+        append(_monic(r, order))
 
     # minimalize: drop elements whose leading monomial is divisible by another
-    lead = [leading_term(g, order)[0] for g in basis]
     keep: list[int] = []
     for i, lm in enumerate(lead):
         dominated = False
@@ -453,7 +482,7 @@ def exact_divide(p: Poly, f: Poly) -> Poly:
         q = mono_div(lm, lmf)
         c = lc / lcf
         quotient[q] = c
-        h = h - _shift(f, q, c)
+        h = _sub_shifted(h, f, q, c)
     return Poly._make(ring, quotient)
 
 

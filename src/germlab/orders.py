@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import neg
 
 from .rings import Exponents, Poly
 
@@ -48,14 +49,14 @@ class MonomialOrder:
     def key(self, exps: Exponents):
         e = exps
         if self.permutation is not None:
-            e = tuple(exps[i] for i in self.permutation)
+            e = tuple(map(exps.__getitem__, self.permutation))
         if self.kind == "degrevlex":
-            return (sum(e), tuple(-x for x in reversed(e)))
+            return (sum(e), tuple(map(neg, reversed(e))))
         if self.kind == "negdegrevlex":
-            return (-sum(e), tuple(-x for x in reversed(e)))
+            return (-sum(e), tuple(map(neg, reversed(e))))
         # elim-first: first exponent dominates, degrevlex on the tail
         tail = e[1:]
-        return (e[0], sum(tail), tuple(-x for x in reversed(tail)))
+        return (e[0], sum(tail), tuple(map(neg, reversed(tail))))
 
 
 DEGREVLEX = MonomialOrder("degrevlex")
@@ -64,10 +65,24 @@ ELIM_FIRST = MonomialOrder("elim-first")
 
 
 def leading_monomial(p: Poly, order: MonomialOrder) -> Exponents:
-    """Exponent vector of the leading term; p must be nonzero."""
-    if p.is_zero:
-        raise ValueError("the zero polynomial has no leading monomial")
-    return max(p.terms, key=order.key)
+    """Exponent vector of the leading term; p must be nonzero.
+
+    The result is cached on p per order: Poly values are immutable, so the
+    leading monomial under a given order never changes.  Threads that race to
+    fill the cache store the same value, so a lost update costs one rescan.
+    """
+    cache = p._lead
+    if cache is None:
+        if not p.terms:
+            raise ValueError("the zero polynomial has no leading monomial")
+        cache = {}
+        object.__setattr__(p, "_lead", cache)
+    else:
+        lm = cache.get(order)
+        if lm is not None:
+            return lm
+    lm = cache[order] = max(p.terms, key=order.key)
+    return lm
 
 
 def leading_term(p: Poly, order: MonomialOrder) -> tuple[Exponents, Fraction]:

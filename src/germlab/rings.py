@@ -7,6 +7,7 @@ exact; identical inputs produce bit-identical results.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
@@ -78,31 +79,33 @@ class PolyRing:
 
 
 def mono_mul(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def mono_divides(a: Exponents, b: Exponents) -> bool:
     """True when the monomial with exponents a divides the one with b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def mono_div(a: Exponents, b: Exponents) -> Exponents:
     """Exponent vector of a/b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def mono_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 class Poly:
     """Immutable sparse polynomial over the rationals.
 
     Use the PolyRing factories or parsing.parse_poly to build values; the raw
-    constructor is internal and assumes a clean term map.
+    constructor is internal and assumes a clean term map.  The _lead slot holds
+    leading monomials per monomial order, filled lazily by
+    orders.leading_monomial; it is sound because the terms never change.
     """
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms", "_hash", "_lead")
 
     def __init__(self):  # pragma: no cover - guard against direct construction
         raise TypeError("use PolyRing factories to build Poly values")
@@ -113,6 +116,7 @@ class Poly:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_lead", None)
         return self
 
     def __setattr__(self, name, value):  # enforce immutability

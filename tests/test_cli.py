@@ -143,3 +143,52 @@ def test_verify_with_jobs_matches_serial(capsys):
         capsys, "verify", "--fixture", "cylinder", "--format", "json", "--jobs", "3"
     )
     assert serial == threaded
+
+
+def usage_error(capsys, *argv) -> str:
+    """Run argv, require exit status 2, and return what went to stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("verify", "--fixture", "cylinder", "--N", "abc"),
+            "--N expects an integer n or a range lo..hi, got 'abc'",
+        ),
+        (
+            ("export-dataset", "--fixture", "cylinder", "--N", "1"),
+            "--N '1' must sit inside [2, 64]",
+        ),
+        (
+            ("verify", "--fixture", "cylinder", "--N", "5..3"),
+            "--N range '5..3' is empty: 5 > 3",
+        ),
+        (
+            ("verify", "--fixture", "cylinder", "--N", "100"),
+            "--N '100' must sit inside [2, 64]",
+        ),
+        (
+            ("verify", "--vars", "x,y,z", "--g", "x^2+y^2", "--N", "2..x"),
+            "--N expects an integer n or a range lo..hi, got '2..x'",
+        ),
+    ],
+    ids=["not-a-number", "export-below-bound", "empty-range", "above-bound", "inline"],
+)
+def test_bad_n_is_a_usage_error(capsys, argv, message):
+    assert message in usage_error(capsys, *argv)
+
+
+def test_export_dataset_rejects_an_n_range(capsys):
+    err = usage_error(capsys, "export-dataset", "--fixture", "cylinder", "--N", "3..4")
+    assert "single exponent" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_is_a_usage_error(capsys, jobs):
+    err = usage_error(capsys, "verify", "--fixture", "cylinder", "--jobs", jobs)
+    assert f"argument --jobs: must be at least 1, got {jobs}" in err

@@ -10,6 +10,7 @@ from germlab import (
     IterationLimitError,
     dim_at_origin,
     intersect,
+    milnor_number,
     normal_form,
     quotient_dim_local,
     saturate,
@@ -17,6 +18,7 @@ from germlab import (
 )
 from germlab.ideals import Budget, colon_single, contains, exact_divide, ideal_equal
 from germlab.orders import DEGREVLEX, LOCAL, leading_monomial
+from germlab.rings import jacobian
 from conftest import RING_XY, RING_XYZ, poly_strategy
 
 x, y = RING_XY.variable(0), RING_XY.variable(1)
@@ -221,3 +223,21 @@ def test_contraction_against_fixed_basis(p):
     basis = list(standard_basis_of([x**2 - y, x * y], DEGREVLEX))
     r = normal_form(p, basis, DEGREVLEX)
     assert normal_form(p - r, basis, DEGREVLEX).is_zero
+
+
+def test_work_counts_match_the_recorded_runs():
+    # exact Budget spends recorded before the pair queue became a heap and
+    # leading monomials were cached: equal counts mean pairs are selected and
+    # reduced in the same order
+    def spent(run) -> int:
+        budget = Budget(10**5)
+        run(budget)
+        return 10**5 - budget.remaining
+
+    mu = []
+    g = X**2 * Y + Y**4 + Z**5 + X * Y * Z**2
+    assert spent(lambda b: mu.append(milnor_number(g, b))) == 1226
+    assert mu == [20]
+    jac = jacobian(X**3 * Y + Y**3 * Z + Z**3 * X)
+    assert spent(lambda b: standard_basis_of(jac, DEGREVLEX, b)) == 20
+    assert spent(lambda b: standard_basis_of(jac, LOCAL, b)) == 71
