@@ -10,6 +10,7 @@ over user-supplied stratified data.  Everything is exact and deterministic.
 from .errors import (
     ComponentMismatchError,
     DegenerateBranchError,
+    ExponentRangeError,
     GenericityError,
     GermlabError,
     HypothesisError,

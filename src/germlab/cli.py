@@ -10,13 +10,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .errors import GermlabError
+from .errors import ExponentRangeError, GermlabError
 from .fixtures_lib import fixture_text, list_fixtures
+from .ideals import Budget
 from .invariants import critical_locus, milnor_number
 from .le import euler_char_fibre
-from .polar import gap_ratios, iomdin_threshold, relative_polar_ideal
+from .polar import gap_ratios, relative_polar_ideal
 from .scenario import (
     GENERIC_LINEAR,
     N_MAX,
@@ -67,44 +69,31 @@ def _parse_n_range(parser: argparse.ArgumentParser, text: str) -> tuple[int, int
     return lo, hi
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def _scenario_from_args(parser: argparse.ArgumentParser, args) -> Scenario:
-    sources = [
-        bool(getattr(args, "scenario", None)),
-        bool(getattr(args, "fixture", None)),
-        bool(getattr(args, "vars", None) or getattr(args, "g", None)),
-    ]
-    if sum(sources) != 1:
+    """The scenario named by the input flags, with --caps applied to it."""
+    if sum(map(bool, (args.scenario, args.fixture, args.vars or args.g))) != 1:
         parser.error("provide exactly one input: --scenario, --fixture, or inline --vars/--g")
-    if getattr(args, "scenario", None):
-        return load_scenario(Path(args.scenario).read_text(encoding="utf-8"))
-    if getattr(args, "fixture", None):
-        return load_scenario(fixture_text(args.fixture))
-    if not args.vars or not args.g:
-        parser.error("inline input needs both --vars and --g")
-    document: dict = {"name": "inline", "variables": args.vars.split(","), "g": args.g}
-    form = getattr(args, "f", None) or getattr(args, "l", None)
-    document["f"] = form if form else GENERIC_LINEAR
-    if getattr(args, "N", None):
-        lo, hi = _parse_n_range(parser, args.N)
-        document["N"] = [lo, hi]
-    limits: dict = {}
-    if getattr(args, "caps", None):
-        limits["reduction_cap"] = args.caps
-    if getattr(args, "trunc", None):
-        limits["trunc"] = args.trunc
-    if limits:
-        document["limits"] = limits
-    return load_scenario(document)
+    document: str | dict
+    if args.scenario:
+        document = Path(args.scenario).read_text(encoding="utf-8")
+    elif args.fixture:
+        document = fixture_text(args.fixture)
+    else:
+        if not args.vars or not args.g:
+            parser.error("inline input needs both --vars and --g")
+        form = getattr(args, "f", None) or getattr(args, "l", None)
+        document = {
+            "name": "inline",
+            "variables": args.vars.split(","),
+            "g": args.g,
+            "f": form if form else GENERIC_LINEAR,
+        }
+        if getattr(args, "N", None):
+            document["N"] = list(_parse_n_range(parser, args.N))
+    scenario = load_scenario(document)
+    if args.caps is not None:
+        scenario = replace(scenario, limits=replace(scenario.limits, reduction_cap=args.caps))
+    return scenario
 
 
 def _need_germ(scenario: Scenario) -> None:
@@ -116,7 +105,7 @@ def cmd_milnor(parser, args) -> int:
     scenario = _scenario_from_args(parser, args)
     _need_germ(scenario)
     assert scenario.g is not None
-    mu = milnor_number(scenario.g, scenario.limits.reduction_cap)
+    mu = milnor_number(scenario.g, Budget(scenario.limits.reduction_cap))
     note = "nonsingular germ" if mu == 0 else ""
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -135,7 +124,7 @@ def cmd_critical_locus(parser, args) -> int:
     scenario = _scenario_from_args(parser, args)
     _need_germ(scenario)
     assert scenario.g is not None
-    report = critical_locus(scenario.g, scenario.f, scenario.limits.reduction_cap)
+    report = critical_locus(scenario.g, scenario.f, Budget(scenario.limits.reduction_cap))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "critical-locus",
@@ -152,10 +141,10 @@ def cmd_critical_locus(parser, args) -> int:
     return 0
 
 
-def _resolved_f(scenario: Scenario):
+def _resolved_f(scenario: Scenario, budget: Budget):
     if scenario.f is not None:
         return scenario.f
-    f, _ = resolve_linear_form(scenario, scenario.limits.reduction_cap)
+    f, _ = resolve_linear_form(scenario, budget)
     return f
 
 
@@ -163,9 +152,10 @@ def cmd_polar(parser, args) -> int:
     scenario = _scenario_from_args(parser, args)
     _need_germ(scenario)
     assert scenario.g is not None
-    f = _resolved_f(scenario)
+    budget = Budget(scenario.limits.reduction_cap)
+    f = _resolved_f(scenario, budget)
     components = tuple(b for b in scenario.branches if b.host == "polar")
-    curve = relative_polar_ideal(f, scenario.g, components, scenario.limits.reduction_cap)
+    curve = relative_polar_ideal(f, scenario.g, components, budget)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "polar",
@@ -188,11 +178,11 @@ def cmd_gap(parser, args) -> int:
     scenario = _scenario_from_args(parser, args)
     _need_germ(scenario)
     assert scenario.g is not None
-    f = _resolved_f(scenario)
+    budget = Budget(scenario.limits.reduction_cap)
+    f = _resolved_f(scenario, budget)
     components = tuple(b for b in scenario.branches if b.host == "polar")
-    curve = relative_polar_ideal(f, scenario.g, components, scenario.limits.reduction_cap)
-    report = gap_ratios(f, scenario.g, curve, scenario.limits.reduction_cap)
-    threshold = iomdin_threshold(f, scenario.g, curve, scenario.limits.reduction_cap)
+    curve = relative_polar_ideal(f, scenario.g, components, budget)
+    report = gap_ratios(f, scenario.g, curve, budget)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "gap",
@@ -204,7 +194,7 @@ def cmd_gap(parser, args) -> int:
         ],
         "sound_bound": report.sound_bound,
         "exact_max": None if report.exact_max is None else str(report.exact_max),
-        "threshold": threshold,
+        "threshold": report.threshold,
     }
     lines = [f"gap ratios for (f = {f}, g = {scenario.g}):"]
     for r in report.ratios:
@@ -214,7 +204,7 @@ def cmd_gap(parser, args) -> int:
     lines.append(f"sound bound: {report.sound_bound}")
     if report.exact_max is not None:
         lines.append(f"exact maximum: {report.exact_max}")
-    lines.append(f"threshold: {threshold}")
+    lines.append(f"threshold: {report.threshold}")
     _emit(args, payload, "\n".join(lines))
     return 0
 
@@ -223,7 +213,7 @@ def cmd_le(parser, args) -> int:
     scenario = _scenario_from_args(parser, args)
     _need_germ(scenario)
     assert scenario.g is not None
-    _, le = resolve_linear_form(scenario, scenario.limits.reduction_cap)
+    _, le = resolve_linear_form(scenario, Budget(scenario.limits.reduction_cap))
     chi = euler_char_fibre(scenario.g, le)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -246,9 +236,10 @@ def cmd_le(parser, args) -> int:
 def cmd_verify(parser, args) -> int:
     n_range = _parse_n_range(parser, args.N) if args.N else None
     scenario = _scenario_from_args(parser, args)
-    table = verify_scenario(
-        scenario, n_range=n_range, jobs=args.jobs, relative_to_threshold=args.relative
-    )
+    try:
+        table = verify_scenario(scenario, n_range=n_range, relative_to_threshold=args.relative)
+    except ExponentRangeError as exc:
+        parser.error(str(exc))
     _emit(args, table.to_json_dict(), table.to_text())
     return 0 if table.ok else ERROR_EXIT
 
@@ -348,8 +339,7 @@ def _add_input_flags(sub, with_form=True, with_n=False):
         sub.add_argument("--l", help="alias for --f when it is a linear form")
     if with_n:
         sub.add_argument("--N", help="exponent or range, e.g. 3 or 2..8")
-    sub.add_argument("--trunc", type=int, help="series truncation order")
-    sub.add_argument("--caps", type=int, help="iteration cap for reduction loops")
+    sub.add_argument("--caps", type=int, help="reduction-step budget for the whole run")
     sub.add_argument(
         "--format", choices=("text", "json"), default="text", help="output mode"
     )
@@ -384,9 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("verify", help="run the deformation identity sweep")
     _add_input_flags(sub, with_n=True)
-    sub.add_argument(
-        "--jobs", type=_positive_int, default=1, help="worker threads for the sweep (at least 1)"
-    )
     sub.add_argument(
         "--relative",
         action="store_true",

@@ -52,6 +52,10 @@ class UndefinedLeError(GermlabError):
     """No admissible coordinate choice makes the Le-number intersections proper."""
 
 
+class ExponentRangeError(GermlabError):
+    """A requested deformation-exponent range leaves the allowed bounds."""
+
+
 class GenericityError(GermlabError):
     """The deterministic generic-linear-form ladder was exhausted."""
 

@@ -53,18 +53,32 @@ class GapRatio:
 class GapReport:
     """Per-component gap ratios plus a sound a-priori bound.
 
-    sound_bound is always valid: component ratios never exceed the total
-    g-intersection number, so sound_bound = total + 1 certifies N > ratio for
-    every component.  exact_max is present only when components are supplied.
+    g_intersection is the polar curve's intersection number with {g = 0}
+    (None for an empty curve).  sound_bound is always valid: component ratios
+    never exceed that total, so total + 1 certifies N > ratio for every
+    component.  exact_max is present only when components are supplied.
     """
 
     ratios: tuple[GapRatio, ...]
-    sound_bound: int
+    g_intersection: int | None
     exact_max: Fraction | None = None
 
     def __post_init__(self):
         if self.exact_max is not None and self.exact_max > self.sound_bound:
             raise ValueError("exact maximum exceeds the sound bound")
+
+    @property
+    def sound_bound(self) -> int:
+        return 2 if self.g_intersection is None else self.g_intersection + 1
+
+    @property
+    def threshold(self) -> int:
+        """Smallest admissible exponent N for the deformation g + f^N:
+        strictly larger than every gap ratio (exactly when components are
+        supplied, by the sound bound otherwise) and never less than 2."""
+        if self.exact_max is not None:
+            return max(2, int(self.exact_max) + 1)
+        return max(2, self.sound_bound)
 
 
 def jacobian_minors(f: Poly, g: Poly) -> list[Poly]:
@@ -149,28 +163,22 @@ def gap_ratios(f: Poly, g: Poly, curve: PolarCurve, cap=None) -> GapReport:
     """Gap ratios ord_t g / ord_t f of the polar components, plus a sound
     upper bound derived from the total g-intersection number."""
     if curve.is_empty:
-        return GapReport(ratios=(), sound_bound=2, exact_max=None)
+        return GapReport(ratios=(), g_intersection=None)
     total_g = intersection_number(curve, g, cap)
-    sound_bound = total_g + 1
     ratios = []
     for comp in curve.components:
         og = local_degree(g, comp)
         of = local_degree(f, comp)
         ratios.append(GapRatio(comp.name, og, of, Fraction(og, of)))
     exact_max = max((r.ratio for r in ratios), default=None) if curve.components else None
-    return GapReport(ratios=tuple(ratios), sound_bound=sound_bound, exact_max=exact_max)
+    return GapReport(ratios=tuple(ratios), g_intersection=total_g, exact_max=exact_max)
 
 
 def iomdin_threshold(f: Poly, g: Poly, curve: PolarCurve | None = None, cap=None) -> int:
-    """Smallest admissible exponent N for the deformation g + f^N: strictly
-    larger than every gap ratio (exactly when components are supplied, by the
-    sound bound otherwise) and never less than 2."""
+    """GapReport.threshold of (f, g), computing the polar curve if not given."""
     if curve is None:
         curve = relative_polar_ideal(f, g, cap=cap)
-    report = gap_ratios(f, g, curve, cap)
-    if report.exact_max is not None:
-        return max(2, int(report.exact_max) + 1)
-    return max(2, report.sound_bound)
+    return gap_ratios(f, g, curve, cap).threshold
 
 
 @dataclass(frozen=True)
@@ -191,7 +199,6 @@ def verify_polar_decomposition(
     g: Poly,
     n: int,
     components: Sequence[BranchParam] = (),
-    power_cap: int = DEFAULT_POWER_CAP,
     cap=None,
 ) -> DecompositionVerdict:
     """Check, at radical level near the origin, that deforming g to g + f^N
@@ -212,12 +219,12 @@ def verify_polar_decomposition(
     product = IdealPresentation(g.ring, product_gens)
 
     for p in product.generators:
-        if not has_power_in(p, deformed, power_cap, cap):
+        if not has_power_in(p, deformed, DEFAULT_POWER_CAP, cap):
             return DecompositionVerdict(
                 "FAIL", n, witness=f"no power of {p} lies in the deformed polar ideal"
             )
     for q in deformed.generators:
-        if not has_power_in(q, product, power_cap, cap):
+        if not has_power_in(q, product, DEFAULT_POWER_CAP, cap):
             return DecompositionVerdict(
                 "FAIL", n, witness=f"no power of {q} lies in Jac(g) * polar(f, g)"
             )

@@ -11,7 +11,7 @@ rejection carries the offending path.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Mapping
 
 from .errors import ParseError, SchemaError
@@ -45,15 +45,15 @@ _TOP_KEYS = {
 }
 _BRANCH_KEYS = {"name", "components", "host", "trunc", "multiplicity"}
 _STRATUM_KEYS = {"name", "dim", "eu", "chi", "in_zero_locus_of", "branches"}
-_LIMIT_KEYS = {"reduction_cap", "power_cap", "trunc", "halvings"}
+_LIMIT_KEYS = {"reduction_cap", "trunc"}
 
 
 @dataclass(frozen=True)
 class Limits:
+    """One reduction-step budget per run, and the default branch truncation."""
+
     reduction_cap: int = DEFAULT_REDUCTION_CAP
-    power_cap: int = 6
     trunc: int = DEFAULT_TRUNC
-    halvings: int = 8
 
 
 @dataclass(frozen=True)
@@ -179,9 +179,7 @@ def load_scenario(document: str | Mapping[str, Any]) -> Scenario:
     _check_keys(limits_raw, _LIMIT_KEYS, "$.limits")
     limits = Limits(
         reduction_cap=_expect_int(limits_raw.get("reduction_cap", DEFAULT_REDUCTION_CAP), "$.limits.reduction_cap"),
-        power_cap=_expect_int(limits_raw.get("power_cap", 6), "$.limits.power_cap"),
         trunc=_expect_int(limits_raw.get("trunc", DEFAULT_TRUNC), "$.limits.trunc"),
-        halvings=_expect_int(limits_raw.get("halvings", 8), "$.limits.halvings"),
     )
 
     ring = None
@@ -357,12 +355,7 @@ def scenario_to_dict(s: Scenario) -> dict:
             known["f_is_linear"] = s.dataset.f_is_linear
         if known:
             out["known"] = known
-    out["limits"] = {
-        "reduction_cap": s.limits.reduction_cap,
-        "power_cap": s.limits.power_cap,
-        "trunc": s.limits.trunc,
-        "halvings": s.limits.halvings,
-    }
+    out["limits"] = asdict(s.limits)
     if s.expected is not None:
         out["expected"] = s.expected
     return out

@@ -9,19 +9,19 @@ any failing identity makes the table (and the CLI) report failure.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Any, Sequence
 
 from .errors import (
     DegenerateBranchError,
+    ExponentRangeError,
     GenericityError,
     GermlabError,
     HypothesisError,
     UndefinedLeError,
 )
-from .ideals import IdealPresentation, dim_at_origin, quotient_dim_local
+from .ideals import Budget, IdealPresentation, dim_at_origin, quotient_dim_local
 from .invariants import (
     MAX_TAU_HALVINGS,
     BranchParam,
@@ -37,16 +37,17 @@ from .invariants import (
 from .le import LeData, euler_char_fibre, le_numbers
 from .polar import (
     PolarCurve,
+    gap_ratios,
     intersection_number,
     iomdin_threshold,
     relative_polar_ideal,
 )
 from .rings import Poly
-from .scenario import Scenario
+from .scenario import N_MAX, Scenario
 from .stratified import BranchTableRow, IdentityVerdict, StratifiedDataset, StratumRecord
 
 MAX_LADDER_ATTEMPTS = 16
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 def generic_linear_candidates(ring, attempts: int = MAX_LADDER_ATTEMPTS):
@@ -76,10 +77,6 @@ class HypothesisChecks:
     f_isolated: bool
     slice_tractable: bool | None
 
-    @property
-    def ok(self) -> bool:
-        return self.sigma_dim <= 1 and self.sigma_meets_f_only_at_origin and self.f_isolated
-
 
 @dataclass(frozen=True)
 class DeformationCase:
@@ -92,10 +89,6 @@ class DeformationCase:
     certificate: int | None  # local Jacobian quotient dimension, None = infinite
     threshold: int
     hypotheses: HypothesisChecks
-
-    @property
-    def is_isolated(self) -> bool:
-        return self.certificate is not None
 
 
 def check_hypotheses(g: Poly, f: Poly, cap=None) -> HypothesisChecks:
@@ -110,14 +103,8 @@ def check_hypotheses(g: Poly, f: Poly, cap=None) -> HypothesisChecks:
     return HypothesisChecks(sigma_dim, meets, f_isolated, slice_tractable)
 
 
-def build_deformation(g: Poly, f: Poly, n: int, threshold: int | None = None, cap=None) -> DeformationCase:
-    """Assemble g + f^N after checking the case hypotheses.
-
-    Raises HypothesisError when a hard hypothesis fails, and when the
-    deformation is not isolated although n reached the threshold.
-    """
-    if n < 2:
-        raise ValueError("the deformation exponent must be at least 2")
+def require_hypotheses(g: Poly, f: Poly, cap=None) -> HypothesisChecks:
+    """The N-independent case hypotheses; HypothesisError when a hard one fails."""
     hypotheses = check_hypotheses(g, f, cap)
     if hypotheses.sigma_dim > 1:
         raise HypothesisError("sigma-dimension", f"critical locus has dimension {hypotheses.sigma_dim}")
@@ -127,8 +114,16 @@ def build_deformation(g: Poly, f: Poly, n: int, threshold: int | None = None, ca
         )
     if not hypotheses.f_isolated:
         raise HypothesisError("f-isolated", "f does not have an isolated singularity at the origin")
-    if threshold is None:
-        threshold = iomdin_threshold(f, g, cap=cap)
+    return hypotheses
+
+
+def assemble_deformation(
+    g: Poly, f: Poly, n: int, threshold: int, hypotheses: HypothesisChecks, cap=None
+) -> DeformationCase:
+    """g + f^N with its isolation certificate; HypothesisError when it is not
+    isolated although n reached the threshold."""
+    if n < 2:
+        raise ValueError("the deformation exponent must be at least 2")
     g_tilde = g + f**n
     certificate = quotient_dim_local(jacobian_ideal(g_tilde), cap)
     if certificate is None and n >= threshold:
@@ -137,6 +132,14 @@ def build_deformation(g: Poly, f: Poly, n: int, threshold: int | None = None, ca
             f"g + f^{n} has a non-isolated singularity although n >= threshold {threshold}",
         )
     return DeformationCase(g, f, n, g_tilde, certificate, threshold, hypotheses)
+
+
+def build_deformation(g: Poly, f: Poly, n: int, threshold: int | None = None, cap=None) -> DeformationCase:
+    """Assemble g + f^N after checking the case hypotheses, in one call."""
+    hypotheses = require_hypotheses(g, f, cap)
+    if threshold is None:
+        threshold = iomdin_threshold(f, g, cap=cap)
+    return assemble_deformation(g, f, n, threshold, hypotheses, cap)
 
 
 @dataclass(frozen=True)
@@ -238,11 +241,16 @@ def morse_defect(
     return verdict, defect, expansion
 
 
-def verify_gap_stability(case: DeformationCase, polar: PolarCurve, cap=None) -> IdentityVerdict:
-    """Intersection of the polar curve with V(g) against V(g + f^N)."""
+def verify_gap_stability(
+    case: DeformationCase, polar: PolarCurve, left: int | None, cap=None
+) -> IdentityVerdict:
+    """Intersection of the polar curve with V(g) against V(g + f^N).
+
+    left is the g-side number, intersection_number(polar, case.g), which does
+    not depend on N (None for an empty polar curve).
+    """
     if polar.is_empty:
         return IdentityVerdict("polar_stability", "SKIPPED", note="empty polar curve")
-    left = intersection_number(polar, case.g, cap)
     try:
         right = intersection_number(polar, case.g_tilde, cap)
     except GermlabError as exc:
@@ -284,8 +292,9 @@ class VerdictTable:
 
     @property
     def ok(self) -> bool:
+        """Every asserted row passed, and at least one row was asserted."""
         asserted = [row for row in self.rows if row.in_range]
-        return all(row.ok for row in asserted)
+        return bool(asserted) and all(row.ok for row in asserted)
 
     def to_json_dict(self) -> dict:
         def verdict_dict(v: IdentityVerdict) -> dict:
@@ -353,7 +362,11 @@ class VerdictTable:
                     sides = f"  left={v.left} right={v.right}"
                 note = f"  ({v.note})" if v.note else ""
                 lines.append(f"    {v.name:<16} {v.status}{sides}{note}")
-        lines.append(f"overall: {'PASS' if self.ok else 'FAIL'}")
+        if not any(row.in_range for row in self.rows):
+            overall = f"NOTHING ASSERTED (every N below threshold {self.threshold})"
+        else:
+            overall = "PASS" if self.ok else "FAIL"
+        lines.append(f"overall: {overall}")
         return "\n".join(lines)
 
 
@@ -401,20 +414,22 @@ def _le_with_ladder(scenario: Scenario, sigma_branches, cap=None) -> LeData:
 def verify_scenario(
     scenario: Scenario,
     n_range: tuple[int, int] | None = None,
-    jobs: int = 1,
     relative_to_threshold: bool = False,
 ) -> VerdictTable:
     """Run the whole pipeline on a scenario and assemble the verdict table.
 
+    Everything that does not depend on N is computed once and sweep rows only
+    read it; the whole run spends from one budget of reduction_cap steps.
+
     With relative_to_threshold the sweep runs over threshold .. threshold +
     (hi - lo) regardless of the requested bounds, which keeps fixture sweeps
-    aligned with their thresholds.
+    aligned with their thresholds; past N_MAX it raises ExponentRangeError.
     """
     if scenario.ring is None or scenario.g is None:
         raise GermlabError("this scenario carries only a stratified dataset; nothing to deform")
-    cap = scenario.limits.reduction_cap
+    budget = Budget(scenario.limits.reduction_cap)
     g = scenario.g
-    f, le = resolve_linear_form(scenario, cap)
+    f, le = resolve_linear_form(scenario, budget)
     chi_g = euler_char_fibre(g, le)
 
     sigma_branches = tuple(b for b in scenario.branches if b.host == "sigma")
@@ -427,21 +442,25 @@ def verify_scenario(
                 f"branch {b.name!r} is not on the critical locus: generator {gen} "
                 f"vanishes only to order {order}"
             )
-    polar = relative_polar_ideal(f, g, components=polar_branches, cap=cap)
-    threshold = iomdin_threshold(f, g, polar, cap=cap)
+    polar = relative_polar_ideal(f, g, components=polar_branches, cap=budget)
+    gap = gap_ratios(f, g, polar, budget)
+    threshold = gap.threshold
 
-    terms: tuple[BranchTerm, ...] | None
-    if f.is_linear_form:
-        terms = branch_terms(g, f, sigma_branches, cap)
-    else:
-        terms = None
+    terms = branch_terms(g, f, sigma_branches, budget) if f.is_linear_form else None
 
     lo, hi = n_range if n_range is not None else scenario.n_range
     if relative_to_threshold:
-        lo, hi = threshold, threshold + (hi - lo)
+        span = hi - lo
+        lo, hi = threshold, threshold + span
+        if hi > N_MAX:
+            raise ExponentRangeError(
+                f"the sweep shifted to the threshold, {lo}..{hi} (threshold {threshold} "
+                f"plus span {span}), passes N_MAX = {N_MAX}"
+            )
+    hypotheses = require_hypotheses(g, f, budget)
 
     def make_row(n: int) -> SweepRow:
-        case = build_deformation(g, f, n, threshold, cap)
+        case = assemble_deformation(g, f, n, threshold, hypotheses, budget)
         verdicts = [
             verify_le_number_identity(case, le),
             verify_chi_identity(case, chi_g, terms),
@@ -449,7 +468,7 @@ def verify_scenario(
         ]
         morse_verdict, defect, expansion = morse_defect(case, chi_g, terms)
         verdicts.append(morse_verdict)
-        verdicts.append(verify_gap_stability(case, polar, cap))
+        verdicts.append(verify_gap_stability(case, polar, gap.g_intersection, budget))
         v = g.ring.nvars
         chi_gtilde = None if case.certificate is None else 1 + _sign(v - 1) * case.certificate
         return SweepRow(
@@ -462,13 +481,6 @@ def verify_scenario(
             morse_expansion=expansion,
         )
 
-    ns = list(range(lo, hi + 1))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(make_row, ns))
-    else:
-        rows = [make_row(n) for n in ns]
-
     return VerdictTable(
         scenario=scenario.name,
         variables=scenario.ring.variables,
@@ -478,16 +490,8 @@ def verify_scenario(
         le=le,
         chi_g=chi_g,
         terms=terms,
-        rows=rows,
-        defaults={
-            "N": list(scenario.n_range),
-            "limits": {
-                "reduction_cap": scenario.limits.reduction_cap,
-                "power_cap": scenario.limits.power_cap,
-                "trunc": scenario.limits.trunc,
-                "halvings": scenario.limits.halvings,
-            },
-        },
+        rows=[make_row(n) for n in range(lo, hi + 1)],
+        defaults={"N": list(scenario.n_range), "limits": asdict(scenario.limits)},
     )
 
 
@@ -544,26 +548,24 @@ def export_dataset(scenario: Scenario, n: int) -> StratifiedDataset:
     """
     if scenario.ring is None or scenario.g is None:
         raise GermlabError("dataset export needs a polynomial scenario")
-    cap = scenario.limits.reduction_cap
+    budget = Budget(scenario.limits.reduction_cap)
     g = scenario.g
-    f, le = resolve_linear_form(scenario, cap)
+    f, le = resolve_linear_form(scenario, budget)
     v = scenario.ring.nvars
     chi_g = euler_char_fibre(g, le)
 
-    case = build_deformation(g, f, n, cap=cap)
+    case = build_deformation(g, f, n, cap=budget)
     if case.certificate is None:
         raise HypothesisError("isolation", f"g + f^{n} is not isolated; export needs an isolated deformation")
     chi_gtilde = 1 + _sign(v - 1) * case.certificate
 
-    mu_f = milnor_number(f, cap) if dim_at_origin(jacobian_ideal(f), cap) <= 0 else None
-    chi_f_fibre = None if mu_f is None else 1 + _sign(v - 1) * mu_f
+    # build_deformation required f to be isolated, so its Milnor number exists
+    chi_f_fibre = 1 + _sign(v - 1) * milnor_number(f, budget)
 
     sigma_branches = tuple(b for b in scenario.branches if b.host == "sigma")
-    terms = branch_terms(g, f, sigma_branches, cap) if f.is_linear_form else None
+    terms = branch_terms(g, f, sigma_branches, budget) if f.is_linear_form else None
 
-    chi = {"g": chi_g, "gtilde": chi_gtilde, "l": 1}
-    if chi_f_fibre is not None:
-        chi["f"] = chi_f_fibre
+    chi = {"g": chi_g, "gtilde": chi_gtilde, "l": 1, "f": chi_f_fibre}
     strata = (
         StratumRecord("origin", 0, 1, {}, frozenset()),
         StratumRecord("regular", v, 1, chi, frozenset()),
@@ -577,15 +579,15 @@ def export_dataset(scenario: Scenario, n: int) -> StratifiedDataset:
         "B_gtilde_X_0": chi_gtilde,
     }
 
-    polar = relative_polar_ideal(f, g, cap=cap)
-    known["m"] = 0 if polar.is_empty else intersection_number(polar, f, cap)
-    deformed_polar = relative_polar_ideal(f, case.g_tilde, cap=cap)
+    polar = relative_polar_ideal(f, g, cap=budget)
+    known["m"] = 0 if polar.is_empty else intersection_number(polar, f, budget)
+    deformed_polar = relative_polar_ideal(f, case.g_tilde, cap=budget)
     known["m_tilde"] = (
-        0 if deformed_polar.is_empty else intersection_number(deformed_polar, f, cap)
+        0 if deformed_polar.is_empty else intersection_number(deformed_polar, f, budget)
     )
 
     certified = (
-        _certify_slice_generic(scenario, f, case.g_tilde, cap) if f.is_linear_form else False
+        _certify_slice_generic(scenario, f, case.g_tilde, budget) if f.is_linear_form else False
     )
 
     rows: tuple[BranchTableRow, ...] | None = None
@@ -610,7 +612,7 @@ def export_dataset(scenario: Scenario, n: int) -> StratifiedDataset:
         rows = tuple(row_list)
 
     if f.is_linear_form:
-        mu_h = _slice_milnor_at_origin(g, f, cap)
+        mu_h = _slice_milnor_at_origin(g, f, budget)
         if mu_h is not None:
             # g and its deformation agree on {f = 0}, so one slice Milnor
             # number covers both restriction values; the swap value comes from
@@ -626,10 +628,10 @@ def export_dataset(scenario: Scenario, n: int) -> StratifiedDataset:
                 known["eu_Xg_0"] = g.min_degree()
                 known["eu_Xgtilde_0"] = case.g_tilde.min_degree()
                 known["B_f_Xg_0"] = intersection_number(
-                    IdealPresentation(g.ring, [g]), f, cap
+                    IdealPresentation(g.ring, [g]), f, budget
                 )
                 known["B_f_Xgtilde_0"] = intersection_number(
-                    IdealPresentation(g.ring, [case.g_tilde]), f, cap
+                    IdealPresentation(g.ring, [case.g_tilde]), f, budget
                 )
             elif v == 3 and certified and rows is not None and all(
                 r.eu_Xg_b is not None for r in rows

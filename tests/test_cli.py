@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from germlab.cli import main
+from germlab.fixtures_lib import fixture_text
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -137,14 +138,6 @@ def test_verify_scenario_file(tmp_path, capsys):
     assert "overall: PASS" in out
 
 
-def test_verify_with_jobs_matches_serial(capsys):
-    _, serial = run_cli(capsys, "verify", "--fixture", "cylinder", "--format", "json")
-    _, threaded = run_cli(
-        capsys, "verify", "--fixture", "cylinder", "--format", "json", "--jobs", "3"
-    )
-    assert serial == threaded
-
-
 def usage_error(capsys, *argv) -> str:
     """Run argv, require exit status 2, and return what went to stderr."""
     with pytest.raises(SystemExit) as exc:
@@ -188,7 +181,43 @@ def test_export_dataset_rejects_an_n_range(capsys):
     assert "single exponent" in err
 
 
-@pytest.mark.parametrize("jobs", ["0", "-2"])
-def test_jobs_below_one_is_a_usage_error(capsys, jobs):
-    err = usage_error(capsys, "verify", "--fixture", "cylinder", "--jobs", jobs)
-    assert f"argument --jobs: must be at least 1, got {jobs}" in err
+@pytest.mark.parametrize("flag", ["--jobs", "--trunc"])
+def test_removed_flags_are_usage_errors(capsys, flag):
+    err = usage_error(capsys, "verify", "--fixture", "cylinder", "--N", "2..3", flag, "2")
+    assert f"unrecognized arguments: {flag} 2" in err
+
+
+def test_relative_range_past_n_max_is_a_usage_error(capsys):
+    err = usage_error(capsys, "verify", "--fixture", "cusp-isolated", "--N", "2..64", "--relative")
+    assert "threshold 7 plus span 62" in err and "N_MAX = 64" in err
+
+
+def test_verify_with_nothing_asserted_does_not_pass(capsys):
+    code, out = run_cli(capsys, "verify", "--fixture", "cusp-isolated", "--N", "2..5")
+    assert code == 1
+    assert out.splitlines()[-1] == "overall: NOTHING ASSERTED (every N below threshold 7)"
+    code, out = run_cli(
+        capsys, "verify", "--fixture", "cusp-isolated", "--N", "2..5", "--format", "json"
+    )
+    assert code == 1 and json.loads(out)["ok"] is False
+
+
+@pytest.mark.parametrize("source", ["fixture", "scenario"])
+def test_caps_apply_to_fixture_and_scenario_input(tmp_path, capsys, source):
+    if source == "fixture":
+        argv = ["--fixture", "brieskorn-345"]
+    else:
+        path = tmp_path / "brieskorn.json"
+        path.write_text(fixture_text("brieskorn-345"), encoding="utf-8")
+        argv = ["--scenario", str(path)]
+    code = main(["milnor", *argv, "--caps", "1"])
+    assert code == 1
+    assert "cap exceeded" in capsys.readouterr().err
+
+
+def test_caps_are_echoed_for_a_fixture(capsys):
+    code, out = run_cli(
+        capsys, "verify", "--fixture", "cylinder", "--N", "2..3", "--caps", "5000", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["defaults"]["limits"]["reduction_cap"] == 5000

@@ -26,6 +26,15 @@ def test_minimal_scenario_gets_defaults():
     assert sc.branches == ()
 
 
+@pytest.mark.parametrize("key", ["power_cap", "halvings"])
+def test_removed_limit_keys_are_rejected(key):
+    doc = minimal_doc()
+    doc["limits"] = {key: 6}
+    with pytest.raises(SchemaError) as exc:
+        load_scenario(json.dumps(doc))
+    assert exc.value.path == f"$.limits.{key}"
+
+
 def test_branch_truncation_defaults():
     doc = minimal_doc()
     doc["branches"] = [{"name": "b1", "components": ["0", "0", "t"]}]

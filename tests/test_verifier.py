@@ -3,10 +3,20 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from germlab import HypothesisError, build_deformation, load_scenario, verify_scenario
+from germlab import (
+    ExponentRangeError,
+    HypothesisError,
+    IterationLimitError,
+    build_deformation,
+    load_scenario,
+    verify_scenario,
+)
+from germlab import verifier
+from germlab.ideals import Budget
 from germlab.fixtures_lib import fixture_text, load_fixture
 from germlab.verifier import (
     branch_terms,
@@ -178,11 +188,49 @@ class TestSweep:
             table = verify_scenario(load_fixture(name), relative_to_threshold=True)
             assert all(row.certificate is not None for row in table.rows), name
 
-    def test_jobs_do_not_change_the_table(self):
+    def test_hypotheses_are_checked_once_per_run(self, monkeypatch):
+        calls = []
+        original = verifier.check_hypotheses
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(verifier, "check_hypotheses", counting)
+        table = verify_scenario(load_fixture("double-axes"))
+        assert len(table.rows) == 7
+        assert len(calls) == 1
+
+    def test_one_budget_spans_the_whole_run(self, monkeypatch):
+        made = []
+        original = Budget.__init__
+
+        def counting(budget, cap=None):
+            original(budget, cap)
+            made.append(budget)
+
+        monkeypatch.setattr(Budget, "__init__", counting)
         sc = load_fixture("cylinder")
-        serial = verify_scenario(sc, jobs=1)
-        threaded = verify_scenario(sc, jobs=4)
-        assert serial.to_json_dict() == threaded.to_json_dict()
+        verify_scenario(sc)
+        assert len(made) == 1
+        spent = sc.limits.reduction_cap - made[0].remaining
+
+        tight = replace(sc, limits=replace(sc.limits, reduction_cap=spent - 1))
+        with pytest.raises(IterationLimitError):
+            verify_scenario(tight)
+        # with a fresh budget per kernel call no single call reaches the cap
+        monkeypatch.setattr(verifier, "Budget", lambda cap: cap)
+        assert verify_scenario(tight).ok
+
+    def test_nothing_asserted_is_not_ok(self):
+        table = verify_scenario(load_fixture("cusp-isolated"), n_range=(2, 5))
+        assert table.threshold == 7 and table.rows
+        assert not table.ok
+        assert table.to_text().endswith("overall: NOTHING ASSERTED (every N below threshold 7)")
+
+    def test_relative_range_is_bounded_by_n_max(self):
+        with pytest.raises(ExponentRangeError, match="threshold 7 plus span 58"):
+            verify_scenario(load_fixture("cusp-isolated"), n_range=(2, 60), relative_to_threshold=True)
 
     def test_chi_backward_consistency(self):
         # recover chi(F_g) from the deformed fibre and the branch sum
@@ -215,7 +263,8 @@ def test_generic_ladder_is_deterministic():
 def test_verdict_table_json_shape():
     table = verify_scenario(load_fixture("cylinder"))
     doc = table.to_json_dict()
-    assert doc["schema_version"] == "1"
+    assert doc["schema_version"] == "2"
+    assert doc["defaults"]["limits"] == {"reduction_cap": 10**6, "trunc": 16}
     assert doc["ok"] is True
     assert doc["rows"][0]["N"] == 2
     assert json.dumps(doc, sort_keys=True)  # serializable
