@@ -1,5 +1,5 @@
 """Ideal arithmetic: normal forms, standard bases, local quotient dimensions,
-dimension at the origin, colon ideals and saturation.
+dimension at the origin, intersection and saturation.
 
 Global orders use ordinary multivariate division and Buchberger's algorithm.
 Local orders use Mora reduction with ecart control, which terminates on
@@ -28,6 +28,7 @@ from .orders import (
 from .rings import Exponents, Poly, PolyRing, mono_div, mono_divides, mono_lcm, mono_mul
 
 DEFAULT_REDUCTION_CAP = 10**6
+POWER_CAP = 6  # largest power tried by has_power_in
 
 
 class Budget:
@@ -415,7 +416,7 @@ def dim_at_origin(I: IdealPresentation, cap=None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# intersection, colon ideals, saturation
+# intersection and saturation by elimination of one tag variable
 # ---------------------------------------------------------------------------
 
 
@@ -430,25 +431,23 @@ def _lift(p: Poly, ext: PolyRing) -> Poly:
     return Poly._make(ext, {(0, *e): c for e, c in p.terms.items()})
 
 
-def _canonical_gens(gens: Iterable[Poly]) -> list[Poly]:
-    """Monic generators in ascending degrevlex leading-term order."""
-    cleaned = []
-    for g in gens:
-        if g.is_zero:
-            continue
-        g = _monic(g, DEGREVLEX)
-        if g not in cleaned:
-            cleaned.append(g)
-    cleaned.sort(key=lambda g: order_key_degrevlex(g))
-    return cleaned
+def _eliminate_tag(gens: Sequence[Poly], ring: PolyRing, cap) -> IdealPresentation:
+    """(gens) ∩ Q[x] for gens in Q[t, x]: the t-free elements of the reduced
+    ELIM_FIRST basis, mapped back to the ring.
 
-
-def order_key_degrevlex(g: Poly):
-    return DEGREVLEX.key(leading_term(g, DEGREVLEX)[0])
+    On t-free monomials ELIM_FIRST ranks like DEGREVLEX, so the kept elements
+    are the reduced monic degrevlex basis of the intersection, ascending.
+    """
+    basis = standard_basis_of(gens, ELIM_FIRST, cap)
+    kept = []
+    for g in basis:
+        if all(e[0] == 0 for e in g.terms):
+            kept.append(Poly._make(ring, {e[1:]: c for e, c in g.terms.items()}))
+    return IdealPresentation(ring, kept)
 
 
 def intersect(I: IdealPresentation, J: IdealPresentation, cap=None) -> IdealPresentation:
-    """Intersection of two polynomial ideals via one-variable elimination."""
+    """Intersection of two polynomial ideals: (t*I, (1 - t)*J) ∩ Q[x]."""
     ring = I.ring
     if ring != J.ring:
         raise RingMismatchError("ideal rings differ")
@@ -459,55 +458,24 @@ def intersect(I: IdealPresentation, J: IdealPresentation, cap=None) -> IdealPres
     gens += [(one - t) * _lift(g, ext) for g in J.generators if not g.is_zero]
     if not gens:
         return IdealPresentation(ring)
-    basis = standard_basis_of(gens, ELIM_FIRST, cap)
-    kept = []
-    for g in basis:
-        if all(e[0] == 0 for e in g.terms):
-            kept.append(Poly._make(ring, {e[1:]: c for e, c in g.terms.items()}))
-    return IdealPresentation(ring, _canonical_gens(kept))
-
-
-def exact_divide(p: Poly, f: Poly) -> Poly:
-    """Quotient p/f when f divides p exactly; raises otherwise."""
-    if f.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
-    ring = _check_same_ring([p, f])
-    quotient: dict[Exponents, Fraction] = {}
-    lmf, lcf = leading_term(f, DEGREVLEX)
-    h = p
-    while not h.is_zero:
-        lm, lc = leading_term(h, DEGREVLEX)
-        if not mono_divides(lmf, lm):
-            raise GermlabError("exact division failed: divisor does not divide")
-        q = mono_div(lm, lmf)
-        c = lc / lcf
-        quotient[q] = c
-        h = _sub_shifted(h, f, q, c)
-    return Poly._make(ring, quotient)
-
-
-def colon_single(I: IdealPresentation, f: Poly, cap=None) -> IdealPresentation:
-    """The colon ideal I : <f>."""
-    if f.is_zero:
-        return IdealPresentation(I.ring, [I.ring.one()])
-    meet = intersect(I, IdealPresentation(I.ring, [f]), cap)
-    gens = [exact_divide(g, f) for g in meet.generators if not g.is_zero]
-    return IdealPresentation(I.ring, _canonical_gens(gens))
+    return _eliminate_tag(gens, ring, cap)
 
 
 def saturate_single(I: IdealPresentation, f: Poly, cap=None) -> IdealPresentation:
-    """The saturation I : <f>^infinity by iterated colon ideals.
+    """The saturation I : <f>^infinity = (I, 1 - t*f) ∩ Q[x] (Rabinowitsch).
 
-    The chain I : f <= I : f^2 <= ... stabilizes; stabilization is detected by
-    membership of the new generators in the previous step.
+    When the saturation removes nothing, I itself is returned, so its
+    generators are kept as given; otherwise the result carries the reduced
+    monic degrevlex basis of the saturated ideal.
     """
-    current = I
-    for _ in range(DEFAULT_REDUCTION_CAP):
-        bigger = colon_single(current, f, cap)
-        if ideal_contains(current, bigger, DEGREVLEX, cap):
-            return current
-        current = bigger
-    raise IterationLimitError("saturation chain failed to stabilize")
+    ring = I.ring
+    if f.is_zero:
+        return IdealPresentation(ring, [ring.one()])
+    ext = PolyRing((_fresh_tag(ring), *ring.variables))
+    gens = [_lift(g, ext) for g in I.generators if not g.is_zero]
+    gens.append(ext.one() - ext.variable(0) * _lift(f, ext))
+    sat = _eliminate_tag(gens, ring, cap)
+    return I if ideal_contains(I, sat, DEGREVLEX, cap) else sat
 
 
 def saturate(I: IdealPresentation, J: IdealPresentation, cap=None) -> IdealPresentation:
@@ -528,12 +496,12 @@ def saturate(I: IdealPresentation, J: IdealPresentation, cap=None) -> IdealPrese
     return acc
 
 
-def has_power_in(p: Poly, I: IdealPresentation, power_cap: int = 6, cap=None) -> bool:
-    """Whether some power p^k (k <= power_cap) lies in I locally at the origin."""
+def has_power_in(p: Poly, I: IdealPresentation, cap=None) -> bool:
+    """Whether some power p^k (k <= POWER_CAP) lies in I locally at the origin."""
     if p.is_zero:
         return True
     q = p.ring.one()
-    for _ in range(power_cap):
+    for _ in range(POWER_CAP):
         q = q * p
         if contains(I, q, LOCAL, cap):
             return True

@@ -1,5 +1,6 @@
 """Monomial orderings: global degrevlex, local negdegrevlex, and an internal
-elimination order used by colon-ideal computations.
+elimination order used by intersection and saturation, which eliminate one
+tag variable.
 
 Keys compare so that larger key means larger monomial.  The local order ranks
 the constant monomial above every variable, which realizes computations in the

@@ -19,8 +19,6 @@ from .ideals import (
 from .invariants import BranchParam, compose_on_branch, local_degree, order_in_t, validate_branch
 from .rings import Poly, jacobian
 
-DEFAULT_POWER_CAP = 6
-
 
 @dataclass(frozen=True)
 class PolarCurve:
@@ -219,12 +217,12 @@ def verify_polar_decomposition(
     product = IdealPresentation(g.ring, product_gens)
 
     for p in product.generators:
-        if not has_power_in(p, deformed, DEFAULT_POWER_CAP, cap):
+        if not has_power_in(p, deformed, cap):
             return DecompositionVerdict(
                 "FAIL", n, witness=f"no power of {p} lies in the deformed polar ideal"
             )
     for q in deformed.generators:
-        if not has_power_in(q, product, DEFAULT_POWER_CAP, cap):
+        if not has_power_in(q, product, cap):
             return DecompositionVerdict(
                 "FAIL", n, witness=f"no power of {q} lies in Jac(g) * polar(f, g)"
             )

@@ -162,6 +162,22 @@ def branch_terms(g: Poly, f: Poly, branches: Sequence[BranchParam], cap=None) ->
     return tuple(terms)
 
 
+def sigma_branch_terms(
+    g: Poly, f: Poly, branches: Sequence[BranchParam], sigma_dim: int, cap=None
+) -> tuple[BranchTerm, ...] | None:
+    """Branch terms for the identity sums; None when f is not linear or the
+    critical locus is a curve with no declared branch (an empty sum is not 0)."""
+    if not f.is_linear_form or (sigma_dim == 1 and not branches):
+        return None
+    return branch_terms(g, f, branches, cap)
+
+
+def _no_terms_note(case: DeformationCase) -> str:
+    if case.f.is_linear_form:
+        return "the critical locus is a curve but no sigma branches are declared"
+    return "branch slice data needs a linear deformation direction"
+
+
 def _sign(exponent: int) -> int:
     return -1 if exponent % 2 else 1
 
@@ -182,7 +198,7 @@ def verify_chi_identity(
 ) -> IdentityVerdict:
     """Euler characteristic of the deformed fibre against the branch sum."""
     if terms is None:
-        return IdentityVerdict("chi", "SKIPPED", note="branch slice data needs a linear deformation direction")
+        return IdentityVerdict("chi", "SKIPPED", note=_no_terms_note(case))
     if case.certificate is None:
         return IdentityVerdict("chi", "SKIPPED", note="deformation is not isolated")
     v = case.g.ring.nvars
@@ -197,8 +213,10 @@ def verify_tibar_identity(
     case: DeformationCase, chi_g: int, terms: Sequence[BranchTerm] | None
 ) -> IdentityVerdict:
     """Fibre Euler-characteristic defect against N * sum m_b (1 - chi(F_b))."""
-    if not case.f.is_linear_form or terms is None:
+    if not case.f.is_linear_form:
         return IdentityVerdict("tibar", "SKIPPED", note="stated for a generic linear form")
+    if terms is None:
+        return IdentityVerdict("tibar", "SKIPPED", note=_no_terms_note(case))
     if case.certificate is None:
         return IdentityVerdict("tibar", "SKIPPED", note="deformation is not isolated")
     v = case.g.ring.nvars
@@ -218,7 +236,7 @@ def morse_defect(
     expansion; the two derived counts must agree."""
     if terms is None:
         return (
-            IdentityVerdict("morse", "SKIPPED", note="branch slice data needs a linear deformation direction"),
+            IdentityVerdict("morse", "SKIPPED", note=_no_terms_note(case)),
             None,
             None,
         )
@@ -446,8 +464,6 @@ def verify_scenario(
     gap = gap_ratios(f, g, polar, budget)
     threshold = gap.threshold
 
-    terms = branch_terms(g, f, sigma_branches, budget) if f.is_linear_form else None
-
     lo, hi = n_range if n_range is not None else scenario.n_range
     if relative_to_threshold:
         span = hi - lo
@@ -458,6 +474,7 @@ def verify_scenario(
                 f"plus span {span}), passes N_MAX = {N_MAX}"
             )
     hypotheses = require_hypotheses(g, f, budget)
+    terms = sigma_branch_terms(g, f, sigma_branches, hypotheses.sigma_dim, budget)
 
     def make_row(n: int) -> SweepRow:
         case = assemble_deformation(g, f, n, threshold, hypotheses, budget)
@@ -554,16 +571,19 @@ def export_dataset(scenario: Scenario, n: int) -> StratifiedDataset:
     v = scenario.ring.nvars
     chi_g = euler_char_fibre(g, le)
 
-    case = build_deformation(g, f, n, cap=budget)
+    hypotheses = require_hypotheses(g, f, budget)
+    polar = relative_polar_ideal(f, g, cap=budget)
+    threshold = gap_ratios(f, g, polar, budget).threshold
+    case = assemble_deformation(g, f, n, threshold, hypotheses, budget)
     if case.certificate is None:
         raise HypothesisError("isolation", f"g + f^{n} is not isolated; export needs an isolated deformation")
     chi_gtilde = 1 + _sign(v - 1) * case.certificate
 
-    # build_deformation required f to be isolated, so its Milnor number exists
+    # require_hypotheses required f to be isolated, so its Milnor number exists
     chi_f_fibre = 1 + _sign(v - 1) * milnor_number(f, budget)
 
     sigma_branches = tuple(b for b in scenario.branches if b.host == "sigma")
-    terms = branch_terms(g, f, sigma_branches, budget) if f.is_linear_form else None
+    terms = sigma_branch_terms(g, f, sigma_branches, hypotheses.sigma_dim, budget)
 
     chi = {"g": chi_g, "gtilde": chi_gtilde, "l": 1, "f": chi_f_fibre}
     strata = (
@@ -579,7 +599,6 @@ def export_dataset(scenario: Scenario, n: int) -> StratifiedDataset:
         "B_gtilde_X_0": chi_gtilde,
     }
 
-    polar = relative_polar_ideal(f, g, cap=budget)
     known["m"] = 0 if polar.is_empty else intersection_number(polar, f, budget)
     deformed_polar = relative_polar_ideal(f, case.g_tilde, cap=budget)
     known["m_tilde"] = (

@@ -1,12 +1,14 @@
 """Independent closed-form oracles used to freeze expected values.
 
 These deliberately avoid the library's ideal machinery: monomial quotients
-are counted by brute-force box enumeration over exponent tuples, and the
-classical product formulas are evaluated directly.
+are counted by brute-force box enumeration over exponent tuples, the
+classical product formulas are evaluated directly, and saturations come from
+sympy's Groebner bases.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 
 
@@ -53,3 +55,32 @@ def monomial_quotient_count(generators: list[tuple[int, ...]]) -> int | None:
 def euler_chi_isolated(v: int, mu: int) -> int:
     """chi of the Milnor fibre of an isolated singularity in v variables."""
     return 1 + (-1) ** (v - 1) * mu
+
+
+def sympy_saturation(
+    generators: list[dict[tuple[int, ...], Fraction]], divisor: dict[tuple[int, ...], Fraction]
+) -> list[dict[tuple[int, ...], Fraction]]:
+    """Reduced grevlex basis of I : f^infinity computed by sympy.
+
+    Polynomials are term dicts {exponents: coefficient}.  The saturation is
+    (I, 1 - t*f) ∩ Q[x] from a lex Groebner basis with t first, rebased to
+    grevlex; the caller must skip the test when sympy is absent.
+    """
+    import sympy
+
+    nvars = len(next(iter(divisor)))
+    t, *xs = sympy.symbols(f"t x0:{nvars}")
+
+    def expr(terms):
+        return sum(
+            sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(v**e for v, e in zip(xs, exps)))
+            for exps, c in terms.items()
+        )
+
+    lex = sympy.groebner([*map(expr, generators), 1 - t * expr(divisor)], t, *xs, order="lex")
+    kept = [p for p in lex.exprs if t not in p.free_symbols]
+    grevlex = sympy.groebner(kept, *xs, order="grevlex")
+    return [
+        {exps: Fraction(int(c.p), int(c.q)) for exps, c in sympy.Poly(p, *xs).terms()}
+        for p in grevlex.exprs
+    ]

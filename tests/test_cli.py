@@ -215,6 +215,16 @@ def test_caps_apply_to_fixture_and_scenario_input(tmp_path, capsys, source):
     assert "cap exceeded" in capsys.readouterr().err
 
 
+def test_inline_critical_curve_without_branches_is_not_a_failure(capsys):
+    # the cylinder germ with no declared branch: the branch sums are unknown,
+    # not zero
+    code, out = run_cli(capsys, "verify", "--vars", "x,y,z", "--g", "x^2+y^2", "--f", "z", "--N", "2..3")
+    assert code == 0
+    assert "FAIL" not in out
+    assert out.count("SKIPPED  (the critical locus is a curve but no sigma branches are declared)") == 6
+    assert out.splitlines()[-1] == "overall: PASS"
+
+
 def test_caps_are_echoed_for_a_fixture(capsys):
     code, out = run_cli(
         capsys, "verify", "--fixture", "cylinder", "--N", "2..3", "--caps", "5000", "--format", "json"

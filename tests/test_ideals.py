@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 
@@ -16,13 +18,16 @@ from germlab import (
     saturate,
     standard_basis_of,
 )
-from germlab.ideals import Budget, colon_single, contains, exact_divide, ideal_equal
+from germlab.ideals import Budget, contains, ideal_equal, saturate_single
 from germlab.orders import DEGREVLEX, LOCAL, leading_monomial
+from germlab.polar import jacobian_minors
 from germlab.rings import jacobian
 from conftest import RING_XY, RING_XYZ, poly_strategy
 
 x, y = RING_XY.variable(0), RING_XY.variable(1)
 X, Y, Z = (RING_XYZ.variable(i) for i in range(3))
+# saturating by x gives (y, z^3)
+ENLARGED_BY_X = [X * Y * Z, X**2 * Y + 2 * Y * Z**2, X * Z**3]
 
 
 class TestNormalForm:
@@ -194,14 +199,29 @@ class TestSaturation:
         )
         assert meet.generators == (x * y,)
 
-    def test_colon_single(self):
-        out = colon_single(IdealPresentation(RING_XY, [x * y, y**2]), y)
-        assert ideal_equal(out, IdealPresentation(RING_XY, [x, y]))
+    def test_embedded_point_saturated_away(self):
+        # (x*y, y^2) is the line y = 0 with an embedded point at the origin
+        I = IdealPresentation(RING_XY, [x * y, y**2])
+        assert saturate(I, IdealPresentation(RING_XY, [x])).generators == (y,)
 
-    def test_exact_divide(self):
-        assert exact_divide(x**2 * y + x * y**2, x * y) == x + y
-        with pytest.raises(Exception):
-            exact_divide(x**2 + y, x)
+    def test_nothing_removed_returns_the_input(self):
+        I = IdealPresentation(RING_XY, [2 * x**2 * y, x * y**2 + y**3])
+        assert saturate_single(I, x + y + 1) is I
+
+    def test_enlarged_result_is_a_reduced_degrevlex_basis(self):
+        I = IdealPresentation(RING_XYZ, ENLARGED_BY_X)
+        sat = saturate_single(I, X)
+        assert sat is not I
+        assert sat.generators == standard_basis_of(sat.generators, DEGREVLEX)
+        assert ideal_equal(sat, IdealPresentation(RING_XYZ, [Y, Z**3]))
+
+    def test_zero_divisor_gives_the_unit_ideal(self):
+        I = IdealPresentation(RING_XY, [x])
+        assert saturate_single(I, RING_XY.zero()).generators == (RING_XY.one(),)
+
+    def test_budget_bounds_the_saturation(self):
+        with pytest.raises(IterationLimitError):
+            saturate_single(IdealPresentation(RING_XYZ, ENLARGED_BY_X), X, cap=3)
 
 
 def test_iteration_cap_fails_loudly():
@@ -241,3 +261,15 @@ def test_work_counts_match_the_recorded_runs():
     jac = jacobian(X**3 * Y + Y**3 * Z + Z**3 * X)
     assert spent(lambda b: standard_basis_of(jac, DEGREVLEX, b)) == 20
     assert spent(lambda b: standard_basis_of(jac, LOCAL, b)) == 71
+
+
+def test_saturation_work_count_is_pinned():
+    # the polar ideal of (x + 2y + 3z, xyz): one Rabinowitsch elimination plus
+    # the containment check against the minors; another route or pair order
+    # moves the count
+    f, g = X + 2 * Y + 3 * Z, X * Y * Z
+    minors = IdealPresentation(RING_XYZ, jacobian_minors(f, g))
+    budget = Budget(10**5)
+    sat = saturate_single(minors, f * g, budget)
+    assert 10**5 - budget.remaining == 122
+    assert sat.generators == (Y - Fraction(3, 2) * Z, X - 3 * Z)

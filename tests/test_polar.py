@@ -19,10 +19,12 @@ from germlab import (
     relative_polar_ideal,
     verify_polar_decomposition,
 )
-from germlab.ideals import contains, ideal_equal, saturate
+from germlab.ideals import contains, ideal_equal, saturate, saturate_single
 from germlab.invariants import T_RING
 from germlab.orders import DEGREVLEX
+from germlab.polar import jacobian_minors
 from conftest import RING_XY, RING_XYZ
+from oracles import sympy_saturation
 
 x, y = RING_XY.variable(0), RING_XY.variable(1)
 X, Y, Z = (RING_XYZ.variable(i) for i in range(3))
@@ -208,6 +210,26 @@ def test_saturation_idempotent_on_polar_ideals():
         jac = IdealPresentation(RING_XYZ, [g.diff(i) for i in range(3)])
         once = saturate(curve.ideal, jac)
         assert ideal_equal(once, saturate(once, jac))
+
+
+# the Le-number germs of the benchmark's heavy tier, with the first generic
+# linear form of the verifier's ladder
+SYMPY_ORACLE_GERMS = (
+    X**2 * Y**2 + X**2 * Z**2 + Y**2 * Z**2,
+    Y**2 - X**3 + Z * X**2 * Y,
+    X**2 * Y**2 + Z**3,
+    X**3 + Y**3 + X * Y * Z,
+)
+
+
+@pytest.mark.parametrize("g", SYMPY_ORACLE_GERMS, ids=str)
+def test_saturation_matches_sympy(g):
+    pytest.importorskip("sympy")
+    f = X + 2 * Y + 3 * Z
+    minors = jacobian_minors(f, g)
+    expected = sympy_saturation([m.terms for m in minors], (f * g).terms)
+    sat = saturate_single(IdealPresentation(RING_XYZ, minors), f * g)
+    assert ideal_equal(sat, IdealPresentation(RING_XYZ, map(RING_XYZ.from_terms, expected)))
 
 
 def test_polar_generators_are_canonical():

@@ -15,7 +15,8 @@ from germlab import (
     load_scenario,
     verify_scenario,
 )
-from germlab import verifier
+from germlab import export_dataset, verifier
+from germlab import polar as polar_module
 from germlab.ideals import Budget
 from germlab.fixtures_lib import fixture_text, load_fixture
 from germlab.verifier import (
@@ -221,6 +222,32 @@ class TestSweep:
         # with a fresh budget per kernel call no single call reaches the cap
         monkeypatch.setattr(verifier, "Budget", lambda cap: cap)
         assert verify_scenario(tight).ok
+
+    def test_export_saturates_each_polar_ideal_once(self, monkeypatch):
+        seen = []
+        original = verifier.relative_polar_ideal
+
+        def counting(f, g, *args, **kwargs):
+            seen.append(str(g))
+            return original(f, g, *args, **kwargs)
+
+        monkeypatch.setattr(verifier, "relative_polar_ideal", counting)
+        monkeypatch.setattr(polar_module, "relative_polar_ideal", counting)
+        export_dataset(load_fixture("cylinder"), 3)
+        assert seen == ["x^2 + y^2", "z^3 + x^2 + y^2"]
+
+    def test_unbranched_critical_curve_skips_the_branch_sums(self):
+        sc = replace(load_fixture("cylinder"), branches=())
+        table = verify_scenario(sc, n_range=(2, 3))
+        assert table.terms is None and table.ok
+        for row in table.rows:
+            by_name = {v.name: v for v in row.verdicts}
+            for name in ("chi", "tibar", "morse"):
+                assert by_name[name].status == "SKIPPED"
+                assert "no sigma branches are declared" in by_name[name].note
+        ds = export_dataset(sc, 3)
+        assert ds.branch_table is None
+        assert "eu_Xg_0" not in ds.known and "B_f_Xg_0" not in ds.known
 
     def test_nothing_asserted_is_not_ok(self):
         table = verify_scenario(load_fixture("cusp-isolated"), n_range=(2, 5))
