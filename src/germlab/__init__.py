@@ -27,11 +27,8 @@ from .errors import (
 from .ideals import (
     IdealPresentation,
     dim_at_origin,
-    intersect,
     normal_form,
     quotient_dim_local,
-    saturate,
-    standard_basis,
     standard_basis_of,
 )
 from .invariants import (

@@ -1,5 +1,5 @@
 """Ideal arithmetic: normal forms, standard bases, local quotient dimensions,
-dimension at the origin, intersection and saturation.
+dimension at the origin and saturation.
 
 Global orders use ordinary multivariate division and Buchberger's algorithm.
 Local orders use Mora reduction with ecart control, which terminates on
@@ -287,11 +287,6 @@ def standard_basis_of(
     return tuple(minimal)
 
 
-def standard_basis(I: "IdealPresentation", order: MonomialOrder, cap=None) -> tuple[Poly, ...]:
-    """Standard basis of a presented ideal under the given order (cached)."""
-    return I.standard_basis(order, cap)
-
-
 class IdealPresentation:
     """A generator list together with cached standard bases per order.
 
@@ -314,12 +309,6 @@ class IdealPresentation:
         self.generators = tuple(gens)
         self._bases: dict[MonomialOrder, tuple[Poly, ...]] = {}
 
-    @classmethod
-    def span(cls, *polys: Poly) -> "IdealPresentation":
-        if not polys:
-            raise ValueError("need at least one generator")
-        return cls(polys[0].ring, polys)
-
     def standard_basis(self, order: MonomialOrder, cap=None) -> tuple[Poly, ...]:
         cached = self._bases.get(order)
         if cached is None:
@@ -329,9 +318,6 @@ class IdealPresentation:
 
     def plus(self, extra: Iterable[Poly]) -> "IdealPresentation":
         return IdealPresentation(self.ring, list(self.generators) + list(extra))
-
-    def is_zero_ideal(self) -> bool:
-        return all(g.is_zero for g in self.generators)
 
     def __repr__(self) -> str:
         gens = ", ".join(str(g) for g in self.generators)
@@ -343,18 +329,21 @@ def contains(I: IdealPresentation, p: Poly, order: MonomialOrder = LOCAL, cap=No
     ideal at the origin)."""
     if p.is_zero:
         return True
-    basis = I.standard_basis(order, cap)
+    budget = _as_budget(cap)
+    basis = I.standard_basis(order, budget)
     if not basis:
         return False
-    return _weak_nf(p, basis, order, _as_budget(cap)).is_zero
+    return _weak_nf(p, basis, order, budget).is_zero
 
 
 def ideal_contains(I: IdealPresentation, J: IdealPresentation, order: MonomialOrder, cap=None) -> bool:
-    return all(contains(I, g, order, cap) for g in J.generators)
+    budget = _as_budget(cap)
+    return all(contains(I, g, order, budget) for g in J.generators)
 
 
 def ideal_equal(I: IdealPresentation, J: IdealPresentation, order: MonomialOrder = DEGREVLEX, cap=None) -> bool:
-    return ideal_contains(I, J, order, cap) and ideal_contains(J, I, order, cap)
+    budget = _as_budget(cap)
+    return ideal_contains(I, J, order, budget) and ideal_contains(J, I, order, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -416,93 +405,50 @@ def dim_at_origin(I: IdealPresentation, cap=None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# intersection and saturation by elimination of one tag variable
+# saturation by elimination of one tag variable
 # ---------------------------------------------------------------------------
-
-
-def _fresh_tag(ring: PolyRing) -> str:
-    tag = "_t"
-    while tag in ring.variables:
-        tag += "_"
-    return tag
-
-
-def _lift(p: Poly, ext: PolyRing) -> Poly:
-    return Poly._make(ext, {(0, *e): c for e, c in p.terms.items()})
-
-
-def _eliminate_tag(gens: Sequence[Poly], ring: PolyRing, cap) -> IdealPresentation:
-    """(gens) ∩ Q[x] for gens in Q[t, x]: the t-free elements of the reduced
-    ELIM_FIRST basis, mapped back to the ring.
-
-    On t-free monomials ELIM_FIRST ranks like DEGREVLEX, so the kept elements
-    are the reduced monic degrevlex basis of the intersection, ascending.
-    """
-    basis = standard_basis_of(gens, ELIM_FIRST, cap)
-    kept = []
-    for g in basis:
-        if all(e[0] == 0 for e in g.terms):
-            kept.append(Poly._make(ring, {e[1:]: c for e, c in g.terms.items()}))
-    return IdealPresentation(ring, kept)
-
-
-def intersect(I: IdealPresentation, J: IdealPresentation, cap=None) -> IdealPresentation:
-    """Intersection of two polynomial ideals: (t*I, (1 - t)*J) ∩ Q[x]."""
-    ring = I.ring
-    if ring != J.ring:
-        raise RingMismatchError("ideal rings differ")
-    ext = PolyRing((_fresh_tag(ring), *ring.variables))
-    t = ext.variable(0)
-    one = ext.one()
-    gens = [t * _lift(g, ext) for g in I.generators if not g.is_zero]
-    gens += [(one - t) * _lift(g, ext) for g in J.generators if not g.is_zero]
-    if not gens:
-        return IdealPresentation(ring)
-    return _eliminate_tag(gens, ring, cap)
 
 
 def saturate_single(I: IdealPresentation, f: Poly, cap=None) -> IdealPresentation:
     """The saturation I : <f>^infinity = (I, 1 - t*f) ∩ Q[x] (Rabinowitsch).
 
-    When the saturation removes nothing, I itself is returned, so its
-    generators are kept as given; otherwise the result carries the reduced
-    monic degrevlex basis of the saturated ideal.
+    The intersection is the t-free part of the reduced ELIM_FIRST basis in
+    Q[t, x]; on t-free monomials ELIM_FIRST ranks like DEGREVLEX, so that part
+    is the reduced monic degrevlex basis of the saturated ideal.  When the
+    saturation removes nothing, I itself is returned, so its generators are
+    kept as given; otherwise the result carries that degrevlex basis.
     """
+    budget = _as_budget(cap)
     ring = I.ring
     if f.is_zero:
         return IdealPresentation(ring, [ring.one()])
-    ext = PolyRing((_fresh_tag(ring), *ring.variables))
-    gens = [_lift(g, ext) for g in I.generators if not g.is_zero]
-    gens.append(ext.one() - ext.variable(0) * _lift(f, ext))
-    sat = _eliminate_tag(gens, ring, cap)
-    return I if ideal_contains(I, sat, DEGREVLEX, cap) else sat
+    tag = "_t"
+    while tag in ring.variables:
+        tag += "_"
+    ext = PolyRing((tag, *ring.variables))
 
+    def lift(p: Poly) -> Poly:
+        return Poly._make(ext, {(0, *e): c for e, c in p.terms.items()})
 
-def saturate(I: IdealPresentation, J: IdealPresentation, cap=None) -> IdealPresentation:
-    """The saturation I : J^infinity.
-
-    Computed as the intersection over the generators f of J of the principal
-    saturations I : f^infinity; the result contains I and saturating again is
-    a no-op.
-    """
-    gens = [f for f in J.generators if not f.is_zero]
-    if not gens:
-        return IdealPresentation(I.ring, [I.ring.one()])
-    acc: IdealPresentation | None = None
-    for f in gens:
-        sat = saturate_single(I, f, cap)
-        acc = sat if acc is None else intersect(acc, sat, cap)
-    assert acc is not None
-    return acc
+    gens = [lift(g) for g in I.generators if not g.is_zero]
+    gens.append(ext.one() - ext.variable(0) * lift(f))
+    kept = [
+        Poly._make(ring, {e[1:]: c for e, c in g.terms.items()})
+        for g in standard_basis_of(gens, ELIM_FIRST, budget)
+        if all(e[0] == 0 for e in g.terms)
+    ]
+    sat = IdealPresentation(ring, kept)
+    return I if ideal_contains(I, sat, DEGREVLEX, budget) else sat
 
 
 def has_power_in(p: Poly, I: IdealPresentation, cap=None) -> bool:
     """Whether some power p^k (k <= POWER_CAP) lies in I locally at the origin."""
     if p.is_zero:
         return True
+    budget = _as_budget(cap)
     q = p.ring.one()
     for _ in range(POWER_CAP):
         q = q * p
-        if contains(I, q, LOCAL, cap):
+        if contains(I, q, LOCAL, budget):
             return True
     return False

@@ -3,9 +3,11 @@ Euler characteristics of Milnor fibres derived from them.
 
 For an isolated singularity the pair degenerates to (mu, 0).  In the
 one-dimensional case lambda^0 is the intersection number at the origin of the
-relative polar curve (the remaining-partials ideal saturated along the
-critical locus) with the first partial derivative, all in coordinates aligned
-so that the supplied linear form is the first variable.  lambda^1 comes from
+relative polar curve with the first partial derivative, all in coordinates
+aligned so that the supplied linear form is the first variable.  The polar
+curve is the remaining-partials ideal saturated along the critical locus;
+since the Jacobian ideal is that ideal plus the first partial, one
+saturation by the first partial alone gives it.  lambda^1 comes from
 the branch decomposition, with a branch-free fallback that intersects the
 remaining-partials scheme with the aligned hyperplane and subtracts the polar
 contribution; when both routes apply they must agree.
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ComponentMismatchError, UndefinedLeError
-from .ideals import IdealPresentation, dim_at_origin, quotient_dim_local, saturate
+from .ideals import IdealPresentation, dim_at_origin, quotient_dim_local, saturate_single
 from .invariants import (
     BranchParam,
     SliceSpec,
@@ -75,7 +77,9 @@ def _polar_ideal_after_alignment(gw: Poly, cap=None) -> IdealPresentation:
     """Remaining-partials ideal saturated along the critical locus of g."""
     rest = [gw.diff(i) for i in range(1, gw.ring.nvars)]
     rest_ideal = IdealPresentation(gw.ring, rest)
-    return saturate(rest_ideal, jacobian_ideal(gw), cap)
+    # Jac(g) = I + (d_0 g) for the remaining-partials ideal I, and
+    # (I + (h))^k lies in I + (h^k), so I : Jac^infinity = I : (d_0 g)^infinity
+    return saturate_single(rest_ideal, gw.diff(0), cap)
 
 
 def le_numbers(

@@ -129,10 +129,6 @@ class Poly:
         return not self.terms
 
     @property
-    def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
-
-    @property
     def is_linear_form(self) -> bool:
         """Homogeneous of degree one (and nonzero)."""
         return bool(self.terms) and all(sum(e) == 1 for e in self.terms)
@@ -225,9 +221,6 @@ class Poly:
             base = base * base if n > 1 else base
             n >>= 1
         return result
-
-    def scale(self, c: Scalar) -> "Poly":
-        return self * Fraction(c)
 
     # -- calculus and substitution -------------------------------------------
 

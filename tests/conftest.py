@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -9,10 +10,22 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import germlab
 from germlab import Poly, PolyRing
+
+# the directory this germlab was imported from, for child interpreters
+GERMLAB_SRC = str(Path(germlab.__file__).resolve().parent.parent)
 
 RING_XY = PolyRing(("x", "y"))
 RING_XYZ = PolyRing(("x", "y", "z"))
+
+
+def child_env() -> dict[str, str]:
+    """The environment of a child `python -m germlab.cli` that imports the
+    same germlab as the tests, installed or not."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (GERMLAB_SRC, env.get("PYTHONPATH"))))
+    return env
 
 
 @pytest.fixture

@@ -25,7 +25,7 @@ from germlab import (
     verify_stratified_identities,
 )
 from germlab.fixtures_lib import fixture_text, list_fixtures, load_fixture
-from conftest import RING_XY, RING_XYZ
+from conftest import RING_XY, RING_XYZ, child_env
 from oracles import brieskorn_mu, monomial_quotient_count
 
 X, Y, Z = (RING_XYZ.variable(i) for i in range(3))
@@ -172,7 +172,7 @@ def test_criterion_09_isolation_certificate():
 
 def test_criterion_10_determinism_and_round_trips():
     cmd = [sys.executable, "-m", "germlab.cli", "verify", "--fixture", "cylinder", "--format", "json"]
-    runs = [subprocess.run(cmd, capture_output=True, check=True).stdout for _ in range(2)]
+    runs = [subprocess.run(cmd, capture_output=True, check=True, env=child_env()).stdout for _ in range(2)]
     ok = runs[0] == runs[1] and bool(runs[0])
 
     corpus = []

@@ -10,6 +10,7 @@ import pytest
 
 from germlab.cli import main
 from germlab.fixtures_lib import fixture_text
+from conftest import child_env
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -114,8 +115,8 @@ def test_byte_identical_json_across_processes(tmp_path):
         "--format",
         "json",
     ]
-    first = subprocess.run(cmd, capture_output=True, check=True)
-    second = subprocess.run(cmd, capture_output=True, check=True)
+    first = subprocess.run(cmd, capture_output=True, check=True, env=child_env())
+    second = subprocess.run(cmd, capture_output=True, check=True, env=child_env())
     assert first.stdout == second.stdout
     assert first.stdout  # nonempty report
 

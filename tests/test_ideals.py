@@ -11,14 +11,19 @@ from germlab import (
     IdealPresentation,
     IterationLimitError,
     dim_at_origin,
-    intersect,
     milnor_number,
     normal_form,
     quotient_dim_local,
-    saturate,
     standard_basis_of,
 )
-from germlab.ideals import Budget, contains, ideal_equal, saturate_single
+from germlab.ideals import (
+    Budget,
+    contains,
+    has_power_in,
+    ideal_contains,
+    ideal_equal,
+    saturate_single,
+)
 from germlab.orders import DEGREVLEX, LOCAL, leading_monomial
 from germlab.polar import jacobian_minors
 from germlab.rings import jacobian
@@ -101,14 +106,14 @@ class TestStandardBasis:
                 assert normal_form(g, list(basis), order).is_zero
 
     def test_permuted_local_order_gives_same_quotient_dims(self):
-        from germlab import MonomialOrder, standard_basis
+        from germlab import MonomialOrder
         from germlab.orders import leading_term
         from germlab.rings import mono_divides
 
         I = IdealPresentation(RING_XY, [x**2 - y**3, x * y])
         plain = quotient_dim_local(I)
         permuted = MonomialOrder("negdegrevlex", permutation=(1, 0))
-        basis = standard_basis(I, permuted)
+        basis = I.standard_basis(permuted)
         lms = [leading_term(g, permuted)[0] for g in basis]
         count = 0
         for a in range(8):
@@ -169,40 +174,33 @@ class TestDimAtOrigin:
 
 class TestSaturation:
     def test_colon_removes_shared_factor(self):
-        sat = saturate(IdealPresentation(RING_XY, [x * y]), IdealPresentation(RING_XY, [x]))
+        sat = saturate_single(IdealPresentation(RING_XY, [x * y]), x)
         assert sat.generators == (y,)
 
     def test_no_common_component(self):
-        sat = saturate(IdealPresentation(RING_XY, [x]), IdealPresentation(RING_XY, [y]))
+        sat = saturate_single(IdealPresentation(RING_XY, [x]), y)
         assert sat.generators == (x,)
 
     def test_everything_supported_on_locus(self):
-        sat = saturate(IdealPresentation(RING_XY, [x**2]), IdealPresentation(RING_XY, [x]))
+        sat = saturate_single(IdealPresentation(RING_XY, [x**2]), x)
         assert sat.generators == (RING_XY.one(),)
 
     def test_idempotent(self):
         I = IdealPresentation(RING_XYZ, [X * Y, X * Z])
-        J = IdealPresentation(RING_XYZ, [X])
-        once = saturate(I, J)
-        twice = saturate(once, J)
+        once = saturate_single(I, X)
+        twice = saturate_single(once, X)
         assert ideal_equal(once, twice)
 
     def test_contains_original(self):
         I = IdealPresentation(RING_XY, [x**2 * y])
-        sat = saturate(I, IdealPresentation(RING_XY, [x]))
+        sat = saturate_single(I, x)
         for g in I.generators:
             assert contains(sat, g, DEGREVLEX)
-
-    def test_intersection(self):
-        meet = intersect(
-            IdealPresentation(RING_XY, [x]), IdealPresentation(RING_XY, [y])
-        )
-        assert meet.generators == (x * y,)
 
     def test_embedded_point_saturated_away(self):
         # (x*y, y^2) is the line y = 0 with an embedded point at the origin
         I = IdealPresentation(RING_XY, [x * y, y**2])
-        assert saturate(I, IdealPresentation(RING_XY, [x])).generators == (y,)
+        assert saturate_single(I, x).generators == (y,)
 
     def test_nothing_removed_returns_the_input(self):
         I = IdealPresentation(RING_XY, [2 * x**2 * y, x * y**2 + y**3])
@@ -273,3 +271,43 @@ def test_saturation_work_count_is_pinned():
     sat = saturate_single(minors, f * g, budget)
     assert 10**5 - budget.remaining == 122
     assert sat.generators == (Y - Fraction(3, 2) * Z, X - 3 * Z)
+
+
+def test_int_cap_bounds_the_whole_saturation():
+    # the saturation above spends 122 steps across its elimination and its
+    # containment check; an int cap bounds the two together
+    f, g = X + 2 * Y + 3 * Z, X * Y * Z
+    with pytest.raises(IterationLimitError):
+        saturate_single(IdealPresentation(RING_XYZ, jacobian_minors(f, g)), f * g, cap=121)
+    saturate_single(IdealPresentation(RING_XYZ, jacobian_minors(f, g)), f * g, cap=122)
+
+
+MEMBERSHIP_CALLS = {
+    "contains": lambda I, cap: contains(I, X**3 * Y + 2 * X * Y * Z**2, DEGREVLEX, cap),
+    "ideal_contains": lambda I, cap: ideal_contains(
+        I,
+        IdealPresentation(RING_XYZ, [X**2 * Y * Z + Y * Z**3, X**3 * Y + 2 * X * Y * Z**2]),
+        DEGREVLEX,
+        cap,
+    ),
+    "ideal_equal": lambda I, cap: ideal_equal(
+        I,
+        IdealPresentation(RING_XYZ, [X * Y * Z, X**2 * Y + 2 * Y * Z**2 + X * Y * Z, X * Z**3]),
+        DEGREVLEX,
+        cap,
+    ),
+    "has_power_in": lambda I, cap: has_power_in(X * Y + Y * Z, I, cap),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMBERSHIP_CALLS))
+def test_int_cap_bounds_the_whole_membership_test(name):
+    # each call builds a standard basis and then reduces against it; an int
+    # cap one below what the two spend together must raise
+    call = MEMBERSHIP_CALLS[name]
+    budget = Budget(10**5)
+    assert call(IdealPresentation(RING_XYZ, ENLARGED_BY_X), budget)
+    spent = 10**5 - budget.remaining
+    with pytest.raises(IterationLimitError):
+        call(IdealPresentation(RING_XYZ, ENLARGED_BY_X), spent - 1)
+    assert call(IdealPresentation(RING_XYZ, ENLARGED_BY_X), spent)

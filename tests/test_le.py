@@ -10,7 +10,9 @@ from germlab import (
     UndefinedLeError,
     euler_char_fibre,
     le_numbers,
+    milnor_number,
 )
+from germlab.ideals import Budget
 from germlab.invariants import T_RING
 from germlab.le import align_first
 from germlab.rings import PolyRing
@@ -126,3 +128,39 @@ def test_route_log_mentions_routes():
     le = le_numbers(X**2 + Y**2, Z, [AXIS])
     assert any("lambda1" in line for line in le.route_log)
     assert any("lambda0" in line for line in le.route_log)
+
+
+HEAVY_FORM = X + 2 * Y + 3 * Z
+# the Le-number germs of the benchmark's heavy tier, their pairs for
+# x + 2y + 3z, and where cheap enough the exponent N and the pivot of the
+# aligned coordinates (None: the original ones) at which the benchmark checks
+# mu(g + l^N) = lambda0 + (N - 1) lambda1
+HEAVY_LE = [
+    (X**2 * Y**2 + X**2 * Z**2 + Y**2 * Z**2, (18, 3), None),
+    (Y**2 - X**3 + Z * X**2 * Y, (0, 2), (2, None)),
+    (X**2 * Y**2 + Z**3, (6, 4), (9, None)),
+    (X**3 + Y**3 + X * Y * Z, (6, 1), (10, 2)),
+]
+
+
+@pytest.mark.parametrize("g, pair, iomdin", HEAVY_LE, ids=[str(c[0]) for c in HEAVY_LE])
+def test_heavy_le_pairs_and_le_iomdin(g, pair, iomdin):
+    assert le_numbers(g, HEAVY_FORM).as_pair() == pair
+    if iomdin is None:
+        return
+    n, pivot = iomdin
+    if pivot is None:
+        deformed = g + HEAVY_FORM**n
+    else:
+        gw, target, _ = align_first(g, HEAVY_FORM, pivot)
+        deformed = gw + target.variable(0) ** n
+    lam0, lam1 = pair
+    assert milnor_number(deformed) == lam0 + (n - 1) * lam1
+
+
+def test_le_work_count_is_pinned():
+    # one saturation of the remaining partials by the first partial; another
+    # saturation route or pair order moves the count
+    budget = Budget(10**5)
+    le_numbers(X**2 * Y**2 + Z**3, HEAVY_FORM, cap=budget)
+    assert 10**5 - budget.remaining == 386
