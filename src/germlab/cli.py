@@ -15,10 +15,7 @@ from pathlib import Path
 
 from .errors import ExponentRangeError, GermlabError
 from .fixtures_lib import fixture_text, list_fixtures
-from .ideals import Budget
 from .invariants import critical_locus, milnor_number
-from .le import euler_char_fibre
-from .polar import gap_ratios, relative_polar_ideal
 from .scenario import (
     GENERIC_LINEAR,
     N_MAX,
@@ -35,8 +32,8 @@ from .stratified import (
 )
 from .verifier import (
     SCHEMA_VERSION,
+    ScenarioContext,
     export_dataset,
-    resolve_linear_form,
     verify_scenario,
 )
 
@@ -96,21 +93,14 @@ def _scenario_from_args(parser: argparse.ArgumentParser, args) -> Scenario:
     return scenario
 
 
-def _need_germ(scenario: Scenario) -> None:
-    if scenario.ring is None or scenario.g is None:
-        raise GermlabError("this command needs a polynomial scenario (variables and g)")
-
-
 def cmd_milnor(parser, args) -> int:
-    scenario = _scenario_from_args(parser, args)
-    _need_germ(scenario)
-    assert scenario.g is not None
-    mu = milnor_number(scenario.g, Budget(scenario.limits.reduction_cap))
+    ctx = ScenarioContext(_scenario_from_args(parser, args))
+    mu = milnor_number(ctx.g, ctx.budget)
     note = "nonsingular germ" if mu == 0 else ""
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "milnor",
-        "g": str(scenario.g),
+        "g": str(ctx.g),
         "mu": mu,
         "provenance": "local quotient dimension of the Jacobian ideal",
     }
@@ -121,14 +111,12 @@ def cmd_milnor(parser, args) -> int:
 
 
 def cmd_critical_locus(parser, args) -> int:
-    scenario = _scenario_from_args(parser, args)
-    _need_germ(scenario)
-    assert scenario.g is not None
-    report = critical_locus(scenario.g, scenario.f, Budget(scenario.limits.reduction_cap))
+    ctx = ScenarioContext(_scenario_from_args(parser, args))
+    report = critical_locus(ctx.g, ctx.scenario.f, ctx.budget)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "critical-locus",
-        "g": str(scenario.g),
+        "g": str(ctx.g),
         "generators": [str(p) for p in report.ideal.generators],
         "dim_at_origin": report.dim,
     }
@@ -141,32 +129,20 @@ def cmd_critical_locus(parser, args) -> int:
     return 0
 
 
-def _resolved_f(scenario: Scenario, budget: Budget):
-    if scenario.f is not None:
-        return scenario.f
-    f, _ = resolve_linear_form(scenario, budget)
-    return f
-
-
 def cmd_polar(parser, args) -> int:
-    scenario = _scenario_from_args(parser, args)
-    _need_germ(scenario)
-    assert scenario.g is not None
-    budget = Budget(scenario.limits.reduction_cap)
-    f = _resolved_f(scenario, budget)
-    components = tuple(b for b in scenario.branches if b.host == "polar")
-    curve = relative_polar_ideal(f, scenario.g, components, budget)
+    ctx = ScenarioContext(_scenario_from_args(parser, args))
+    f, curve = ctx.f, ctx.polar
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "polar",
-        "g": str(scenario.g),
+        "g": str(ctx.g),
         "f": str(f),
         "generators": [str(p) for p in curve.ideal.generators],
         "dim_at_origin": curve.dim,
         "empty": curve.is_empty,
     }
     text = (
-        f"relative polar curve of (f = {f}, g = {scenario.g})\n"
+        f"relative polar curve of (f = {f}, g = {ctx.g})\n"
         f"ideal: {', '.join(str(p) for p in curve.ideal.generators)}\n"
         f"dimension at the origin: {curve.dim}" + ("  (empty)" if curve.is_empty else "")
     )
@@ -175,18 +151,12 @@ def cmd_polar(parser, args) -> int:
 
 
 def cmd_gap(parser, args) -> int:
-    scenario = _scenario_from_args(parser, args)
-    _need_germ(scenario)
-    assert scenario.g is not None
-    budget = Budget(scenario.limits.reduction_cap)
-    f = _resolved_f(scenario, budget)
-    components = tuple(b for b in scenario.branches if b.host == "polar")
-    curve = relative_polar_ideal(f, scenario.g, components, budget)
-    report = gap_ratios(f, scenario.g, curve, budget)
+    ctx = ScenarioContext(_scenario_from_args(parser, args))
+    f, report = ctx.f, ctx.gap
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "gap",
-        "g": str(scenario.g),
+        "g": str(ctx.g),
         "f": str(f),
         "ratios": [
             {"name": r.name, "ord_g": r.ord_g, "ord_f": r.ord_f, "ratio": str(r.ratio)}
@@ -196,7 +166,7 @@ def cmd_gap(parser, args) -> int:
         "exact_max": None if report.exact_max is None else str(report.exact_max),
         "threshold": report.threshold,
     }
-    lines = [f"gap ratios for (f = {f}, g = {scenario.g}):"]
+    lines = [f"gap ratios for (f = {f}, g = {ctx.g}):"]
     for r in report.ratios:
         lines.append(f"  {r.name}: ord_g = {r.ord_g}, ord_f = {r.ord_f}, ratio = {r.ratio}")
     if not report.ratios:
@@ -210,15 +180,12 @@ def cmd_gap(parser, args) -> int:
 
 
 def cmd_le(parser, args) -> int:
-    scenario = _scenario_from_args(parser, args)
-    _need_germ(scenario)
-    assert scenario.g is not None
-    _, le = resolve_linear_form(scenario, Budget(scenario.limits.reduction_cap))
-    chi = euler_char_fibre(scenario.g, le)
+    ctx = ScenarioContext(_scenario_from_args(parser, args))
+    le, chi = ctx.le, ctx.chi_g
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "le",
-        "g": str(scenario.g),
+        "g": str(ctx.g),
         "coords": list(le.coords),
         "lambda0": le.lambda0,
         "lambda1": le.lambda1,
@@ -298,16 +265,11 @@ def cmd_export_dataset(parser, args) -> int:
     scenario = _scenario_from_args(parser, args)
     if n is None:
         n = scenario.n_range[0]
-    dataset = export_dataset(scenario, n)
-    exported = Scenario(
+    exported = replace(
+        scenario,
         name=f"{scenario.name}-dataset-N{n}",
-        ring=scenario.ring,
-        g=scenario.g,
-        f=scenario.f,
         n_range=(n, n),
-        branches=scenario.branches,
-        dataset=dataset,
-        limits=scenario.limits,
+        dataset=export_dataset(scenario, n),
         expected=None,
     )
     text = json.dumps(scenario_to_dict(exported), indent=2, sort_keys=True) + "\n"

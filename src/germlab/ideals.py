@@ -45,7 +45,9 @@ class Budget:
             raise IterationLimitError("reduction step cap exceeded")
 
 
-def _as_budget(cap) -> Budget:
+def as_budget(cap) -> Budget:
+    """The Budget a public call spends from: the one passed in, or a fresh one
+    for an int cap (None for the default), so the cap bounds the whole call."""
     return cap if isinstance(cap, Budget) else Budget(cap)
 
 
@@ -174,7 +176,7 @@ def normal_form(p: Poly, basis: Sequence[Poly], order: MonomialOrder, cap=None) 
     factor, and result == 0 still characterizes ideal membership whenever the
     basis is a standard basis.
     """
-    budget = _as_budget(cap)
+    budget = as_budget(cap)
     basis = [g for g in basis if not g.is_zero]
     if not basis:
         return p
@@ -230,7 +232,7 @@ def standard_basis_of(
     heap keyed once, when the pair is formed; basis entries never change after
     they are appended, so the key of a waiting pair stays valid.
     """
-    budget = _as_budget(cap)
+    budget = as_budget(cap)
     gens = [g for g in generators if not g.is_zero]
     if not gens:
         return ()
@@ -329,7 +331,7 @@ def contains(I: IdealPresentation, p: Poly, order: MonomialOrder = LOCAL, cap=No
     ideal at the origin)."""
     if p.is_zero:
         return True
-    budget = _as_budget(cap)
+    budget = as_budget(cap)
     basis = I.standard_basis(order, budget)
     if not basis:
         return False
@@ -337,12 +339,12 @@ def contains(I: IdealPresentation, p: Poly, order: MonomialOrder = LOCAL, cap=No
 
 
 def ideal_contains(I: IdealPresentation, J: IdealPresentation, order: MonomialOrder, cap=None) -> bool:
-    budget = _as_budget(cap)
+    budget = as_budget(cap)
     return all(contains(I, g, order, budget) for g in J.generators)
 
 
 def ideal_equal(I: IdealPresentation, J: IdealPresentation, order: MonomialOrder = DEGREVLEX, cap=None) -> bool:
-    budget = _as_budget(cap)
+    budget = as_budget(cap)
     return ideal_contains(I, J, order, budget) and ideal_contains(J, I, order, budget)
 
 
@@ -418,7 +420,7 @@ def saturate_single(I: IdealPresentation, f: Poly, cap=None) -> IdealPresentatio
     saturation removes nothing, I itself is returned, so its generators are
     kept as given; otherwise the result carries that degrevlex basis.
     """
-    budget = _as_budget(cap)
+    budget = as_budget(cap)
     ring = I.ring
     if f.is_zero:
         return IdealPresentation(ring, [ring.one()])
@@ -445,7 +447,7 @@ def has_power_in(p: Poly, I: IdealPresentation, cap=None) -> bool:
     """Whether some power p^k (k <= POWER_CAP) lies in I locally at the origin."""
     if p.is_zero:
         return True
-    budget = _as_budget(cap)
+    budget = as_budget(cap)
     q = p.ring.one()
     for _ in range(POWER_CAP):
         q = q * p

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     DegenerateBranchError,
@@ -20,7 +20,7 @@ from .errors import (
     NonisolatedError,
     RingMismatchError,
 )
-from .ideals import IdealPresentation, dim_at_origin, quotient_dim_local
+from .ideals import IdealPresentation, as_budget, dim_at_origin, quotient_dim_local
 from .rings import Poly, PolyRing, jacobian
 
 T_RING = PolyRing(("t",))
@@ -143,13 +143,14 @@ class CriticalLocusReport:
 
 
 def critical_locus(g: Poly, f: Poly | None = None, cap=None) -> CriticalLocusReport:
+    budget = as_budget(cap)
     ideal = jacobian_ideal(g)
-    dim = dim_at_origin(ideal, cap)
+    dim = dim_at_origin(ideal, budget)
     f_slice_dim = None
     if f is not None:
         if f.ring != g.ring:
             raise RingMismatchError("f and g must share a ring")
-        f_slice_dim = dim_at_origin(ideal.plus([f]), cap)
+        f_slice_dim = dim_at_origin(ideal.plus([f]), budget)
     return CriticalLocusReport(ideal, dim, f_slice_dim)
 
 
@@ -235,16 +236,28 @@ def restrict_to_hyperplane(p: Poly, form: Poly, pivot: int | None = None) -> Pol
     return p.substitute(target, images)
 
 
+def stable_along_branch(
+    what: str, branch: BranchParam, at: Callable[[Fraction], int], tau: Fraction = Fraction(1, 2)
+) -> int:
+    """at(tau) once two consecutive values on the ladder tau, tau/2, tau/4, ...
+    agree, which steps past branch points where the value degenerates by
+    accident; InstabilityError when MAX_TAU_HALVINGS halvings never agree."""
+    previous = at(tau)
+    for _ in range(MAX_TAU_HALVINGS):
+        tau = tau / 2
+        current = at(tau)
+        if current == previous:
+            return current
+        previous = current
+    raise InstabilityError(f"{what} along branch {branch.name!r} never stabilized")
+
+
 def branch_slice_milnor(g: Poly, spec: SliceSpec, branch: BranchParam, cap=None) -> int:
     """Milnor number of g restricted to the hyperplane {form = form(p)} at the
-    branch point p = branch(tau).
-
-    The value is recomputed at tau/2 and must agree; on disagreement the
-    ladder keeps shrinking until two consecutive values match, and raises
-    InstabilityError if the ladder is exhausted.
-    """
+    branch point p = branch(tau), stabilized along the tau-halving ladder."""
     if spec.form.ring != g.ring:
         raise RingMismatchError("slice form must live in the ring of g")
+    budget = as_budget(cap)
 
     def at(tau: Fraction) -> int:
         point = branch.point_at(tau)
@@ -261,16 +274,6 @@ def branch_slice_milnor(g: Poly, spec: SliceSpec, branch: BranchParam, cap=None)
                 )
         sliced = restrict_to_hyperplane(moved, spec.form)
         sliced = sliced - sliced.constant_term()
-        return milnor_number(sliced, cap)
+        return milnor_number(sliced, budget)
 
-    tau = spec.tau
-    previous = at(tau)
-    for _ in range(MAX_TAU_HALVINGS):
-        tau = tau / 2
-        current = at(tau)
-        if current == previous:
-            return current
-        previous = current
-    raise InstabilityError(
-        f"slice Milnor number along branch {branch.name!r} never stabilized"
-    )
+    return stable_along_branch("slice Milnor number", branch, at, spec.tau)

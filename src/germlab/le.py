@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ComponentMismatchError, UndefinedLeError
-from .ideals import IdealPresentation, dim_at_origin, quotient_dim_local, saturate_single
+from .ideals import IdealPresentation, as_budget, dim_at_origin, quotient_dim_local, saturate_single
 from .invariants import (
     BranchParam,
     SliceSpec,
@@ -92,13 +92,14 @@ def le_numbers(
     of the critical locus (plus the polar fallback when none are supplied)."""
     if not form.is_linear_form or form.ring != g.ring:
         raise ValueError("the form must be a nonzero linear form in the ring of g")
-    sigma_dim = dim_at_origin(jacobian_ideal(g), cap)
+    budget = as_budget(cap)
+    sigma_dim = dim_at_origin(jacobian_ideal(g), budget)
     if sigma_dim > 1:
         raise UndefinedLeError(
             f"critical locus has dimension {sigma_dim}; only dimension <= 1 is supported"
         )
     if sigma_dim <= 0:
-        mu = milnor_number(g, cap)
+        mu = milnor_number(g, budget)
         return LeData(
             lambda0=mu,
             lambda1=0,
@@ -123,8 +124,8 @@ def le_numbers(
     gw = target = polar = None
     for pivot in pivots:
         gw, target, _ = align_first(g, form, pivot)
-        polar = _polar_ideal_after_alignment(gw, cap)
-        lam0 = quotient_dim_local(polar.plus([gw.diff(0)]), cap)
+        polar = _polar_ideal_after_alignment(gw, budget)
+        lam0 = quotient_dim_local(polar.plus([gw.diff(0)]), budget)
         if lam0 is not None:
             break
     if lam0 is None or gw is None or target is None or polar is None:
@@ -143,7 +144,7 @@ def le_numbers(
         total = 0
         for branch in branches:
             m = local_degree(form, branch)
-            mu_slice = branch_slice_milnor(g, SliceSpec(form), branch, cap)
+            mu_slice = branch_slice_milnor(g, SliceSpec(form), branch, budget)
             total += branch.multiplicity * m * mu_slice
         lam1_branch = total
         log.append(
@@ -153,9 +154,9 @@ def le_numbers(
     lam1_polar = None
     rest_ideal = IdealPresentation(gw.ring, [gw.diff(i) for i in range(1, gw.ring.nvars)])
     hyperplane = target.variable(0)
-    total_slice = quotient_dim_local(rest_ideal.plus([hyperplane]), cap)
+    total_slice = quotient_dim_local(rest_ideal.plus([hyperplane]), budget)
     if total_slice is not None:
-        polar_slice = quotient_dim_local(polar.plus([hyperplane]), cap)
+        polar_slice = quotient_dim_local(polar.plus([hyperplane]), budget)
         if polar_slice is not None:
             lam1_polar = total_slice - polar_slice
             log.append(

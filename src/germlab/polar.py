@@ -11,6 +11,7 @@ from typing import Sequence
 from .errors import ComponentMismatchError, ImproperIntersectionError
 from .ideals import (
     IdealPresentation,
+    as_budget,
     dim_at_origin,
     has_power_in,
     quotient_dim_local,
@@ -103,13 +104,14 @@ def relative_polar_ideal(
     every component inside {f = 0} or {g = 0} removed by saturation."""
     if f.constant_term() != 0 or g.constant_term() != 0:
         raise ValueError("f and g must vanish at the origin")
+    budget = as_budget(cap)
     ring = f.ring
     minors = jacobian_minors(f, g)
     if not minors:
         ideal = IdealPresentation(ring, [ring.one()])
         return PolarCurve(ideal, -1, tuple(components))
-    ideal = saturate_single(IdealPresentation(ring, minors), f * g, cap)
-    dim = dim_at_origin(ideal, cap)
+    ideal = saturate_single(IdealPresentation(ring, minors), f * g, budget)
+    dim = dim_at_origin(ideal, budget)
     curve = PolarCurve(ideal, dim, tuple(components))
     for comp in curve.components:
         check = validate_branch(comp, ideal)
@@ -174,9 +176,10 @@ def gap_ratios(f: Poly, g: Poly, curve: PolarCurve, cap=None) -> GapReport:
 
 def iomdin_threshold(f: Poly, g: Poly, curve: PolarCurve | None = None, cap=None) -> int:
     """GapReport.threshold of (f, g), computing the polar curve if not given."""
+    budget = as_budget(cap)
     if curve is None:
-        curve = relative_polar_ideal(f, g, cap=cap)
-    return gap_ratios(f, g, curve, cap).threshold
+        curve = relative_polar_ideal(f, g, cap=budget)
+    return gap_ratios(f, g, curve, budget).threshold
 
 
 @dataclass(frozen=True)
@@ -209,20 +212,21 @@ def verify_polar_decomposition(
     """
     if n < 2:
         raise ValueError("the deformation exponent must be at least 2")
+    budget = as_budget(cap)
     g_tilde = g + f**n
-    deformed = relative_polar_ideal(f, g_tilde, cap=cap).ideal
-    base = relative_polar_ideal(f, g, cap=cap).ideal
+    deformed = relative_polar_ideal(f, g_tilde, cap=budget).ideal
+    base = relative_polar_ideal(f, g, cap=budget).ideal
     jac_g = IdealPresentation(g.ring, jacobian(g))
     product_gens = [a * b for a in jac_g.generators for b in base.generators]
     product = IdealPresentation(g.ring, product_gens)
 
     for p in product.generators:
-        if not has_power_in(p, deformed, cap):
+        if not has_power_in(p, deformed, budget):
             return DecompositionVerdict(
                 "FAIL", n, witness=f"no power of {p} lies in the deformed polar ideal"
             )
     for q in deformed.generators:
-        if not has_power_in(q, product, cap):
+        if not has_power_in(q, product, budget):
             return DecompositionVerdict(
                 "FAIL", n, witness=f"no power of {q} lies in Jac(g) * polar(f, g)"
             )

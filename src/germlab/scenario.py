@@ -70,10 +70,6 @@ class Scenario:
     limits: Limits = field(default_factory=Limits)
     expected: Mapping[str, Any] | None = None
 
-    @property
-    def wants_generic_linear(self) -> bool:
-        return self.ring is not None and self.f is None
-
 
 def _expect(condition: bool, path: str, message: str) -> None:
     if not condition:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Any, Sequence
 
 from .errors import (
@@ -21,9 +22,8 @@ from .errors import (
     HypothesisError,
     UndefinedLeError,
 )
-from .ideals import Budget, IdealPresentation, dim_at_origin, quotient_dim_local
+from .ideals import Budget, IdealPresentation, as_budget, dim_at_origin, quotient_dim_local
 from .invariants import (
-    MAX_TAU_HALVINGS,
     BranchParam,
     SliceSpec,
     branch_slice_milnor,
@@ -31,18 +31,20 @@ from .invariants import (
     local_degree,
     milnor_number,
     restrict_to_hyperplane,
+    stable_along_branch,
     translate,
     validate_branch,
 )
 from .le import LeData, euler_char_fibre, le_numbers
 from .polar import (
+    GapReport,
     PolarCurve,
     gap_ratios,
     intersection_number,
     iomdin_threshold,
     relative_polar_ideal,
 )
-from .rings import Poly
+from .rings import Poly, PolyRing
 from .scenario import N_MAX, Scenario
 from .stratified import BranchTableRow, IdentityVerdict, StratifiedDataset, StratumRecord
 
@@ -90,16 +92,29 @@ class DeformationCase:
     threshold: int
     hypotheses: HypothesisChecks
 
+    @property
+    def chi_gtilde(self) -> int | None:
+        """Euler characteristic of the Milnor fibre of g_tilde; None when the
+        deformation is not isolated."""
+        if self.certificate is None:
+            return None
+        return 1 + _sign(self.g.ring.nvars - 1) * self.certificate
+
+
+def _sign(exponent: int) -> int:
+    return -1 if exponent % 2 else 1
+
 
 def check_hypotheses(g: Poly, f: Poly, cap=None) -> HypothesisChecks:
+    budget = as_budget(cap)
     jac_g = jacobian_ideal(g)
-    sigma_dim = dim_at_origin(jac_g, cap)
-    meets = dim_at_origin(jac_g.plus([f]), cap) <= 0
-    f_isolated = dim_at_origin(jacobian_ideal(f), cap) <= 0
+    sigma_dim = dim_at_origin(jac_g, budget)
+    meets = dim_at_origin(jac_g.plus([f]), budget) <= 0
+    f_isolated = dim_at_origin(jacobian_ideal(f), budget) <= 0
     slice_tractable = None
     if f.is_linear_form:
         restricted = restrict_to_hyperplane(g, f)
-        slice_tractable = dim_at_origin(jacobian_ideal(restricted), cap) <= 0
+        slice_tractable = dim_at_origin(jacobian_ideal(restricted), budget) <= 0
     return HypothesisChecks(sigma_dim, meets, f_isolated, slice_tractable)
 
 
@@ -136,10 +151,11 @@ def assemble_deformation(
 
 def build_deformation(g: Poly, f: Poly, n: int, threshold: int | None = None, cap=None) -> DeformationCase:
     """Assemble g + f^N after checking the case hypotheses, in one call."""
-    hypotheses = require_hypotheses(g, f, cap)
+    budget = as_budget(cap)
+    hypotheses = require_hypotheses(g, f, budget)
     if threshold is None:
-        threshold = iomdin_threshold(f, g, cap=cap)
-    return assemble_deformation(g, f, n, threshold, hypotheses, cap)
+        threshold = iomdin_threshold(f, g, cap=budget)
+    return assemble_deformation(g, f, n, threshold, hypotheses, budget)
 
 
 @dataclass(frozen=True)
@@ -154,32 +170,19 @@ class BranchTerm:
 
 
 def branch_terms(g: Poly, f: Poly, branches: Sequence[BranchParam], cap=None) -> tuple[BranchTerm, ...]:
+    budget = as_budget(cap)
     terms = []
     for b in branches:
         m = local_degree(f, b)
-        mu = branch_slice_milnor(g, SliceSpec(f), b, cap)
+        mu = branch_slice_milnor(g, SliceSpec(f), b, budget)
         terms.append(BranchTerm(b.name, b.multiplicity, m, mu))
     return tuple(terms)
-
-
-def sigma_branch_terms(
-    g: Poly, f: Poly, branches: Sequence[BranchParam], sigma_dim: int, cap=None
-) -> tuple[BranchTerm, ...] | None:
-    """Branch terms for the identity sums; None when f is not linear or the
-    critical locus is a curve with no declared branch (an empty sum is not 0)."""
-    if not f.is_linear_form or (sigma_dim == 1 and not branches):
-        return None
-    return branch_terms(g, f, branches, cap)
 
 
 def _no_terms_note(case: DeformationCase) -> str:
     if case.f.is_linear_form:
         return "the critical locus is a curve but no sigma branches are declared"
     return "branch slice data needs a linear deformation direction"
-
-
-def _sign(exponent: int) -> int:
-    return -1 if exponent % 2 else 1
 
 
 def verify_le_number_identity(case: DeformationCase, le: LeData) -> IdentityVerdict:
@@ -199,10 +202,10 @@ def verify_chi_identity(
     """Euler characteristic of the deformed fibre against the branch sum."""
     if terms is None:
         return IdentityVerdict("chi", "SKIPPED", note=_no_terms_note(case))
-    if case.certificate is None:
+    if case.chi_gtilde is None:
         return IdentityVerdict("chi", "SKIPPED", note="deformation is not isolated")
     v = case.g.ring.nvars
-    left = 1 + _sign(v - 1) * case.certificate
+    left = case.chi_gtilde
     right = chi_g + _sign(v - 1) * case.n * sum(
         t.multiplicity * t.local_degree * t.slice_milnor for t in terms
     )
@@ -217,11 +220,10 @@ def verify_tibar_identity(
         return IdentityVerdict("tibar", "SKIPPED", note="stated for a generic linear form")
     if terms is None:
         return IdentityVerdict("tibar", "SKIPPED", note=_no_terms_note(case))
-    if case.certificate is None:
+    if case.chi_gtilde is None:
         return IdentityVerdict("tibar", "SKIPPED", note="deformation is not isolated")
     v = case.g.ring.nvars
-    chi_gtilde = 1 + _sign(v - 1) * case.certificate
-    left = chi_gtilde - chi_g
+    left = case.chi_gtilde - chi_g
     right = case.n * sum(
         t.multiplicity * t.local_degree * (1 - (1 + _sign(v - 2) * t.slice_milnor))
         for t in terms
@@ -240,12 +242,11 @@ def morse_defect(
             None,
             None,
         )
-    if case.certificate is None:
+    if case.chi_gtilde is None:
         return (IdentityVerdict("morse", "SKIPPED", note="deformation is not isolated"), None, None)
     v = case.g.ring.nvars
     d = v
-    chi_gtilde = 1 + _sign(v - 1) * case.certificate
-    defect = _sign(d - 1) * (chi_g - chi_gtilde)  # n - n~
+    defect = _sign(d - 1) * (chi_g - case.chi_gtilde)  # n - n~
     expansion = _sign(d - 1) * case.n * sum(
         t.multiplicity * t.local_degree * _sign(v - 1) * t.slice_milnor for t in terms
     )  # n~ - n
@@ -391,42 +392,110 @@ class VerdictTable:
 def resolve_linear_form(scenario: Scenario, cap=None) -> tuple[Poly, LeData]:
     """The scenario's deformation direction and the Le data computed with it.
 
-    An explicit f is used as given (linear f doubles as the coordinate form);
-    a GENERIC-LINEAR request walks the deterministic ladder until every
-    genericity check passes.
+    An explicit linear f is used as given and doubles as the coordinate form.
+    Otherwise the Le numbers come from the first rung of the deterministic
+    ladder that passes every genericity check, and that form is also the
+    direction when the scenario requests GENERIC-LINEAR.
     """
     assert scenario.ring is not None and scenario.g is not None
+    budget = as_budget(cap)
     g = scenario.g
     sigma_branches = tuple(b for b in scenario.branches if b.host == "sigma")
-    if scenario.f is not None:
-        f = scenario.f
-        if f.is_linear_form:
-            le = le_numbers(g, f, sigma_branches, cap)
-        else:
-            le = _le_with_ladder(scenario, sigma_branches, cap)
-        return f, le
+    if scenario.f is not None and scenario.f.is_linear_form:
+        return scenario.f, le_numbers(g, scenario.f, sigma_branches, budget)
 
     last_error: Exception | None = None
     for candidate in generic_linear_candidates(scenario.ring):
         try:
-            if dim_at_origin(jacobian_ideal(g).plus([candidate]), cap) > 0:
+            if dim_at_origin(jacobian_ideal(g).plus([candidate]), budget) > 0:
                 raise GenericityError("candidate form contains a critical branch")
-            le = le_numbers(g, candidate, sigma_branches, cap)
-            return candidate, le
+            le = le_numbers(g, candidate, sigma_branches, budget)
+            return scenario.f if scenario.f is not None else candidate, le
         except (UndefinedLeError, DegenerateBranchError, GenericityError) as exc:
             last_error = exc
     raise GenericityError(f"generic linear ladder exhausted: {last_error}")
 
 
-def _le_with_ladder(scenario: Scenario, sigma_branches, cap=None) -> LeData:
-    assert scenario.ring is not None and scenario.g is not None
-    last_error: Exception | None = None
-    for candidate in generic_linear_candidates(scenario.ring):
-        try:
-            return le_numbers(scenario.g, candidate, sigma_branches, cap)
-        except (UndefinedLeError, DegenerateBranchError) as exc:
-            last_error = exc
-    raise GenericityError(f"generic linear ladder exhausted: {last_error}")
+class ScenarioContext:
+    """The N-independent data of one run on a polynomial scenario.
+
+    The Le numbers, chi(F_g), the polar curve of (f, g) with its gap report,
+    the case hypotheses and the branch terms belong to the pair (f, g); only
+    case(n) depends on the exponent.  Each is computed on first read and
+    kept, and all spend from the run's one budget of limits.reduction_cap
+    steps.  A caller pays only for what it reads, in the order it reads it,
+    so that order also fixes which error a bad input hits first.
+    """
+
+    def __init__(self, scenario: Scenario):
+        if scenario.ring is None or scenario.g is None:
+            raise GermlabError("this command needs a polynomial scenario (variables and g)")
+        self.scenario = scenario
+        self.ring: PolyRing = scenario.ring
+        self.g: Poly = scenario.g
+        self.budget = Budget(scenario.limits.reduction_cap)
+
+    def _hosted(self, host: str) -> tuple[BranchParam, ...]:
+        return tuple(b for b in self.scenario.branches if b.host == host)
+
+    @cached_property
+    def _resolved(self) -> tuple[Poly, LeData]:
+        return resolve_linear_form(self.scenario, self.budget)
+
+    @cached_property
+    def f(self) -> Poly:
+        """The scenario's f; for GENERIC-LINEAR, the ladder form of the Le numbers."""
+        return self.scenario.f if self.scenario.f is not None else self._resolved[0]
+
+    @cached_property
+    def le(self) -> LeData:
+        return self._resolved[1]
+
+    @cached_property
+    def chi_g(self) -> int:
+        return euler_char_fibre(self.g, self.le)
+
+    @cached_property
+    def sigma_branches(self) -> tuple[BranchParam, ...]:
+        """The declared branches of the critical locus, each checked against Jac(g)."""
+        branches = self._hosted("sigma")
+        jac_g = jacobian_ideal(self.g)
+        for b in branches:
+            check = validate_branch(b, jac_g)
+            if not check:
+                gen, order = check.violation or ("?", -1)
+                raise GermlabError(
+                    f"branch {b.name!r} is not on the critical locus: generator {gen} "
+                    f"vanishes only to order {order}"
+                )
+        return branches
+
+    @cached_property
+    def polar(self) -> PolarCurve:
+        return relative_polar_ideal(self.f, self.g, self._hosted("polar"), self.budget)
+
+    @cached_property
+    def gap(self) -> GapReport:
+        return gap_ratios(self.f, self.g, self.polar, self.budget)
+
+    @cached_property
+    def hypotheses(self) -> HypothesisChecks:
+        return require_hypotheses(self.g, self.f, self.budget)
+
+    @cached_property
+    def terms(self) -> tuple[BranchTerm, ...] | None:
+        """Branch terms for the identity sums; None when f is not linear or the
+        critical locus is a curve with no declared branch (an empty sum is not 0)."""
+        branches, sigma_dim = self.sigma_branches, self.hypotheses.sigma_dim
+        if not self.f.is_linear_form or (sigma_dim == 1 and not branches):
+            return None
+        return branch_terms(self.g, self.f, branches, self.budget)
+
+    def case(self, n: int) -> DeformationCase:
+        """g + f^n with its isolation certificate.  The case hypotheses are
+        read before the polar curve whose gap report sets the threshold."""
+        hypotheses = self.hypotheses
+        return assemble_deformation(self.g, self.f, n, self.gap.threshold, hypotheses, self.budget)
 
 
 def verify_scenario(
@@ -436,33 +505,17 @@ def verify_scenario(
 ) -> VerdictTable:
     """Run the whole pipeline on a scenario and assemble the verdict table.
 
-    Everything that does not depend on N is computed once and sweep rows only
-    read it; the whole run spends from one budget of reduction_cap steps.
+    Everything that does not depend on N is read once from the run's
+    ScenarioContext, and the sweep rows share its one budget.
 
     With relative_to_threshold the sweep runs over threshold .. threshold +
     (hi - lo) regardless of the requested bounds, which keeps fixture sweeps
     aligned with their thresholds; past N_MAX it raises ExponentRangeError.
     """
-    if scenario.ring is None or scenario.g is None:
-        raise GermlabError("this scenario carries only a stratified dataset; nothing to deform")
-    budget = Budget(scenario.limits.reduction_cap)
-    g = scenario.g
-    f, le = resolve_linear_form(scenario, budget)
-    chi_g = euler_char_fibre(g, le)
-
-    sigma_branches = tuple(b for b in scenario.branches if b.host == "sigma")
-    polar_branches = tuple(b for b in scenario.branches if b.host == "polar")
-    for b in sigma_branches:
-        check = validate_branch(b, jacobian_ideal(g))
-        if not check:
-            gen, order = check.violation or ("?", -1)
-            raise GermlabError(
-                f"branch {b.name!r} is not on the critical locus: generator {gen} "
-                f"vanishes only to order {order}"
-            )
-    polar = relative_polar_ideal(f, g, components=polar_branches, cap=budget)
-    gap = gap_ratios(f, g, polar, budget)
-    threshold = gap.threshold
+    ctx = ScenarioContext(scenario)
+    f, le, chi_g = ctx.f, ctx.le, ctx.chi_g
+    ctx.sigma_branches  # validate the declared branches before the polar curve
+    threshold = ctx.gap.threshold
 
     lo, hi = n_range if n_range is not None else scenario.n_range
     if relative_to_threshold:
@@ -473,11 +526,10 @@ def verify_scenario(
                 f"the sweep shifted to the threshold, {lo}..{hi} (threshold {threshold} "
                 f"plus span {span}), passes N_MAX = {N_MAX}"
             )
-    hypotheses = require_hypotheses(g, f, budget)
-    terms = sigma_branch_terms(g, f, sigma_branches, hypotheses.sigma_dim, budget)
+    terms = ctx.terms
 
     def make_row(n: int) -> SweepRow:
-        case = assemble_deformation(g, f, n, threshold, hypotheses, budget)
+        case = ctx.case(n)
         verdicts = [
             verify_le_number_identity(case, le),
             verify_chi_identity(case, chi_g, terms),
@@ -485,14 +537,12 @@ def verify_scenario(
         ]
         morse_verdict, defect, expansion = morse_defect(case, chi_g, terms)
         verdicts.append(morse_verdict)
-        verdicts.append(verify_gap_stability(case, polar, gap.g_intersection, budget))
-        v = g.ring.nvars
-        chi_gtilde = None if case.certificate is None else 1 + _sign(v - 1) * case.certificate
+        verdicts.append(verify_gap_stability(case, ctx.polar, ctx.gap.g_intersection, ctx.budget))
         return SweepRow(
             n=n,
             in_range=n >= threshold,
             certificate=case.certificate,
-            chi_gtilde=chi_gtilde,
+            chi_gtilde=case.chi_gtilde,
             verdicts=tuple(verdicts),
             morse_defect=defect,
             morse_expansion=expansion,
@@ -500,8 +550,8 @@ def verify_scenario(
 
     return VerdictTable(
         scenario=scenario.name,
-        variables=scenario.ring.variables,
-        g=str(g),
+        variables=ctx.ring.variables,
+        g=str(ctx.g),
         f=str(f),
         threshold=threshold,
         le=le,
@@ -526,7 +576,7 @@ def _slice_milnor_at_origin(g: Poly, form: Poly, cap=None) -> int | None:
     return milnor_number(restricted, cap)
 
 
-def _certify_slice_generic(scenario: Scenario, f: Poly, g_tilde: Poly, cap=None) -> bool:
+def _certify_slice_generic(g: Poly, f: Poly, g_tilde: Poly, cap=None) -> bool:
     """Whether the f-hyperplane slices of g and of the deformation carry the
     same Milnor numbers as slices by a ladder-generic form.
 
@@ -535,12 +585,11 @@ def _certify_slice_generic(scenario: Scenario, f: Poly, g_tilde: Poly, cap=None)
     like f = x - y against x^2*y^2 - (x-y)^2 inflates the slice invariants
     and would plant wrong absolute values.
     """
-    assert scenario.ring is not None and scenario.g is not None
-    for candidate in generic_linear_candidates(scenario.ring):
+    for candidate in generic_linear_candidates(g.ring):
         if candidate == f:
             return True
-        via_f = _slice_milnor_at_origin(scenario.g, f, cap)
-        via_l = _slice_milnor_at_origin(scenario.g, candidate, cap)
+        via_f = _slice_milnor_at_origin(g, f, cap)
+        via_l = _slice_milnor_at_origin(g, candidate, cap)
         if via_l is None:
             continue  # unlucky ladder rung, try the next form
         if via_f != via_l:
@@ -563,27 +612,20 @@ def export_dataset(scenario: Scenario, n: int) -> StratifiedDataset:
     scenario at hand are omitted, which downgrades the identities that need
     them to SKIPPED.
     """
-    if scenario.ring is None or scenario.g is None:
-        raise GermlabError("dataset export needs a polynomial scenario")
-    budget = Budget(scenario.limits.reduction_cap)
-    g = scenario.g
-    f, le = resolve_linear_form(scenario, budget)
-    v = scenario.ring.nvars
-    chi_g = euler_char_fibre(g, le)
+    ctx = ScenarioContext(scenario)
+    budget = ctx.budget
+    g, f, chi_g = ctx.g, ctx.f, ctx.chi_g
+    v = ctx.ring.nvars
 
-    hypotheses = require_hypotheses(g, f, budget)
-    polar = relative_polar_ideal(f, g, cap=budget)
-    threshold = gap_ratios(f, g, polar, budget).threshold
-    case = assemble_deformation(g, f, n, threshold, hypotheses, budget)
-    if case.certificate is None:
+    case = ctx.case(n)
+    chi_gtilde = case.chi_gtilde
+    if chi_gtilde is None:
         raise HypothesisError("isolation", f"g + f^{n} is not isolated; export needs an isolated deformation")
-    chi_gtilde = 1 + _sign(v - 1) * case.certificate
 
     # require_hypotheses required f to be isolated, so its Milnor number exists
     chi_f_fibre = 1 + _sign(v - 1) * milnor_number(f, budget)
 
-    sigma_branches = tuple(b for b in scenario.branches if b.host == "sigma")
-    terms = sigma_branch_terms(g, f, sigma_branches, hypotheses.sigma_dim, budget)
+    terms = ctx.terms
 
     chi = {"g": chi_g, "gtilde": chi_gtilde, "l": 1, "f": chi_f_fibre}
     strata = (
@@ -599,20 +641,18 @@ def export_dataset(scenario: Scenario, n: int) -> StratifiedDataset:
         "B_gtilde_X_0": chi_gtilde,
     }
 
-    known["m"] = 0 if polar.is_empty else intersection_number(polar, f, budget)
+    known["m"] = 0 if ctx.polar.is_empty else intersection_number(ctx.polar, f, budget)
     deformed_polar = relative_polar_ideal(f, case.g_tilde, cap=budget)
     known["m_tilde"] = (
         0 if deformed_polar.is_empty else intersection_number(deformed_polar, f, budget)
     )
 
-    certified = (
-        _certify_slice_generic(scenario, f, case.g_tilde, budget) if f.is_linear_form else False
-    )
+    certified = f.is_linear_form and _certify_slice_generic(g, f, case.g_tilde, budget)
 
     rows: tuple[BranchTableRow, ...] | None = None
     if terms is not None:
         row_list = []
-        for b, t in zip(sigma_branches, terms):
+        for b, t in zip(ctx.sigma_branches, terms):
             chi_f_j = 1 + _sign(v - 2) * t.slice_milnor
             fields: dict[str, int] = {
                 "m_f": t.local_degree,
@@ -683,22 +723,12 @@ def export_dataset(scenario: Scenario, n: int) -> StratifiedDataset:
 def _transverse_multiplicity(g: Poly, f: Poly, branch: BranchParam) -> int:
     """Multiplicity of the transverse slice germ of {g = 0} at a branch point:
     the minimal total degree of g translated to the point and restricted to
-    the f-hyperplane through it.  Walks the same shrinking parameter ladder
-    as the slice Milnor numbers to step past accidental degenerations."""
+    the f-hyperplane through it, stabilized along the same tau-halving ladder
+    as the slice Milnor numbers."""
 
     def at(tau: Fraction) -> int:
         point = branch.point_at(tau)
         sliced = restrict_to_hyperplane(translate(g, point), f)
         return (sliced - sliced.constant_term()).min_degree()
 
-    tau = Fraction(1, 2)
-    previous = at(tau)
-    for _ in range(MAX_TAU_HALVINGS):
-        tau = tau / 2
-        current = at(tau)
-        if current == previous:
-            return current
-        previous = current
-    raise GermlabError(
-        f"transverse multiplicity along branch {branch.name!r} never stabilized"
-    )
+    return stable_along_branch("transverse multiplicity", branch, at)

@@ -10,6 +10,8 @@ import pytest
 
 from germlab.cli import main
 from germlab.fixtures_lib import fixture_text
+from germlab.ideals import Budget
+from germlab.verifier import ScenarioContext
 from conftest import child_env
 
 
@@ -232,3 +234,29 @@ def test_caps_are_echoed_for_a_fixture(capsys):
     )
     assert code == 0
     assert json.loads(out)["defaults"]["limits"]["reduction_cap"] == 5000
+
+
+@pytest.mark.parametrize(
+    "verb, fixture",
+    [("milnor", "brieskorn-345")]
+    + [(verb, "pinch-point") for verb in ("critical-locus", "polar", "gap", "le", "verify", "export-dataset")],
+)
+def test_every_polynomial_verb_spends_from_its_context_budget(monkeypatch, capsys, verb, fixture):
+    made, contexts = [], []
+    make_budget, make_context = Budget.__init__, ScenarioContext.__init__
+
+    def counting_budget(budget, cap=None):
+        make_budget(budget, cap)
+        made.append(budget)
+
+    def counting_context(ctx, scenario):
+        make_context(ctx, scenario)
+        contexts.append(ctx)
+
+    monkeypatch.setattr(Budget, "__init__", counting_budget)
+    monkeypatch.setattr(ScenarioContext, "__init__", counting_context)
+    code, _ = run_cli(capsys, verb, "--fixture", fixture)
+    assert code == 0
+    # one budget per run, made by the run's one context, and spent from
+    assert [ctx.budget for ctx in contexts] == made and len(made) == 1
+    assert made[0].remaining < 10**6

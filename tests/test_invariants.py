@@ -10,6 +10,7 @@ import pytest
 from germlab import (
     BranchParam,
     DegenerateBranchError,
+    InstabilityError,
     NonisolatedError,
     SliceSpec,
     branch_slice_milnor,
@@ -19,7 +20,13 @@ from germlab import (
     validate_branch,
 )
 from germlab.ideals import IdealPresentation
-from germlab.invariants import T_RING, compose_on_branch, jacobian_ideal
+from germlab.invariants import (
+    MAX_TAU_HALVINGS,
+    T_RING,
+    compose_on_branch,
+    jacobian_ideal,
+    stable_along_branch,
+)
 from germlab.rings import jacobian
 from conftest import RING_XY, RING_XYZ
 from oracles import brieskorn_mu, homogeneous_plane_mu, monomial_quotient_count, thom_sebastiani
@@ -169,6 +176,29 @@ class TestBranchSliceMilnor:
         g = X**2 + Y**3 + (Z - Fraction(1, 2)) * Y**2
         branch = BranchParam("axis", (o, o, t))
         assert branch_slice_milnor(g, SliceSpec(Z), branch) == 1
+
+
+class TestStableAlongBranch:
+    def test_returns_the_first_value_two_halvings_agree_on(self):
+        seen = []
+
+        def at(tau):
+            seen.append(tau)
+            return {Fraction(1, 2): 5, Fraction(1, 4): 4}.get(tau, 3)
+
+        assert stable_along_branch("value", AXIS, at) == 3
+        assert seen == [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)]
+
+    def test_a_ladder_that_never_agrees_raises(self):
+        seen = []
+
+        def at(tau):
+            seen.append(tau)
+            return tau.denominator  # a new value on every rung
+
+        with pytest.raises(InstabilityError, match="^transverse multiplicity along branch 'axis' never stabilized$"):
+            stable_along_branch("transverse multiplicity", AXIS, at)
+        assert len(seen) == MAX_TAU_HALVINGS + 1
 
 
 def test_compose_on_branch_is_exact():

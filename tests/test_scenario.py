@@ -21,7 +21,7 @@ def minimal_doc() -> dict:
 def test_minimal_scenario_gets_defaults():
     sc = load_scenario(json.dumps(minimal_doc()))
     assert sc.n_range == (2, 8)
-    assert sc.wants_generic_linear
+    assert sc.f is None
     assert sc.limits.reduction_cap == 10**6
     assert sc.branches == ()
 

@@ -9,9 +9,16 @@ import pytest
 
 from germlab import (
     ExponentRangeError,
+    GermlabError,
     HypothesisError,
     IterationLimitError,
+    SliceSpec,
+    branch_slice_milnor,
     build_deformation,
+    critical_locus,
+    iomdin_threshold,
+    relative_polar_ideal,
+    verify_polar_decomposition,
     load_scenario,
     verify_scenario,
 )
@@ -24,6 +31,7 @@ from germlab.verifier import (
     check_hypotheses,
     generic_linear_candidates,
     morse_defect,
+    resolve_linear_form,
     verify_chi_identity,
     verify_le_number_identity,
     verify_tibar_identity,
@@ -223,6 +231,23 @@ class TestSweep:
         monkeypatch.setattr(verifier, "Budget", lambda cap: cap)
         assert verify_scenario(tight).ok
 
+    def test_export_spends_from_one_budget(self, monkeypatch):
+        made = []
+        original = Budget.__init__
+
+        def counting(budget, cap=None):
+            original(budget, cap)
+            made.append(budget)
+
+        monkeypatch.setattr(Budget, "__init__", counting)
+        sc = load_fixture("pinch-point")
+        export_dataset(sc, 3)
+        assert len(made) == 1
+        spent = sc.limits.reduction_cap - made[0].remaining
+        tight = replace(sc, limits=replace(sc.limits, reduction_cap=spent - 1))
+        with pytest.raises(IterationLimitError):
+            export_dataset(tight, 3)
+
     def test_export_saturates_each_polar_ideal_once(self, monkeypatch):
         seen = []
         original = verifier.relative_polar_ideal
@@ -276,8 +301,50 @@ class TestSweep:
 
     def test_dataset_only_scenario_rejected(self):
         sc = load_scenario(fixture_text("cusp-curve"))
-        with pytest.raises(Exception):
+        for run in (verify_scenario, lambda sc: export_dataset(sc, 3)):
+            with pytest.raises(GermlabError, match=r"^this command needs a polynomial scenario \(variables and g\)$"):
+                run(sc)
+
+    def test_export_rejects_a_branch_off_the_critical_locus(self):
+        # x(t) vanishes at the ladder points t = 1/2 and 1/4, so the slice
+        # data are those of the axis, but 2*x has order 1 along the branch
+        off = BranchParam("off", (t * (2 * t - 1) * (4 * t - 1), o, t))
+        sc = replace(load_fixture("cylinder"), branches=(off,))
+        message = "branch 'off' is not on the critical locus: generator 2[*]x vanishes only to order 1"
+        with pytest.raises(GermlabError, match=message):
             verify_scenario(sc)
+        with pytest.raises(GermlabError, match=message):
+            export_dataset(sc, 3)
+
+
+LE_GERM = X**2 * Y**2 + Z**3
+POLAR_GERM = X**2 * Y**2 + X**2 * Z**2 + Y**2 * Z**2
+FORM = X + 2 * Y + 3 * Z
+PUBLIC_CALLS = {
+    "le_numbers": lambda cap: le_numbers(LE_GERM, FORM, cap=cap),
+    "relative_polar_ideal": lambda cap: relative_polar_ideal(FORM, POLAR_GERM, cap=cap),
+    "verify_polar_decomposition": lambda cap: verify_polar_decomposition(FORM, X**2 + Y**2, 3, cap=cap),
+    "critical_locus": lambda cap: critical_locus(POLAR_GERM, FORM, cap),
+    "check_hypotheses": lambda cap: check_hypotheses(X * Y * (X + Y), Z, cap),
+    "branch_slice_milnor": lambda cap: branch_slice_milnor(X * Y * (X + Y), SliceSpec(Z), AXIS, cap),
+    "branch_terms": lambda cap: branch_terms(X * Y * (X + Y), Z, [AXIS], cap),
+    "iomdin_threshold": lambda cap: iomdin_threshold(Z, X**2 + Y**2 + Z**3, cap=cap),
+    "build_deformation": lambda cap: build_deformation(X**2 + Y**2, Z, 3, cap=cap),
+    "resolve_linear_form": lambda cap: resolve_linear_form(load_fixture("cusp-isolated"), cap),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC_CALLS))
+def test_int_cap_bounds_the_whole_public_call(name):
+    # every call below runs several kernel calls; an int cap one below what
+    # they spend together must raise, not start a fresh budget in each
+    call = PUBLIC_CALLS[name]
+    budget = Budget(10**6)
+    call(budget)
+    spent = 10**6 - budget.remaining
+    with pytest.raises(IterationLimitError):
+        call(spent - 1)
+    call(spent)
 
 
 def test_generic_ladder_is_deterministic():
