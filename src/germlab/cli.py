@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import ExponentRangeError, GermlabError
+from .errors import ExponentRangeError, GermlabError, MissingSliceError
 from .fixtures_lib import fixture_text, list_fixtures
 from .invariants import critical_locus, milnor_number
 from .scenario import (
@@ -227,7 +227,13 @@ def cmd_brasselet(parser, args) -> int:
         payload["eu_X_0"] = eu
         lines.append(f"Eu_X(0) via hyperplane slices: {eu}")
     if args.slice:
-        value = brasselet_number(dataset, args.slice)
+        try:
+            value = brasselet_number(dataset, args.slice)
+        except MissingSliceError:
+            kinds = ", ".join(dataset.slice_kinds()) or "none"
+            parser.error(
+                f"--slice {args.slice!r} is not a slice kind of this dataset (it carries: {kinds})"
+            )
         payload["brasselet"] = {args.slice: value}
         lines.append(f"Brasselet number for slice kind {args.slice!r}: {value}")
         if "eu_X_0" in payload or "eu_X_0" in dataset.known:

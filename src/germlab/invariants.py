@@ -94,11 +94,12 @@ class BranchValidation:
         return self.ok
 
 
-def compose_on_branch(p: Poly, branch: BranchParam) -> Poly:
-    """The exact univariate polynomial p(branch(t))."""
+def compose_on_branch(p: Poly, branch: BranchParam, below: int | None = None) -> Poly:
+    """The exact univariate polynomial p(branch(t)), or with below, its
+    truncation modulo t^below."""
     if len(branch.components) != p.ring.nvars:
         raise RingMismatchError("branch component count does not match the ring")
-    return p.substitute(T_RING, list(branch.components))
+    return p.substitute(T_RING, list(branch.components), below)
 
 
 def order_in_t(p: Poly) -> int | None:

@@ -134,6 +134,11 @@ def intersection_number(
     t-orders of h along them (weighted by declared multiplicities) must equal
     the scheme-side number; a disagreement raises ComponentMismatchError
     rather than guessing which route is right.
+
+    Only orders up to the total can add up to it, so each composition is
+    first taken modulo t^(total + 1).  When those orders sum to the total the
+    check has passed; otherwise the exact compositions are recomputed, so the
+    error names the true orders.
     """
     ideal = curve.ideal if isinstance(curve, PolarCurve) else curve
     total = quotient_dim_local(ideal.plus([h]), cap)
@@ -142,6 +147,13 @@ def intersection_number(
             f"intersection with {h} has positive dimension at the origin"
         )
     if isinstance(curve, PolarCurve) and curve.components:
+        truncated = [
+            order_in_t(compose_on_branch(h, comp, below=total + 1)) for comp in curve.components
+        ]
+        if None not in truncated and total == sum(
+            comp.multiplicity * order for comp, order in zip(curve.components, truncated)
+        ):
+            return total
         by_orders = 0
         for comp in curve.components:
             order = order_in_t(compose_on_branch(h, comp))

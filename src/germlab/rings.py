@@ -64,19 +64,6 @@ class PolyRing:
         c = Fraction(coeff)
         return Poly._make(self, {exps: c} if c else {})
 
-    def from_terms(self, terms: Mapping[Exponents, Scalar]) -> "Poly":
-        acc: dict[Exponents, Fraction] = {}
-        for exps, c in terms.items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != self.nvars or any(e < 0 for e in exps):
-                raise ValueError(f"bad exponent vector {exps} for ring {self.variables}")
-            c = acc.get(exps, Fraction(0)) + Fraction(c)
-            if c:
-                acc[exps] = c
-            else:
-                acc.pop(exps, None)
-        return Poly._make(self, acc)
-
 
 def mono_mul(a: Exponents, b: Exponents) -> Exponents:
     return tuple(map(operator.add, a, b))
@@ -94,6 +81,16 @@ def mono_div(a: Exponents, b: Exponents) -> Exponents:
 
 def mono_lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(map(max, a, b))
+
+
+def _accumulate(acc: dict[Exponents, Fraction], terms: Mapping[Exponents, Fraction]) -> None:
+    """acc += terms, in place, never storing a zero coefficient."""
+    for exps, c in terms.items():
+        s = acc.get(exps, Fraction(0)) + c
+        if s:
+            acc[exps] = s
+        else:
+            acc.pop(exps, None)
 
 
 class Poly:
@@ -166,12 +163,7 @@ class Poly:
         if other is NotImplemented:
             return NotImplemented
         acc = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = acc.get(exps, Fraction(0)) + c
-            if s:
-                acc[exps] = s
-            else:
-                acc.pop(exps, None)
+        _accumulate(acc, other.terms)
         return Poly._make(self.ring, acc)
 
     __radd__ = __add__
@@ -249,31 +241,50 @@ class Poly:
             total += val
         return total
 
-    def substitute(self, target: PolyRing, images: Sequence["Poly"]) -> "Poly":
-        """Evaluate at a vector of polynomials living in the target ring."""
+    def substitute(
+        self, target: PolyRing, images: Sequence["Poly"], below: int | None = None
+    ) -> "Poly":
+        """Evaluate at a vector of polynomials living in the target ring.
+
+        With below, the result is the image modulo m^below: every term of
+        total degree >= below is dropped.  Truncation by total degree is a
+        ring homomorphism, so this is exact in the quotient.  Source terms
+        whose image order sum(e_i * ord(image_i)) reaches below, or that
+        multiply a zero image, are skipped, and image powers are built
+        already truncated.
+        """
         if len(images) != self.ring.nvars:
             raise ValueError("need one image per variable")
         for im in images:
             if im.ring != target:
                 raise RingMismatchError("substitution images must live in the target ring")
-        pow_cache: dict[tuple[int, int], Poly] = {}
+        orders = [im.min_degree() for im in images]
+
+        def cut(p: Poly) -> Poly:
+            if below is None:
+                return p
+            return Poly._make(target, {e: c for e, c in p.terms.items() if sum(e) < below})
+
+        powers = [[target.one()] for _ in images]
 
         def power(i: int, e: int) -> Poly:
-            key = (i, e)
-            got = pow_cache.get(key)
-            if got is None:
-                got = images[i] ** e
-                pow_cache[key] = got
-            return got
+            cached = powers[i]
+            while len(cached) <= e:
+                cached.append(cut(cached[-1] * images[i]))
+            return cached[e]
 
-        total = target.zero()
+        acc: dict[Exponents, Fraction] = {}
         for exps, c in self.terms.items():
+            used = [i for i, e in enumerate(exps) if e]
+            if any(orders[i] < 0 for i in used):
+                continue  # a zero image
+            if below is not None and sum(orders[i] * exps[i] for i in used) >= below:
+                continue
             term = target.constant(c)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * power(i, e)
-            total = total + term
-        return total
+            for i in used:
+                term = cut(term * power(i, exps[i]))
+            _accumulate(acc, term.terms)
+        return Poly._make(target, acc)
 
     # -- equality, hashing, printing ------------------------------------------
 

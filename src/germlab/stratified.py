@@ -84,6 +84,15 @@ class StratifiedDataset:
     known: Mapping[str, int] = field(default_factory=dict)
     f_is_linear: bool = False
 
+    def slice_kinds(self) -> tuple[str, ...]:
+        """The slice kinds brasselet_number accepts: each positive-dimensional
+        stratum carries the kind or lies in the kind's zero locus."""
+        positive = [s for s in self.strata if s.dim != 0]
+        named = {k for s in positive for k in (*s.chi, *s.in_zero_locus_of)}
+        return tuple(
+            sorted(k for k in named if all(k in s.chi or k in s.in_zero_locus_of for s in positive))
+        )
+
     def validate(self) -> None:
         names = [s.name for s in self.strata]
         if len(set(names)) != len(names):

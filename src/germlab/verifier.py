@@ -133,13 +133,19 @@ def require_hypotheses(g: Poly, f: Poly, cap=None) -> HypothesisChecks:
 
 
 def assemble_deformation(
-    g: Poly, f: Poly, n: int, threshold: int, hypotheses: HypothesisChecks, cap=None
+    g: Poly,
+    f: Poly,
+    n: int,
+    f_power: Poly,
+    threshold: int,
+    hypotheses: HypothesisChecks,
+    cap=None,
 ) -> DeformationCase:
-    """g + f^N with its isolation certificate; HypothesisError when it is not
-    isolated although n reached the threshold."""
+    """g + f^N, given f_power = f^N, with its isolation certificate;
+    HypothesisError when it is not isolated although n reached the threshold."""
     if n < 2:
         raise ValueError("the deformation exponent must be at least 2")
-    g_tilde = g + f**n
+    g_tilde = g + f_power
     certificate = quotient_dim_local(jacobian_ideal(g_tilde), cap)
     if certificate is None and n >= threshold:
         raise HypothesisError(
@@ -155,7 +161,7 @@ def build_deformation(g: Poly, f: Poly, n: int, threshold: int | None = None, ca
     hypotheses = require_hypotheses(g, f, budget)
     if threshold is None:
         threshold = iomdin_threshold(f, g, cap=budget)
-    return assemble_deformation(g, f, n, threshold, hypotheses, budget)
+    return assemble_deformation(g, f, n, f**n, threshold, hypotheses, budget)
 
 
 @dataclass(frozen=True)
@@ -434,6 +440,7 @@ class ScenarioContext:
         self.ring: PolyRing = scenario.ring
         self.g: Poly = scenario.g
         self.budget = Budget(scenario.limits.reduction_cap)
+        self._f_power: tuple[int, Poly] | None = None  # the last (k, f^k) of case()
 
     def _hosted(self, host: str) -> tuple[BranchParam, ...]:
         return tuple(b for b in self.scenario.branches if b.host == host)
@@ -493,9 +500,21 @@ class ScenarioContext:
 
     def case(self, n: int) -> DeformationCase:
         """g + f^n with its isolation certificate.  The case hypotheses are
-        read before the polar curve whose gap report sets the threshold."""
+        read before the polar curve whose gap report sets the threshold.
+
+        A sweep asks for increasing n, so the last power f^k is kept and
+        extended by n - k multiplications by f; only the first call, or one
+        with a smaller n, raises f to the full power.
+        """
         hypotheses = self.hypotheses
-        return assemble_deformation(self.g, self.f, n, self.gap.threshold, hypotheses, self.budget)
+        threshold = self.gap.threshold
+        if self._f_power is None or self._f_power[0] > n:
+            self._f_power = (n, self.f**n)
+        k, power = self._f_power
+        for _ in range(n - k):
+            power = power * self.f
+        self._f_power = (n, power)
+        return assemble_deformation(self.g, self.f, n, power, threshold, hypotheses, self.budget)
 
 
 def verify_scenario(
@@ -576,9 +595,13 @@ def _slice_milnor_at_origin(g: Poly, form: Poly, cap=None) -> int | None:
     return milnor_number(restricted, cap)
 
 
-def _certify_slice_generic(g: Poly, f: Poly, g_tilde: Poly, cap=None) -> bool:
+def _certify_slice_generic(g: Poly, f: Poly, g_tilde: Poly, mu_h: int | None, cap=None) -> bool:
     """Whether the f-hyperplane slices of g and of the deformation carry the
     same Milnor numbers as slices by a ladder-generic form.
+
+    mu_h is the Milnor number of the f-slice of g (None when non-isolated).
+    It is also that of the f-slice of the deformation, since f^N restricts
+    to 0 on {f = 0}.
 
     This is the gate for exporting Euler obstructions (quantities defined
     through generic hyperplanes) out of f-slice data: a special direction
@@ -588,15 +611,12 @@ def _certify_slice_generic(g: Poly, f: Poly, g_tilde: Poly, cap=None) -> bool:
     for candidate in generic_linear_candidates(g.ring):
         if candidate == f:
             return True
-        via_f = _slice_milnor_at_origin(g, f, cap)
         via_l = _slice_milnor_at_origin(g, candidate, cap)
         if via_l is None:
             continue  # unlucky ladder rung, try the next form
-        if via_f != via_l:
+        if mu_h != via_l:
             return False
-        return _slice_milnor_at_origin(g_tilde, f, cap) == _slice_milnor_at_origin(
-            g_tilde, candidate, cap
-        )
+        return mu_h == _slice_milnor_at_origin(g_tilde, candidate, cap)
     return False
 
 
@@ -647,7 +667,8 @@ def export_dataset(scenario: Scenario, n: int) -> StratifiedDataset:
         0 if deformed_polar.is_empty else intersection_number(deformed_polar, f, budget)
     )
 
-    certified = f.is_linear_form and _certify_slice_generic(g, f, case.g_tilde, budget)
+    mu_h = _slice_milnor_at_origin(g, f, budget) if f.is_linear_form else None
+    certified = f.is_linear_form and _certify_slice_generic(g, f, case.g_tilde, mu_h, budget)
 
     rows: tuple[BranchTableRow, ...] | None = None
     if terms is not None:
@@ -670,45 +691,43 @@ def export_dataset(scenario: Scenario, n: int) -> StratifiedDataset:
             row_list.append(BranchTableRow(b.name, **fields))
         rows = tuple(row_list)
 
-    if f.is_linear_form:
-        mu_h = _slice_milnor_at_origin(g, f, budget)
-        if mu_h is not None:
-            # g and its deformation agree on {f = 0}, so one slice Milnor
-            # number covers both restriction values; the swap value comes from
-            # the partial-smoothing route for the f-slice of the deformed
-            # hypersurface, which is smooth off the origin
-            chi_slice = 1 + _sign(v - 2) * mu_h
-            known["B_g_Xf_0"] = chi_slice
-            known["B_gtilde_Xf_0"] = chi_slice
-            known["B_f_Xgtilde_0"] = chi_slice
-            if v == 2 and rows == () and case.hypotheses.sigma_dim <= 0:
-                # reduced plane curves: obstructions are germ multiplicities
-                # and the Brasselet numbers of f count slice points exactly
-                known["eu_Xg_0"] = g.min_degree()
-                known["eu_Xgtilde_0"] = case.g_tilde.min_degree()
-                known["B_f_Xg_0"] = intersection_number(
-                    IdealPresentation(g.ring, [g]), f, budget
-                )
-                known["B_f_Xgtilde_0"] = intersection_number(
-                    IdealPresentation(g.ring, [case.g_tilde]), f, budget
-                )
-            elif v == 3 and certified and rows is not None and all(
-                r.eu_Xg_b is not None for r in rows
-            ):
-                # chi of the hyperplane slice of the g-hypersurface: the
-                # generic-slice value corrected by the vanishing cycles at the
-                # branch points, then reweighted by the per-branch Euler
-                # obstructions
-                known["eu_Xgtilde_0"] = chi_slice
-                link_chi = chi_slice - _sign(v - 2) * sum(
-                    t.multiplicity * t.local_degree * t.slice_milnor for t in terms or ()
-                )
-                eu_xg = link_chi
-                for r, t in zip(rows, terms or ()):
-                    assert r.eu_Xg_b is not None
-                    eu_xg += t.multiplicity * t.local_degree * (r.eu_Xg_b - 1)
-                known["eu_Xg_0"] = eu_xg
-                known["B_f_Xg_0"] = eu_xg
+    if mu_h is not None:
+        # g and its deformation agree on {f = 0}, so one slice Milnor
+        # number covers both restriction values; the swap value comes from
+        # the partial-smoothing route for the f-slice of the deformed
+        # hypersurface, which is smooth off the origin
+        chi_slice = 1 + _sign(v - 2) * mu_h
+        known["B_g_Xf_0"] = chi_slice
+        known["B_gtilde_Xf_0"] = chi_slice
+        known["B_f_Xgtilde_0"] = chi_slice
+        if v == 2 and rows == () and case.hypotheses.sigma_dim <= 0:
+            # reduced plane curves: obstructions are germ multiplicities
+            # and the Brasselet numbers of f count slice points exactly
+            known["eu_Xg_0"] = g.min_degree()
+            known["eu_Xgtilde_0"] = case.g_tilde.min_degree()
+            known["B_f_Xg_0"] = intersection_number(
+                IdealPresentation(g.ring, [g]), f, budget
+            )
+            known["B_f_Xgtilde_0"] = intersection_number(
+                IdealPresentation(g.ring, [case.g_tilde]), f, budget
+            )
+        elif v == 3 and certified and rows is not None and all(
+            r.eu_Xg_b is not None for r in rows
+        ):
+            # chi of the hyperplane slice of the g-hypersurface: the
+            # generic-slice value corrected by the vanishing cycles at the
+            # branch points, then reweighted by the per-branch Euler
+            # obstructions
+            known["eu_Xgtilde_0"] = chi_slice
+            link_chi = chi_slice - _sign(v - 2) * sum(
+                t.multiplicity * t.local_degree * t.slice_milnor for t in terms or ()
+            )
+            eu_xg = link_chi
+            for r, t in zip(rows, terms or ()):
+                assert r.eu_Xg_b is not None
+                eu_xg += t.multiplicity * t.local_degree * (r.eu_Xg_b - 1)
+            known["eu_Xg_0"] = eu_xg
+            known["B_f_Xg_0"] = eu_xg
 
     dataset = StratifiedDataset(
         strata=strata,

@@ -38,6 +38,11 @@ def ring_xyz() -> PolyRing:
     return RING_XYZ
 
 
+def from_terms(ring: PolyRing, terms) -> Poly:
+    """The polynomial with the given {exponents: coefficient} terms."""
+    return sum((ring.monomial(e, c) for e, c in terms.items()), ring.zero())
+
+
 def poly_strategy(ring: PolyRing, max_degree: int = 3, max_terms: int = 4) -> st.SearchStrategy[Poly]:
     exponent = st.integers(min_value=0, max_value=max_degree)
     exps = st.tuples(*[exponent] * ring.nvars)
@@ -45,7 +50,7 @@ def poly_strategy(ring: PolyRing, max_degree: int = 3, max_terms: int = 4) -> st
         min_value=Fraction(-4), max_value=Fraction(4), max_denominator=3
     ).filter(lambda c: c != 0)
     terms = st.dictionaries(exps, coeff, min_size=0, max_size=max_terms)
-    return terms.map(ring.from_terms)
+    return terms.map(lambda t: from_terms(ring, t))
 
 
 def nonzero_poly_strategy(ring: PolyRing, **kw) -> st.SearchStrategy[Poly]:

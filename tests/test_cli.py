@@ -190,6 +190,11 @@ def test_removed_flags_are_usage_errors(capsys, flag):
     assert f"unrecognized arguments: {flag} 2" in err
 
 
+def test_a_slice_kind_the_dataset_lacks_is_a_usage_error(capsys):
+    err = usage_error(capsys, "brasselet", "--fixture", "node-curve", "--slice", "g")
+    assert "--slice 'g' is not a slice kind of this dataset (it carries: l)" in err
+
+
 def test_relative_range_past_n_max_is_a_usage_error(capsys):
     err = usage_error(capsys, "verify", "--fixture", "cusp-isolated", "--N", "2..64", "--relative")
     assert "threshold 7 plus span 62" in err and "N_MAX = 64" in err

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from germlab import MonomialOrder
 from germlab.orders import DEGREVLEX, ELIM_FIRST, LOCAL, ecart, leading_monomial, leading_term
-from conftest import RING_XYZ, nonzero_poly_strategy
+from conftest import RING_XYZ, from_terms, nonzero_poly_strategy
 
 exps3 = st.tuples(*[st.integers(min_value=0, max_value=5)] * 3)
 
@@ -96,7 +96,7 @@ def test_zero_polynomial_keeps_raising():
 
 def test_lead_cache_is_consistent_across_threads():
     polys = [
-        RING_XYZ.from_terms({(i % 5, j, (i + j) % 4): i + j + 1 for j in range(6)})
+        from_terms(RING_XYZ, {(i % 5, j, (i + j) % 4): i + j + 1 for j in range(6)})
         for i in range(60)
     ]
     expected = [[max(p.terms, key=o.key) for o in ORDERS] for p in polys]

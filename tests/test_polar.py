@@ -23,7 +23,7 @@ from germlab.ideals import contains, ideal_equal, saturate_single
 from germlab.invariants import T_RING
 from germlab.orders import DEGREVLEX
 from germlab.polar import jacobian_minors
-from conftest import RING_XY, RING_XYZ
+from conftest import RING_XY, RING_XYZ, from_terms
 from oracles import sympy_saturation
 
 x, y = RING_XY.variable(0), RING_XY.variable(1)
@@ -92,6 +92,31 @@ class TestIntersectionNumber:
         curve = PolarCurve(ideal, 1, (AXIS,))
         with pytest.raises(ComponentMismatchError):
             intersection_number(curve, Z)
+
+    def test_wrong_multiplicity_reports_the_exact_orders(self):
+        # the truncated compositions miss the true order 8 > total 1, so the
+        # message must come from the exact compositions
+        slow = BranchParam("slow", (o, o, t**8), host="polar")
+        curve = PolarCurve(IdealPresentation(RING_XYZ, [X, Y]), 1, (slow,))
+        message = (
+            "component orders sum to 8 but the scheme-side intersection number "
+            "is 1; the component list is incomplete or has wrong multiplicities"
+        )
+        with pytest.raises(ComponentMismatchError) as exc:
+            intersection_number(curve, Z)
+        assert str(exc.value) == message
+        doubled = BranchParam("axis", (o, o, t), host="polar", multiplicity=2)
+        curve = PolarCurve(IdealPresentation(RING_XYZ, [X**2, Y**3]), 1, (doubled,))
+        with pytest.raises(ComponentMismatchError) as exc:
+            intersection_number(curve, Z)
+        assert str(exc.value).startswith("component orders sum to 2 but the scheme-side intersection number is 6;")
+
+    def test_h_vanishing_on_a_component_is_improper(self):
+        x_axis = BranchParam("x-axis", (t, o, o), host="polar")
+        curve = PolarCurve(IdealPresentation(RING_XYZ, [X, Y]), 1, (AXIS, x_axis))
+        with pytest.raises(ImproperIntersectionError) as exc:
+            intersection_number(curve, Z)
+        assert str(exc.value) == "z vanishes identically on component 'x-axis'"
 
     def test_declared_multiplicity_scales_orders(self):
         ideal = IdealPresentation(RING_XYZ, [X**2, Y**3])
@@ -227,7 +252,7 @@ def test_saturation_matches_sympy(g):
     minors = jacobian_minors(f, g)
     expected = sympy_saturation([m.terms for m in minors], (f * g).terms)
     sat = saturate_single(IdealPresentation(RING_XYZ, minors), f * g)
-    assert ideal_equal(sat, IdealPresentation(RING_XYZ, map(RING_XYZ.from_terms, expected)))
+    assert ideal_equal(sat, IdealPresentation(RING_XYZ, [from_terms(RING_XYZ, t) for t in expected]))
 
 
 def test_polar_generators_are_canonical():

@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from germlab import RingMismatchError
-from conftest import RING_XY, poly_strategy
+from germlab import PolyRing, RingMismatchError
+from conftest import RING_XY, RING_XYZ, from_terms, poly_strategy
 
 xy = poly_strategy(RING_XY)
 
@@ -25,7 +26,7 @@ def test_zero_coefficients_never_stored(ring_xy):
     x = ring_xy.variable(0)
     p = x + (-1) * x
     assert p.terms == {}
-    q = ring_xy.from_terms({(1, 0): 1, (0, 0): 0})
+    q = from_terms(ring_xy, {(1, 0): 1, (0, 0): 0})
     assert (0, 0) not in q.terms
 
 
@@ -91,3 +92,41 @@ def test_min_degree_is_germ_multiplicity(ring_xy):
     x, y = ring_xy.variable(0), ring_xy.variable(1)
     assert (x**2 + y**3).min_degree() == 2
     assert (x * y * (x + y)).min_degree() == 3
+
+
+T = PolyRing(("t",))
+
+
+def images_strategy(target: PolyRing, count: int):
+    """Image vectors in the target ring, zero images included."""
+    image = st.one_of(st.just(target.zero()), poly_strategy(target, max_degree=2, max_terms=3))
+    return st.lists(image, min_size=count, max_size=count)
+
+
+def check_truncated_substitution(p, target, images, below):
+    exact = p.substitute(target, images)
+    point = [Fraction(1, k + 2) for k in range(target.nvars)]
+    assert exact.evaluate(point) == p.evaluate([im.evaluate(point) for im in images])
+    kept = {e: c for e, c in exact.terms.items() if sum(e) < below}
+    assert p.substitute(target, images, below=below) == from_terms(target, kept)
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=poly_strategy(RING_XY), images=images_strategy(T, 2), below=st.integers(0, 9))
+def test_truncated_substitution_into_one_variable(p, images, below):
+    check_truncated_substitution(p, T, images, below)
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=poly_strategy(RING_XYZ), images=images_strategy(RING_XY, 3), below=st.integers(0, 7))
+def test_truncated_substitution_into_several_variables(p, images, below):
+    check_truncated_substitution(p, RING_XY, images, below)
+
+
+def test_truncated_substitution_skips_zero_images_and_high_orders():
+    t = T.variable(0)
+    x, y = RING_XY.variable(0), RING_XY.variable(1)
+    p = x**3 + x * y + y**5 + 2
+    assert p.substitute(T, [t, T.zero()], below=4) == t**3 + 2
+    assert p.substitute(T, [t + 1, t**2], below=3) == 4 * t**2 + 3 * t + 3
+    assert p.substitute(T, [t, t], below=0).is_zero

@@ -25,8 +25,10 @@ from germlab import (
 from germlab import export_dataset, verifier
 from germlab import polar as polar_module
 from germlab.ideals import Budget
+from germlab.rings import Poly
 from germlab.fixtures_lib import fixture_text, load_fixture
 from germlab.verifier import (
+    ScenarioContext,
     branch_terms,
     check_hypotheses,
     generic_linear_candidates,
@@ -362,3 +364,82 @@ def test_verdict_table_json_shape():
     assert doc["ok"] is True
     assert doc["rows"][0]["N"] == 2
     assert json.dumps(doc, sort_keys=True)  # serializable
+
+
+# reduction steps of verify_scenario over N = 2..30, the benchmark's sweep
+SWEEP_SPEND = {
+    "brieskorn-345": 317,
+    "cusp-isolated": 1325,
+    "cylinder-z3": 322,
+    "cylinder": 109,
+    "double-axes": 1678,
+    "pinch-point": 212,
+    "three-lines": 310,
+}
+
+
+def test_sweep_spend_is_pinned(monkeypatch):
+    made = []
+    original = Budget.__init__
+
+    def counting(budget, cap=None):
+        original(budget, cap)
+        made.append((budget, budget.remaining))
+
+    monkeypatch.setattr(Budget, "__init__", counting)
+    spend = {}
+    for name in SWEEP_SPEND:
+        made.clear()
+        verify_scenario(load_fixture(name), n_range=(2, 30))
+        spend[name] = sum(start - b.remaining for b, start in made)
+    assert spend == SWEEP_SPEND
+    assert sum(spend.values()) == 4273
+
+
+@pytest.mark.parametrize("name", ["cylinder", "double-axes"])
+def test_each_sweep_row_costs_one_multiplication_by_f(monkeypatch, name):
+    ctx = ScenarioContext(load_fixture(name))
+    ctx.hypotheses, ctx.gap  # the N-independent data, before counting
+    f = ctx.f
+    powers, products = [], [0]
+    real_pow, real_mul = Poly.__pow__, Poly.__mul__
+
+    def counting_pow(self, n):
+        if self is f:
+            powers.append(n)
+        return real_pow(self, n)
+
+    def counting_mul(self, other):
+        if other is f:
+            products[0] += 1
+        return real_mul(self, other)
+
+    monkeypatch.setattr(Poly, "__pow__", counting_pow)
+    cases = [ctx.case(2)]
+    monkeypatch.setattr(Poly, "__mul__", counting_mul)
+    per_row = []
+    for n in range(3, 31):
+        before = products[0]
+        cases.append(ctx.case(n))
+        per_row.append(products[0] - before)
+    assert powers == [2]
+    assert per_row == [1] * 28
+    cases.append(ctx.case(5))  # a smaller exponent raises f afresh
+    assert powers == [2, 5]
+    monkeypatch.undo()
+    for case in cases:
+        assert case.g_tilde == ctx.g + f**case.n
+
+
+@pytest.mark.parametrize("name", ["three-lines", "cylinder"])
+def test_export_computes_each_slice_milnor_number_once(monkeypatch, name):
+    calls = []
+    original = verifier._slice_milnor_at_origin
+
+    def counting(g, form, cap=None):
+        calls.append((str(g), str(form)))
+        return original(g, form, cap)
+
+    monkeypatch.setattr(verifier, "_slice_milnor_at_origin", counting)
+    export_dataset(load_fixture(name), 3)
+    assert len(calls) == len(set(calls)) == 3
