@@ -269,13 +269,13 @@ def cmd_export_dataset(parser, args) -> int:
         if n != hi:
             parser.error(f"export-dataset takes a single exponent --N, got {args.N!r}")
     scenario = _scenario_from_args(parser, args)
-    if n is None:
-        n = scenario.n_range[0]
+    dataset = export_dataset(scenario, n)
+    n = dataset.known["N"]
     exported = replace(
         scenario,
         name=f"{scenario.name}-dataset-N{n}",
         n_range=(n, n),
-        dataset=export_dataset(scenario, n),
+        dataset=dataset,
         expected=None,
     )
     text = json.dumps(scenario_to_dict(exported), indent=2, sort_keys=True) + "\n"

@@ -6,12 +6,18 @@ Local orders use Mora reduction with ecart control, which terminates on
 polynomial input; the resulting bases are standard bases of the localized
 ideal at the origin.  Every loop spends from an iteration budget and raises
 IterationLimitError instead of spinning.
+
+The kernel is fraction-free: it reduces primitive int multiples of the
+polynomials (Poly values with int coefficients, which never leave this
+module) and converts back to Fraction coefficients only at the public
+boundary, taking the same steps as reduction over the rationals.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -63,25 +69,71 @@ def _check_same_ring(polys: Iterable[Poly]) -> PolyRing:
     return ring
 
 
-def _shift(p: Poly, exps: Exponents, coeff: Fraction) -> Poly:
-    """coeff * x^exps * p."""
-    return Poly._make(
-        p.ring, {mono_mul(e, exps): c * coeff for e, c in p.terms.items()}
-    )
+def _clear_denominators(p: Poly) -> tuple[Poly, int]:
+    """(d*p, d) for the least positive d that makes every coefficient an int."""
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    terms = {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+    return Poly._make(p.ring, terms), den
 
 
-def _sub_shifted(h: Poly, g: Poly, exps: Exponents, coeff: Fraction) -> Poly:
-    """h - coeff * x^exps * g, built in one pass over the terms of g."""
-    acc = dict(h.terms)
+def _with_terms(p: Poly, terms: dict) -> Poly:
+    """A Poly on p's support with new coefficients; p's leading monomials carry over."""
+    q = Poly._make(p.ring, terms)
+    if p._lead is not None:
+        object.__setattr__(q, "_lead", dict(p._lead))
+    return q
+
+
+def _primitive(p: Poly, order: MonomialOrder) -> Poly:
+    """p (int coefficients) divided by its content, leading coefficient positive."""
+    _, lc = leading_term(p, order)
+    content = math.gcd(*p.terms.values())
+    if lc < 0:
+        content = -content
+    if content == 1:
+        return p
+    return _with_terms(p, {e: c // content for e, c in p.terms.items()})
+
+
+def _integral(p: Poly, order: MonomialOrder) -> Poly:
+    """The primitive integer multiple of p with a positive leading coefficient:
+    the kernel's representative of p up to a nonzero rational factor."""
+    return _primitive(_clear_denominators(p)[0], order)
+
+
+def _monic_rational(p: Poly, order: MonomialOrder) -> Poly:
+    """p divided by its leading coefficient, with Fraction coefficients."""
+    _, lc = leading_term(p, order)
+    return _with_terms(p, {e: Fraction(c, lc) for e, c in p.terms.items()})
+
+
+def _shift(p: Poly, exps: Exponents) -> Poly:
+    """x^exps * p."""
+    return Poly._make(p.ring, {mono_mul(e, exps): c for e, c in p.terms.items()})
+
+
+def _sub_shifted(h: Poly, lch: int, g: Poly, lcg: int, exps: Exponents) -> tuple[Poly, int]:
+    """(a*h - b*x^exps*g, a) with (a, b) = (lcg, lch) / gcd(lch, lcg) and a > 0.
+
+    The result is a*(h - (lch/lcg)*x^exps*g), the rational reduction step
+    times a positive int; when lch is the coefficient of h at x^exps * lm(g)
+    and lcg that of g at lm(g), that term cancels.  Built in one pass over the
+    terms of g.
+    """
+    d = math.gcd(lch, lcg)
+    a, b = lcg // d, lch // d
+    if a < 0:
+        a, b = -a, -b
+    acc = dict(h.terms) if a == 1 else {e: a * c for e, c in h.terms.items()}
     for e, c in g.terms.items():
         m = mono_mul(e, exps)
         s = acc.get(m)
-        s = -(c * coeff) if s is None else s - c * coeff
+        s = -(c * b) if s is None else s - c * b
         if s:
             acc[m] = s
         else:
             del acc[m]
-    return Poly._make(h.ring, acc)
+    return Poly._make(h.ring, acc), a
 
 
 def _without(h: Poly, lm: Exponents) -> Poly:
@@ -91,36 +143,49 @@ def _without(h: Poly, lm: Exponents) -> Poly:
     return Poly._make(h.ring, acc)
 
 
-def _monic(p: Poly, order: MonomialOrder) -> Poly:
-    _, lc = leading_term(p, order)
-    return p if lc == 1 else p * (1 / lc)
+def _rescaled_tail(ring: PolyRing, tail: list[tuple[Exponents, int, int]], scale: int) -> Poly:
+    """The remainder from tail terms (lm, lc, s), each popped while the
+    reduced polynomial carried the scale s, brought to the final scale."""
+    return Poly._make(ring, {lm: lc * (scale // s) for lm, lc, s in tail})
 
 
 # ---------------------------------------------------------------------------
 # normal forms
+#
+# The kernel works on int coefficients.  A reduction step multiplies the
+# reduced polynomial h by a positive int a (see _sub_shifted), so each routine
+# also returns the product of those factors: its scale.  The int result is
+# scale times the remainder that rational reduction of the same input gives.
 # ---------------------------------------------------------------------------
 
 
-def _divide_global(p: Poly, basis: Sequence[Poly], order: MonomialOrder, budget: Budget) -> Poly:
-    """Fully reduced remainder of p modulo basis for a global order."""
+def _divide_global(
+    p: Poly, basis: Sequence[Poly], order: MonomialOrder, budget: Budget
+) -> tuple[Poly, int]:
+    """Fully reduced remainder of p modulo basis for a global order, and its scale."""
     lead = [leading_term(g, order) for g in basis]
-    rem_terms: dict[Exponents, Fraction] = {}
+    tail: list[tuple[Exponents, int, int]] = []
+    scale = 1
     h = p
     while not h.is_zero:
         lm, lc = leading_term(h, order)
         for g, (lmg, lcg) in zip(basis, lead):
             if mono_divides(lmg, lm):
                 budget.spend()
-                h = _sub_shifted(h, g, mono_div(lm, lmg), lc / lcg)
+                h, a = _sub_shifted(h, lc, g, lcg, mono_div(lm, lmg))
+                scale *= a
                 break
         else:
-            rem_terms[lm] = lc
+            tail.append((lm, lc, scale))
             h = _without(h, lm)
-    return Poly._make(p.ring, rem_terms)
+    return _rescaled_tail(p.ring, tail, scale), scale
 
 
-def _mora_weak(p: Poly, basis: Sequence[Poly], order: MonomialOrder, budget: Budget) -> Poly:
-    """Mora weak normal form: the leading term of the result is irreducible.
+def _mora_weak(
+    p: Poly, basis: Sequence[Poly], order: MonomialOrder, budget: Budget
+) -> tuple[Poly, int]:
+    """Mora weak normal form, and its scale: the leading term of the result is
+    irreducible.
 
     The returned remainder r satisfies u*p = q + r in the local ring for some
     unit u and q in the ideal generated by the basis; in particular r == 0
@@ -130,6 +195,7 @@ def _mora_weak(p: Poly, basis: Sequence[Poly], order: MonomialOrder, budget: Bud
     reducers = list(basis)
     lead = [leading_term(g, order) for g in reducers]
     ecarts = [ecart(g, order) for g in reducers]
+    scale = 1
     h = p
     while not h.is_zero:
         lm, lc = leading_term(h, order)
@@ -140,7 +206,7 @@ def _mora_weak(p: Poly, basis: Sequence[Poly], order: MonomialOrder, budget: Bud
                 best = i
                 best_ecart = ecarts[i]
         if best < 0:
-            return h
+            break
         eh = h.total_degree() - sum(lm)
         if best_ecart is not None and best_ecart > eh:
             reducers.append(h)
@@ -148,23 +214,29 @@ def _mora_weak(p: Poly, basis: Sequence[Poly], order: MonomialOrder, budget: Bud
             ecarts.append(eh)
         lmg, lcg = lead[best]
         budget.spend()
-        h = _sub_shifted(h, reducers[best], mono_div(lm, lmg), lc / lcg)
-    return h
+        h, a = _sub_shifted(h, lc, reducers[best], lcg, mono_div(lm, lmg))
+        scale *= a
+    return h, scale
 
 
-def _reduce_local(p: Poly, basis: Sequence[Poly], order: MonomialOrder, budget: Budget) -> Poly:
-    """Tail-reduced local normal form: pop irreducible leading terms and keep
-    running Mora reduction on the rest.  Termination is budget-guarded."""
-    rem_terms: dict[Exponents, Fraction] = {}
+def _reduce_local(
+    p: Poly, basis: Sequence[Poly], order: MonomialOrder, budget: Budget
+) -> tuple[Poly, int]:
+    """Tail-reduced local normal form, and its scale: pop irreducible leading
+    terms and keep running Mora reduction on the rest.  Termination is
+    budget-guarded."""
+    tail: list[tuple[Exponents, int, int]] = []
+    scale = 1
     h = p
     while not h.is_zero:
-        h = _mora_weak(h, basis, order, budget)
+        h, a = _mora_weak(h, basis, order, budget)
+        scale *= a
         if h.is_zero:
             break
         lm, lc = leading_term(h, order)
-        rem_terms[lm] = lc
+        tail.append((lm, lc, scale))
         h = _without(h, lm)
-    return Poly._make(p.ring, rem_terms)
+    return _rescaled_tail(p.ring, tail, scale), scale
 
 
 def normal_form(p: Poly, basis: Sequence[Poly], order: MonomialOrder, cap=None) -> Poly:
@@ -174,23 +246,29 @@ def normal_form(p: Poly, basis: Sequence[Poly], order: MonomialOrder, cap=None) 
     orders the difference p - result lies in the ideal generated by the basis;
     for local orders the statement holds in the local ring up to a unit
     factor, and result == 0 still characterizes ideal membership whenever the
-    basis is a standard basis.
+    basis is a standard basis.  The reduction runs on int multiples of p and
+    of the basis; dividing by the tracked scale gives the exact rational
+    remainder.
     """
     budget = as_budget(cap)
     basis = [g for g in basis if not g.is_zero]
     if not basis:
         return p
     _check_same_ring([p, *basis])
-    if order.is_global:
-        return _divide_global(p, basis, order, budget)
-    return _reduce_local(p, basis, order, budget)
+    h, den = _clear_denominators(p)
+    reducers = [_integral(g, order) for g in basis]
+    reduce = _divide_global if order.is_global else _reduce_local
+    r, scale = reduce(h, reducers, order, budget)
+    scale *= den
+    return Poly._make(p.ring, {e: Fraction(c, scale) for e, c in r.terms.items()})
 
 
 def _weak_nf(p: Poly, basis: Sequence[Poly], order: MonomialOrder, budget: Budget) -> Poly:
-    """Cheapest normal form adequate for membership tests and basis building."""
+    """Cheapest normal form adequate for membership tests and basis building,
+    up to a positive int factor."""
     if order.is_global:
-        return _divide_global(p, basis, order, budget)
-    return _mora_weak(p, basis, order, budget)
+        return _divide_global(p, basis, order, budget)[0]
+    return _mora_weak(p, basis, order, budget)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +277,11 @@ def _weak_nf(p: Poly, basis: Sequence[Poly], order: MonomialOrder, budget: Budge
 
 
 def _spoly(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
+    """The S-polynomial of two int polynomials, up to a positive int factor."""
     lmf, lcf = leading_term(f, order)
     lmg, lcg = leading_term(g, order)
     lcm = mono_lcm(lmf, lmg)
-    return _sub_shifted(_shift(f, mono_div(lcm, lmf), 1 / lcf), g, mono_div(lcm, lmg), 1 / lcg)
+    return _sub_shifted(_shift(f, mono_div(lcm, lmf)), lcf, g, lcg, mono_div(lcm, lmg))[0]
 
 
 def _interreduce_global(basis: list[Poly], order: MonomialOrder, budget: Budget) -> list[Poly]:
@@ -212,11 +291,11 @@ def _interreduce_global(basis: list[Poly], order: MonomialOrder, budget: Budget)
         changed = False
         for i in range(len(basis)):
             others = basis[:i] + basis[i + 1 :]
-            r = _divide_global(basis[i], others, order, budget)
+            r = _divide_global(basis[i], others, order, budget)[0]
             if r != basis[i]:
                 if r.is_zero:
                     raise GermlabError("interreduction killed a minimal basis element")
-                basis[i] = _monic(r, order)
+                basis[i] = _primitive(r, order)
                 changed = True
     return basis
 
@@ -231,13 +310,21 @@ def standard_basis_of(
     monomial, and (for global orders) fully tail-reduced.  Pairs wait in a
     heap keyed once, when the pair is formed; basis entries never change after
     they are appended, so the key of a waiting pair stays valid.
+
+    The completion runs fraction-free: each generator and each new basis
+    element is kept as its primitive int multiple with a positive leading
+    coefficient, and only the returned basis is made monic over the
+    rationals.  Every intermediate polynomial is a nonzero rational multiple
+    of the one rational arithmetic would build, and every decision reads only
+    supports, leading monomials and (to drop duplicate generators) primitive
+    forms, so the steps are the same.
     """
     budget = as_budget(cap)
     gens = [g for g in generators if not g.is_zero]
     if not gens:
         return ()
     _check_same_ring(gens)
-    gens = [_monic(g, order) for g in gens]
+    gens = [_integral(g, order) for g in gens]
     gens.sort(key=lambda g: order.key(leading_term(g, order)[0]))
     basis: list[Poly] = []
     lead: list[Exponents] = []
@@ -267,7 +354,7 @@ def standard_basis_of(
         r = _weak_nf(s, basis, order, budget)
         if r.is_zero:
             continue
-        append(_monic(r, order))
+        append(_primitive(r, order))
 
     # minimalize: drop elements whose leading monomial is divisible by another
     keep: list[int] = []
@@ -286,7 +373,7 @@ def standard_basis_of(
     if order.is_global:
         minimal = _interreduce_global(minimal, order, budget)
         minimal.sort(key=lambda g: order.key(leading_term(g, order)[0]))
-    return tuple(minimal)
+    return tuple(_monic_rational(g, order) for g in minimal)
 
 
 class IdealPresentation:
@@ -335,7 +422,8 @@ def contains(I: IdealPresentation, p: Poly, order: MonomialOrder = LOCAL, cap=No
     basis = I.standard_basis(order, budget)
     if not basis:
         return False
-    return _weak_nf(p, basis, order, budget).is_zero
+    reducers = [_integral(g, order) for g in basis]
+    return _weak_nf(_clear_denominators(p)[0], reducers, order, budget).is_zero
 
 
 def ideal_contains(I: IdealPresentation, J: IdealPresentation, order: MonomialOrder, cap=None) -> bool:

@@ -620,8 +620,12 @@ def _certify_slice_generic(g: Poly, f: Poly, g_tilde: Poly, mu_h: int | None, ca
     return False
 
 
-def export_dataset(scenario: Scenario, n: int) -> StratifiedDataset:
+def export_dataset(scenario: Scenario, n: int | None = None) -> StratifiedDataset:
     """Distill a verified deformation run at one exponent into stratified data.
+
+    Without n the exponent is the lowest N of the scenario's range at or above
+    the threshold, or the range's lowest N when the whole range lies below it;
+    the exported dataset records it as known["N"].
 
     Every exported number has an honest route: Euler characteristics come from
     the Le pair and the deformation's Milnor number, Morse counts from polar
@@ -637,6 +641,11 @@ def export_dataset(scenario: Scenario, n: int) -> StratifiedDataset:
     g, f, chi_g = ctx.g, ctx.f, ctx.chi_g
     v = ctx.ring.nvars
 
+    if n is None:
+        ctx.hypotheses  # read before the polar curve, as case(n) reads them
+        threshold = ctx.gap.threshold
+        lo, hi = scenario.n_range
+        n = max(lo, threshold) if threshold <= hi else lo
     case = ctx.case(n)
     chi_gtilde = case.chi_gtilde
     if chi_gtilde is None:

@@ -84,3 +84,32 @@ def sympy_saturation(
         {exps: Fraction(int(c.p), int(c.q)) for exps, c in sympy.Poly(p, *xs).terms()}
         for p in grevlex.exprs
     ]
+
+
+def sympy_reduced_basis(
+    generators: list[dict[tuple[int, ...], Fraction]], nvars: int
+) -> list[dict[tuple[int, ...], Fraction]]:
+    """Reduced monic grevlex Groebner basis computed by sympy.
+
+    Polynomials are term dicts {exponents: coefficient} in nvars variables,
+    the first variable ranking highest.  The computation runs over QQ, and
+    each element is divided by its grevlex leading coefficient; the caller
+    must skip the test when sympy is absent.
+    """
+    import sympy
+
+    xs = sympy.symbols(f"x0:{nvars}")
+    polys = [
+        sympy.Poly.from_dict(
+            {exps: sympy.Rational(c.numerator, c.denominator) for exps, c in terms.items()},
+            *xs,
+            domain="QQ",
+        )
+        for terms in generators
+    ]
+    basis = sympy.groebner(polys, *xs, order="grevlex", domain="QQ")
+    out = []
+    for p in basis.polys:
+        monic = p.exquo_ground(p.LC(order="grevlex"))
+        out.append({exps: Fraction(int(c.p), int(c.q)) for exps, c in monic.terms()})
+    return out

@@ -94,6 +94,33 @@ def test_export_dataset_round_trips(tmp_path, capsys):
     assert "main" in out and "overall: PASS" in out
 
 
+@pytest.mark.parametrize(
+    "name, threshold", [("double-axes", 3), ("cusp-isolated", 7), ("cylinder", 2)]
+)
+def test_export_dataset_defaults_to_the_lowest_n_at_the_threshold(tmp_path, capsys, name, threshold):
+    # each fixture's range is 2..8; below the threshold double-axes has a
+    # non-isolated deformation and cusp-isolated an export whose parity
+    # identity fails, so the default exports at the threshold
+    out_file = tmp_path / "exported.json"
+    code, _ = run_cli(capsys, "export-dataset", "--fixture", name, "-o", str(out_file))
+    assert code == 0
+    exported = json.loads(out_file.read_text())
+    assert exported["N"] == [threshold, threshold]
+    assert exported["known"]["N"] == threshold
+    assert exported["name"] == f"{name}-dataset-N{threshold}"
+    code, out = run_cli(capsys, "brasselet", "--scenario", str(out_file))
+    assert code == 0 and "overall: PASS" in out
+
+
+def test_export_dataset_below_the_threshold_keeps_the_isolation_error(tmp_path, capsys):
+    scenario = json.loads(fixture_text("double-axes"))
+    scenario["N"] = 2  # the whole range lies below the threshold 3
+    path = tmp_path / "below.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["export-dataset", "--scenario", str(path)]) == 1
+    assert "g + f^2 is not isolated" in capsys.readouterr().err
+
+
 def test_usage_error_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["verify"])  # no input source

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from germlab import (
     IdealPresentation,
@@ -24,10 +26,11 @@ from germlab.ideals import (
     ideal_equal,
     saturate_single,
 )
-from germlab.orders import DEGREVLEX, LOCAL, leading_monomial
+from germlab.orders import DEGREVLEX, ELIM_FIRST, LOCAL, leading_monomial
 from germlab.polar import jacobian_minors
-from germlab.rings import jacobian
-from conftest import RING_XY, RING_XYZ, poly_strategy
+from germlab.rings import jacobian, mono_div, mono_lcm
+from conftest import RING_XY, RING_XYZ, nonzero_poly_strategy, poly_strategy
+from oracles import sympy_reduced_basis
 
 x, y = RING_XY.variable(0), RING_XY.variable(1)
 X, Y, Z = (RING_XYZ.variable(i) for i in range(3))
@@ -64,6 +67,37 @@ class TestNormalForm:
         # x lies in the local ideal generated by x - x^2 (unit 1 - x)
         assert normal_form(x, [x - x**2], LOCAL).is_zero
 
+    # non-monic reducers with non-unit denominators, one with a negative
+    # leading coefficient; the remainders and step counts were recorded when
+    # the kernel still reduced over the rationals
+    PINNED_REMAINDERS = {
+        "global": (
+            Fraction(1, 2) * x**3 + Fraction(2, 3) * x * y + Fraction(5, 7) * y**2 + Fraction(1, 3),
+            [Fraction(3, 2) * x**2 - Fraction(1, 5) * y, -Fraction(2, 3) * y**2 + Fraction(1, 4) * x],
+            DEGREVLEX,
+            {(0, 0): Fraction(1, 3), (1, 0): Fraction(15, 56), (1, 1): Fraction(11, 15)},
+            2,
+        ),
+        "local": (
+            Fraction(1, 3) * x + Fraction(2, 5) * y + Fraction(3, 4) * x**2 * y
+            + Fraction(1, 7) * y**2 + Fraction(5, 6) * x * y,
+            [Fraction(2, 3) * x - Fraction(1, 2) * x**2 + Fraction(1, 5) * y**2,
+             -Fraction(3, 7) * y**3 + Fraction(1, 4) * y**4],
+            LOCAL,
+            {(0, 1): Fraction(2, 5), (0, 2): Fraction(3, 70)},
+            19,
+        ),
+    }
+
+    @pytest.mark.parametrize("route", sorted(PINNED_REMAINDERS))
+    def test_rational_remainders_are_pinned(self, route):
+        p, basis, order, terms, steps = self.PINNED_REMAINDERS[route]
+        budget = Budget(10**4)
+        r = normal_form(p, basis, order, budget)
+        assert r.terms == terms
+        assert all(type(c) is Fraction for c in r.terms.values())
+        assert 10**4 - budget.remaining == steps
+
 
 class TestStandardBasis:
     def test_principal_ideal(self):
@@ -84,13 +118,14 @@ class TestStandardBasis:
         assert (0, 2) in lead
 
     def test_every_spolynomial_reduces_to_zero(self):
+        # the returned basis is monic, so S(f, g) = (l/lm f)*f - (l/lm g)*g
+        # with l = lcm(lm f, lm g), built here with public Poly arithmetic
         basis = standard_basis_of([x**2 - y, y**2, x * y + y], DEGREVLEX)
-        from germlab.ideals import _spoly
-
-        for i in range(len(basis)):
-            for j in range(i + 1, len(basis)):
-                s = _spoly(basis[i], basis[j], DEGREVLEX)
-                assert normal_form(s, list(basis), DEGREVLEX).is_zero
+        for f, g in itertools.combinations(basis, 2):
+            lmf, lmg = leading_monomial(f, DEGREVLEX), leading_monomial(g, DEGREVLEX)
+            lcm = mono_lcm(lmf, lmg)
+            s = RING_XY.monomial(mono_div(lcm, lmf)) * f - RING_XY.monomial(mono_div(lcm, lmg)) * g
+            assert normal_form(s, list(basis), DEGREVLEX).is_zero
 
     def test_deterministic(self):
         gens = [X**2 * Y + X * Y**2, X * Z**2 - Y**2, Z**3 - X * Y]
@@ -311,3 +346,44 @@ def test_int_cap_bounds_the_whole_membership_test(name):
     with pytest.raises(IterationLimitError):
         call(IdealPresentation(RING_XYZ, ENLARGED_BY_X), spent - 1)
     assert call(IdealPresentation(RING_XYZ, ENLARGED_BY_X), spent)
+
+
+# random ideals: 1-3 generators in two variables up to degree 3, or in three
+# variables up to degree 2, with coefficients in [-4, 4] of denominator <= 3
+IDEALS = st.one_of(
+    st.lists(nonzero_poly_strategy(RING_XY, max_degree=3, max_terms=3), min_size=1, max_size=3),
+    st.lists(nonzero_poly_strategy(RING_XYZ, max_degree=2, max_terms=3), min_size=1, max_size=3),
+)
+SCALARS = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
+PROPERTY_CAP = 20_000
+
+
+@settings(deadline=None, max_examples=40)
+@given(IDEALS)
+def test_reduced_basis_matches_sympy(gens):
+    pytest.importorskip("sympy")
+    basis = standard_basis_of(gens, DEGREVLEX)
+    expected = sympy_reduced_basis([g.terms for g in gens], gens[0].ring.nvars)
+    assert sorted(map(sorted, (g.terms.items() for g in basis))) == sorted(
+        map(sorted, (t.items() for t in expected))
+    )
+
+
+def basis_and_spend(gens, order):
+    """The standard basis (None past the cap) and the steps it spent."""
+    budget = Budget(PROPERTY_CAP)
+    try:
+        basis = standard_basis_of(gens, order, budget)
+    except IterationLimitError:
+        basis = None
+    return basis, PROPERTY_CAP - budget.remaining
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data(), IDEALS)
+def test_scaling_generators_changes_neither_basis_nor_spend(data, gens):
+    # the kernel keeps each polynomial up to a nonzero rational factor, so a
+    # rescaled generator must take exactly the same steps
+    scaled = [g * data.draw(SCALARS) for g in gens]
+    for order in (DEGREVLEX, LOCAL, ELIM_FIRST):
+        assert basis_and_spend(scaled, order) == basis_and_spend(gens, order)

@@ -20,6 +20,8 @@ from germlab import (
     relative_polar_ideal,
     verify_polar_decomposition,
     load_scenario,
+    milnor_number,
+    parse_poly,
     verify_scenario,
 )
 from germlab import export_dataset, verifier
@@ -378,7 +380,21 @@ SWEEP_SPEND = {
 }
 
 
-def test_sweep_spend_is_pinned(monkeypatch):
+# reduction steps of the benchmark's heavy tier at ladder rung 0: Le numbers
+# against x + 2y + 3z, then Milnor numbers
+HEAVY_SPEND = {
+    ("le", "x^2*y^2+x^2*z^2+y^2*z^2"): 6593,
+    ("le", "y^2-x^3+z*x^2*y"): 2511,
+    ("le", "x^2*y^2+z^3"): 386,
+    ("le", "x^3+y^3+x*y*z"): 235,
+    ("mu", "x^2*y+y^4+z^5+x*y*z^2"): 1226,
+    ("mu", "x^4+y^4+z^4+x^2*y*z"): 357,
+    ("mu", "x^3*y+y^3*z+z^3*x"): 71,
+}
+
+
+def budget_spend(run) -> int:
+    """Steps spent by every Budget that run() creates."""
     made = []
     original = Budget.__init__
 
@@ -386,14 +402,30 @@ def test_sweep_spend_is_pinned(monkeypatch):
         original(budget, cap)
         made.append((budget, budget.remaining))
 
-    monkeypatch.setattr(Budget, "__init__", counting)
-    spend = {}
-    for name in SWEEP_SPEND:
-        made.clear()
-        verify_scenario(load_fixture(name), n_range=(2, 30))
-        spend[name] = sum(start - b.remaining for b, start in made)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Budget, "__init__", counting)
+        run()
+    return sum(start - b.remaining for b, start in made)
+
+
+def test_sweep_spend_is_pinned():
+    spend = {
+        name: budget_spend(lambda: verify_scenario(load_fixture(name), n_range=(2, 30)))
+        for name in SWEEP_SPEND
+    }
     assert spend == SWEEP_SPEND
     assert sum(spend.values()) == 4273
+
+
+def test_heavy_tier_spend_is_pinned():
+    form = next(generic_linear_candidates(RING_XYZ))
+    run = {"le": lambda g: le_numbers(g, form), "mu": milnor_number}
+    spend = {
+        (kind, text): budget_spend(lambda: run[kind](parse_poly(text, RING_XYZ)))
+        for kind, text in HEAVY_SPEND
+    }
+    assert spend == HEAVY_SPEND
+    assert sum(spend.values()) == 11379
 
 
 @pytest.mark.parametrize("name", ["cylinder", "double-axes"])
