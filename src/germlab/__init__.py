@@ -33,7 +33,6 @@ from .ideals import (
 )
 from .invariants import (
     BranchParam,
-    SliceSpec,
     branch_slice_milnor,
     critical_locus,
     local_degree,
@@ -42,7 +41,7 @@ from .invariants import (
 )
 from .le import LeData, euler_char_fibre, le_numbers
 from .orders import DEGREVLEX, LOCAL, MonomialOrder
-from .parsing import PolySource, parse_poly, print_poly
+from .parsing import parse_poly
 from .polar import (
     GapReport,
     PolarCurve,

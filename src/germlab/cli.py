@@ -22,7 +22,7 @@ from .scenario import (
     N_MIN,
     Scenario,
     load_scenario,
-    scenario_to_dict,
+    save_scenario,
 )
 from .stratified import (
     bls_euler_obstruction,
@@ -70,6 +70,8 @@ def _scenario_from_args(parser: argparse.ArgumentParser, args) -> Scenario:
     """The scenario named by the input flags, with --caps applied to it."""
     if sum(map(bool, (args.scenario, args.fixture, args.vars or args.g))) != 1:
         parser.error("provide exactly one input: --scenario, --fixture, or inline --vars/--g")
+    if args.caps is not None and args.caps < 1:
+        parser.error(f"--caps must be at least 1, got {args.caps}")
     document: str | dict
     if args.scenario:
         document = Path(args.scenario).read_text(encoding="utf-8")
@@ -78,7 +80,10 @@ def _scenario_from_args(parser: argparse.ArgumentParser, args) -> Scenario:
     else:
         if not args.vars or not args.g:
             parser.error("inline input needs both --vars and --g")
-        form = getattr(args, "f", None) or getattr(args, "l", None)
+        f, l = getattr(args, "f", None), getattr(args, "l", None)
+        if f and l:
+            parser.error("give the deformation direction once: --f and --l are aliases")
+        form = f or l
         document = {
             "name": "inline",
             "variables": args.vars.split(","),
@@ -278,7 +283,7 @@ def cmd_export_dataset(parser, args) -> int:
         dataset=dataset,
         expected=None,
     )
-    text = json.dumps(scenario_to_dict(exported), indent=2, sort_keys=True) + "\n"
+    text = save_scenario(exported)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
         print(f"wrote {args.output}")

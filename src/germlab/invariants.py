@@ -26,7 +26,6 @@ from .rings import Poly, PolyRing, jacobian
 T_RING = PolyRing(("t",))
 
 DEFAULT_TRUNC = 16
-MAX_TRUNC_DOUBLINGS = 4
 MAX_TAU_HALVINGS = 8
 
 
@@ -65,29 +64,10 @@ class BranchParam:
 
 
 @dataclass(frozen=True)
-class SliceSpec:
-    """A hyperplane-slice request: a linear form and a base parameter value.
-
-    tau walks the deterministic shrinking ladder 1/2, 1/4, ...; the actual
-    slice level is form(branch(tau)).
-    """
-
-    form: Poly
-    tau: Fraction = Fraction(1, 2)
-
-    def __post_init__(self):
-        if not self.form.is_linear_form:
-            raise ValueError("slice form must be a nonzero linear form")
-        if self.tau == 0:
-            raise ValueError("tau must be nonzero")
-
-
-@dataclass(frozen=True)
 class BranchValidation:
     """Outcome of checking a branch against its host ideal."""
 
     ok: bool
-    margins: tuple[tuple[str, int | None], ...] = ()  # (generator, first order >= trunc or None)
     violation: tuple[str, int] | None = None  # (generator, offending order)
 
     def __bool__(self) -> bool:
@@ -157,36 +137,30 @@ def critical_locus(g: Poly, f: Poly | None = None, cap=None) -> CriticalLocusRep
 
 def validate_branch(branch: BranchParam, host: IdealPresentation) -> BranchValidation:
     """Check that every generator of the host ideal vanishes along the branch
-    modulo t^trunc; report the vanishing margin for near-misses."""
-    margins: list[tuple[str, int | None]] = []
+    modulo t^trunc; report the first generator that does not."""
     for gen in host.generators:
         comp = compose_on_branch(gen, branch)
         order = order_in_t(comp)
         if order is not None and order < branch.trunc:
             return BranchValidation(False, violation=(str(gen), order))
-        margins.append((str(gen), order))
-    return BranchValidation(True, margins=tuple(margins))
+    return BranchValidation(True)
 
 
 def local_degree(f: Poly, branch: BranchParam) -> int:
     """Order in t of f along the branch (the local degree of f restricted to it).
 
-    If the order reaches the declared truncation the check is repeated with a
-    doubled threshold; compositions are exact, so a persistent excess means f
-    genuinely degenerates on the branch.
+    Compositions are exact, so an order of 8 * trunc or more (three doublings
+    of the declared truncation) means f degenerates on the branch.
     """
     comp = compose_on_branch(f, branch)
     order = order_in_t(comp)
     if order is None:
         raise DegenerateBranchError(f"{f} vanishes identically on branch {branch.name!r}")
-    threshold = branch.trunc
-    for _ in range(MAX_TRUNC_DOUBLINGS):
-        if order < threshold:
-            return order
-        threshold *= 2
-    raise DegenerateBranchError(
-        f"{f} vanishes to order {order} on branch {branch.name!r}, beyond the doubling cap"
-    )
+    if order >= 8 * branch.trunc:
+        raise DegenerateBranchError(
+            f"{f} vanishes to order {order} on branch {branch.name!r}, beyond the doubling cap"
+        )
+    return order
 
 
 def translate(p: Poly, point: Sequence[Fraction]) -> Poly:
@@ -194,14 +168,6 @@ def translate(p: Poly, point: Sequence[Fraction]) -> Poly:
     ring = p.ring
     images = [ring.variable(i) + ring.constant(point[i]) for i in range(ring.nvars)]
     return p.substitute(ring, images)
-
-
-def _pivot_index(form: Poly, preferred: int | None = None) -> int:
-    coeffs = linear_coefficients(form)
-    if preferred is not None and coeffs[preferred] != 0:
-        return preferred
-    candidates = [i for i, c in enumerate(coeffs) if c != 0]
-    return candidates[-1]
 
 
 def linear_coefficients(form: Poly) -> list[Fraction]:
@@ -213,15 +179,15 @@ def linear_coefficients(form: Poly) -> list[Fraction]:
     return coeffs
 
 
-def restrict_to_hyperplane(p: Poly, form: Poly, pivot: int | None = None) -> Poly:
+def restrict_to_hyperplane(p: Poly, form: Poly) -> Poly:
     """Restriction of p to {form = 0} by eliminating one pivoted variable.
 
-    Returns a germ in one variable fewer; the pivot defaults to the highest-
-    index variable with a nonzero coefficient in the form.
+    Returns a germ in one variable fewer; the pivot is the highest-index
+    variable with a nonzero coefficient in the form, as in le.align_first.
     """
     ring = p.ring
     coeffs = linear_coefficients(form)
-    k = _pivot_index(form, pivot)
+    k = max(i for i, c in enumerate(coeffs) if c != 0)
     kept = [i for i in range(ring.nvars) if i != k]
     target = PolyRing(tuple(ring.variables[i] for i in kept))
     images: list[Poly] = []
@@ -237,12 +203,11 @@ def restrict_to_hyperplane(p: Poly, form: Poly, pivot: int | None = None) -> Pol
     return p.substitute(target, images)
 
 
-def stable_along_branch(
-    what: str, branch: BranchParam, at: Callable[[Fraction], int], tau: Fraction = Fraction(1, 2)
-) -> int:
-    """at(tau) once two consecutive values on the ladder tau, tau/2, tau/4, ...
+def stable_along_branch(what: str, branch: BranchParam, at: Callable[[Fraction], int]) -> int:
+    """at(tau) once two consecutive values on the ladder tau = 1/2, 1/4, ...
     agree, which steps past branch points where the value degenerates by
     accident; InstabilityError when MAX_TAU_HALVINGS halvings never agree."""
+    tau = Fraction(1, 2)
     previous = at(tau)
     for _ in range(MAX_TAU_HALVINGS):
         tau = tau / 2
@@ -253,16 +218,16 @@ def stable_along_branch(
     raise InstabilityError(f"{what} along branch {branch.name!r} never stabilized")
 
 
-def branch_slice_milnor(g: Poly, spec: SliceSpec, branch: BranchParam, cap=None) -> int:
+def branch_slice_milnor(g: Poly, form: Poly, branch: BranchParam, cap=None) -> int:
     """Milnor number of g restricted to the hyperplane {form = form(p)} at the
     branch point p = branch(tau), stabilized along the tau-halving ladder."""
-    if spec.form.ring != g.ring:
+    if form.ring != g.ring:
         raise RingMismatchError("slice form must live in the ring of g")
     budget = as_budget(cap)
 
     def at(tau: Fraction) -> int:
         point = branch.point_at(tau)
-        delta = spec.form.evaluate(point)
+        delta = form.evaluate(point)
         if delta == 0:
             raise DegenerateBranchError(
                 f"slice level vanishes at branch point of {branch.name!r} (tau={tau})"
@@ -273,8 +238,8 @@ def branch_slice_milnor(g: Poly, spec: SliceSpec, branch: BranchParam, cap=None)
                 raise GermlabError(
                     f"branch point of {branch.name!r} at tau={tau} is not a critical point of g"
                 )
-        sliced = restrict_to_hyperplane(moved, spec.form)
+        sliced = restrict_to_hyperplane(moved, form)
         sliced = sliced - sliced.constant_term()
         return milnor_number(sliced, budget)
 
-    return stable_along_branch("slice Milnor number", branch, at, spec.tau)
+    return stable_along_branch("slice Milnor number", branch, at)

@@ -22,7 +22,6 @@ from .errors import ComponentMismatchError, UndefinedLeError
 from .ideals import IdealPresentation, as_budget, dim_at_origin, quotient_dim_local, saturate_single
 from .invariants import (
     BranchParam,
-    SliceSpec,
     branch_slice_milnor,
     compose_on_branch,
     jacobian_ideal,
@@ -144,7 +143,7 @@ def le_numbers(
         total = 0
         for branch in branches:
             m = local_degree(form, branch)
-            mu_slice = branch_slice_milnor(g, SliceSpec(form), branch, budget)
+            mu_slice = branch_slice_milnor(g, form, branch, budget)
             total += branch.multiplicity * m * mu_slice
         lam1_branch = total
         log.append(

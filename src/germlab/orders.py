@@ -9,60 +9,57 @@ local ring at the origin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import neg
+from typing import Callable
 
 from .rings import Exponents, Poly
 
-_KINDS = ("degrevlex", "negdegrevlex", "elim-first")
+
+def _degrevlex_key(e: Exponents):
+    return (sum(e), tuple(map(neg, reversed(e))))
 
 
-@dataclass(frozen=True)
+def _negdegrevlex_key(e: Exponents):
+    return (-sum(e), tuple(map(neg, reversed(e))))
+
+
+def _elim_first_key(e: Exponents):
+    # the first exponent dominates, degrevlex on the tail
+    tail = e[1:]
+    return (e[0], sum(tail), tuple(map(neg, reversed(tail))))
+
+
 class MonomialOrder:
-    """A monomial ordering, optionally acting through a variable permutation.
+    """One of the three fixed orders DEGREVLEX, LOCAL and ELIM_FIRST.
 
     kind "degrevlex" is the global graded reverse-lexicographic order;
     "negdegrevlex" is its local counterpart (total degree negated first);
-    "elim-first" eliminates the first ring variable and is internal.
+    "elim-first" eliminates the first ring variable and is internal.  Orders
+    compare and hash by identity.
     """
 
-    kind: str
-    permutation: tuple[int, ...] | None = None
+    __slots__ = ("kind", "key")
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown order kind {self.kind!r}")
-        if self.permutation is not None:
-            perm = tuple(self.permutation)
-            if sorted(perm) != list(range(len(perm))):
-                raise ValueError(f"not a permutation: {perm}")
-            object.__setattr__(self, "permutation", perm)
+    def __init__(self, kind: str, key: Callable[[Exponents], tuple]):
+        self.kind = kind
+        self.key = key
 
     @property
     def is_global(self) -> bool:
-        return self.kind in ("degrevlex", "elim-first")
+        return self.kind != "negdegrevlex"
 
     @property
     def is_local(self) -> bool:
         return self.kind == "negdegrevlex"
 
-    def key(self, exps: Exponents):
-        e = exps
-        if self.permutation is not None:
-            e = tuple(map(exps.__getitem__, self.permutation))
-        if self.kind == "degrevlex":
-            return (sum(e), tuple(map(neg, reversed(e))))
-        if self.kind == "negdegrevlex":
-            return (-sum(e), tuple(map(neg, reversed(e))))
-        # elim-first: first exponent dominates, degrevlex on the tail
-        tail = e[1:]
-        return (e[0], sum(tail), tuple(map(neg, reversed(tail))))
+    def __repr__(self) -> str:
+        return f"MonomialOrder({self.kind!r})"
 
 
-DEGREVLEX = MonomialOrder("degrevlex")
-LOCAL = MonomialOrder("negdegrevlex")
-ELIM_FIRST = MonomialOrder("elim-first")
+DEGREVLEX = MonomialOrder("degrevlex", _degrevlex_key)
+LOCAL = MonomialOrder("negdegrevlex", _negdegrevlex_key)
+ELIM_FIRST = MonomialOrder("elim-first", _elim_first_key)
 
 
 def leading_monomial(p: Poly, order: MonomialOrder) -> Exponents:

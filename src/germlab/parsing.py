@@ -1,4 +1,4 @@
-"""Polynomial expression parser and canonical printer.
+"""Polynomial expression parser; str(Poly) is its canonical printer.
 
 Grammar (see docs/poly-grammar.ebnf):
 
@@ -21,14 +21,6 @@ from .errors import ParseError
 from .rings import Poly, PolyRing
 
 EXPONENT_CAP = 255
-
-
-@dataclass(frozen=True)
-class PolySource:
-    """A polynomial expression together with its declared variables."""
-
-    text: str
-    variables: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -184,21 +176,7 @@ class _Parser:
         raise AssertionError("unreachable")
 
 
-def parse_poly(src: PolySource | str, ring: PolyRing | None = None) -> Poly:
-    """Parse an expression into a canonical Poly.
-
-    Accepts either a PolySource or a plain string plus a ring.
-    """
-    if isinstance(src, PolySource):
-        ring = PolyRing(tuple(src.variables))
-        text = src.text
-    else:
-        if ring is None:
-            raise ValueError("a ring is required when parsing a bare string")
-        text = src
+def parse_poly(text: str, ring: PolyRing) -> Poly:
+    """Parse an expression over the ring's variables into a canonical Poly;
+    str(p) prints it back in the same grammar."""
     return _Parser(_tokenize(text), ring).parse()
-
-
-def print_poly(p: Poly) -> str:
-    """Canonical rendering; parse_poly(print_poly(p)) reproduces p exactly."""
-    return str(p)

@@ -173,10 +173,11 @@ def load_scenario(document: str | Mapping[str, Any]) -> Scenario:
     limits_raw = raw.get("limits", {})
     _expect(isinstance(limits_raw, dict), "$.limits", "expected an object")
     _check_keys(limits_raw, _LIMIT_KEYS, "$.limits")
-    limits = Limits(
-        reduction_cap=_expect_int(limits_raw.get("reduction_cap", DEFAULT_REDUCTION_CAP), "$.limits.reduction_cap"),
-        trunc=_expect_int(limits_raw.get("trunc", DEFAULT_TRUNC), "$.limits.trunc"),
-    )
+    bounds = {}
+    for key, default in (("reduction_cap", DEFAULT_REDUCTION_CAP), ("trunc", DEFAULT_TRUNC)):
+        bounds[key] = _expect_int(limits_raw.get(key, default), f"$.limits.{key}")
+        _expect(bounds[key] >= 1, f"$.limits.{key}", "must be at least 1")
+    limits = Limits(**bounds)
 
     ring = None
     g = None

@@ -25,7 +25,6 @@ from .errors import (
 from .ideals import Budget, IdealPresentation, as_budget, dim_at_origin, quotient_dim_local
 from .invariants import (
     BranchParam,
-    SliceSpec,
     branch_slice_milnor,
     jacobian_ideal,
     local_degree,
@@ -67,17 +66,12 @@ def generic_linear_candidates(ring, attempts: int = MAX_LADDER_ATTEMPTS):
 
 @dataclass(frozen=True)
 class HypothesisChecks:
-    """Results of the deformation-case hypotheses.
-
-    The first three are hard requirements; slice_tractable records whether g
-    restricted to {f = 0} has at worst an isolated critical point (checkable
-    for linear f) and is reported without being enforced.
-    """
+    """Results of the deformation-case hypotheses; require_hypotheses
+    enforces all three."""
 
     sigma_dim: int
     sigma_meets_f_only_at_origin: bool
     f_isolated: bool
-    slice_tractable: bool | None
 
 
 @dataclass(frozen=True)
@@ -111,11 +105,7 @@ def check_hypotheses(g: Poly, f: Poly, cap=None) -> HypothesisChecks:
     sigma_dim = dim_at_origin(jac_g, budget)
     meets = dim_at_origin(jac_g.plus([f]), budget) <= 0
     f_isolated = dim_at_origin(jacobian_ideal(f), budget) <= 0
-    slice_tractable = None
-    if f.is_linear_form:
-        restricted = restrict_to_hyperplane(g, f)
-        slice_tractable = dim_at_origin(jacobian_ideal(restricted), budget) <= 0
-    return HypothesisChecks(sigma_dim, meets, f_isolated, slice_tractable)
+    return HypothesisChecks(sigma_dim, meets, f_isolated)
 
 
 def require_hypotheses(g: Poly, f: Poly, cap=None) -> HypothesisChecks:
@@ -180,9 +170,14 @@ def branch_terms(g: Poly, f: Poly, branches: Sequence[BranchParam], cap=None) ->
     terms = []
     for b in branches:
         m = local_degree(f, b)
-        mu = branch_slice_milnor(g, SliceSpec(f), b, budget)
+        mu = branch_slice_milnor(g, f, b, budget)
         terms.append(BranchTerm(b.name, b.multiplicity, m, mu))
     return tuple(terms)
+
+
+def branch_sum(terms: Sequence[BranchTerm]) -> int:
+    """B = sum m_b d_b mu_b, the one branch sum of the deformation formula."""
+    return sum(t.multiplicity * t.local_degree * t.slice_milnor for t in terms)
 
 
 def _no_terms_note(case: DeformationCase) -> str:
@@ -191,79 +186,53 @@ def _no_terms_note(case: DeformationCase) -> str:
     return "branch slice data needs a linear deformation direction"
 
 
+def _compared(name: str, left, right, note: str = "") -> IdentityVerdict:
+    return IdentityVerdict(name, "PASS" if left == right else "FAIL", left=left, right=right, note=note)
+
+
 def verify_le_number_identity(case: DeformationCase, le: LeData) -> IdentityVerdict:
     """mu of the deformation against lambda0 + (N-1) * lambda1."""
     if not case.f.is_linear_form:
         return IdentityVerdict("massey", "SKIPPED", note="needs a linear deformation direction")
     if case.certificate is None:
         return IdentityVerdict("massey", "SKIPPED", note="deformation is not isolated")
-    left = case.certificate
-    right = le.lambda0 + (case.n - 1) * le.lambda1
-    return IdentityVerdict("massey", "PASS" if left == right else "FAIL", left=left, right=right)
+    return _compared("massey", case.certificate, le.lambda0 + (case.n - 1) * le.lambda1)
 
 
-def verify_chi_identity(
+def verify_branch_sum_identities(
     case: DeformationCase, chi_g: int, terms: Sequence[BranchTerm] | None
-) -> IdentityVerdict:
-    """Euler characteristic of the deformed fibre against the branch sum."""
+) -> tuple[tuple[IdentityVerdict, ...], int | None, int | None]:
+    """The deformation formula chi(F_g~) = chi(F_g) + (-1)^(v-1) N B, with the
+    branch sum B = sum m_b d_b mu_b computed once, in three presentations:
+    chi compares the fibre Euler characteristics, tibar their difference
+    (stated for a generic linear form), and morse the Morse-count jump
+    n~ - n read off the chi values against its expansion N B.  B is
+    branch_sum(terms).
+
+    Returns the chi, tibar and morse verdicts with the Morse defect n - n~
+    and the expansion, both None when morse is skipped.
+    """
     if terms is None:
-        return IdentityVerdict("chi", "SKIPPED", note=_no_terms_note(case))
-    if case.chi_gtilde is None:
-        return IdentityVerdict("chi", "SKIPPED", note="deformation is not isolated")
-    v = case.g.ring.nvars
-    left = case.chi_gtilde
-    right = chi_g + _sign(v - 1) * case.n * sum(
-        t.multiplicity * t.local_degree * t.slice_milnor for t in terms
+        skip = _no_terms_note(case)
+    elif case.chi_gtilde is None:
+        skip = "deformation is not isolated"
+    else:
+        skip = None
+    tibar_skip = skip if case.f.is_linear_form else "stated for a generic linear form"
+    if skip is not None:
+        notes = (("chi", skip), ("tibar", tibar_skip), ("morse", skip))
+        return tuple(IdentityVerdict(name, "SKIPPED", note=note) for name, note in notes), None, None
+    sign = _sign(case.g.ring.nvars - 1)
+    expansion = case.n * branch_sum(terms)
+    jump = case.chi_gtilde - chi_g
+    verdicts = (
+        _compared("chi", case.chi_gtilde, chi_g + sign * expansion),
+        _compared("tibar", jump, sign * expansion)
+        if tibar_skip is None
+        else IdentityVerdict("tibar", "SKIPPED", note=tibar_skip),
+        _compared("morse", sign * jump, expansion, "n~ - n via chi defect vs branch expansion"),
     )
-    return IdentityVerdict("chi", "PASS" if left == right else "FAIL", left=left, right=right)
-
-
-def verify_tibar_identity(
-    case: DeformationCase, chi_g: int, terms: Sequence[BranchTerm] | None
-) -> IdentityVerdict:
-    """Fibre Euler-characteristic defect against N * sum m_b (1 - chi(F_b))."""
-    if not case.f.is_linear_form:
-        return IdentityVerdict("tibar", "SKIPPED", note="stated for a generic linear form")
-    if terms is None:
-        return IdentityVerdict("tibar", "SKIPPED", note=_no_terms_note(case))
-    if case.chi_gtilde is None:
-        return IdentityVerdict("tibar", "SKIPPED", note="deformation is not isolated")
-    v = case.g.ring.nvars
-    left = case.chi_gtilde - chi_g
-    right = case.n * sum(
-        t.multiplicity * t.local_degree * (1 - (1 + _sign(v - 2) * t.slice_milnor))
-        for t in terms
-    )
-    return IdentityVerdict("tibar", "PASS" if left == right else "FAIL", left=left, right=right)
-
-
-def morse_defect(
-    case: DeformationCase, chi_g: int, terms: Sequence[BranchTerm] | None
-) -> tuple[IdentityVerdict, int | None, int | None]:
-    """Morse-count defect both ways: from the chi values and from the branch
-    expansion; the two derived counts must agree."""
-    if terms is None:
-        return (
-            IdentityVerdict("morse", "SKIPPED", note=_no_terms_note(case)),
-            None,
-            None,
-        )
-    if case.chi_gtilde is None:
-        return (IdentityVerdict("morse", "SKIPPED", note="deformation is not isolated"), None, None)
-    v = case.g.ring.nvars
-    d = v
-    defect = _sign(d - 1) * (chi_g - case.chi_gtilde)  # n - n~
-    expansion = _sign(d - 1) * case.n * sum(
-        t.multiplicity * t.local_degree * _sign(v - 1) * t.slice_milnor for t in terms
-    )  # n~ - n
-    verdict = IdentityVerdict(
-        "morse",
-        "PASS" if -defect == expansion else "FAIL",
-        left=-defect,
-        right=expansion,
-        note="n~ - n via chi defect vs branch expansion",
-    )
-    return verdict, defect, expansion
+    return verdicts, -sign * jump, expansion
 
 
 def verify_gap_stability(
@@ -280,9 +249,7 @@ def verify_gap_stability(
         right = intersection_number(polar, case.g_tilde, cap)
     except GermlabError as exc:
         return IdentityVerdict("polar_stability", "FAIL", left=left, right=str(exc))
-    return IdentityVerdict(
-        "polar_stability", "PASS" if left == right else "FAIL", left=left, right=right
-    )
+    return _compared("polar_stability", left, right)
 
 
 @dataclass(frozen=True)
@@ -549,20 +516,18 @@ def verify_scenario(
 
     def make_row(n: int) -> SweepRow:
         case = ctx.case(n)
-        verdicts = [
+        sums, defect, expansion = verify_branch_sum_identities(case, chi_g, terms)
+        verdicts = (
             verify_le_number_identity(case, le),
-            verify_chi_identity(case, chi_g, terms),
-            verify_tibar_identity(case, chi_g, terms),
-        ]
-        morse_verdict, defect, expansion = morse_defect(case, chi_g, terms)
-        verdicts.append(morse_verdict)
-        verdicts.append(verify_gap_stability(case, ctx.polar, ctx.gap.g_intersection, ctx.budget))
+            *sums,
+            verify_gap_stability(case, ctx.polar, ctx.gap.g_intersection, ctx.budget),
+        )
         return SweepRow(
             n=n,
             in_range=n >= threshold,
             certificate=case.certificate,
             chi_gtilde=case.chi_gtilde,
-            verdicts=tuple(verdicts),
+            verdicts=verdicts,
             morse_defect=defect,
             morse_expansion=expansion,
         )
@@ -728,9 +693,7 @@ def export_dataset(scenario: Scenario, n: int | None = None) -> StratifiedDatase
             # branch points, then reweighted by the per-branch Euler
             # obstructions
             known["eu_Xgtilde_0"] = chi_slice
-            link_chi = chi_slice - _sign(v - 2) * sum(
-                t.multiplicity * t.local_degree * t.slice_milnor for t in terms or ()
-            )
+            link_chi = chi_slice - _sign(v - 2) * branch_sum(terms or ())
             eu_xg = link_chi
             for r, t in zip(rows, terms or ()):
                 assert r.eu_Xg_b is not None

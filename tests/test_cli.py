@@ -250,6 +250,17 @@ def test_caps_apply_to_fixture_and_scenario_input(tmp_path, capsys, source):
     assert "cap exceeded" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("caps", ["-5", "0"])
+def test_caps_below_one_are_a_usage_error(capsys, caps):
+    err = usage_error(capsys, "milnor", "--fixture", "cusp-isolated", "--caps", caps)
+    assert f"--caps must be at least 1, got {caps}" in err
+
+
+def test_f_and_l_together_are_a_usage_error(capsys):
+    err = usage_error(capsys, "le", "--vars", "x,y,z", "--g", "x^2+y^2", "--f", "z", "--l", "x")
+    assert "--f and --l" in err
+
+
 def test_inline_critical_curve_without_branches_is_not_a_failure(capsys):
     # the cylinder germ with no declared branch: the branch sums are unknown,
     # not zero

@@ -29,7 +29,7 @@ from germlab.ideals import (
 from germlab.orders import DEGREVLEX, ELIM_FIRST, LOCAL, leading_monomial
 from germlab.polar import jacobian_minors
 from germlab.rings import jacobian, mono_div, mono_lcm
-from conftest import RING_XY, RING_XYZ, nonzero_poly_strategy, poly_strategy
+from conftest import RING_XY, RING_XYZ, from_terms, nonzero_poly_strategy, poly_strategy
 from oracles import sympy_reduced_basis
 
 x, y = RING_XY.variable(0), RING_XY.variable(1)
@@ -140,22 +140,27 @@ class TestStandardBasis:
             for g in I.generators:
                 assert normal_form(g, list(basis), order).is_zero
 
-    def test_permuted_local_order_gives_same_quotient_dims(self):
-        from germlab import MonomialOrder
-        from germlab.orders import leading_term
-        from germlab.rings import mono_divides
-
-        I = IdealPresentation(RING_XY, [x**2 - y**3, x * y])
-        plain = quotient_dim_local(I)
-        permuted = MonomialOrder("negdegrevlex", permutation=(1, 0))
-        basis = I.standard_basis(permuted)
-        lms = [leading_term(g, permuted)[0] for g in basis]
-        count = 0
-        for a in range(8):
-            for b in range(8):
-                if not any(mono_divides(lm, (a, b)) for lm in lms):
-                    count += 1
-        assert count == plain
+    @settings(deadline=None, max_examples=40)
+    @given(st.data())
+    def test_permuted_local_order_gives_same_quotient_dims(self, data):
+        # permuting the ring variables is the local order read through a
+        # permutation: x_i^a_i plus terms of higher degree keeps x_i^a_i as
+        # local lead, so the ideal is zero-dimensional at the origin, and
+        # neither its quotient dimension nor its dimension may move
+        ring = data.draw(st.sampled_from([RING_XY, RING_XYZ]))
+        gens = []
+        for i in range(ring.nvars):
+            a = data.draw(st.integers(1, 3))
+            tail = data.draw(poly_strategy(ring, max_degree=2, max_terms=2))
+            higher = {e: c for e, c in tail.terms.items() if sum(e) > a}
+            gens.append(ring.variable(i) ** a + from_terms(ring, higher))
+        gens += data.draw(st.lists(nonzero_poly_strategy(ring, max_degree=2, max_terms=2), max_size=1))
+        perm = data.draw(st.permutations(range(ring.nvars)))
+        images = [ring.variable(k) for k in perm]
+        I = IdealPresentation(ring, gens)
+        J = IdealPresentation(ring, [g.substitute(ring, images) for g in gens])
+        assert quotient_dim_local(I) == quotient_dim_local(J) is not None
+        assert dim_at_origin(I) == dim_at_origin(J) <= 0
 
 
 class TestQuotientDim:

@@ -12,7 +12,6 @@ from germlab import (
     DegenerateBranchError,
     InstabilityError,
     NonisolatedError,
-    SliceSpec,
     branch_slice_milnor,
     critical_locus,
     local_degree,
@@ -150,32 +149,35 @@ class TestLocalDegree:
 
 class TestBranchSliceMilnor:
     def test_cylinder_slice_is_morse(self):
-        assert branch_slice_milnor(X**2 + Y**2, SliceSpec(Z), AXIS) == 1
+        assert branch_slice_milnor(X**2 + Y**2, Z, AXIS) == 1
 
     def test_three_lines_slice(self):
-        mu = branch_slice_milnor(X * Y * (X + Y), SliceSpec(Z), AXIS)
+        mu = branch_slice_milnor(X * Y * (X + Y), Z, AXIS)
         assert mu == homogeneous_plane_mu(3)
 
     def test_zero_slice_level_rejected(self):
         with pytest.raises(DegenerateBranchError):
-            branch_slice_milnor(X**2 + Y**2, SliceSpec(X), AXIS)
+            branch_slice_milnor(X**2 + Y**2, X, AXIS)
 
     def test_stability_across_the_ladder(self):
+        # the ladder starts at t = 1/2; scaling the branch parameter starts
+        # it at z = tau instead
         for tau in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)):
-            assert branch_slice_milnor(X**2 + Y**2 * Z, SliceSpec(Z, tau), AXIS) == 1
+            scaled = BranchParam("axis", (o, o, 2 * tau * t))
+            assert branch_slice_milnor(X**2 + Y**2 * Z, Z, scaled) == 1
 
     def test_nonisolated_slice_propagates(self):
         g = X**2 * Y**2  # slice at z = tau still has nonisolated critical locus
         branch = BranchParam("z-axis", (o, o, t))
         with pytest.raises(NonisolatedError):
-            branch_slice_milnor(g, SliceSpec(Z), branch)
+            branch_slice_milnor(g, Z, branch)
 
     def test_ladder_walks_past_an_accidentally_degenerate_level(self):
         # at tau = 1/2 the quadratic term vanishes and the slice jumps to a
         # cusp; the halving ladder recovers the stable Morse value
         g = X**2 + Y**3 + (Z - Fraction(1, 2)) * Y**2
         branch = BranchParam("axis", (o, o, t))
-        assert branch_slice_milnor(g, SliceSpec(Z), branch) == 1
+        assert branch_slice_milnor(g, Z, branch) == 1
 
 
 class TestStableAlongBranch:

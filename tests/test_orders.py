@@ -1,5 +1,5 @@
-"""Monomial order semantics: global vs local ranking, multiplicativity,
-permutations, and the elimination block."""
+"""Monomial order semantics: global vs local ranking, multiplicativity, the
+elimination block, and the per-order leading-monomial cache."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from germlab import MonomialOrder
 from germlab.orders import DEGREVLEX, ELIM_FIRST, LOCAL, ecart, leading_monomial, leading_term
 from conftest import RING_XYZ, from_terms, nonzero_poly_strategy
 
@@ -40,21 +39,6 @@ def test_multiplicative_compatibility(a, b, c):
             assert order.key(shifted(a)) > order.key(shifted(b))
 
 
-def test_permutation_reorders_comparison():
-    plain = MonomialOrder("degrevlex")
-    swapped = MonomialOrder("degrevlex", permutation=(2, 1, 0))
-    a, b = (1, 0, 0), (0, 0, 1)  # x vs z
-    assert plain.key(a) > plain.key(b)
-    assert swapped.key(b) > swapped.key(a)
-
-
-def test_bad_permutation_rejected():
-    with pytest.raises(ValueError):
-        MonomialOrder("degrevlex", permutation=(0, 0, 1))
-    with pytest.raises(ValueError):
-        MonomialOrder("weird-order")
-
-
 def test_elimination_block_dominates():
     # any monomial containing the first variable beats any that does not
     assert ELIM_FIRST.key((1, 0, 0)) > ELIM_FIRST.key((0, 9, 9))
@@ -70,7 +54,7 @@ def test_leading_monomial_local_vs_global():
         leading_monomial(ring.zero(), LOCAL)
 
 
-ORDERS = [DEGREVLEX, LOCAL, ELIM_FIRST, MonomialOrder("degrevlex", permutation=(2, 0, 1))]
+ORDERS = [DEGREVLEX, LOCAL, ELIM_FIRST]
 
 
 @settings(deadline=None, max_examples=60)

@@ -4,11 +4,13 @@ the load/save round trip, cross-validated against the shipped schema file."""
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from germlab import SchemaError, load_scenario, save_scenario
+from germlab.scenario import Limits
 from germlab.fixtures_lib import fixture_text, list_fixtures
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -33,6 +35,36 @@ def test_removed_limit_keys_are_rejected(key):
     with pytest.raises(SchemaError) as exc:
         load_scenario(json.dumps(doc))
     assert exc.value.path == f"$.limits.{key}"
+
+
+BAD_LIMITS = [
+    ({"reduction_cap": -3}, "reduction_cap"),
+    ({"reduction_cap": 0}, "reduction_cap"),
+    ({"trunc": -1}, "trunc"),
+    ({"trunc": 0}, "trunc"),
+]
+GOOD_LIMITS = [{"reduction_cap": 1, "trunc": 1}, {"reduction_cap": 500}]
+
+
+@pytest.mark.parametrize("limits, key", BAD_LIMITS)
+def test_limits_below_one_are_rejected(limits, key):
+    doc = {**minimal_doc(), "limits": limits}
+    with pytest.raises(SchemaError, match="must be at least 1") as exc:
+        load_scenario(json.dumps(doc))
+    assert exc.value.path == f"$.limits.{key}"
+
+
+def test_loader_and_schema_agree_on_limits():
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads((DOCS / "scenario.schema.json").read_text())
+    validator = jsonschema.Draft202012Validator(schema)
+    for limits in [*(bad for bad, _ in BAD_LIMITS), *GOOD_LIMITS]:
+        doc = {**minimal_doc(), "limits": limits}
+        try:
+            loaded = load_scenario(json.dumps(doc)).limits == replace(Limits(), **limits)
+        except SchemaError:
+            loaded = False
+        assert loaded == validator.is_valid(doc) == (limits in GOOD_LIMITS), limits
 
 
 def test_branch_truncation_defaults():
