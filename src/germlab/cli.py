@@ -72,6 +72,10 @@ def _scenario_from_args(parser: argparse.ArgumentParser, args) -> Scenario:
         parser.error("provide exactly one input: --scenario, --fixture, or inline --vars/--g")
     if args.caps is not None and args.caps < 1:
         parser.error(f"--caps must be at least 1, got {args.caps}")
+    f, l = getattr(args, "f", None), getattr(args, "l", None)
+    if (args.scenario or args.fixture) and (f is not None or l is not None):
+        flag = "--f" if f is not None else "--l"
+        parser.error(f"{flag} is inline input; a --fixture or --scenario declares its own f")
     document: str | dict
     if args.scenario:
         document = Path(args.scenario).read_text(encoding="utf-8")
@@ -80,7 +84,6 @@ def _scenario_from_args(parser: argparse.ArgumentParser, args) -> Scenario:
     else:
         if not args.vars or not args.g:
             parser.error("inline input needs both --vars and --g")
-        f, l = getattr(args, "f", None), getattr(args, "l", None)
         if f and l:
             parser.error("give the deformation direction once: --f and --l are aliases")
         form = f or l

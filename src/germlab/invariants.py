@@ -1,6 +1,10 @@
 """Per-germ and per-branch invariants: Milnor numbers, critical loci, branch
-validation, local degrees along branches, and Milnor numbers of hyperplane
-slices at branch points.
+validation, local degrees along branches, hyperplane slices, and the branch
+terms of the branch sum.
+
+Every hyperplane slice takes one route: align_first trades a pivot variable
+for the form, restrict_to_hyperplane sets that coordinate to 0, and
+slice_germ moves a point to the origin first.
 
 Branches are supplied as exact polynomial parametrizations in one parameter t;
 compositions are computed exactly, and the declared truncation order is used
@@ -179,28 +183,47 @@ def linear_coefficients(form: Poly) -> list[Fraction]:
     return coeffs
 
 
-def restrict_to_hyperplane(p: Poly, form: Poly) -> Poly:
-    """Restriction of p to {form = 0} by eliminating one pivoted variable.
+def align_first(g: Poly, form: Poly, pivot: int | None = None) -> tuple[Poly, PolyRing, int]:
+    """Rewrite g in coordinates (w_0, ..., w_{v-1}) with w_0 = form.
 
-    Returns a germ in one variable fewer; the pivot is the highest-index
-    variable with a nonzero coefficient in the form, as in le.align_first.
+    Returns the rewritten germ, the new ring, and the pivot variable index of
+    the original ring that was traded for w_0: by default the highest-index
+    variable with a nonzero coefficient in the form.
     """
-    ring = p.ring
+    ring = g.ring
     coeffs = linear_coefficients(form)
-    k = max(i for i, c in enumerate(coeffs) if c != 0)
-    kept = [i for i in range(ring.nvars) if i != k]
-    target = PolyRing(tuple(ring.variables[i] for i in kept))
-    images: list[Poly] = []
-    position = {i: j for j, i in enumerate(kept)}
-    for i in range(ring.nvars):
-        if i != k:
-            images.append(target.variable(position[i]))
-    pivot_image = target.zero()
-    for i in kept:
+    if pivot is None:
+        pivot = max(i for i, c in enumerate(coeffs) if c != 0)
+    elif coeffs[pivot] == 0:
+        raise ValueError(f"variable {pivot} does not occur in the form")
+    kept = [i for i in range(ring.nvars) if i != pivot]
+    names = [ring.variables[pivot]] + [ring.variables[i] for i in kept]
+    target = PolyRing(tuple(names))
+    # z_pivot = (w_0 - sum c_i w_i)/c_pivot, z_other = its own w slot
+    images: list[Poly] = [target.zero()] * ring.nvars
+    pivot_image = target.variable(0)
+    for slot, i in enumerate(kept, start=1):
+        images[i] = target.variable(slot)
         if coeffs[i]:
-            pivot_image = pivot_image - target.variable(position[i]) * (coeffs[i] / coeffs[k])
-    images.insert(k, pivot_image)
-    return p.substitute(target, images)
+            pivot_image = pivot_image - target.variable(slot) * coeffs[i]
+    images[pivot] = pivot_image * (1 / coeffs[pivot])
+    return g.substitute(target, images), target, pivot
+
+
+def restrict_to_hyperplane(p: Poly, form: Poly) -> Poly:
+    """Restriction of p to {form = 0}: p in align_first's coordinates at
+    w_0 = 0, a germ in the variables other than the pivot."""
+    aligned, target, _ = align_first(p, form)
+    kept = PolyRing(target.variables[1:])
+    return Poly._make(kept, {e[1:]: c for e, c in aligned.terms.items() if e[0] == 0})
+
+
+def slice_germ(g: Poly, form: Poly, point: Sequence[Fraction] | None = None) -> Poly:
+    """The germ at point (default: the origin) of g restricted to the
+    hyperplane through point parallel to {form = 0}, constant term dropped."""
+    moved = g if point is None else translate(g, point)
+    sliced = restrict_to_hyperplane(moved, form)
+    return sliced - sliced.constant_term()
 
 
 def stable_along_branch(what: str, branch: BranchParam, at: Callable[[Fraction], int]) -> int:
@@ -227,19 +250,52 @@ def branch_slice_milnor(g: Poly, form: Poly, branch: BranchParam, cap=None) -> i
 
     def at(tau: Fraction) -> int:
         point = branch.point_at(tau)
-        delta = form.evaluate(point)
-        if delta == 0:
+        if form.evaluate(point) == 0:
             raise DegenerateBranchError(
                 f"slice level vanishes at branch point of {branch.name!r} (tau={tau})"
             )
-        moved = translate(g, point)
-        for i in range(g.ring.nvars):
-            if moved.diff(i).constant_term() != 0:
-                raise GermlabError(
-                    f"branch point of {branch.name!r} at tau={tau} is not a critical point of g"
-                )
-        sliced = restrict_to_hyperplane(moved, form)
-        sliced = sliced - sliced.constant_term()
-        return milnor_number(sliced, budget)
+        if any(g.diff(i).evaluate(point) != 0 for i in range(g.ring.nvars)):
+            raise GermlabError(
+                f"branch point of {branch.name!r} at tau={tau} is not a critical point of g"
+            )
+        return milnor_number(slice_germ(g, form, point), budget)
 
     return stable_along_branch("slice Milnor number", branch, at)
+
+
+def transverse_multiplicity(g: Poly, form: Poly, branch: BranchParam) -> int:
+    """Multiplicity of the transverse slice germ of {g = 0} at a branch point:
+    the minimal total degree of the slice germ of g there, stabilized along
+    the same tau-halving ladder as the slice Milnor numbers."""
+    return stable_along_branch(
+        "transverse multiplicity",
+        branch,
+        lambda tau: slice_germ(g, form, branch.point_at(tau)).min_degree(),
+    )
+
+
+@dataclass(frozen=True)
+class BranchTerm:
+    """Per-branch data entering the branch sum: the local degree of the form
+    along the branch and the Milnor number of the slice of g at a branch
+    point."""
+
+    name: str
+    multiplicity: int
+    local_degree: int
+    slice_milnor: int
+
+
+def branch_terms(g: Poly, form: Poly, branches: Sequence[BranchParam], cap=None) -> tuple[BranchTerm, ...]:
+    budget = as_budget(cap)
+    return tuple(
+        BranchTerm(b.name, b.multiplicity, local_degree(form, b), branch_slice_milnor(g, form, b, budget))
+        for b in branches
+    )
+
+
+def branch_sum(terms: Sequence[BranchTerm]) -> int:
+    """B = sum m_b d_b mu_b over the branches of the critical locus: the
+    deformation formula's one branch sum, and lambda^1 when the form is the
+    Le form."""
+    return sum(t.multiplicity * t.local_degree * t.slice_milnor for t in terms)

@@ -7,10 +7,11 @@ relative polar curve with the first partial derivative, all in coordinates
 aligned so that the supplied linear form is the first variable.  The polar
 curve is the remaining-partials ideal saturated along the critical locus;
 since the Jacobian ideal is that ideal plus the first partial, one
-saturation by the first partial alone gives it.  lambda^1 comes from
-the branch decomposition, with a branch-free fallback that intersects the
-remaining-partials scheme with the aligned hyperplane and subtracts the polar
-contribution; when both routes apply they must agree.
+saturation by the first partial alone gives it.  lambda^1 is the branch
+sum over the declared branches (LeData keeps its terms), with a branch-free
+fallback that intersects the remaining-partials scheme with the aligned
+hyperplane and subtracts the polar contribution; when both routes apply they
+must agree.
 """
 
 from __future__ import annotations
@@ -22,54 +23,36 @@ from .errors import ComponentMismatchError, UndefinedLeError
 from .ideals import IdealPresentation, as_budget, dim_at_origin, quotient_dim_local, saturate_single
 from .invariants import (
     BranchParam,
-    branch_slice_milnor,
+    BranchTerm,
+    align_first,
+    branch_sum,
+    branch_terms,
     compose_on_branch,
     jacobian_ideal,
     linear_coefficients,
-    local_degree,
     milnor_number,
     order_in_t,
 )
-from .rings import Poly, PolyRing
+from .rings import Poly
+from .stratified import parity_sign
 
 
 @dataclass(frozen=True)
 class LeData:
-    """The pair (lambda^0, lambda^1) plus how each number was obtained."""
+    """The pair (lambda^0, lambda^1) plus how each number was obtained.
+
+    terms are the branch terms of lambda^1's branch route: () for an isolated
+    germ, None when the critical locus is a curve with no declared branch.
+    """
 
     lambda0: int
     lambda1: int
     coords: tuple[str, ...]
     route_log: tuple[str, ...]
+    terms: tuple[BranchTerm, ...] | None
 
     def as_pair(self) -> tuple[int, int]:
         return (self.lambda0, self.lambda1)
-
-
-def align_first(g: Poly, form: Poly, pivot: int | None = None) -> tuple[Poly, PolyRing, int]:
-    """Rewrite g in coordinates (w_0, ..., w_{v-1}) with w_0 = form.
-
-    Returns the rewritten germ, the new ring, and the pivot variable index of
-    the original ring that was traded for w_0.
-    """
-    ring = g.ring
-    coeffs = linear_coefficients(form)
-    if pivot is None:
-        pivot = max(i for i, c in enumerate(coeffs) if c != 0)
-    elif coeffs[pivot] == 0:
-        raise ValueError(f"variable {pivot} does not occur in the form")
-    kept = [i for i in range(ring.nvars) if i != pivot]
-    names = [ring.variables[pivot]] + [ring.variables[i] for i in kept]
-    target = PolyRing(tuple(names))
-    # z_pivot = (w_0 - sum c_i w_i)/c_pivot, z_other = its own w slot
-    images: list[Poly] = [target.zero()] * ring.nvars
-    pivot_image = target.variable(0)
-    for slot, i in enumerate(kept, start=1):
-        images[i] = target.variable(slot)
-        if coeffs[i]:
-            pivot_image = pivot_image - target.variable(slot) * coeffs[i]
-    images[pivot] = pivot_image * (1 / coeffs[pivot])
-    return g.substitute(target, images), target, pivot
 
 
 def _polar_ideal_after_alignment(gw: Poly, cap=None) -> IdealPresentation:
@@ -107,6 +90,7 @@ def le_numbers(
                 "lambda0: isolated case, Milnor number as local Jacobian quotient dimension",
                 "lambda1: isolated case, zero",
             ),
+            terms=(),
         )
 
     for branch in branches:
@@ -138,14 +122,10 @@ def le_numbers(
         f"({', '.join(target.variables)})"
     ]
 
-    lam1_branch = None
+    terms = lam1_branch = None
     if branches:
-        total = 0
-        for branch in branches:
-            m = local_degree(form, branch)
-            mu_slice = branch_slice_milnor(g, form, branch, budget)
-            total += branch.multiplicity * m * mu_slice
-        lam1_branch = total
+        terms = branch_terms(g, form, branches, budget)
+        lam1_branch = branch_sum(terms)
         log.append(
             "lambda1: sum over branches of local degree times slice Milnor number"
         )
@@ -173,13 +153,11 @@ def le_numbers(
         raise UndefinedLeError(
             "lambda1 needs either a branch decomposition or a proper hyperplane slice"
         )
-    return LeData(lambda0=lam0, lambda1=lam1, coords=target.variables, route_log=tuple(log))
+    return LeData(lambda0=lam0, lambda1=lam1, coords=target.variables, route_log=tuple(log), terms=terms)
 
 
 def euler_char_fibre(g: Poly, le: LeData) -> int:
     """Euler characteristic of the Milnor fibre from the Le pair: with v
     variables, chi = 1 + (-1)^(v-1) * lambda0 + (-1)^(v-2) * lambda1."""
     v = g.ring.nvars
-    sign0 = -1 if (v - 1) % 2 else 1
-    sign1 = -1 if (v - 2) % 2 else 1
-    return 1 + sign0 * le.lambda0 + sign1 * le.lambda1
+    return 1 + parity_sign(v - 1) * le.lambda0 + parity_sign(v - 2) * le.lambda1

@@ -134,6 +134,16 @@ class IdentityVerdict:
         return self.status == "PASS"
 
 
+def compared(name: str, left, right, note: str = "") -> IdentityVerdict:
+    """PASS when the two evaluated sides agree, FAIL otherwise."""
+    return IdentityVerdict(name, "PASS" if left == right else "FAIL", left=left, right=right, note=note)
+
+
+def parity_sign(k: int) -> int:
+    """(-1)^k."""
+    return -1 if k % 2 else 1
+
+
 def brasselet_number(dataset: StratifiedDataset, kind: str) -> int:
     """Euler-obstruction-weighted Euler characteristic of the generalized
     Milnor fibre named by the slice kind.
@@ -172,7 +182,7 @@ def euler_obstruction_of_function(dataset: StratifiedDataset, kind: str = "f") -
     n_reg = dataset.known.get("n_reg")
     d = dataset.known.get("d")
     if n_reg is not None and d is not None:
-        expected = (-1 if d % 2 else 1) * n_reg
+        expected = parity_sign(d) * n_reg
         if value != expected:
             raise ComponentMismatchError(
                 f"Euler obstruction of the function is {value} but the supplied "
@@ -262,15 +272,7 @@ def verify_stratified_identities(dataset: StratifiedDataset) -> list[IdentityVer
     if vals is None or rhs is None:
         verdicts.append(IdentityVerdict("branch_difference", "SKIPPED", note="needs B_f_Xg_0, B_f_Xgtilde_0 and branch data"))
     else:
-        left = vals[0] - vals[1]
-        verdicts.append(
-            IdentityVerdict(
-                "branch_difference",
-                "PASS" if left == rhs else "FAIL",
-                left=left,
-                right=rhs,
-            )
-        )
+        verdicts.append(compared("branch_difference", vals[0] - vals[1], rhs))
 
     # transfer of Morse point counts between g and its deformation
     vals = get("d", "m", "m_tilde")
@@ -279,16 +281,7 @@ def verify_stratified_identities(dataset: StratifiedDataset) -> list[IdentityVer
         verdicts.append(IdentityVerdict("morse_transfer", "SKIPPED", note="needs d, m, m_tilde and branch data"))
     else:
         d, m, m_tilde = vals
-        sign = -1 if (d - 1) % 2 else 1
-        right = m + sign * rhs
-        verdicts.append(
-            IdentityVerdict(
-                "morse_transfer",
-                "PASS" if m_tilde == right else "FAIL",
-                left=m_tilde,
-                right=right,
-            )
-        )
+        verdicts.append(compared("morse_transfer", m_tilde, m + parity_sign(d - 1) * rhs))
 
     # drop of the Euler obstruction from X^g to X^gtilde (linear f only)
     vals = get("eu_Xg_0", "eu_Xgtilde_0")
@@ -302,15 +295,7 @@ def verify_stratified_identities(dataset: StratifiedDataset) -> list[IdentityVer
             )
         )
     else:
-        left = vals[0] - vals[1]
-        verdicts.append(
-            IdentityVerdict(
-                "eu_difference",
-                "PASS" if left == rhs else "FAIL",
-                left=left,
-                right=rhs,
-            )
-        )
+        verdicts.append(compared("eu_difference", vals[0] - vals[1], rhs))
 
     # per-branch transfer of Brasselet numbers across the deformation
     checkable = [
@@ -349,14 +334,6 @@ def verify_stratified_identities(dataset: StratifiedDataset) -> list[IdentityVer
         verdicts.append(IdentityVerdict("main", "SKIPPED", note="needs N, B_g_X_0, B_gtilde_X_0 and branch data"))
     else:
         n, b_g, b_gt = vals
-        right = b_g + n * rhs
-        verdicts.append(
-            IdentityVerdict(
-                "main",
-                "PASS" if b_gt == right else "FAIL",
-                left=b_gt,
-                right=right,
-            )
-        )
+        verdicts.append(compared("main", b_gt, b_g + n * rhs))
 
     return verdicts

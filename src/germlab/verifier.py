@@ -10,7 +10,6 @@ any failing identity makes the table (and the CLI) report failure.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import Any, Sequence
 
@@ -25,13 +24,13 @@ from .errors import (
 from .ideals import Budget, IdealPresentation, as_budget, dim_at_origin, quotient_dim_local
 from .invariants import (
     BranchParam,
-    branch_slice_milnor,
+    BranchTerm,
+    branch_sum,
+    critical_locus,
     jacobian_ideal,
-    local_degree,
     milnor_number,
-    restrict_to_hyperplane,
-    stable_along_branch,
-    translate,
+    slice_germ,
+    transverse_multiplicity,
     validate_branch,
 )
 from .le import LeData, euler_char_fibre, le_numbers
@@ -45,7 +44,14 @@ from .polar import (
 )
 from .rings import Poly, PolyRing
 from .scenario import N_MAX, Scenario
-from .stratified import BranchTableRow, IdentityVerdict, StratifiedDataset, StratumRecord
+from .stratified import (
+    BranchTableRow,
+    IdentityVerdict,
+    StratifiedDataset,
+    StratumRecord,
+    compared,
+    parity_sign,
+)
 
 MAX_LADDER_ATTEMPTS = 16
 SCHEMA_VERSION = "2"
@@ -92,20 +98,16 @@ class DeformationCase:
         deformation is not isolated."""
         if self.certificate is None:
             return None
-        return 1 + _sign(self.g.ring.nvars - 1) * self.certificate
-
-
-def _sign(exponent: int) -> int:
-    return -1 if exponent % 2 else 1
+        return 1 + parity_sign(self.g.ring.nvars - 1) * self.certificate
 
 
 def check_hypotheses(g: Poly, f: Poly, cap=None) -> HypothesisChecks:
+    """The critical locus of g with its meeting with {f = 0}, and whether f
+    is isolated."""
     budget = as_budget(cap)
-    jac_g = jacobian_ideal(g)
-    sigma_dim = dim_at_origin(jac_g, budget)
-    meets = dim_at_origin(jac_g.plus([f]), budget) <= 0
+    locus = critical_locus(g, f, budget)
     f_isolated = dim_at_origin(jacobian_ideal(f), budget) <= 0
-    return HypothesisChecks(sigma_dim, meets, f_isolated)
+    return HypothesisChecks(locus.dim, bool(locus.meets_f_only_at_origin), f_isolated)
 
 
 def require_hypotheses(g: Poly, f: Poly, cap=None) -> HypothesisChecks:
@@ -154,40 +156,10 @@ def build_deformation(g: Poly, f: Poly, n: int, threshold: int | None = None, ca
     return assemble_deformation(g, f, n, f**n, threshold, hypotheses, budget)
 
 
-@dataclass(frozen=True)
-class BranchTerm:
-    """Per-branch data entering the identity sums: the local degree of f and
-    the Milnor number of the slice of g at a branch point."""
-
-    name: str
-    multiplicity: int
-    local_degree: int
-    slice_milnor: int
-
-
-def branch_terms(g: Poly, f: Poly, branches: Sequence[BranchParam], cap=None) -> tuple[BranchTerm, ...]:
-    budget = as_budget(cap)
-    terms = []
-    for b in branches:
-        m = local_degree(f, b)
-        mu = branch_slice_milnor(g, f, b, budget)
-        terms.append(BranchTerm(b.name, b.multiplicity, m, mu))
-    return tuple(terms)
-
-
-def branch_sum(terms: Sequence[BranchTerm]) -> int:
-    """B = sum m_b d_b mu_b, the one branch sum of the deformation formula."""
-    return sum(t.multiplicity * t.local_degree * t.slice_milnor for t in terms)
-
-
 def _no_terms_note(case: DeformationCase) -> str:
     if case.f.is_linear_form:
         return "the critical locus is a curve but no sigma branches are declared"
     return "branch slice data needs a linear deformation direction"
-
-
-def _compared(name: str, left, right, note: str = "") -> IdentityVerdict:
-    return IdentityVerdict(name, "PASS" if left == right else "FAIL", left=left, right=right, note=note)
 
 
 def verify_le_number_identity(case: DeformationCase, le: LeData) -> IdentityVerdict:
@@ -196,7 +168,7 @@ def verify_le_number_identity(case: DeformationCase, le: LeData) -> IdentityVerd
         return IdentityVerdict("massey", "SKIPPED", note="needs a linear deformation direction")
     if case.certificate is None:
         return IdentityVerdict("massey", "SKIPPED", note="deformation is not isolated")
-    return _compared("massey", case.certificate, le.lambda0 + (case.n - 1) * le.lambda1)
+    return compared("massey", case.certificate, le.lambda0 + (case.n - 1) * le.lambda1)
 
 
 def verify_branch_sum_identities(
@@ -222,15 +194,15 @@ def verify_branch_sum_identities(
     if skip is not None:
         notes = (("chi", skip), ("tibar", tibar_skip), ("morse", skip))
         return tuple(IdentityVerdict(name, "SKIPPED", note=note) for name, note in notes), None, None
-    sign = _sign(case.g.ring.nvars - 1)
+    sign = parity_sign(case.g.ring.nvars - 1)
     expansion = case.n * branch_sum(terms)
     jump = case.chi_gtilde - chi_g
     verdicts = (
-        _compared("chi", case.chi_gtilde, chi_g + sign * expansion),
-        _compared("tibar", jump, sign * expansion)
+        compared("chi", case.chi_gtilde, chi_g + sign * expansion),
+        compared("tibar", jump, sign * expansion)
         if tibar_skip is None
         else IdentityVerdict("tibar", "SKIPPED", note=tibar_skip),
-        _compared("morse", sign * jump, expansion, "n~ - n via chi defect vs branch expansion"),
+        compared("morse", sign * jump, expansion, "n~ - n via chi defect vs branch expansion"),
     )
     return verdicts, -sign * jump, expansion
 
@@ -249,7 +221,7 @@ def verify_gap_stability(
         right = intersection_number(polar, case.g_tilde, cap)
     except GermlabError as exc:
         return IdentityVerdict("polar_stability", "FAIL", left=left, right=str(exc))
-    return _compared("polar_stability", left, right)
+    return compared("polar_stability", left, right)
 
 
 @dataclass(frozen=True)
@@ -456,14 +428,18 @@ class ScenarioContext:
     def hypotheses(self) -> HypothesisChecks:
         return require_hypotheses(self.g, self.f, self.budget)
 
-    @cached_property
+    @property
     def terms(self) -> tuple[BranchTerm, ...] | None:
         """Branch terms for the identity sums; None when f is not linear or the
-        critical locus is a curve with no declared branch (an empty sum is not 0)."""
-        branches, sigma_dim = self.sigma_branches, self.hypotheses.sigma_dim
-        if not self.f.is_linear_form or (sigma_dim == 1 and not branches):
+        critical locus is a curve with no declared branch (an empty sum is not 0).
+
+        A linear f is the form of the Le numbers, so these are the terms of
+        their branch route, read after the declared branches are validated.
+        """
+        if not self.f.is_linear_form:
             return None
-        return branch_terms(self.g, self.f, branches, self.budget)
+        self.sigma_branches  # validate the declared branches first
+        return self.le.terms
 
     def case(self, n: int) -> DeformationCase:
         """g + f^n with its isolation certificate.  The case hypotheses are
@@ -553,11 +529,7 @@ def verify_scenario(
 
 def _slice_milnor_at_origin(g: Poly, form: Poly, cap=None) -> int | None:
     """Milnor number of g restricted to {form = 0}; None when non-isolated."""
-    restricted = restrict_to_hyperplane(g, form)
-    restricted = restricted - restricted.constant_term()
-    if restricted.is_zero or dim_at_origin(jacobian_ideal(restricted), cap) > 0:
-        return None
-    return milnor_number(restricted, cap)
+    return quotient_dim_local(jacobian_ideal(slice_germ(g, form)), cap)
 
 
 def _certify_slice_generic(g: Poly, f: Poly, g_tilde: Poly, mu_h: int | None, cap=None) -> bool:
@@ -617,7 +589,7 @@ def export_dataset(scenario: Scenario, n: int | None = None) -> StratifiedDatase
         raise HypothesisError("isolation", f"g + f^{n} is not isolated; export needs an isolated deformation")
 
     # require_hypotheses required f to be isolated, so its Milnor number exists
-    chi_f_fibre = 1 + _sign(v - 1) * milnor_number(f, budget)
+    chi_f_fibre = 1 + parity_sign(v - 1) * milnor_number(f, budget)
 
     terms = ctx.terms
 
@@ -648,20 +620,20 @@ def export_dataset(scenario: Scenario, n: int | None = None) -> StratifiedDatase
     if terms is not None:
         row_list = []
         for b, t in zip(ctx.sigma_branches, terms):
-            chi_f_j = 1 + _sign(v - 2) * t.slice_milnor
+            chi_f_j = 1 + parity_sign(v - 2) * t.slice_milnor
             fields: dict[str, int] = {
                 "m_f": t.local_degree,
                 "eu_X_b": 1,
                 "B_g_f_fibre": chi_f_j,
                 "eu_g_f_fibre": 1 - chi_f_j,
-                "eu_f_gtilde_fibre": _sign(v - 1) * t.slice_milnor,
+                "eu_f_gtilde_fibre": parity_sign(v - 1) * t.slice_milnor,
                 "B_f_gtilde_fibre": chi_f_j,
             }
             if v == 3 and t.local_degree == 1:
                 # the f-slice meets the branch transversally, so its germ is
                 # a transverse curve slice and the obstruction is its
                 # multiplicity
-                fields["eu_Xg_b"] = _transverse_multiplicity(g, f, b)
+                fields["eu_Xg_b"] = transverse_multiplicity(g, f, b)
             row_list.append(BranchTableRow(b.name, **fields))
         rows = tuple(row_list)
 
@@ -670,7 +642,7 @@ def export_dataset(scenario: Scenario, n: int | None = None) -> StratifiedDatase
         # number covers both restriction values; the swap value comes from
         # the partial-smoothing route for the f-slice of the deformed
         # hypersurface, which is smooth off the origin
-        chi_slice = 1 + _sign(v - 2) * mu_h
+        chi_slice = 1 + parity_sign(v - 2) * mu_h
         known["B_g_Xf_0"] = chi_slice
         known["B_gtilde_Xf_0"] = chi_slice
         known["B_f_Xgtilde_0"] = chi_slice
@@ -693,11 +665,11 @@ def export_dataset(scenario: Scenario, n: int | None = None) -> StratifiedDatase
             # branch points, then reweighted by the per-branch Euler
             # obstructions
             known["eu_Xgtilde_0"] = chi_slice
-            link_chi = chi_slice - _sign(v - 2) * branch_sum(terms or ())
-            eu_xg = link_chi
-            for r, t in zip(rows, terms or ()):
-                assert r.eu_Xg_b is not None
-                eu_xg += t.multiplicity * t.local_degree * (r.eu_Xg_b - 1)
+            terms = terms or ()
+            link_chi = chi_slice - parity_sign(v - 2) * branch_sum(terms)
+            eu_xg = link_chi + sum(
+                t.multiplicity * t.local_degree * (r.eu_Xg_b - 1) for r, t in zip(rows, terms)
+            )
             known["eu_Xg_0"] = eu_xg
             known["B_f_Xg_0"] = eu_xg
 
@@ -710,16 +682,3 @@ def export_dataset(scenario: Scenario, n: int | None = None) -> StratifiedDatase
     dataset.validate()
     return dataset
 
-
-def _transverse_multiplicity(g: Poly, f: Poly, branch: BranchParam) -> int:
-    """Multiplicity of the transverse slice germ of {g = 0} at a branch point:
-    the minimal total degree of g translated to the point and restricted to
-    the f-hyperplane through it, stabilized along the same tau-halving ladder
-    as the slice Milnor numbers."""
-
-    def at(tau: Fraction) -> int:
-        point = branch.point_at(tau)
-        sliced = restrict_to_hyperplane(translate(g, point), f)
-        return (sliced - sliced.constant_term()).min_degree()
-
-    return stable_along_branch("transverse multiplicity", branch, at)

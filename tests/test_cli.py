@@ -261,6 +261,17 @@ def test_f_and_l_together_are_a_usage_error(capsys):
     assert "--f and --l" in err
 
 
+@pytest.mark.parametrize("flag", ["--f", "--l"])
+@pytest.mark.parametrize("source", ["--fixture", "--scenario"])
+def test_a_form_flag_with_a_named_input_is_a_usage_error(tmp_path, capsys, source, flag):
+    # the named input declares its own f, so the flag would be dropped
+    path = tmp_path / "cylinder.json"
+    path.write_text(fixture_text("cylinder"), encoding="utf-8")
+    name = "cylinder" if source == "--fixture" else str(path)
+    err = usage_error(capsys, "le", source, name, flag, "x")
+    assert f"{flag} is inline input" in err
+
+
 def test_inline_critical_curve_without_branches_is_not_a_failure(capsys):
     # the cylinder germ with no declared branch: the branch sums are unknown,
     # not zero

@@ -6,6 +6,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from germlab import (
     BranchParam,
@@ -24,10 +26,11 @@ from germlab.invariants import (
     T_RING,
     compose_on_branch,
     jacobian_ideal,
+    restrict_to_hyperplane,
     stable_along_branch,
 )
-from germlab.rings import jacobian
-from conftest import RING_XY, RING_XYZ
+from germlab.rings import PolyRing, jacobian
+from conftest import RING_XY, RING_XYZ, poly_strategy
 from oracles import brieskorn_mu, homogeneous_plane_mu, monomial_quotient_count, thom_sebastiani
 
 x, y = RING_XY.variable(0), RING_XY.variable(1)
@@ -201,6 +204,32 @@ class TestStableAlongBranch:
         with pytest.raises(InstabilityError, match="^transverse multiplicity along branch 'axis' never stabilized$"):
             stable_along_branch("transverse multiplicity", AXIS, at)
         assert len(seen) == MAX_TAU_HALVINGS + 1
+
+
+RATIONALS = st.fractions(min_value=Fraction(-3), max_value=Fraction(3), max_denominator=4)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data(), st.integers(min_value=2, max_value=4))
+def test_restriction_agrees_with_p_on_the_hyperplane(data, nvars):
+    ring = PolyRing(("x", "y", "z", "w")[:nvars])
+    p = data.draw(poly_strategy(ring, max_degree=3, max_terms=5))
+    coeffs = data.draw(st.lists(RATIONALS, min_size=nvars, max_size=nvars).filter(any))
+    form = sum((ring.variable(i) * c for i, c in enumerate(coeffs) if c), ring.zero())
+    sliced = restrict_to_hyperplane(p, form)
+    (k,) = [i for i, v in enumerate(ring.variables) if v not in sliced.ring.variables]
+    kept = [i for i in range(nvars) if i != k]
+    assert coeffs[k] != 0
+    assert sliced.ring.variables == tuple(ring.variables[i] for i in kept)
+    for _ in range(3):
+        q = data.draw(st.lists(RATIONALS, min_size=nvars - 1, max_size=nvars - 1))
+        point = [Fraction(0)] * nvars
+        for i, value in zip(kept, q):
+            point[i] = value
+        # the pivot coordinate solved from form = 0
+        point[k] = -sum(coeffs[i] * point[i] for i in kept) / coeffs[k]
+        assert form.evaluate(point) == 0
+        assert sliced.evaluate(q) == p.evaluate(point)
 
 
 def test_compose_on_branch_is_exact():

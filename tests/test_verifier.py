@@ -23,21 +23,20 @@ from germlab import (
     parse_poly,
     verify_scenario,
 )
-from germlab import export_dataset, verifier
+from germlab import export_dataset, ideals, invariants, le, verifier
 from germlab import polar as polar_module
 from germlab.ideals import Budget
 from germlab.rings import Poly
 from germlab.fixtures_lib import fixture_text, load_fixture
 from germlab.verifier import (
     ScenarioContext,
-    branch_terms,
     check_hypotheses,
     generic_linear_candidates,
     resolve_linear_form,
     verify_branch_sum_identities,
     verify_le_number_identity,
 )
-from germlab.invariants import BranchParam, T_RING
+from germlab.invariants import BranchParam, T_RING, branch_terms
 from germlab.le import euler_char_fibre, le_numbers
 from conftest import RING_XY, RING_XYZ
 
@@ -376,10 +375,10 @@ SWEEP_SPEND = {
     "brieskorn-345": 316,
     "cusp-isolated": 1325,
     "cylinder-z3": 321,
-    "cylinder": 108,
+    "cylinder": 106,
     "double-axes": 1678,
-    "pinch-point": 212,
-    "three-lines": 305,
+    "pinch-point": 210,
+    "three-lines": 295,
 }
 
 
@@ -417,7 +416,7 @@ def test_sweep_spend_is_pinned():
         for name in SWEEP_SPEND
     }
     assert spend == SWEEP_SPEND
-    assert sum(spend.values()) == 4265
+    assert sum(spend.values()) == 4251
 
 
 def test_heavy_tier_spend_is_pinned():
@@ -478,3 +477,44 @@ def test_export_computes_each_slice_milnor_number_once(monkeypatch, name):
     monkeypatch.setattr(verifier, "_slice_milnor_at_origin", counting)
     export_dataset(load_fixture(name), 3)
     assert len(calls) == len(set(calls)) == 3
+
+
+@pytest.mark.parametrize("name", ["cylinder", "pinch-point", "three-lines"])
+def test_verify_computes_each_branch_slice_milnor_number_once(monkeypatch, name):
+    calls = []
+    original = invariants.branch_slice_milnor
+
+    def counting(*args):
+        calls.append(args[2].name)
+        return original(*args)
+
+    for module in (invariants, le, verifier):
+        if getattr(module, "branch_slice_milnor", None) is original:
+            monkeypatch.setattr(module, "branch_slice_milnor", counting)
+    scenario = load_fixture(name)
+    verify_scenario(scenario)
+    assert calls == [b.name for b in scenario.branches if b.host == "sigma"]
+
+
+def test_export_standard_basis_count_is_pinned(monkeypatch):
+    # 26 while the branch terms and the slice Milnor numbers at the origin
+    # were each computed twice
+    calls = []
+    original = ideals.standard_basis_of
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ideals, "standard_basis_of", counting)
+    export_dataset(load_fixture("three-lines"), 3)
+    assert len(calls) == 21
+
+
+def test_context_terms_are_the_le_terms_for_a_linear_f():
+    for name in ("cylinder", "pinch-point", "three-lines", "cusp-isolated"):
+        ctx = ScenarioContext(load_fixture(name))
+        assert ctx.terms is ctx.le.terms
+        assert invariants.branch_sum(ctx.terms) == ctx.le.lambda1
+    nonlinear = load_scenario({"name": "bent", "variables": ["x", "y", "z"], "g": "x^2+y^2", "f": "z^2+x"})
+    assert ScenarioContext(nonlinear).terms is None
