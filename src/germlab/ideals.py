@@ -3,8 +3,8 @@ dimension at the origin and saturation.
 
 Global orders use ordinary multivariate division and Buchberger's algorithm.
 Local orders use Mora reduction with ecart control, which terminates on
-polynomial input; the resulting bases are standard bases of the localized
-ideal at the origin.  Every loop spends from an iteration budget and raises
+polynomial input, truncated at the highest corner once there is one; the
+resulting bases are standard bases of the localized ideal at the origin.  Every loop spends from an iteration budget and raises
 IterationLimitError instead of spinning.
 
 The kernel is fraction-free: it reduces primitive int multiples of the
@@ -112,20 +112,26 @@ def _shift(p: Poly, exps: Exponents) -> Poly:
     return Poly._make(p.ring, {mono_mul(e, exps): c for e, c in p.terms.items()})
 
 
-def _sub_shifted(h: Poly, lch: int, g: Poly, lcg: int, exps: Exponents) -> tuple[Poly, int]:
+def _sub_shifted(
+    h: Poly, lch: int, g: Poly, lcg: int, exps: Exponents, corner: int | None = None
+) -> tuple[Poly, int]:
     """(a*h - b*x^exps*g, a) with (a, b) = (lcg, lch) / gcd(lch, lcg) and a > 0.
 
     The result is a*(h - (lch/lcg)*x^exps*g), the rational reduction step
     times a positive int; when lch is the coefficient of h at x^exps * lm(g)
     and lcg that of g at lm(g), that term cancels.  Built in one pass over the
-    terms of g.
+    terms of g.  With a corner, the terms of x^exps*g of degree >= corner are
+    left out, so the result has none when h has none.
     """
     d = math.gcd(lch, lcg)
     a, b = lcg // d, lch // d
     if a < 0:
         a, b = -a, -b
     acc = dict(h.terms) if a == 1 else {e: a * c for e, c in h.terms.items()}
+    below = None if corner is None else corner - sum(exps)
     for e, c in g.terms.items():
+        if below is not None and sum(e) >= below:
+            continue
         m = mono_mul(e, exps)
         s = acc.get(m)
         s = -(c * b) if s is None else s - c * b
@@ -159,17 +165,24 @@ def _rescaled_tail(ring: PolyRing, tail: list[tuple[Exponents, int, int]], scale
 # ---------------------------------------------------------------------------
 
 
+def _reducer(g: Poly, order: MonomialOrder) -> tuple[Exponents, int, int, Poly]:
+    """(lm, lc, ecart, g): what a reduction step reads of the reducer g,
+    computed once per basis element instead of once per normal form."""
+    lm, lc = leading_term(g, order)
+    return lm, lc, ecart(g, order), g
+
+
 def _divide_global(
-    p: Poly, basis: Sequence[Poly], order: MonomialOrder, budget: Budget
+    p: Poly, reducers: Sequence[tuple], order: MonomialOrder, budget: Budget
 ) -> tuple[Poly, int]:
-    """Fully reduced remainder of p modulo basis for a global order, and its scale."""
-    lead = [leading_term(g, order) for g in basis]
+    """Fully reduced remainder of p modulo the reducers (see _reducer) for a
+    global order, and its scale."""
     tail: list[tuple[Exponents, int, int]] = []
     scale = 1
     h = p
     while not h.is_zero:
         lm, lc = leading_term(h, order)
-        for g, (lmg, lcg) in zip(basis, lead):
+        for lmg, lcg, _, g in reducers:
             if mono_divides(lmg, lm):
                 budget.spend()
                 h, a = _sub_shifted(h, lc, g, lcg, mono_div(lm, lmg))
@@ -182,45 +195,46 @@ def _divide_global(
 
 
 def _mora_weak(
-    p: Poly, basis: Sequence[Poly], order: MonomialOrder, budget: Budget
+    p: Poly,
+    reducers: Sequence[tuple],
+    order: MonomialOrder,
+    budget: Budget,
+    corner: int | None = None,
 ) -> tuple[Poly, int]:
-    """Mora weak normal form, and its scale: the leading term of the result is
-    irreducible.
+    """Mora weak normal form of p modulo the reducers (see _reducer), and its
+    scale: the leading term of the result is irreducible.
 
     The returned remainder r satisfies u*p = q + r in the local ring for some
-    unit u and q in the ideal generated by the basis; in particular r == 0
-    exactly when p lies in the localized ideal, provided the basis is a
-    standard basis.
+    unit u and q in the ideal generated by the reducers; in particular r == 0
+    exactly when p lies in the localized ideal, provided they form a standard
+    basis.  With a highest corner D (m^D inside the ideal), p and every
+    intermediate remainder drop their terms of degree >= D.
     """
-    reducers = list(basis)
-    lead = [leading_term(g, order) for g in reducers]
-    ecarts = [ecart(g, order) for g in reducers]
+    reducers = list(reducers)
     scale = 1
     h = p
+    if corner is not None:
+        h = Poly._make(p.ring, {e: c for e, c in p.terms.items() if sum(e) < corner})
     while not h.is_zero:
         lm, lc = leading_term(h, order)
-        best = -1
-        best_ecart = None
-        for i, (lmg, _) in enumerate(lead):
-            if mono_divides(lmg, lm) and (best_ecart is None or ecarts[i] < best_ecart):
-                best = i
-                best_ecart = ecarts[i]
-        if best < 0:
+        best = None
+        for r in reducers:
+            if mono_divides(r[0], lm) and (best is None or r[2] < best[2]):
+                best = r
+        if best is None:
             break
         eh = h.total_degree() - sum(lm)
-        if best_ecart is not None and best_ecart > eh:
-            reducers.append(h)
-            lead.append((lm, lc))
-            ecarts.append(eh)
-        lmg, lcg = lead[best]
+        if best[2] > eh:
+            reducers.append((lm, lc, eh, h))
+        lmg, lcg, _, g = best
         budget.spend()
-        h, a = _sub_shifted(h, lc, reducers[best], lcg, mono_div(lm, lmg))
+        h, a = _sub_shifted(h, lc, g, lcg, mono_div(lm, lmg), corner)
         scale *= a
     return h, scale
 
 
 def _reduce_local(
-    p: Poly, basis: Sequence[Poly], order: MonomialOrder, budget: Budget
+    p: Poly, reducers: Sequence[tuple], order: MonomialOrder, budget: Budget
 ) -> tuple[Poly, int]:
     """Tail-reduced local normal form, and its scale: pop irreducible leading
     terms and keep running Mora reduction on the rest.  Termination is
@@ -229,7 +243,7 @@ def _reduce_local(
     scale = 1
     h = p
     while not h.is_zero:
-        h, a = _mora_weak(h, basis, order, budget)
+        h, a = _mora_weak(h, reducers, order, budget)
         scale *= a
         if h.is_zero:
             break
@@ -256,19 +270,21 @@ def normal_form(p: Poly, basis: Sequence[Poly], order: MonomialOrder, cap=None) 
         return p
     _check_same_ring([p, *basis])
     h, den = _clear_denominators(p)
-    reducers = [_integral(g, order) for g in basis]
+    reducers = [_reducer(_integral(g, order), order) for g in basis]
     reduce = _divide_global if order.is_global else _reduce_local
     r, scale = reduce(h, reducers, order, budget)
     scale *= den
     return Poly._make(p.ring, {e: Fraction(c, scale) for e, c in r.terms.items()})
 
 
-def _weak_nf(p: Poly, basis: Sequence[Poly], order: MonomialOrder, budget: Budget) -> Poly:
+def _weak_nf(
+    p: Poly, reducers: Sequence[tuple], order: MonomialOrder, budget: Budget, corner: int | None
+) -> Poly:
     """Cheapest normal form adequate for membership tests and basis building,
     up to a positive int factor."""
     if order.is_global:
-        return _divide_global(p, basis, order, budget)[0]
-    return _mora_weak(p, basis, order, budget)[0]
+        return _divide_global(p, reducers, order, budget)[0]
+    return _mora_weak(p, reducers, order, budget, corner)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -286,23 +302,106 @@ def _spoly(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
 
 def _interreduce_global(basis: list[Poly], order: MonomialOrder, budget: Budget) -> list[Poly]:
     """Tail-reduce a minimal global basis to the unique reduced basis."""
+    reducers = [_reducer(g, order) for g in basis]
     changed = True
     while changed:
         changed = False
         for i in range(len(basis)):
-            others = basis[:i] + basis[i + 1 :]
-            r = _divide_global(basis[i], others, order, budget)[0]
+            r = _divide_global(basis[i], reducers[:i] + reducers[i + 1 :], order, budget)[0]
             if r != basis[i]:
                 if r.is_zero:
                     raise GermlabError("interreduction killed a minimal basis element")
                 basis[i] = _primitive(r, order)
+                reducers[i] = _reducer(basis[i], order)
                 changed = True
     return basis
 
 
+class StandardBasis(tuple):
+    """The monic basis standard_basis_of returns, a tuple of Poly.
+
+    Under LOCAL it also carries `staircase_size`, the number of standard
+    monomials, and `corner`, the highest corner (see _Staircase); both are
+    None when the quotient is infinite and under global orders.
+    """
+
+    def __new__(cls, polys=(), staircase_size=None, corner=None):
+        self = super().__new__(cls, polys)
+        self.staircase_size = staircase_size
+        self.corner = corner
+        return self
+
+
+def _standard_monomials(lead: Sequence[Exponents], nvars: int) -> list[Exponents]:
+    """The monomials no leading monomial divides; each variable must have a
+    pure power among them.
+
+    The exponents are fixed one variable at a time, keeping only the leading
+    monomials whose exponents so far are at most the prefix's.  The exponent of a variable
+    rises until that prefix, padded with zeros, is divisible; for the last
+    variable the bound is the least exponent left.  So the work goes by
+    prefixes, not by the monomials of the whole box.
+    """
+    found: list[Exponents] = []
+
+    def walk(prefix: Exponents, lead: list[Exponents]) -> None:
+        k = len(prefix)
+        if k == nvars - 1:
+            found.extend((*prefix, a) for a in range(min(lm[k] for lm in lead)))
+            return
+        a = 0
+        while True:
+            active = [lm for lm in lead if lm[k] <= a]
+            if any(not any(lm[k + 1 :]) for lm in active):
+                return
+            walk((*prefix, a), active)
+            a += 1
+
+    walk((), list(lead))
+    return found
+
+
+class _Staircase:
+    """The standard monomials of a growing list `lead` of LOCAL leading
+    monomials, and their highest corner D: 1 + the largest degree of a
+    standard monomial.  Both are None until every variable has a pure power.
+
+    Every monomial of degree >= D is then a leading monomial of the ideal,
+    so m^D lies in the ideal in the local ring (Greuel-Pfister, A Singular
+    Introduction to Commutative Algebra, 1.7): terms of degree >= D can be
+    dropped without changing the leading ideal.  The monomials are found
+    once, when the last pure power appears; after that each new leading
+    monomial only filters out the ones it divides.
+    """
+
+    __slots__ = ("lead", "missing", "monomials", "corner")
+
+    def __init__(self, lead: list[Exponents], nvars: int):
+        self.lead = lead
+        self.missing = set(range(nvars))
+        self.monomials: list[Exponents] | None = None
+        self.corner: int | None = None
+
+    def add(self, lm: Exponents) -> None:
+        """Account for lm, just appended to lead."""
+        if self.monomials is None:
+            support = [i for i, a in enumerate(lm) if a]
+            if len(support) <= 1:
+                self.missing.difference_update(support or range(len(lm)))
+            if self.missing:
+                return
+            self.monomials = _standard_monomials(self.lead, len(lm))
+        else:
+            kept = [e for e in self.monomials if not mono_divides(lm, e)]
+            if len(kept) == len(self.monomials):
+                return
+            self.monomials = kept
+        self.corner = 1 + max(map(sum, self.monomials), default=-1)
+
+
 def standard_basis_of(
     generators: Sequence[Poly], order: MonomialOrder, cap=None
-) -> tuple[Poly, ...]:
+) -> StandardBasis:
     """Buchberger/Mora completion of the generators under the given order.
 
     The result is deterministic: pairs are selected by smallest lcm key (ties
@@ -310,6 +409,12 @@ def standard_basis_of(
     monomial, and (for global orders) fully tail-reduced.  Pairs wait in a
     heap keyed once, when the pair is formed; basis entries never change after
     they are appended, so the key of a waiting pair stays valid.
+
+    Under LOCAL the completion tracks the staircase of its leading monomials
+    (see _Staircase).  Once a highest corner D is known, a pair whose lcm has
+    degree >= D is skipped, since its S-polynomial lies in m^D, and Mora
+    reduction drops the terms of degree >= D.  The leading ideal is the same,
+    and an ideal with no corner (an infinite quotient) runs untruncated.
 
     The completion runs fraction-free: each generator and each new basis
     element is kept as its primitive int multiple with a positive leading
@@ -322,13 +427,15 @@ def standard_basis_of(
     budget = as_budget(cap)
     gens = [g for g in generators if not g.is_zero]
     if not gens:
-        return ()
-    _check_same_ring(gens)
+        return StandardBasis()
+    ring = _check_same_ring(gens)
     gens = [_integral(g, order) for g in gens]
     gens.sort(key=lambda g: order.key(leading_term(g, order)[0]))
     basis: list[Poly] = []
+    reducers: list[tuple] = []  # _reducer entries of the basis
     lead: list[Exponents] = []
     pairs: list[tuple] = []  # heap of (order.key(lcm), i, j, lcm) with i < j
+    stairs = _Staircase(lead, ring.nvars) if order.is_local else None
 
     def append(g: Poly) -> None:
         j = len(basis)
@@ -337,7 +444,10 @@ def standard_basis_of(
             lcm = mono_lcm(lmi, lmj)
             heapq.heappush(pairs, (order.key(lcm), i, j, lcm))
         basis.append(g)
+        reducers.append(_reducer(g, order))
         lead.append(lmj)
+        if stairs is not None:
+            stairs.add(lmj)
 
     for g in gens:
         if g not in basis:
@@ -348,10 +458,13 @@ def standard_basis_of(
         _, i, j, lcm = heapq.heappop(pairs)
         if lcm == mono_mul(lead[i], lead[j]):
             continue  # coprime leading terms reduce to zero
+        corner = None if stairs is None else stairs.corner
+        if corner is not None and sum(lcm) >= corner:
+            continue  # the S-polynomial lies in m^corner
         s = _spoly(basis[i], basis[j], order)
         if s.is_zero:
             continue
-        r = _weak_nf(s, basis, order, budget)
+        r = _weak_nf(s, reducers, order, budget, corner)
         if r.is_zero:
             continue
         append(_primitive(r, order))
@@ -373,7 +486,10 @@ def standard_basis_of(
     if order.is_global:
         minimal = _interreduce_global(minimal, order, budget)
         minimal.sort(key=lambda g: order.key(leading_term(g, order)[0]))
-    return tuple(_monic_rational(g, order) for g in minimal)
+    monic = (_monic_rational(g, order) for g in minimal)
+    if stairs is None or stairs.monomials is None:
+        return StandardBasis(monic)
+    return StandardBasis(monic, len(stairs.monomials), stairs.corner)
 
 
 class IdealPresentation:
@@ -396,9 +512,9 @@ class IdealPresentation:
             gens = [ring.zero()]
         self.ring = ring
         self.generators = tuple(gens)
-        self._bases: dict[MonomialOrder, tuple[Poly, ...]] = {}
+        self._bases: dict[MonomialOrder, StandardBasis] = {}
 
-    def standard_basis(self, order: MonomialOrder, cap=None) -> tuple[Poly, ...]:
+    def standard_basis(self, order: MonomialOrder, cap=None) -> StandardBasis:
         cached = self._bases.get(order)
         if cached is None:
             cached = standard_basis_of(self.generators, order, cap)
@@ -422,8 +538,9 @@ def contains(I: IdealPresentation, p: Poly, order: MonomialOrder = LOCAL, cap=No
     basis = I.standard_basis(order, budget)
     if not basis:
         return False
-    reducers = [_integral(g, order) for g in basis]
-    return _weak_nf(_clear_denominators(p)[0], reducers, order, budget).is_zero
+    reducers = [_reducer(_integral(g, order), order) for g in basis]
+    h = _clear_denominators(p)[0]
+    return _weak_nf(h, reducers, order, budget, basis.corner).is_zero
 
 
 def ideal_contains(I: IdealPresentation, J: IdealPresentation, order: MonomialOrder, cap=None) -> bool:
@@ -441,36 +558,15 @@ def ideal_equal(I: IdealPresentation, J: IdealPresentation, order: MonomialOrder
 # ---------------------------------------------------------------------------
 
 
-def _local_leading_monomials(I: IdealPresentation, cap) -> list[Exponents]:
-    basis = I.standard_basis(LOCAL, cap)
-    return [leading_term(g, LOCAL)[0] for g in basis]
-
-
 def quotient_dim_local(I: IdealPresentation, cap=None) -> int | None:
     """Dimension over QQ of the local ring at the origin modulo I.
 
-    Counts standard monomials of the local standard basis.  Returns None when
-    the quotient is infinite-dimensional, which happens exactly when some
-    variable has no pure power among the leading terms.
+    The number of standard monomials of the local standard basis, found by
+    its completion (see _Staircase).  Returns None when the quotient is
+    infinite-dimensional, which happens exactly when some variable has no
+    pure power among the leading terms.
     """
-    lms = _local_leading_monomials(I, cap)
-    if not lms:
-        return None  # zero ideal in at least one variable
-    v = I.ring.nvars
-    zero = (0,) * v
-    if zero in lms:
-        return 0
-    bounds = []
-    for i in range(v):
-        pure = [e[i] for e in lms if all(x == 0 for j, x in enumerate(e) if j != i)]
-        if not pure:
-            return None
-        bounds.append(min(pure))
-    count = 0
-    for exps in itertools.product(*(range(b) for b in bounds)):
-        if not any(mono_divides(lm, exps) for lm in lms):
-            count += 1
-    return count
+    return I.standard_basis(LOCAL, cap).staircase_size
 
 
 def dim_at_origin(I: IdealPresentation, cap=None) -> int:
@@ -479,7 +575,7 @@ def dim_at_origin(I: IdealPresentation, cap=None) -> int:
     Returns -1 for the empty germ (unit ideal).  Computed from the staircase
     of the local leading-term ideal via maximal independent variable sets.
     """
-    lms = _local_leading_monomials(I, cap)
+    lms = [leading_monomial(g, LOCAL) for g in I.standard_basis(LOCAL, cap)]
     v = I.ring.nvars
     if not lms:
         return v

@@ -113,3 +113,34 @@ def sympy_reduced_basis(
         monic = p.exquo_ground(p.LC(order="grevlex"))
         out.append({exps: Fraction(int(c.p), int(c.q)) for exps, c in monic.terms()})
     return out
+
+
+def sympy_local_quotient_dim(generators: list[dict[tuple[int, ...], Fraction]], degree: int) -> int:
+    """dim O/(J + m^degree) at the origin, computed by sympy.
+
+    Polynomials are term dicts {exponents: coefficient}.  Q[x]/(J + m^D) is
+    supported at the origin, so its dimension is the local one: the number
+    of monomials outside the leading ideal of a grevlex Groebner basis of
+    J plus every monomial of degree D.  It equals dim O/J once m^D lies in
+    J; the caller must skip the test when sympy is absent.
+    """
+    import sympy
+
+    nvars = len(next(iter(generators[0])))
+    xs = sympy.symbols(f"x0:{nvars}")
+    monomials = [e for e in product(range(degree + 1), repeat=nvars) if sum(e) <= degree]
+    polys = [
+        sympy.Poly.from_dict(
+            {exps: sympy.Rational(c.numerator, c.denominator) for exps, c in terms.items()},
+            *xs,
+            domain="QQ",
+        )
+        for terms in generators
+    ] + [sympy.Poly.from_dict({e: 1}, *xs, domain="QQ") for e in monomials if sum(e) == degree]
+    basis = sympy.groebner(polys, *xs, order="grevlex", domain="QQ")
+    lead = [p.monoms(order="grevlex")[0] for p in basis.polys]
+    return sum(
+        1
+        for e in monomials
+        if sum(e) < degree and not any(all(a <= b for a, b in zip(lm, e)) for lm in lead)
+    )

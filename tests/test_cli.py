@@ -68,6 +68,17 @@ def test_polar_and_gap_verbs(capsys):
     assert doc["threshold"] == 4 and doc["exact_max"] == "3"
 
 
+def test_gap_on_a_germ_that_needs_the_corner(capsys):
+    # the untruncated local basis behind the g-side intersection number
+    # does not finish in a minute
+    code, out = run_cli(
+        capsys, "gap", "--vars", "x,y,z", "--g", "x^2*y+y^4+z^5+x*y*z^2", "--f", "x+2*y+3*z",
+        "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["threshold"] == 26
+
+
 def test_critical_locus_verb(capsys):
     code, out = run_cli(
         capsys, "critical-locus", "--vars", "x,y,z", "--g", "x^2+y^2", "--f", "z"

@@ -6,7 +6,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from germlab import (
@@ -36,11 +36,6 @@ x, y = RING_XY.variable(0), RING_XY.variable(1)
 X, Y, Z = (RING_XYZ.variable(i) for i in range(3))
 # saturating by x gives (y, z^3)
 ENLARGED_BY_X = [X * Y * Z, X**2 * Y + 2 * Y * Z**2, X * Z**3]
-# on a few random inputs Mora's intermediate coefficients pass 10^5 bits
-# within a thousand reduction steps, and a single step then costs seconds;
-# the permutation property stops its local standard bases at this many
-# steps, well before that, and drops an example that passes it
-LOCAL_PROPERTY_CAP = 500
 
 
 class TestNormalForm:
@@ -151,7 +146,9 @@ class TestStandardBasis:
         # permuting the ring variables is the local order read through a
         # permutation: x_i^a_i plus terms of higher degree keeps x_i^a_i as
         # local lead, so the ideal is zero-dimensional at the origin, and
-        # neither its quotient dimension nor its dimension may move
+        # neither its quotient dimension nor its dimension may move; those
+        # leads give a highest corner from the generators on, so both sides
+        # must finish within the cap
         ring = data.draw(st.sampled_from([RING_XY, RING_XYZ]))
         gens = []
         for i in range(ring.nvars):
@@ -165,14 +162,11 @@ class TestStandardBasis:
 
         def dims(gens):
             I = IdealPresentation(ring, gens)
-            try:
-                return quotient_dim_local(I, LOCAL_PROPERTY_CAP), dim_at_origin(I, LOCAL_PROPERTY_CAP)
-            except IterationLimitError:
-                return None
+            budget = Budget(PROPERTY_CAP)
+            return quotient_dim_local(I, budget), dim_at_origin(I, budget)
 
         plain = dims(gens)
         permuted = dims([g.substitute(ring, images) for g in gens])
-        assume(plain is not None and permuted is not None)
         assert plain == permuted
         assert plain[0] is not None and plain[1] <= 0
 
@@ -193,6 +187,26 @@ class TestQuotientDim:
     def test_local_ring_sees_units(self):
         # 1 + x is a unit near the origin, so <x^2 (1 + x)> has dimension 2
         assert quotient_dim_local(IdealPresentation(RING_XY, [x**2 + x**3, y])) == 2
+
+    def test_corner_bounds_the_coefficient_growth(self):
+        # locally the maximal ideal; untruncated, Mora's completion takes 1474
+        # steps and builds ints of 479 000 bits
+        gens = [
+            3 * X**2 * Y * Z**2 + X,
+            -Fraction(7, 3) * Y**2 * Z**2 + Y,
+            -Fraction(5, 2) * X**2 * Y**2 - 2 * Y**2 + Z,
+            X * Z**2 + 2 * Y * Z**2,
+        ]
+        assert quotient_dim_local(IdealPresentation(RING_XYZ, gens), 50) == 1
+
+    def test_staircase_and_corner_ride_on_the_local_basis(self):
+        I = IdealPresentation(RING_XY, [x**2 + y**3, x * y])
+        basis = I.standard_basis(LOCAL)
+        # standard monomials 1, y, y^2, y^3 and x
+        assert (basis.staircase_size, basis.corner) == (5, 4)
+        assert quotient_dim_local(I) == 5
+        assert I.standard_basis(DEGREVLEX).staircase_size is None
+        assert IdealPresentation(RING_XY, [x]).standard_basis(LOCAL).staircase_size is None
 
 
 class TestDimAtOrigin:
@@ -299,8 +313,9 @@ def test_contraction_against_fixed_basis(p):
 
 def test_work_counts_match_the_recorded_runs():
     # exact Budget spends recorded before the pair queue became a heap and
-    # leading monomials were cached: equal counts mean pairs are selected and
-    # reduced in the same order
+    # leading monomials were cached, the local ones again when the local
+    # completion began to truncate at the highest corner: equal counts mean
+    # pairs are selected, skipped and reduced in the same order
     def spent(run) -> int:
         budget = Budget(10**5)
         run(budget)
@@ -308,11 +323,11 @@ def test_work_counts_match_the_recorded_runs():
 
     mu = []
     g = X**2 * Y + Y**4 + Z**5 + X * Y * Z**2
-    assert spent(lambda b: mu.append(milnor_number(g, b))) == 1226
+    assert spent(lambda b: mu.append(milnor_number(g, b))) == 1186
     assert mu == [20]
     jac = jacobian(X**3 * Y + Y**3 * Z + Z**3 * X)
     assert spent(lambda b: standard_basis_of(jac, DEGREVLEX, b)) == 20
-    assert spent(lambda b: standard_basis_of(jac, LOCAL, b)) == 71
+    assert spent(lambda b: standard_basis_of(jac, LOCAL, b)) == 69
 
 
 def test_saturation_work_count_is_pinned():

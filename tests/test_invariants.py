@@ -31,7 +31,13 @@ from germlab.invariants import (
 )
 from germlab.rings import PolyRing, jacobian
 from conftest import RING_XY, RING_XYZ, poly_strategy
-from oracles import brieskorn_mu, homogeneous_plane_mu, monomial_quotient_count, thom_sebastiani
+from oracles import (
+    brieskorn_mu,
+    homogeneous_plane_mu,
+    monomial_quotient_count,
+    sympy_local_quotient_dim,
+    thom_sebastiani,
+)
 
 x, y = RING_XY.variable(0), RING_XY.variable(1)
 X, Y, Z = (RING_XYZ.variable(i) for i in range(3))
@@ -71,6 +77,20 @@ class TestMilnorNumber:
             lifted = h.substitute(RING_XYZ, [X, Y])
             for n in range(2, 9):
                 assert milnor_number(lifted + Z**n) == thom_sebastiani(mu_h, n)
+
+    # germs whose untruncated local completion runs for minutes, with two D
+    # past the highest corner, where sympy's dim O/(Jac + m^D) must equal mu
+    CORNER_GERMS = [
+        (X**2 + Y**2 * Z + (X**2 + Y**2 + Z**2) ** 3, 7, (6, 8)),
+        (X * Y * (X + Y) + (Z**2 + X**3 + Y**3) ** 4, 28, (9, 10)),
+    ]
+
+    @pytest.mark.parametrize("g, mu, degrees", CORNER_GERMS, ids=["x2+y2z", "xy(x+y)"])
+    def test_germs_that_need_the_corner(self, g, mu, degrees):
+        assert milnor_number(g, cap=100) == mu
+        pytest.importorskip("sympy")
+        jac = [p.terms for p in jacobian(g)]
+        assert [sympy_local_quotient_dim(jac, d) for d in degrees] == [mu, mu]
 
     def test_nonisolated_raises(self):
         with pytest.raises(NonisolatedError):

@@ -132,11 +132,11 @@ def test_route_log_mentions_routes():
 
 HEAVY_FORM = X + 2 * Y + 3 * Z
 # the Le-number germs of the benchmark's heavy tier, their pairs for
-# x + 2y + 3z, and where cheap enough the exponent N and the pivot of the
-# aligned coordinates (None: the original ones) at which the benchmark checks
+# x + 2y + 3z, and the exponent N and the pivot of the aligned coordinates
+# (None: the original ones) at which the benchmark checks
 # mu(g + l^N) = lambda0 + (N - 1) lambda1
 HEAVY_LE = [
-    (X**2 * Y**2 + X**2 * Z**2 + Y**2 * Z**2, (18, 3), None),
+    (X**2 * Y**2 + X**2 * Z**2 + Y**2 * Z**2, (18, 3), (4, 0)),
     (Y**2 - X**3 + Z * X**2 * Y, (0, 2), (2, None)),
     (X**2 * Y**2 + Z**3, (6, 4), (9, None)),
     (X**3 + Y**3 + X * Y * Z, (6, 1), (10, 2)),
@@ -146,8 +146,6 @@ HEAVY_LE = [
 @pytest.mark.parametrize("g, pair, iomdin", HEAVY_LE, ids=[str(c[0]) for c in HEAVY_LE])
 def test_heavy_le_pairs_and_le_iomdin(g, pair, iomdin):
     assert le_numbers(g, HEAVY_FORM).as_pair() == pair
-    if iomdin is None:
-        return
     n, pivot = iomdin
     if pivot is None:
         deformed = g + HEAVY_FORM**n
@@ -163,4 +161,4 @@ def test_le_work_count_is_pinned():
     # saturation route or pair order moves the count
     budget = Budget(10**5)
     le_numbers(X**2 * Y**2 + Z**3, HEAVY_FORM, cap=budget)
-    assert 10**5 - budget.remaining == 386
+    assert 10**5 - budget.remaining == 377
