@@ -2,10 +2,14 @@
 dimension at the origin and saturation.
 
 Global orders use ordinary multivariate division and Buchberger's algorithm.
-Local orders use Mora reduction with ecart control, which terminates on
-polynomial input, truncated at the highest corner once there is one; the
-resulting bases are standard bases of the localized ideal at the origin.  Every loop spends from an iteration budget and raises
-IterationLimitError instead of spinning.
+The local completion is Buchberger's algorithm on homogenizations, read back
+in the original variables (Lazard's method): each reduction stays within the
+degree its element carries, and the completion truncates at the highest
+corner once there is one.  Its bases are standard bases of the localized
+ideal at the origin.  Membership and normal forms under the local order use
+Mora reduction with ecart control, which terminates on polynomial input.
+Every loop spends from an iteration budget and raises IterationLimitError
+instead of spinning.
 
 The kernel is fraction-free: it reduces primitive int multiples of the
 polynomials (Poly values with int coefficients, which never leave this
@@ -280,8 +284,8 @@ def normal_form(p: Poly, basis: Sequence[Poly], order: MonomialOrder, cap=None) 
 def _weak_nf(
     p: Poly, reducers: Sequence[tuple], order: MonomialOrder, budget: Budget, corner: int | None
 ) -> Poly:
-    """Cheapest normal form adequate for membership tests and basis building,
-    up to a positive int factor."""
+    """Cheapest normal form adequate for membership tests, up to a positive
+    int factor."""
     if order.is_global:
         return _divide_global(p, reducers, order, budget)[0]
     return _mora_weak(p, reducers, order, budget, corner)[0]
@@ -290,6 +294,46 @@ def _weak_nf(
 # ---------------------------------------------------------------------------
 # standard bases
 # ---------------------------------------------------------------------------
+
+
+def _reduce_within_sugar(
+    p: Poly,
+    reducers: Sequence[tuple],
+    order: MonomialOrder,
+    budget: Budget,
+    sugar: int,
+    corner: int | None,
+) -> Poly:
+    """Weak normal form of p, of sugar `sugar`, for the local completion, up
+    to a positive int factor.
+
+    An element f of the completion carries its sugar s >= deg f, the degree of
+    its homogenization t^s * f(x/t) in Q[t, x].  Under the order that ranks by
+    degree and then locally, that leads with t^(s - |lm f|) * lm(f), so the
+    ecart slot of a reducer (see standard_basis_of) holds s - |lm f|.  The
+    leading term of h is reduced by x^a * g only when g's slot is at most
+    sugar - |lm h|: exactly the steps of homogeneous division in degree
+    `sugar`.  Every term stays of degree <= sugar and the leading monomial
+    falls, so the loop ends without Mora's extra reducers.  A nonzero result
+    may lead with a monomial that some reducer of larger ecart divides; the
+    completion keeps it as a basis element.
+    """
+    h = p
+    if corner is not None:
+        h = Poly._make(p.ring, {e: c for e, c in p.terms.items() if sum(e) < corner})
+    while not h.is_zero:
+        lm, lc = leading_term(h, order)
+        room = sugar - sum(lm)
+        best = None
+        for r in reducers:
+            if r[2] <= room and mono_divides(r[0], lm) and (best is None or r[2] < best[2]):
+                best = r
+        if best is None:
+            break
+        lmg, lcg, _, g = best
+        budget.spend()
+        h = _sub_shifted(h, lc, g, lcg, mono_div(lm, lmg), corner)[0]
+    return h
 
 
 def _spoly(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
@@ -410,11 +454,24 @@ def standard_basis_of(
     heap keyed once, when the pair is formed; basis entries never change after
     they are appended, so the key of a waiting pair stays valid.
 
-    Under LOCAL the completion tracks the staircase of its leading monomials
-    (see _Staircase).  Once a highest corner D is known, a pair whose lcm has
-    degree >= D is skipped, since its S-polynomial lies in m^D, and Mora
-    reduction drops the terms of degree >= D.  The leading ideal is the same,
-    and an ideal with no corner (an infinite quotient) runs untruncated.
+    Under LOCAL each element carries a sugar: a generator its degree, an
+    S-polynomial |lcm| plus the larger ecart slot of its pair.  Pairs are
+    selected by smallest sugar first, then by lcm key, and reduced within
+    their sugar (see _reduce_within_sugar).  This is Buchberger's algorithm on
+    the homogenizations under a degree order, so it terminates (each new
+    element's homogenized leading monomial is divisible by no earlier one)
+    and, read back at t = 1, gives a standard basis (Lazard's method, EUROCAL
+    1983): every S-polynomial that is not skipped divides to zero, which is
+    Buchberger's criterion for standard bases (Greuel-Pfister, 1.7).  Mora's
+    normal form would instead chase one S-polynomial up in degree with its
+    extra reducers, and on an ideal with a curve through the origin that
+    chase can run for thousands of steps over ints of 10^4 bits and more.
+
+    The completion also tracks the staircase of its leading monomials (see
+    _Staircase).  Once a highest corner D is known, a pair whose lcm has
+    degree >= D is skipped, since its S-polynomial lies in m^D, and reduction
+    drops the terms of degree >= D.  The leading ideal is the same, and an
+    ideal with no corner (an infinite quotient) runs untruncated.
 
     The completion runs fraction-free: each generator and each new basis
     element is kept as its primitive int multiple with a positive leading
@@ -432,30 +489,36 @@ def standard_basis_of(
     gens = [_integral(g, order) for g in gens]
     gens.sort(key=lambda g: order.key(leading_term(g, order)[0]))
     basis: list[Poly] = []
-    reducers: list[tuple] = []  # _reducer entries of the basis
+    # (lm, lc, sugar - |lm|, g) per basis element: the _reducer entry, with
+    # the sugar's ecart in place of the ecart
+    reducers: list[tuple] = []
     lead: list[Exponents] = []
-    pairs: list[tuple] = []  # heap of (order.key(lcm), i, j, lcm) with i < j
-    stairs = _Staircase(lead, ring.nvars) if order.is_local else None
+    pairs: list[tuple] = []  # heap of (key, i, j, lcm, sugar) with i < j
+    local = order.is_local
+    stairs = _Staircase(lead, ring.nvars) if local else None
 
-    def append(g: Poly) -> None:
+    def append(g: Poly, sugar: int) -> None:
         j = len(basis)
         lmj = leading_monomial(g, order)
+        ej = sugar - sum(lmj)
         for i, lmi in enumerate(lead):
             lcm = mono_lcm(lmi, lmj)
-            heapq.heappush(pairs, (order.key(lcm), i, j, lcm))
+            sug = sum(lcm) + max(reducers[i][2], ej)
+            key = (sug, order.key(lcm)) if local else order.key(lcm)
+            heapq.heappush(pairs, (key, i, j, lcm, sug))
         basis.append(g)
-        reducers.append(_reducer(g, order))
+        reducers.append((lmj, g.terms[lmj], ej, g))
         lead.append(lmj)
         if stairs is not None:
             stairs.add(lmj)
 
     for g in gens:
         if g not in basis:
-            append(g)
+            append(g, g.total_degree())
 
     while pairs:
         budget.spend()
-        _, i, j, lcm = heapq.heappop(pairs)
+        _, i, j, lcm, sugar = heapq.heappop(pairs)
         if lcm == mono_mul(lead[i], lead[j]):
             continue  # coprime leading terms reduce to zero
         corner = None if stairs is None else stairs.corner
@@ -464,10 +527,13 @@ def standard_basis_of(
         s = _spoly(basis[i], basis[j], order)
         if s.is_zero:
             continue
-        r = _weak_nf(s, reducers, order, budget, corner)
+        if local:
+            r = _reduce_within_sugar(s, reducers, order, budget, sugar, corner)
+        else:
+            r = _divide_global(s, reducers, order, budget)[0]
         if r.is_zero:
             continue
-        append(_primitive(r, order))
+        append(_primitive(r, order), sugar)
 
     # minimalize: drop elements whose leading monomial is divisible by another
     keep: list[int] = []
