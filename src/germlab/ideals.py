@@ -1,7 +1,10 @@
 """Ideal arithmetic: normal forms, standard bases, local quotient dimensions,
 dimension at the origin and saturation.
 
-Global orders use ordinary multivariate division and Buchberger's algorithm.
+Global orders use ordinary multivariate division and Buchberger's algorithm;
+the division pops the remainder's monomials from a heap, largest first, each
+one keyed once when it appears, instead of scanning every term for the
+leading one after each step (Monagan-Pearce, CASC 2007).
 The local completion is Buchberger's algorithm on homogenizations, read back
 in the original variables (Lazard's method): each reduction stays within the
 degree its element carries, and the completion truncates at the highest
@@ -116,41 +119,53 @@ def _shift(p: Poly, exps: Exponents) -> Poly:
     return Poly._make(p.ring, {mono_mul(e, exps): c for e, c in p.terms.items()})
 
 
-def _sub_shifted(
-    h: Poly, lch: int, g: Poly, lcg: int, exps: Exponents, corner: int | None = None
-) -> tuple[Poly, int]:
-    """(a*h - b*x^exps*g, a) with (a, b) = (lcg, lch) / gcd(lch, lcg) and a > 0.
+def _subtract_into(
+    acc: dict, lch: int, g: Poly, lcg: int, exps: Exponents,
+    corner: int | None = None, fresh: list | None = None,
+) -> int:
+    """acc := a*acc - b*x^exps*g in place, with (a, b) = (lcg, lch) / gcd(lch, lcg)
+    and a > 0; returns a.
 
-    The result is a*(h - (lch/lcg)*x^exps*g), the rational reduction step
-    times a positive int; when lch is the coefficient of h at x^exps * lm(g)
-    and lcg that of g at lm(g), that term cancels.  Built in one pass over the
-    terms of g.  With a corner, the terms of x^exps*g of degree >= corner are
-    left out, so the result has none when h has none.
+    For the h that acc holds, that is a*(h - (lch/lcg)*x^exps*g): the rational
+    reduction step times a positive int.  When lch is h's coefficient at
+    x^exps * lm(g) and lcg is g's at lm(g), that term cancels and leaves acc.
+    One pass over the terms of g.  With a corner, the terms of x^exps*g of
+    degree >= corner are left out, so acc gains no such term.  Monomials that
+    enter acc are appended to fresh, if given.
     """
     d = math.gcd(lch, lcg)
     a, b = lcg // d, lch // d
     if a < 0:
         a, b = -a, -b
-    acc = dict(h.terms) if a == 1 else {e: a * c for e, c in h.terms.items()}
+    if a != 1:
+        for e, c in acc.items():
+            acc[e] = a * c
     below = None if corner is None else corner - sum(exps)
     for e, c in g.terms.items():
         if below is not None and sum(e) >= below:
             continue
         m = mono_mul(e, exps)
         s = acc.get(m)
-        s = -(c * b) if s is None else s - c * b
-        if s:
-            acc[m] = s
+        if s is None:
+            acc[m] = -(c * b)
+            if fresh is not None:
+                fresh.append(m)
         else:
-            del acc[m]
-    return Poly._make(h.ring, acc), a
+            s -= c * b
+            if s:
+                acc[m] = s
+            else:
+                del acc[m]
+    return a
 
 
-def _without(h: Poly, lm: Exponents) -> Poly:
-    """h with its term at lm removed."""
+def _sub_shifted(
+    h: Poly, lch: int, g: Poly, lcg: int, exps: Exponents, corner: int | None = None
+) -> tuple[Poly, int]:
+    """(a*h - b*x^exps*g, a) as a new Poly: _subtract_into on a copy of h's terms."""
     acc = dict(h.terms)
-    del acc[lm]
-    return Poly._make(h.ring, acc)
+    a = _subtract_into(acc, lch, g, lcg, exps, corner)
+    return Poly._make(h.ring, acc), a
 
 
 def _rescaled_tail(ring: PolyRing, tail: list[tuple[Exponents, int, int]], scale: int) -> Poly:
@@ -163,7 +178,7 @@ def _rescaled_tail(ring: PolyRing, tail: list[tuple[Exponents, int, int]], scale
 # normal forms
 #
 # The kernel works on int coefficients.  A reduction step multiplies the
-# reduced polynomial h by a positive int a (see _sub_shifted), so each routine
+# reduced polynomial h by a positive int a (see _subtract_into), so each routine
 # also returns the product of those factors: its scale.  The int result is
 # scale times the remainder that rational reduction of the same input gives.
 # ---------------------------------------------------------------------------
@@ -180,21 +195,37 @@ def _divide_global(
     p: Poly, reducers: Sequence[tuple], order: MonomialOrder, budget: Budget
 ) -> tuple[Poly, int]:
     """Fully reduced remainder of p modulo the reducers (see _reducer) for a
-    global order, and its scale."""
+    global order, and its scale.
+
+    The remainder lives in one term dict, and its monomials wait in a heap by
+    order.rank, each pushed when it enters the dict.  A pop whose monomial has
+    since cancelled is skipped, so the first live pop is the leading monomial
+    that max by order.key would find.  A step creates only monomials below the
+    one it reduces, so the steps are those of the classical division loop.
+    """
+    rank = order.rank
+    acc = dict(p.terms)
+    heap = [(rank(e), e) for e in acc]
+    heapq.heapify(heap)
+    fresh: list[Exponents] = []
     tail: list[tuple[Exponents, int, int]] = []
     scale = 1
-    h = p
-    while not h.is_zero:
-        lm, lc = leading_term(h, order)
+    while heap:
+        lm = heapq.heappop(heap)[1]
+        lc = acc.get(lm)
+        if lc is None:
+            continue
         for lmg, lcg, _, g in reducers:
             if mono_divides(lmg, lm):
                 budget.spend()
-                h, a = _sub_shifted(h, lc, g, lcg, mono_div(lm, lmg))
-                scale *= a
+                scale *= _subtract_into(acc, lc, g, lcg, mono_div(lm, lmg), fresh=fresh)
+                for m in fresh:
+                    heapq.heappush(heap, (rank(m), m))
+                fresh.clear()
                 break
         else:
             tail.append((lm, lc, scale))
-            h = _without(h, lm)
+            del acc[lm]
     return _rescaled_tail(p.ring, tail, scale), scale
 
 
@@ -253,7 +284,9 @@ def _reduce_local(
             break
         lm, lc = leading_term(h, order)
         tail.append((lm, lc, scale))
-        h = _without(h, lm)
+        rest = dict(h.terms)
+        del rest[lm]
+        h = Poly._make(h.ring, rest)
     return _rescaled_tail(p.ring, tail, scale), scale
 
 
@@ -561,8 +594,9 @@ def standard_basis_of(
 class IdealPresentation:
     """A generator list together with cached standard bases per order.
 
-    The cache is confined to this object; distinct presentations never share
-    state, so separate sessions are safe to use on separate threads.
+    The cache is confined to this object and filled on first use, one basis
+    per order; distinct presentations never share state, and germlab starts
+    no threads.
     """
 
     __slots__ = ("ring", "generators", "_bases")

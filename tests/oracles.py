@@ -86,6 +86,32 @@ def sympy_saturation(
     ]
 
 
+def _sympy_poly(terms: dict[tuple[int, ...], Fraction], xs):
+    """The term dict {exponents: coefficient} as a sympy Poly over QQ in xs."""
+    import sympy
+
+    rational = {exps: sympy.Rational(c.numerator, c.denominator) for exps, c in terms.items()}
+    return sympy.Poly.from_dict(rational, *xs, domain="QQ")
+
+
+def sympy_remainder(
+    p: dict[tuple[int, ...], Fraction], basis: list[dict[tuple[int, ...], Fraction]], nvars: int
+) -> dict[tuple[int, ...], Fraction]:
+    """Remainder of p on division by basis under grevlex, computed by sympy.
+
+    Polynomials are term dicts {exponents: coefficient} in nvars variables.
+    The remainder of sympy.reduced depends on its division strategy unless
+    basis is a Groebner basis; the caller passes one and must skip the test
+    when sympy is absent.
+    """
+    import sympy
+
+    xs = sympy.symbols(f"x0:{nvars}")
+    G = [_sympy_poly(terms, xs) for terms in basis]
+    _, r = sympy.reduced(_sympy_poly(p, xs), G, *xs, order="grevlex", domain="QQ")
+    return {exps: Fraction(int(c.p), int(c.q)) for exps, c in r.terms() if c}
+
+
 def sympy_reduced_basis(
     generators: list[dict[tuple[int, ...], Fraction]], nvars: int
 ) -> list[dict[tuple[int, ...], Fraction]]:
@@ -99,14 +125,7 @@ def sympy_reduced_basis(
     import sympy
 
     xs = sympy.symbols(f"x0:{nvars}")
-    polys = [
-        sympy.Poly.from_dict(
-            {exps: sympy.Rational(c.numerator, c.denominator) for exps, c in terms.items()},
-            *xs,
-            domain="QQ",
-        )
-        for terms in generators
-    ]
+    polys = [_sympy_poly(terms, xs) for terms in generators]
     basis = sympy.groebner(polys, *xs, order="grevlex", domain="QQ")
     out = []
     for p in basis.polys:
@@ -129,14 +148,9 @@ def sympy_local_quotient_dim(generators: list[dict[tuple[int, ...], Fraction]], 
     nvars = len(next(iter(generators[0])))
     xs = sympy.symbols(f"x0:{nvars}")
     monomials = [e for e in product(range(degree + 1), repeat=nvars) if sum(e) <= degree]
-    polys = [
-        sympy.Poly.from_dict(
-            {exps: sympy.Rational(c.numerator, c.denominator) for exps, c in terms.items()},
-            *xs,
-            domain="QQ",
-        )
-        for terms in generators
-    ] + [sympy.Poly.from_dict({e: 1}, *xs, domain="QQ") for e in monomials if sum(e) == degree]
+    polys = [_sympy_poly(terms, xs) for terms in generators] + [
+        sympy.Poly.from_dict({e: 1}, *xs, domain="QQ") for e in monomials if sum(e) == degree
+    ]
     basis = sympy.groebner(polys, *xs, order="grevlex", domain="QQ")
     lead = [p.monoms(order="grevlex")[0] for p in basis.polys]
     return sum(

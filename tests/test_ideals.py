@@ -30,7 +30,7 @@ from germlab.orders import DEGREVLEX, ELIM_FIRST, LOCAL, leading_monomial
 from germlab.polar import jacobian_minors
 from germlab.rings import jacobian, mono_div, mono_divides, mono_lcm
 from conftest import RING_XY, RING_XYZ, from_terms, nonzero_poly_strategy, poly_strategy
-from oracles import sympy_local_quotient_dim, sympy_reduced_basis
+from oracles import sympy_local_quotient_dim, sympy_reduced_basis, sympy_remainder
 
 x, y = RING_XY.variable(0), RING_XY.variable(1)
 X, Y, Z = (RING_XYZ.variable(i) for i in range(3))
@@ -402,6 +402,19 @@ def test_reduced_basis_matches_sympy(gens):
     assert sorted(map(sorted, (g.terms.items() for g in basis))) == sorted(
         map(sorted, (t.items() for t in expected))
     )
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data(), IDEALS)
+def test_global_normal_form_matches_sympy(data, gens):
+    # the remainder modulo the reduced basis is unique, so sympy's division
+    # must find the same one
+    pytest.importorskip("sympy")
+    ring = gens[0].ring
+    p = data.draw(poly_strategy(ring, max_degree=4, max_terms=6))
+    basis = standard_basis_of(gens, DEGREVLEX)
+    expected = sympy_remainder(p.terms, [g.terms for g in basis], ring.nvars)
+    assert normal_form(p, basis, DEGREVLEX).terms == expected
 
 
 def basis_and_spend(gens, order):

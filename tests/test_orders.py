@@ -57,6 +57,17 @@ def test_leading_monomial_local_vs_global():
 ORDERS = [DEGREVLEX, LOCAL, ELIM_FIRST]
 
 
+@pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.kind)
+@settings(deadline=None)
+@given(st.lists(exps3, min_size=2, max_size=6))
+def test_rank_ascends_as_key_descends(order, monos):
+    # a heap by rank pops monomials in the order max by key finds them
+    for a in monos:
+        for b in monos:
+            assert (order.rank(a) < order.rank(b)) == (order.key(a) > order.key(b))
+            assert (order.rank(a) == order.rank(b)) == (order.key(a) == order.key(b))
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     nonzero_poly_strategy(RING_XYZ, max_degree=4, max_terms=6),

@@ -26,6 +26,7 @@ from germlab import (
 from germlab import export_dataset, ideals, invariants, le, verifier
 from germlab import polar as polar_module
 from germlab.ideals import Budget
+from germlab.orders import DEGREVLEX, ELIM_FIRST, LOCAL
 from germlab.rings import Poly
 from germlab.fixtures_lib import fixture_text, load_fixture
 from germlab.verifier import (
@@ -428,6 +429,28 @@ def test_heavy_tier_spend_is_pinned():
     }
     assert spend == HEAVY_SPEND
     assert sum(spend.values()) == 4388
+
+
+def test_heavy_tier_order_key_evaluations_are_pinned(monkeypatch):
+    # global division keys each monomial once, when it enters the remainder;
+    # a scan of every term for the leading one after each step made 89 333
+    calls = [0]
+
+    def counting(real):
+        def wrapper(e):
+            calls[0] += 1
+            return real(e)
+
+        return wrapper
+
+    for order in (DEGREVLEX, LOCAL, ELIM_FIRST):
+        monkeypatch.setattr(order, "key", counting(order.key))
+        monkeypatch.setattr(order, "rank", counting(order.rank))
+    form = next(generic_linear_candidates(RING_XYZ))
+    run = {"le": lambda g: le_numbers(g, form), "mu": milnor_number}
+    for kind, text in HEAVY_SPEND:
+        run[kind](parse_poly(text, RING_XYZ))
+    assert calls[0] == 8933
 
 
 @pytest.mark.parametrize("name", ["cylinder", "double-axes"])
