@@ -5,12 +5,15 @@ Global orders use ordinary multivariate division and Buchberger's algorithm;
 the division pops the remainder's monomials from a heap, largest first, each
 one keyed once when it appears, instead of scanning every term for the
 leading one after each step (Monagan-Pearce, CASC 2007).
-The local completion is Buchberger's algorithm on homogenizations, read back
-in the original variables (Lazard's method): each reduction stays within the
-degree its element carries, and the completion truncates at the highest
-corner once there is one.  Its bases are standard bases of the localized
-ideal at the origin.  Membership and normal forms under the local order use
-Mora reduction with ecart control, which terminates on polynomial input.
+The local order has one reduction loop, which takes the leading term of
+what is left each step.  The local completion runs it within the degree each
+element carries (Lazard's method: Buchberger's algorithm on homogenizations,
+read back in the original variables) and truncates at the highest corner
+once there is one; its bases are standard bases of the localized ideal at
+the origin.  Membership under the local order runs the same loop as Mora's
+weak normal form, which terminates on polynomial input.  `normal_form`
+takes global orders only, since a local remainder is fixed only up to a
+unit.
 Every loop spends from an iteration budget and raises IterationLimitError
 instead of spinning.
 
@@ -34,7 +37,6 @@ from .orders import (
     ELIM_FIRST,
     LOCAL,
     MonomialOrder,
-    ecart,
     leading_monomial,
     leading_term,
 )
@@ -161,34 +163,31 @@ def _subtract_into(
 
 def _sub_shifted(
     h: Poly, lch: int, g: Poly, lcg: int, exps: Exponents, corner: int | None = None
-) -> tuple[Poly, int]:
-    """(a*h - b*x^exps*g, a) as a new Poly: _subtract_into on a copy of h's terms."""
+) -> Poly:
+    """a*h - b*x^exps*g as a new Poly: _subtract_into on a copy of h's terms."""
     acc = dict(h.terms)
-    a = _subtract_into(acc, lch, g, lcg, exps, corner)
-    return Poly._make(h.ring, acc), a
-
-
-def _rescaled_tail(ring: PolyRing, tail: list[tuple[Exponents, int, int]], scale: int) -> Poly:
-    """The remainder from tail terms (lm, lc, s), each popped while the
-    reduced polynomial carried the scale s, brought to the final scale."""
-    return Poly._make(ring, {lm: lc * (scale // s) for lm, lc, s in tail})
+    _subtract_into(acc, lch, g, lcg, exps, corner)
+    return Poly._make(h.ring, acc)
 
 
 # ---------------------------------------------------------------------------
 # normal forms
 #
 # The kernel works on int coefficients.  A reduction step multiplies the
-# reduced polynomial h by a positive int a (see _subtract_into), so each routine
-# also returns the product of those factors: its scale.  The int result is
-# scale times the remainder that rational reduction of the same input gives.
+# reduced polynomial h by a positive int a (see _subtract_into).  Global
+# division also returns the product of those factors, its scale: the int
+# remainder is scale times the one rational division of the same input gives.
+# The local loop returns its result only up to that factor.
 # ---------------------------------------------------------------------------
 
 
 def _reducer(g: Poly, order: MonomialOrder) -> tuple[Exponents, int, int, Poly]:
     """(lm, lc, ecart, g): what a reduction step reads of the reducer g,
-    computed once per basis element instead of once per normal form."""
+    computed once per basis element instead of once per normal form.  The
+    ecart deg g - |lm g| is the completion's slot for sugar deg g (see
+    standard_basis_of)."""
     lm, lc = leading_term(g, order)
-    return lm, lc, ecart(g, order), g
+    return lm, lc, g.total_degree() - sum(lm), g
 
 
 def _divide_global(
@@ -226,81 +225,80 @@ def _divide_global(
         else:
             tail.append((lm, lc, scale))
             del acc[lm]
-    return _rescaled_tail(p.ring, tail, scale), scale
+    # each tail term was popped at the scale s; bring it to the final scale
+    return Poly._make(p.ring, {lm: lc * (scale // s) for lm, lc, s in tail}), scale
 
 
-def _mora_weak(
+def _local_weak_normal_form(
     p: Poly,
     reducers: Sequence[tuple],
     order: MonomialOrder,
     budget: Budget,
-    corner: int | None = None,
-) -> tuple[Poly, int]:
-    """Mora weak normal form of p modulo the reducers (see _reducer), and its
-    scale: the leading term of the result is irreducible.
+    corner: int | None,
+    sugar: int | None = None,
+) -> Poly:
+    """Weak normal form of p modulo the reducers under the local order, up to
+    a positive int factor: its leading term is irreducible, or its sugar
+    leaves no room to reduce it.
 
-    The returned remainder r satisfies u*p = q + r in the local ring for some
-    unit u and q in the ideal generated by the reducers; in particular r == 0
-    exactly when p lies in the localized ideal, provided they form a standard
-    basis.  With a highest corner D (m^D inside the ideal), p and every
-    intermediate remainder drop their terms of degree >= D.
+    A reducer (lm, lc, e, g) carries the ecart slot e = s - |lm g| for the
+    sugar s of g (see _reducer and standard_basis_of).  Each step reduces the
+    leading term of h by the first reducer of least ecart among those whose
+    leading monomial divides lm(h).  When that ecart exceeds the room h has
+    left, the two callers part:
+
+    - The completion passes its sugar.  The room is sugar - |lm h|, and the
+      loop stops there.  The homogenization t^s * g(x/t) leads with
+      t^e * lm(g) under the order that ranks by degree and then locally, so
+      these are the steps of homogeneous division in degree `sugar`: every
+      term stays of degree <= sugar and the leading monomial falls.  A nonzero result may lead with a monomial that a
+      reducer of larger ecart divides; the completion keeps it as a basis
+      element.
+    - Membership passes none.  The room is Mora's ecart deg h - |lm h|, and h
+      joins a private copy of the reducers before the step (Mora's normal
+      form, Greuel-Pfister, A Singular Introduction to Commutative Algebra,
+      1.7).  The result r satisfies u*p = q + r in the local ring for a unit u
+      and q in the ideal of the reducers, so r == 0 exactly when p lies in
+      the localized ideal, provided they form a standard basis.
+
+    With a highest corner D (m^D inside the ideal), p and every intermediate
+    remainder drop their terms of degree >= D.
     """
-    reducers = list(reducers)
-    scale = 1
     h = p
     if corner is not None:
         h = Poly._make(p.ring, {e: c for e, c in p.terms.items() if sum(e) < corner})
+    if sugar is None:
+        reducers = list(reducers)
     while not h.is_zero:
         lm, lc = leading_term(h, order)
         best = None
         for r in reducers:
-            if mono_divides(r[0], lm) and (best is None or r[2] < best[2]):
+            if (best is None or r[2] < best[2]) and mono_divides(r[0], lm):
                 best = r
         if best is None:
             break
-        eh = h.total_degree() - sum(lm)
-        if best[2] > eh:
-            reducers.append((lm, lc, eh, h))
+        room = (h.total_degree() if sugar is None else sugar) - sum(lm)
+        if best[2] > room:
+            if sugar is not None:
+                break
+            reducers.append((lm, lc, room, h))
         lmg, lcg, _, g = best
         budget.spend()
-        h, a = _sub_shifted(h, lc, g, lcg, mono_div(lm, lmg), corner)
-        scale *= a
-    return h, scale
-
-
-def _reduce_local(
-    p: Poly, reducers: Sequence[tuple], order: MonomialOrder, budget: Budget
-) -> tuple[Poly, int]:
-    """Tail-reduced local normal form, and its scale: pop irreducible leading
-    terms and keep running Mora reduction on the rest.  Termination is
-    budget-guarded."""
-    tail: list[tuple[Exponents, int, int]] = []
-    scale = 1
-    h = p
-    while not h.is_zero:
-        h, a = _mora_weak(h, reducers, order, budget)
-        scale *= a
-        if h.is_zero:
-            break
-        lm, lc = leading_term(h, order)
-        tail.append((lm, lc, scale))
-        rest = dict(h.terms)
-        del rest[lm]
-        h = Poly._make(h.ring, rest)
-    return _rescaled_tail(p.ring, tail, scale), scale
+        h = _sub_shifted(h, lc, g, lcg, mono_div(lm, lmg), corner)
+    return h
 
 
 def normal_form(p: Poly, basis: Sequence[Poly], order: MonomialOrder, cap=None) -> Poly:
-    """Remainder of p on division by basis.
+    """Remainder of p on division by basis under a global order.
 
-    No term of the result is divisible by a basis leading term.  For global
-    orders the difference p - result lies in the ideal generated by the basis;
-    for local orders the statement holds in the local ring up to a unit
-    factor, and result == 0 still characterizes ideal membership whenever the
-    basis is a standard basis.  The reduction runs on int multiples of p and
-    of the basis; dividing by the tracked scale gives the exact rational
-    remainder.
+    No term of the result is divisible by a basis leading term, and p - result
+    lies in the ideal generated by the basis.  The division runs on int
+    multiples of p and of the basis; dividing by the tracked scale gives the
+    exact rational remainder.  A local order raises ValueError: there the
+    remainder is fixed only up to a unit, and membership is `contains`.
     """
+    if order.is_local:
+        raise ValueError("normal_form takes a global order; under LOCAL use contains for membership")
     budget = as_budget(cap)
     basis = [g for g in basis if not g.is_zero]
     if not basis:
@@ -308,20 +306,9 @@ def normal_form(p: Poly, basis: Sequence[Poly], order: MonomialOrder, cap=None) 
     _check_same_ring([p, *basis])
     h, den = _clear_denominators(p)
     reducers = [_reducer(_integral(g, order), order) for g in basis]
-    reduce = _divide_global if order.is_global else _reduce_local
-    r, scale = reduce(h, reducers, order, budget)
+    r, scale = _divide_global(h, reducers, order, budget)
     scale *= den
     return Poly._make(p.ring, {e: Fraction(c, scale) for e, c in r.terms.items()})
-
-
-def _weak_nf(
-    p: Poly, reducers: Sequence[tuple], order: MonomialOrder, budget: Budget, corner: int | None
-) -> Poly:
-    """Cheapest normal form adequate for membership tests, up to a positive
-    int factor."""
-    if order.is_global:
-        return _divide_global(p, reducers, order, budget)[0]
-    return _mora_weak(p, reducers, order, budget, corner)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -329,52 +316,12 @@ def _weak_nf(
 # ---------------------------------------------------------------------------
 
 
-def _reduce_within_sugar(
-    p: Poly,
-    reducers: Sequence[tuple],
-    order: MonomialOrder,
-    budget: Budget,
-    sugar: int,
-    corner: int | None,
-) -> Poly:
-    """Weak normal form of p, of sugar `sugar`, for the local completion, up
-    to a positive int factor.
-
-    An element f of the completion carries its sugar s >= deg f, the degree of
-    its homogenization t^s * f(x/t) in Q[t, x].  Under the order that ranks by
-    degree and then locally, that leads with t^(s - |lm f|) * lm(f), so the
-    ecart slot of a reducer (see standard_basis_of) holds s - |lm f|.  The
-    leading term of h is reduced by x^a * g only when g's slot is at most
-    sugar - |lm h|: exactly the steps of homogeneous division in degree
-    `sugar`.  Every term stays of degree <= sugar and the leading monomial
-    falls, so the loop ends without Mora's extra reducers.  A nonzero result
-    may lead with a monomial that some reducer of larger ecart divides; the
-    completion keeps it as a basis element.
-    """
-    h = p
-    if corner is not None:
-        h = Poly._make(p.ring, {e: c for e, c in p.terms.items() if sum(e) < corner})
-    while not h.is_zero:
-        lm, lc = leading_term(h, order)
-        room = sugar - sum(lm)
-        best = None
-        for r in reducers:
-            if r[2] <= room and mono_divides(r[0], lm) and (best is None or r[2] < best[2]):
-                best = r
-        if best is None:
-            break
-        lmg, lcg, _, g = best
-        budget.spend()
-        h = _sub_shifted(h, lc, g, lcg, mono_div(lm, lmg), corner)[0]
-    return h
-
-
 def _spoly(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
     """The S-polynomial of two int polynomials, up to a positive int factor."""
     lmf, lcf = leading_term(f, order)
     lmg, lcg = leading_term(g, order)
     lcm = mono_lcm(lmf, lmg)
-    return _sub_shifted(_shift(f, mono_div(lcm, lmf)), lcf, g, lcg, mono_div(lcm, lmg))[0]
+    return _sub_shifted(_shift(f, mono_div(lcm, lmf)), lcf, g, lcg, mono_div(lcm, lmg))
 
 
 def _interreduce_global(basis: list[Poly], order: MonomialOrder, budget: Budget) -> list[Poly]:
@@ -479,7 +426,7 @@ class _Staircase:
 def standard_basis_of(
     generators: Sequence[Poly], order: MonomialOrder, cap=None
 ) -> StandardBasis:
-    """Buchberger/Mora completion of the generators under the given order.
+    """Buchberger completion of the generators under the given order.
 
     The result is deterministic: pairs are selected by smallest lcm key (ties
     broken by index), the basis is minimalized, made monic, sorted by leading
@@ -490,7 +437,7 @@ def standard_basis_of(
     Under LOCAL each element carries a sugar: a generator its degree, an
     S-polynomial |lcm| plus the larger ecart slot of its pair.  Pairs are
     selected by smallest sugar first, then by lcm key, and reduced within
-    their sugar (see _reduce_within_sugar).  This is Buchberger's algorithm on
+    their sugar (see _local_weak_normal_form).  This is Buchberger's algorithm on
     the homogenizations under a degree order, so it terminates (each new
     element's homogenized leading monomial is divisible by no earlier one)
     and, read back at t = 1, gives a standard basis (Lazard's method, EUROCAL
@@ -523,7 +470,7 @@ def standard_basis_of(
     gens.sort(key=lambda g: order.key(leading_term(g, order)[0]))
     basis: list[Poly] = []
     # (lm, lc, sugar - |lm|, g) per basis element: the _reducer entry, with
-    # the sugar's ecart in place of the ecart
+    # the element's sugar in place of its degree
     reducers: list[tuple] = []
     lead: list[Exponents] = []
     pairs: list[tuple] = []  # heap of (key, i, j, lcm, sugar) with i < j
@@ -561,7 +508,7 @@ def standard_basis_of(
         if s.is_zero:
             continue
         if local:
-            r = _reduce_within_sugar(s, reducers, order, budget, sugar, corner)
+            r = _local_weak_normal_form(s, reducers, order, budget, corner, sugar)
         else:
             r = _divide_global(s, reducers, order, budget)[0]
         if r.is_zero:
@@ -631,7 +578,10 @@ class IdealPresentation:
 
 def contains(I: IdealPresentation, p: Poly, order: MonomialOrder = LOCAL, cap=None) -> bool:
     """Ideal membership of p, local by default (membership in the localized
-    ideal at the origin)."""
+    ideal at the origin).  Under a global order p is divided by the basis;
+    under LOCAL it is reduced to its Mora weak normal form (see
+    _local_weak_normal_form), truncated at the basis's corner."""
+    _check_same_ring([p, *I.generators])
     if p.is_zero:
         return True
     budget = as_budget(cap)
@@ -640,7 +590,9 @@ def contains(I: IdealPresentation, p: Poly, order: MonomialOrder = LOCAL, cap=No
         return False
     reducers = [_reducer(_integral(g, order), order) for g in basis]
     h = _clear_denominators(p)[0]
-    return _weak_nf(h, reducers, order, budget, basis.corner).is_zero
+    if order.is_global:
+        return _divide_global(h, reducers, order, budget)[0].is_zero
+    return _local_weak_normal_form(h, reducers, order, budget, basis.corner).is_zero
 
 
 def ideal_contains(I: IdealPresentation, J: IdealPresentation, order: MonomialOrder, cap=None) -> bool:

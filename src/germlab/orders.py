@@ -102,9 +102,3 @@ def leading_monomial(p: Poly, order: MonomialOrder) -> Exponents:
 def leading_term(p: Poly, order: MonomialOrder) -> tuple[Exponents, Fraction]:
     lm = leading_monomial(p, order)
     return lm, p.terms[lm]
-
-
-def ecart(p: Poly, order: MonomialOrder) -> int:
-    """Total degree of p minus the degree of its leading term."""
-    lm = leading_monomial(p, order)
-    return p.total_degree() - sum(lm)

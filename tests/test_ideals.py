@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from germlab import (
     IdealPresentation,
     IterationLimitError,
+    RingMismatchError,
     dim_at_origin,
     milnor_number,
     normal_form,
@@ -49,12 +50,10 @@ class TestNormalForm:
         one = RING_XY.one()
         assert normal_form(one, [x, y], DEGREVLEX) == one
 
-    def test_local_normal_form_has_no_divisible_terms(self):
-        p = x + y**2 + x**3
-        r = normal_form(p, [x - x**2], LOCAL)
-        lead = leading_monomial(x - x**2, LOCAL)
-        for exps in r.terms:
-            assert not all(a <= b for a, b in zip(lead, exps))
+    def test_local_order_is_refused(self):
+        # a local remainder is fixed only up to a unit; membership is contains
+        with pytest.raises(ValueError, match="contains"):
+            normal_form(x + y**2 + x**3, [x - x**2], LOCAL)
 
     def test_contraction_property_on_groebner_bases(self):
         gens = [x**2 - y, y**2]
@@ -64,8 +63,11 @@ class TestNormalForm:
             assert normal_form(p - r, basis, DEGREVLEX).is_zero
 
     def test_local_membership_via_mora(self):
-        # x lies in the local ideal generated by x - x^2 (unit 1 - x)
-        assert normal_form(x, [x - x**2], LOCAL).is_zero
+        # x lies in the local ideal generated by x - x^2 (unit 1 - x); Mora's
+        # normal form adds x to its reducers once and spends 2 steps
+        budget = Budget(1000)
+        assert contains(IdealPresentation(RING_XY, [x - x**2]), x, LOCAL, budget)
+        assert 1000 - budget.remaining == 2
 
     # non-monic reducers with non-unit denominators, one with a negative
     # leading coefficient; the remainders and step counts were recorded when
@@ -77,15 +79,6 @@ class TestNormalForm:
             DEGREVLEX,
             {(0, 0): Fraction(1, 3), (1, 0): Fraction(15, 56), (1, 1): Fraction(11, 15)},
             2,
-        ),
-        "local": (
-            Fraction(1, 3) * x + Fraction(2, 5) * y + Fraction(3, 4) * x**2 * y
-            + Fraction(1, 7) * y**2 + Fraction(5, 6) * x * y,
-            [Fraction(2, 3) * x - Fraction(1, 2) * x**2 + Fraction(1, 5) * y**2,
-             -Fraction(3, 7) * y**3 + Fraction(1, 4) * y**4],
-            LOCAL,
-            {(0, 1): Fraction(2, 5), (0, 2): Fraction(3, 70)},
-            19,
         ),
     }
 
@@ -135,10 +128,10 @@ class TestStandardBasis:
 
     def test_cache_reduces_generators_to_zero(self):
         I = IdealPresentation(RING_XY, [x**2 - y, y**2])
-        for order in (DEGREVLEX, LOCAL):
-            basis = I.standard_basis(order)
-            for g in I.generators:
-                assert normal_form(g, list(basis), order).is_zero
+        basis = I.standard_basis(DEGREVLEX)
+        for g in I.generators:
+            assert normal_form(g, list(basis), DEGREVLEX).is_zero
+            assert contains(I, g, LOCAL)
 
     @settings(deadline=None, max_examples=40)
     @given(st.data())
@@ -352,6 +345,52 @@ def test_int_cap_bounds_the_whole_saturation():
     saturate_single(IdealPresentation(RING_XYZ, jacobian_minors(f, g)), f * g, cap=122)
 
 
+@pytest.mark.parametrize("order", (DEGREVLEX, LOCAL), ids=("global", "local"))
+def test_contains_rejects_a_polynomial_of_another_ring(order):
+    # x*z is no element of Q[x, y]; under LOCAL it used to spin to the cap
+    with pytest.raises(RingMismatchError):
+        contains(IdealPresentation(RING_XY, [x]), X * Z, order, 10_000)
+
+
+@pytest.mark.parametrize(
+    "gens, p, member",
+    [
+        ([x - x**2], y, False),  # the unit 1 - x does not help y
+        ([x * y], (1 + y) * x * y, True),
+    ],
+    ids=("y-outside", "unit-multiple"),
+)
+def test_local_membership_without_a_corner(gens, p, member):
+    # one-dimensional ideals: no corner truncates Mora's normal form
+    I = IdealPresentation(RING_XY, gens)
+    assert I.standard_basis(LOCAL).corner is None
+    assert contains(I, p, LOCAL, 10_000) is member
+
+
+# local membership cases where Mora's normal form adds the reduced polynomial
+# to its reducers (three times, once), with the spends and verdicts recorded
+# while membership still ran a Mora loop of its own
+MORA_SPENDS = {
+    "with-corner": (
+        [x**2 - x**3 + y**3, x * y - y**4],
+        (1 - x + y**2) * (x**2 - x**3 + y**3) + (2 + x) * (x * y - y**4),
+        True,
+        4,
+    ),
+    "outside": ([y**2 - x**3 - x**2 * y**2], x * y**2 * (1 - y), False, 1),
+}
+
+
+@pytest.mark.parametrize("name", MORA_SPENDS)
+def test_mora_membership_spend_is_pinned(name):
+    gens, p, member, steps = MORA_SPENDS[name]
+    I = IdealPresentation(RING_XY, gens)
+    I.standard_basis(LOCAL)
+    budget = Budget(1000)
+    assert contains(I, p, LOCAL, budget) is member
+    assert 1000 - budget.remaining == steps
+
+
 MEMBERSHIP_CALLS = {
     "contains": lambda I, cap: contains(I, X**3 * Y + 2 * X * Y * Z**2, DEGREVLEX, cap),
     "ideal_contains": lambda I, cap: ideal_contains(
@@ -415,6 +454,37 @@ def test_global_normal_form_matches_sympy(data, gens):
     basis = standard_basis_of(gens, DEGREVLEX)
     expected = sympy_remainder(p.terms, [g.terms for g in basis], ring.nvars)
     assert normal_form(p, basis, DEGREVLEX).terms == expected
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_local_membership_matches_the_quotient_dimension(data):
+    # x^a and y^b plus terms of higher degree keep their local leads, so the
+    # basis has a corner D and m^D lies in I*O: p lies in I*O exactly when
+    # adding it leaves dim O/(I + m^D) unchanged, which sympy counts from a
+    # global basis
+    pytest.importorskip("sympy")
+    gens = []
+    for i in range(2):
+        a = data.draw(st.integers(1, 3))
+        tail = data.draw(poly_strategy(RING_XY, max_degree=3, max_terms=2))
+        higher = {e: c for e, c in tail.terms.items() if sum(e) > a}
+        gens.append(RING_XY.variable(i) ** a + from_terms(RING_XY, higher))
+    gens += data.draw(st.lists(nonzero_poly_strategy(RING_XY, max_degree=2, max_terms=2), max_size=1))
+    I = IdealPresentation(RING_XY, gens)
+    corner = I.standard_basis(LOCAL, PROPERTY_CAP).corner
+    if data.draw(st.booleans()):
+        # a unit times a combination of the generators
+        tail = data.draw(poly_strategy(RING_XY, max_degree=2, max_terms=2))
+        unit = data.draw(SCALARS) + from_terms(RING_XY, {e: c for e, c in tail.terms.items() if any(e)})
+        factor = poly_strategy(RING_XY, max_degree=2, max_terms=2)
+        factors = data.draw(st.lists(factor, min_size=len(gens), max_size=len(gens)))
+        p = unit * sum((c * g for c, g in zip(factors, gens)), RING_XY.zero())
+    else:
+        p = data.draw(nonzero_poly_strategy(RING_XY, max_degree=2, max_terms=3))
+    terms = [g.terms for g in gens]
+    expected = sympy_local_quotient_dim(terms + [p.terms], corner) == sympy_local_quotient_dim(terms, corner)
+    assert contains(I, p, LOCAL, PROPERTY_CAP) == expected
 
 
 def basis_and_spend(gens, order):

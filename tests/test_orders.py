@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from germlab.orders import DEGREVLEX, ELIM_FIRST, LOCAL, ecart, leading_monomial, leading_term
+from germlab.orders import DEGREVLEX, ELIM_FIRST, LOCAL, leading_monomial, leading_term
 from conftest import RING_XYZ, from_terms, nonzero_poly_strategy
 
 exps3 = st.tuples(*[st.integers(min_value=0, max_value=5)] * 3)
@@ -84,7 +84,7 @@ def test_zero_polynomial_keeps_raising():
     zero = RING_XYZ.zero()
     for _ in range(3):
         for order in ORDERS:
-            for query in (leading_monomial, leading_term, ecart):
+            for query in (leading_monomial, leading_term):
                 with pytest.raises(ValueError):
                     query(zero, order)
 

@@ -19,7 +19,7 @@ from germlab import (
     relative_polar_ideal,
     verify_polar_decomposition,
 )
-from germlab.ideals import contains, ideal_equal, saturate_single
+from germlab.ideals import Budget, contains, ideal_equal, saturate_single
 from germlab.invariants import T_RING
 from germlab.orders import DEGREVLEX
 from germlab.polar import jacobian_minors
@@ -206,6 +206,27 @@ class TestPolarDecomposition:
     def test_exponent_must_be_at_least_two(self):
         with pytest.raises(ValueError):
             verify_polar_decomposition(Z, X**2 + Y**2, 1)
+
+
+# Budget spends of verify_polar_decomposition, recorded while local membership
+# still ran a Mora loop of its own: equal counts mean the local reduction
+# picks the same reducer at every step
+DECOMPOSITION_SPENDS = {
+    "cylinder": (Z, X**2 + Y**2, (AXIS,), {2: 27, 3: 22, 5: 22}),
+    "three-lines": (Z, X * Y * (X + Y), (AXIS,), {2: 76, 3: 76, 5: 61}),
+    "axis-cubed": (Z, X**2 + Y**2 + Z**3, (), {2: 35, 3: 35, 5: 35}),
+    # about 0.5 s
+    "heavy": (X + 2 * Y + 3 * Z, X**2 * Y**2 + X**2 * Z**2 + Y**2 * Z**2, (), {3: 18546}),
+}
+
+
+@pytest.mark.parametrize("name", DECOMPOSITION_SPENDS)
+def test_decomposition_spend_is_pinned(name):
+    f, g, components, spends = DECOMPOSITION_SPENDS[name]
+    for n, expected in spends.items():
+        budget = Budget(10**5)
+        assert verify_polar_decomposition(f, g, n, components=components, cap=budget)
+        assert 10**5 - budget.remaining == expected
 
 
 class TestPairingStability:
