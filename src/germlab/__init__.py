@@ -65,7 +65,6 @@ from .stratified import (
 from .verifier import (
     DeformationCase,
     VerdictTable,
-    build_deformation,
     export_dataset,
     verify_scenario,
 )

@@ -325,19 +325,20 @@ def _spoly(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
 
 
 def _interreduce_global(basis: list[Poly], order: MonomialOrder, budget: Budget) -> list[Poly]:
-    """Tail-reduce a minimal global basis to the unique reduced basis."""
+    """Tail-reduce a minimal global basis to the unique reduced basis.
+
+    One pass suffices: no leading monomial of a minimal basis divides
+    another, so reduction keeps every leading monomial, and a remainder with
+    no term divisible by one of them stays reduced when other tails change.
+    """
     reducers = [_reducer(g, order) for g in basis]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(basis)):
-            r = _divide_global(basis[i], reducers[:i] + reducers[i + 1 :], order, budget)[0]
-            if r != basis[i]:
-                if r.is_zero:
-                    raise GermlabError("interreduction killed a minimal basis element")
-                basis[i] = _primitive(r, order)
-                reducers[i] = _reducer(basis[i], order)
-                changed = True
+    for i in range(len(basis)):
+        r = _divide_global(basis[i], reducers[:i] + reducers[i + 1 :], order, budget)[0]
+        if r != basis[i]:
+            if r.is_zero:
+                raise GermlabError("interreduction killed a minimal basis element")
+            basis[i] = _primitive(r, order)
+            reducers[i] = _reducer(basis[i], order)
     return basis
 
 
@@ -542,8 +543,8 @@ class IdealPresentation:
     """A generator list together with cached standard bases per order.
 
     The cache is confined to this object and filled on first use, one basis
-    per order; distinct presentations never share state, and germlab starts
-    no threads.
+    per order, kept with the Budget that paid for it; distinct presentations
+    never share state, and germlab starts no threads.
     """
 
     __slots__ = ("ring", "generators", "_bases")
@@ -559,14 +560,17 @@ class IdealPresentation:
             gens = [ring.zero()]
         self.ring = ring
         self.generators = tuple(gens)
-        self._bases: dict[MonomialOrder, StandardBasis] = {}
+        self._bases: dict[MonomialOrder, tuple[Budget, StandardBasis]] = {}
 
     def standard_basis(self, order: MonomialOrder, cap=None) -> StandardBasis:
+        """The basis under order.  A cached basis serves only the Budget that
+        paid for it; any other cap computes it again from that cap."""
+        budget = as_budget(cap)
         cached = self._bases.get(order)
-        if cached is None:
-            cached = standard_basis_of(self.generators, order, cap)
+        if cached is None or cached[0] is not budget:
+            cached = (budget, standard_basis_of(self.generators, order, budget))
             self._bases[order] = cached
-        return cached
+        return cached[1]
 
     def plus(self, extra: Iterable[Poly]) -> "IdealPresentation":
         return IdealPresentation(self.ring, list(self.generators) + list(extra))

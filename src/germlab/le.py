@@ -55,13 +55,13 @@ class LeData:
         return (self.lambda0, self.lambda1)
 
 
-def _polar_ideal_after_alignment(gw: Poly, cap=None) -> IdealPresentation:
-    """Remaining-partials ideal saturated along the critical locus of g."""
-    rest = [gw.diff(i) for i in range(1, gw.ring.nvars)]
-    rest_ideal = IdealPresentation(gw.ring, rest)
+def _polar_ideal_after_alignment(gw: Poly, cap=None) -> tuple[IdealPresentation, IdealPresentation]:
+    """The remaining-partials ideal, and that ideal saturated along the
+    critical locus of g."""
+    rest_ideal = IdealPresentation(gw.ring, [gw.diff(i) for i in range(1, gw.ring.nvars)])
     # Jac(g) = I + (d_0 g) for the remaining-partials ideal I, and
     # (I + (h))^k lies in I + (h^k), so I : Jac^infinity = I : (d_0 g)^infinity
-    return saturate_single(rest_ideal, gw.diff(0), cap)
+    return rest_ideal, saturate_single(rest_ideal, gw.diff(0), cap)
 
 
 def le_numbers(
@@ -104,14 +104,14 @@ def le_numbers(
     coeffs = linear_coefficients(form)
     pivots = [i for i in reversed(range(g.ring.nvars)) if coeffs[i] != 0]
     lam0 = None
-    gw = target = polar = None
+    gw = target = rest_ideal = polar = None
     for pivot in pivots:
         gw, target, _ = align_first(g, form, pivot)
-        polar = _polar_ideal_after_alignment(gw, budget)
+        rest_ideal, polar = _polar_ideal_after_alignment(gw, budget)
         lam0 = quotient_dim_local(polar.plus([gw.diff(0)]), budget)
         if lam0 is not None:
             break
-    if lam0 is None or gw is None or target is None or polar is None:
+    if lam0 is None or gw is None or target is None or rest_ideal is None or polar is None:
         raise UndefinedLeError(
             "the polar curve meets the first-partial hypersurface improperly "
             "for every admissible coordinate choice"
@@ -131,7 +131,6 @@ def le_numbers(
         )
 
     lam1_polar = None
-    rest_ideal = IdealPresentation(gw.ring, [gw.diff(i) for i in range(1, gw.ring.nvars)])
     hyperplane = target.variable(0)
     total_slice = quotient_dim_local(rest_ideal.plus([hyperplane]), budget)
     if total_slice is not None:

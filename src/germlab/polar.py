@@ -17,7 +17,14 @@ from .ideals import (
     quotient_dim_local,
     saturate_single,
 )
-from .invariants import BranchParam, compose_on_branch, local_degree, order_in_t, validate_branch
+from .invariants import (
+    BranchParam,
+    compose_on_branch,
+    jacobian_ideal,
+    local_degree,
+    order_in_t,
+    validate_branch,
+)
 from .rings import Poly, jacobian
 
 
@@ -228,7 +235,7 @@ def verify_polar_decomposition(
     g_tilde = g + f**n
     deformed = relative_polar_ideal(f, g_tilde, cap=budget).ideal
     base = relative_polar_ideal(f, g, cap=budget).ideal
-    jac_g = IdealPresentation(g.ring, jacobian(g))
+    jac_g = jacobian_ideal(g)
     product_gens = [a * b for a in jac_g.generators for b in base.generators]
     product = IdealPresentation(g.ring, product_gens)
 

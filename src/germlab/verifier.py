@@ -1,6 +1,12 @@
 """Deformation verifier: builds g + f^N across a sweep of exponents, certifies
 isolation, and checks the deformation identities row by row.
 
+A ScenarioContext holds the N-independent data of the pair (f, g): the case
+hypotheses (check_hypotheses, the one check of them), the Le numbers, the
+polar curve and its threshold.  Its case(n) is the only builder of a
+DeformationCase, so the hypotheses and the threshold are computed once per
+run, not once per exponent.
+
 Rows below the gap-ratio threshold are labeled OUT-OF-RANGE and evaluated for
 information only; their outcomes are never asserted.  Rows at or above the
 threshold must pass: a non-isolated deformation there is a hard error, and
@@ -39,7 +45,6 @@ from .polar import (
     PolarCurve,
     gap_ratios,
     intersection_number,
-    iomdin_threshold,
     relative_polar_ideal,
 )
 from .rings import Poly, PolyRing
@@ -71,16 +76,6 @@ def generic_linear_candidates(ring, attempts: int = MAX_LADDER_ATTEMPTS):
 
 
 @dataclass(frozen=True)
-class HypothesisChecks:
-    """Results of the deformation-case hypotheses; require_hypotheses
-    enforces all three."""
-
-    sigma_dim: int
-    sigma_meets_f_only_at_origin: bool
-    f_isolated: bool
-
-
-@dataclass(frozen=True)
 class DeformationCase:
     """One deformation g_tilde = g + f^N with its isolation certificate."""
 
@@ -89,8 +84,6 @@ class DeformationCase:
     n: int
     g_tilde: Poly
     certificate: int | None  # local Jacobian quotient dimension, None = infinite
-    threshold: int
-    hypotheses: HypothesisChecks
 
     @property
     def chi_gtilde(self) -> int | None:
@@ -101,59 +94,26 @@ class DeformationCase:
         return 1 + parity_sign(self.g.ring.nvars - 1) * self.certificate
 
 
-def check_hypotheses(g: Poly, f: Poly, cap=None) -> HypothesisChecks:
-    """The critical locus of g with its meeting with {f = 0}, and whether f
-    is isolated."""
+def check_hypotheses(g: Poly, f: Poly, cap=None) -> int:
+    """The N-independent case hypotheses; returns the dimension of the
+    critical locus of g.
+
+    Computes that locus with its meeting with {f = 0}, and whether f is
+    isolated, then raises HypothesisError when the locus has dimension above
+    1, meets {f = 0} outside the origin, or f is not isolated.
+    """
     budget = as_budget(cap)
     locus = critical_locus(g, f, budget)
     f_isolated = dim_at_origin(jacobian_ideal(f), budget) <= 0
-    return HypothesisChecks(locus.dim, bool(locus.meets_f_only_at_origin), f_isolated)
-
-
-def require_hypotheses(g: Poly, f: Poly, cap=None) -> HypothesisChecks:
-    """The N-independent case hypotheses; HypothesisError when a hard one fails."""
-    hypotheses = check_hypotheses(g, f, cap)
-    if hypotheses.sigma_dim > 1:
-        raise HypothesisError("sigma-dimension", f"critical locus has dimension {hypotheses.sigma_dim}")
-    if not hypotheses.sigma_meets_f_only_at_origin:
+    if locus.dim > 1:
+        raise HypothesisError("sigma-dimension", f"critical locus has dimension {locus.dim}")
+    if not locus.meets_f_only_at_origin:
         raise HypothesisError(
             "sigma-meets-f", "the critical locus of g meets {f = 0} outside the origin"
         )
-    if not hypotheses.f_isolated:
+    if not f_isolated:
         raise HypothesisError("f-isolated", "f does not have an isolated singularity at the origin")
-    return hypotheses
-
-
-def assemble_deformation(
-    g: Poly,
-    f: Poly,
-    n: int,
-    f_power: Poly,
-    threshold: int,
-    hypotheses: HypothesisChecks,
-    cap=None,
-) -> DeformationCase:
-    """g + f^N, given f_power = f^N, with its isolation certificate;
-    HypothesisError when it is not isolated although n reached the threshold."""
-    if n < 2:
-        raise ValueError("the deformation exponent must be at least 2")
-    g_tilde = g + f_power
-    certificate = quotient_dim_local(jacobian_ideal(g_tilde), cap)
-    if certificate is None and n >= threshold:
-        raise HypothesisError(
-            "isolation-at-threshold",
-            f"g + f^{n} has a non-isolated singularity although n >= threshold {threshold}",
-        )
-    return DeformationCase(g, f, n, g_tilde, certificate, threshold, hypotheses)
-
-
-def build_deformation(g: Poly, f: Poly, n: int, threshold: int | None = None, cap=None) -> DeformationCase:
-    """Assemble g + f^N after checking the case hypotheses, in one call."""
-    budget = as_budget(cap)
-    hypotheses = require_hypotheses(g, f, budget)
-    if threshold is None:
-        threshold = iomdin_threshold(f, g, cap=budget)
-    return assemble_deformation(g, f, n, f**n, threshold, hypotheses, budget)
+    return locus.dim
 
 
 def _no_terms_note(case: DeformationCase) -> str:
@@ -365,11 +325,12 @@ class ScenarioContext:
     """The N-independent data of one run on a polynomial scenario.
 
     The Le numbers, chi(F_g), the polar curve of (f, g) with its gap report,
-    the case hypotheses and the branch terms belong to the pair (f, g); only
-    case(n) depends on the exponent.  Each is computed on first read and
-    kept, and all spend from the run's one budget of limits.reduction_cap
-    steps.  A caller pays only for what it reads, in the order it reads it,
-    so that order also fixes which error a bad input hits first.
+    the case hypotheses (sigma_dim) and the branch terms belong to the pair
+    (f, g); only case(n) depends on the exponent.  Each is computed on first
+    read and kept, and all spend from the run's one budget of
+    limits.reduction_cap steps.  A caller pays only for what it reads, in
+    the order it reads it, so that order also fixes which error a bad input
+    hits first.
     """
 
     def __init__(self, scenario: Scenario):
@@ -425,8 +386,10 @@ class ScenarioContext:
         return gap_ratios(self.f, self.g, self.polar, self.budget)
 
     @cached_property
-    def hypotheses(self) -> HypothesisChecks:
-        return require_hypotheses(self.g, self.f, self.budget)
+    def sigma_dim(self) -> int:
+        """The dimension of the critical locus of g, once check_hypotheses
+        has found that the case hypotheses hold."""
+        return check_hypotheses(self.g, self.f, self.budget)
 
     @property
     def terms(self) -> tuple[BranchTerm, ...] | None:
@@ -442,22 +405,32 @@ class ScenarioContext:
         return self.le.terms
 
     def case(self, n: int) -> DeformationCase:
-        """g + f^n with its isolation certificate.  The case hypotheses are
-        read before the polar curve whose gap report sets the threshold.
+        """g + f^n with its isolation certificate; HypothesisError when it is
+        not isolated although n reached the threshold.  The case hypotheses
+        are read before the polar curve whose gap report sets the threshold.
 
         A sweep asks for increasing n, so the last power f^k is kept and
         extended by n - k multiplications by f; only the first call, or one
         with a smaller n, raises f to the full power.
         """
-        hypotheses = self.hypotheses
+        self.sigma_dim  # the case hypotheses, before the polar curve
         threshold = self.gap.threshold
+        if n < 2:
+            raise ValueError("the deformation exponent must be at least 2")
         if self._f_power is None or self._f_power[0] > n:
             self._f_power = (n, self.f**n)
         k, power = self._f_power
         for _ in range(n - k):
             power = power * self.f
         self._f_power = (n, power)
-        return assemble_deformation(self.g, self.f, n, power, threshold, hypotheses, self.budget)
+        g_tilde = self.g + power
+        certificate = quotient_dim_local(jacobian_ideal(g_tilde), self.budget)
+        if certificate is None and n >= threshold:
+            raise HypothesisError(
+                "isolation-at-threshold",
+                f"g + f^{n} has a non-isolated singularity although n >= threshold {threshold}",
+            )
+        return DeformationCase(self.g, self.f, n, g_tilde, certificate)
 
 
 def verify_scenario(
@@ -579,7 +552,7 @@ def export_dataset(scenario: Scenario, n: int | None = None) -> StratifiedDatase
     v = ctx.ring.nvars
 
     if n is None:
-        ctx.hypotheses  # read before the polar curve, as case(n) reads them
+        ctx.sigma_dim  # read before the polar curve, as case(n) reads it
         threshold = ctx.gap.threshold
         lo, hi = scenario.n_range
         n = max(lo, threshold) if threshold <= hi else lo
@@ -588,7 +561,7 @@ def export_dataset(scenario: Scenario, n: int | None = None) -> StratifiedDatase
     if chi_gtilde is None:
         raise HypothesisError("isolation", f"g + f^{n} is not isolated; export needs an isolated deformation")
 
-    # require_hypotheses required f to be isolated, so its Milnor number exists
+    # check_hypotheses required f to be isolated, so its Milnor number exists
     chi_f_fibre = 1 + parity_sign(v - 1) * milnor_number(f, budget)
 
     terms = ctx.terms
@@ -646,7 +619,7 @@ def export_dataset(scenario: Scenario, n: int | None = None) -> StratifiedDatase
         known["B_g_Xf_0"] = chi_slice
         known["B_gtilde_Xf_0"] = chi_slice
         known["B_f_Xgtilde_0"] = chi_slice
-        if v == 2 and rows == () and case.hypotheses.sigma_dim <= 0:
+        if v == 2 and rows == () and ctx.sigma_dim <= 0:
             # reduced plane curves: obstructions are germ multiplicities
             # and the Brasselet numbers of f count slice points exactly
             known["eu_Xg_0"] = g.min_degree()

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 
 import germlab
-from germlab import Poly, PolyRing
+from germlab import Poly, PolyRing, load_scenario
+from germlab.verifier import DeformationCase, ScenarioContext
 
 # the directory this germlab was imported from, for child interpreters
 GERMLAB_SRC = str(Path(germlab.__file__).resolve().parent.parent)
@@ -36,6 +37,13 @@ def ring_xy() -> PolyRing:
 @pytest.fixture
 def ring_xyz() -> PolyRing:
     return RING_XYZ
+
+
+def deformation_case(g: Poly, f: Poly, n: int) -> tuple[ScenarioContext, DeformationCase]:
+    """The run context of the scenario (g, f) and its deformation g + f^n."""
+    scenario = load_scenario({"variables": list(g.ring.variables), "g": str(g), "f": str(f)})
+    ctx = ScenarioContext(scenario)
+    return ctx, ctx.case(n)
 
 
 def from_terms(ring: PolyRing, terms) -> Poly:

@@ -12,7 +12,6 @@ import sys
 from germlab import (
     BranchParam,
     bls_euler_obstruction,
-    build_deformation,
     export_dataset,
     le_numbers,
     load_scenario,

@@ -324,6 +324,19 @@ def test_work_counts_match_the_recorded_runs():
     assert spent(lambda b: standard_basis_of(jac, LOCAL, b)) == 19
 
 
+def test_a_cached_basis_serves_only_the_budget_that_paid_for_it():
+    # the local basis of this Jacobian ideal spends 52 steps: its own budget
+    # reads it again for free, but a cap of 1 must not
+    I = IdealPresentation(RING_XYZ, jacobian(X**2 * Y + Y**4 + Z**5 + X * Y * Z**2))
+    budget = Budget(10**5)
+    assert quotient_dim_local(I, budget) == 20
+    assert quotient_dim_local(I, budget) == 20
+    assert 10**5 - budget.remaining == 52
+    with pytest.raises(IterationLimitError):
+        quotient_dim_local(I, cap=1)
+    assert quotient_dim_local(I, cap=52) == 20
+
+
 def test_saturation_work_count_is_pinned():
     # the polar ideal of (x + 2y + 3z, xyz): one Rabinowitsch elimination plus
     # the containment check against the minors; another route or pair order
@@ -385,10 +398,11 @@ MORA_SPENDS = {
 def test_mora_membership_spend_is_pinned(name):
     gens, p, member, steps = MORA_SPENDS[name]
     I = IdealPresentation(RING_XY, gens)
-    I.standard_basis(LOCAL)
     budget = Budget(1000)
+    I.standard_basis(LOCAL, budget)
+    warm = budget.remaining
     assert contains(I, p, LOCAL, budget) is member
-    assert 1000 - budget.remaining == steps
+    assert warm - budget.remaining == steps
 
 
 MEMBERSHIP_CALLS = {

@@ -13,7 +13,6 @@ from germlab import (
     HypothesisError,
     IterationLimitError,
     branch_slice_milnor,
-    build_deformation,
     critical_locus,
     iomdin_threshold,
     relative_polar_ideal,
@@ -25,6 +24,7 @@ from germlab import (
 )
 from germlab import export_dataset, ideals, invariants, le, verifier
 from germlab import polar as polar_module
+from germlab.polar import GapReport
 from germlab.ideals import Budget
 from germlab.orders import DEGREVLEX, ELIM_FIRST, LOCAL
 from germlab.rings import Poly
@@ -39,7 +39,7 @@ from germlab.verifier import (
 )
 from germlab.invariants import BranchParam, T_RING, branch_terms
 from germlab.le import euler_char_fibre, le_numbers
-from conftest import RING_XY, RING_XYZ
+from conftest import RING_XY, RING_XYZ, deformation_case
 
 x, y = RING_XY.variable(0), RING_XY.variable(1)
 X, Y, Z = (RING_XYZ.variable(i) for i in range(3))
@@ -60,48 +60,50 @@ CN_FIXTURES = [
 
 class TestBuildDeformation:
     def test_cylinder_case(self):
-        case = build_deformation(X**2 + Y**2, Z, 3)
+        _, case = deformation_case(X**2 + Y**2, Z, 3)
         assert case.certificate == 2
         assert case.g_tilde == X**2 + Y**2 + Z**3
 
     def test_three_lines_case(self):
-        case = build_deformation(X * Y * (X + Y), Z, 2)
+        _, case = deformation_case(X * Y * (X + Y), Z, 2)
         assert case.certificate == 4
 
     def test_hypothesis_failure(self):
         # the critical axis of the cylinder lies inside {x = 0}
         with pytest.raises(HypothesisError, match="sigma-meets-f"):
-            build_deformation(X**2 + Y**2, X, 3)
+            deformation_case(X**2 + Y**2, X, 3)
 
     def test_subthreshold_nonisolation_is_reported_not_fatal(self):
         g = x**2 * y**2 - (x - y) ** 2
-        case = build_deformation(g, x - y, 2)
+        ctx, case = deformation_case(g, x - y, 2)
         assert case.certificate is None
         # without parametrized components only the sound bound is available
-        assert case.threshold == 7
+        assert ctx.gap.threshold == 7
 
     def test_nonisolation_at_threshold_is_fatal(self):
         g = x**2 * y**2 - (x - y) ** 2
+        ctx, _ = deformation_case(g, x - y, 2)
+        ctx.gap = GapReport(ratios=(), g_intersection=1)  # threshold 2
         with pytest.raises(HypothesisError, match="isolation-at-threshold"):
-            build_deformation(g, x - y, 2, threshold=2)
+            ctx.case(2)
 
     def test_exponent_lower_bound(self):
         with pytest.raises(ValueError):
-            build_deformation(X**2 + Y**2, Z, 1)
+            deformation_case(X**2 + Y**2, Z, 1)
 
 
 class TestIdentityExamples:
     def test_massey_cylinder_n5(self):
         g = X**2 + Y**2
         le = le_numbers(g, Z, [AXIS])
-        case = build_deformation(g, Z, 5)
+        _, case = deformation_case(g, Z, 5)
         verdict = verify_le_number_identity(case, le)
         assert verdict.status == "PASS" and verdict.left == 4 and verdict.right == 4
 
     def test_massey_three_lines_n3(self):
         g = X * Y * (X + Y)
         le = le_numbers(g, Z, [AXIS])
-        case = build_deformation(g, Z, 3)
+        _, case = deformation_case(g, Z, 3)
         verdict = verify_le_number_identity(case, le)
         assert verdict.left == 8 and verdict.right == 8
 
@@ -109,7 +111,7 @@ class TestIdentityExamples:
         g = x**3 + y**3
         form = x + 2 * y
         le = le_numbers(g, form)
-        case = build_deformation(g, form, 8)
+        _, case = deformation_case(g, form, 8)
         verdict = verify_le_number_identity(case, le)
         assert verdict.status == "PASS" and verdict.left == 4
 
@@ -119,7 +121,7 @@ class TestIdentityExamples:
         chi_g = euler_char_fibre(g, le)
         terms = branch_terms(g, Z, [AXIS])
         for n in range(2, 7):
-            case = build_deformation(g, Z, n)
+            _, case = deformation_case(g, Z, n)
             verdict = verify_branch_sum_identities(case, chi_g, terms)[0][0]
             assert verdict.left == verdict.right == n
 
@@ -129,7 +131,7 @@ class TestIdentityExamples:
         chi_g = euler_char_fibre(g, le)
         terms = branch_terms(g, Z, [AXIS])
         for n in range(2, 7):
-            case = build_deformation(g, Z, n)
+            _, case = deformation_case(g, Z, n)
             verdict = verify_branch_sum_identities(case, chi_g, terms)[0][0]
             assert verdict.left == verdict.right == 4 * n - 3
 
@@ -138,7 +140,7 @@ class TestIdentityExamples:
         le = le_numbers(g, Z, [AXIS])
         chi_g = euler_char_fibre(g, le)
         terms = branch_terms(g, Z, [AXIS])
-        case = build_deformation(g, Z, 4)
+        _, case = deformation_case(g, Z, 4)
         (_, _, verdict), defect, expansion = verify_branch_sum_identities(case, chi_g, terms)
         assert verdict.status == "PASS"
         assert expansion == 4 and defect == -4
@@ -147,7 +149,7 @@ class TestIdentityExamples:
         g = X * Y * (X + Y)
         le = le_numbers(g, Z, [AXIS])
         terms = branch_terms(g, Z, [AXIS])
-        case = build_deformation(g, Z, 2)
+        _, case = deformation_case(g, Z, 2)
         (_, _, verdict), defect, expansion = verify_branch_sum_identities(
             case, euler_char_fibre(g, le), terms
         )
@@ -157,7 +159,7 @@ class TestIdentityExamples:
         g = x**3 + y**3
         form = x + 2 * y
         le = le_numbers(g, form)
-        case = build_deformation(g, form, 8)
+        _, case = deformation_case(g, form, 8)
         (_, _, verdict), defect, expansion = verify_branch_sum_identities(
             case, euler_char_fibre(g, le), ()
         )
@@ -336,7 +338,6 @@ PUBLIC_CALLS = {
     "branch_slice_milnor": lambda cap: branch_slice_milnor(X * Y * (X + Y), Z, AXIS, cap),
     "branch_terms": lambda cap: branch_terms(X * Y * (X + Y), Z, [AXIS], cap),
     "iomdin_threshold": lambda cap: iomdin_threshold(Z, X**2 + Y**2 + Z**3, cap=cap),
-    "build_deformation": lambda cap: build_deformation(X**2 + Y**2, Z, 3, cap=cap),
     "resolve_linear_form": lambda cap: resolve_linear_form(load_fixture("cusp-isolated"), cap),
 }
 
@@ -433,7 +434,8 @@ def test_heavy_tier_spend_is_pinned():
 
 def test_heavy_tier_order_key_evaluations_are_pinned(monkeypatch):
     # global division keys each monomial once, when it enters the remainder;
-    # a scan of every term for the leading one after each step made 89 333
+    # a scan of every term for the leading one after each step made 89 333,
+    # and a second interreduction pass, which reduced nothing, made 8933
     calls = [0]
 
     def counting(real):
@@ -450,13 +452,13 @@ def test_heavy_tier_order_key_evaluations_are_pinned(monkeypatch):
     run = {"le": lambda g: le_numbers(g, form), "mu": milnor_number}
     for kind, text in HEAVY_SPEND:
         run[kind](parse_poly(text, RING_XYZ))
-    assert calls[0] == 8933
+    assert calls[0] == 8805
 
 
 @pytest.mark.parametrize("name", ["cylinder", "double-axes"])
 def test_each_sweep_row_costs_one_multiplication_by_f(monkeypatch, name):
     ctx = ScenarioContext(load_fixture(name))
-    ctx.hypotheses, ctx.gap  # the N-independent data, before counting
+    ctx.sigma_dim, ctx.gap  # the N-independent data, before counting
     f = ctx.f
     powers, products = [], [0]
     real_pow, real_mul = Poly.__pow__, Poly.__mul__
