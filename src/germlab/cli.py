@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import ExponentRangeError, GermlabError, MissingSliceError
+from .errors import ExponentRangeError, GermlabError, MissingSliceError, SchemaError
 from .fixtures_lib import fixture_text, list_fixtures
 from .invariants import critical_locus, milnor_number
 from .scenario import (
@@ -78,7 +78,10 @@ def _scenario_from_args(parser: argparse.ArgumentParser, args) -> Scenario:
         parser.error(f"{flag} is inline input; a --fixture or --scenario declares its own f")
     document: str | dict
     if args.scenario:
-        document = Path(args.scenario).read_text(encoding="utf-8")
+        try:
+            document = Path(args.scenario).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise SchemaError("$", f"not valid UTF-8: {exc}") from exc
     elif args.fixture:
         document = fixture_text(args.fixture)
     else:

@@ -10,10 +10,10 @@ what is left each step.  The local completion runs it within the degree each
 element carries (Lazard's method: Buchberger's algorithm on homogenizations,
 read back in the original variables) and truncates at the highest corner
 once there is one; its bases are standard bases of the localized ideal at
-the origin.  Membership under the local order runs the same loop as Mora's
-weak normal form, which terminates on polynomial input.  `normal_form`
-takes global orders only, since a local remainder is fixed only up to a
-unit.
+the origin.  Membership (`contains`) is local only: it runs the same loop
+as Mora's weak normal form, which terminates on polynomial input.
+`normal_form` takes global orders only, since a local remainder is fixed
+only up to a unit; global membership is `normal_form(...).is_zero`.
 Every loop spends from an iteration budget and raises IterationLimitError
 instead of spinning.
 
@@ -33,7 +33,6 @@ from typing import Iterable, Sequence
 
 from .errors import GermlabError, IterationLimitError, RingMismatchError
 from .orders import (
-    DEGREVLEX,
     ELIM_FIRST,
     LOCAL,
     MonomialOrder,
@@ -580,33 +579,21 @@ class IdealPresentation:
         return f"Ideal<{gens}>"
 
 
-def contains(I: IdealPresentation, p: Poly, order: MonomialOrder = LOCAL, cap=None) -> bool:
-    """Ideal membership of p, local by default (membership in the localized
-    ideal at the origin).  Under a global order p is divided by the basis;
-    under LOCAL it is reduced to its Mora weak normal form (see
-    _local_weak_normal_form), truncated at the basis's corner."""
+def contains(I: IdealPresentation, p: Poly, cap=None) -> bool:
+    """Membership of p in the localized ideal at the origin: p is reduced to
+    its Mora weak normal form (see _local_weak_normal_form) by the LOCAL
+    basis, truncated at its corner.  Global membership is
+    `normal_form(p, basis, order).is_zero`."""
     _check_same_ring([p, *I.generators])
     if p.is_zero:
         return True
     budget = as_budget(cap)
-    basis = I.standard_basis(order, budget)
+    basis = I.standard_basis(LOCAL, budget)
     if not basis:
         return False
-    reducers = [_reducer(_integral(g, order), order) for g in basis]
+    reducers = [_reducer(_integral(g, LOCAL), LOCAL) for g in basis]
     h = _clear_denominators(p)[0]
-    if order.is_global:
-        return _divide_global(h, reducers, order, budget)[0].is_zero
-    return _local_weak_normal_form(h, reducers, order, budget, basis.corner).is_zero
-
-
-def ideal_contains(I: IdealPresentation, J: IdealPresentation, order: MonomialOrder, cap=None) -> bool:
-    budget = as_budget(cap)
-    return all(contains(I, g, order, budget) for g in J.generators)
-
-
-def ideal_equal(I: IdealPresentation, J: IdealPresentation, order: MonomialOrder = DEGREVLEX, cap=None) -> bool:
-    budget = as_budget(cap)
-    return ideal_contains(I, J, order, budget) and ideal_contains(J, I, order, budget)
+    return _local_weak_normal_form(h, reducers, LOCAL, budget, basis.corner).is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -656,9 +643,8 @@ def saturate_single(I: IdealPresentation, f: Poly, cap=None) -> IdealPresentatio
 
     The intersection is the t-free part of the reduced ELIM_FIRST basis in
     Q[t, x]; on t-free monomials ELIM_FIRST ranks like DEGREVLEX, so that part
-    is the reduced monic degrevlex basis of the saturated ideal.  When the
-    saturation removes nothing, I itself is returned, so its generators are
-    kept as given; otherwise the result carries that degrevlex basis.
+    is the reduced monic degrevlex basis of the saturated ideal, which the
+    result carries whether or not the saturation removed anything.
     """
     budget = as_budget(cap)
     ring = I.ring
@@ -679,8 +665,7 @@ def saturate_single(I: IdealPresentation, f: Poly, cap=None) -> IdealPresentatio
         for g in standard_basis_of(gens, ELIM_FIRST, budget)
         if all(e[0] == 0 for e in g.terms)
     ]
-    sat = IdealPresentation(ring, kept)
-    return I if ideal_contains(I, sat, DEGREVLEX, budget) else sat
+    return IdealPresentation(ring, kept)
 
 
 def has_power_in(p: Poly, I: IdealPresentation, cap=None) -> bool:
@@ -691,6 +676,6 @@ def has_power_in(p: Poly, I: IdealPresentation, cap=None) -> bool:
     q = p.ring.one()
     for _ in range(POWER_CAP):
         q = q * p
-        if contains(I, q, LOCAL, budget):
+        if contains(I, q, budget):
             return True
     return False

@@ -30,7 +30,6 @@ from .invariants import (
     compose_on_branch,
     jacobian_ideal,
     linear_coefficients,
-    milnor_number,
     order_in_t,
 )
 from .rings import Poly
@@ -74,14 +73,18 @@ def le_numbers(
     of the critical locus (plus the polar fallback when none are supplied)."""
     if not form.is_linear_form or form.ring != g.ring:
         raise ValueError("the form must be a nonzero linear form in the ring of g")
+    if g.constant_term() != 0:
+        raise ValueError("the germ must vanish at the origin")
     budget = as_budget(cap)
-    sigma_dim = dim_at_origin(jacobian_ideal(g), budget)
+    jac = jacobian_ideal(g)
+    sigma_dim = dim_at_origin(jac, budget)
     if sigma_dim > 1:
         raise UndefinedLeError(
             f"critical locus has dimension {sigma_dim}; only dimension <= 1 is supported"
         )
     if sigma_dim <= 0:
-        mu = milnor_number(g, budget)
+        # finite: the Milnor number, read off the LOCAL basis just cached
+        mu = quotient_dim_local(jac, budget)
         return LeData(
             lambda0=mu,
             lambda1=0,
@@ -104,14 +107,13 @@ def le_numbers(
     coeffs = linear_coefficients(form)
     pivots = [i for i in reversed(range(g.ring.nvars)) if coeffs[i] != 0]
     lam0 = None
-    gw = target = rest_ideal = polar = None
     for pivot in pivots:
         gw, target, _ = align_first(g, form, pivot)
         rest_ideal, polar = _polar_ideal_after_alignment(gw, budget)
         lam0 = quotient_dim_local(polar.plus([gw.diff(0)]), budget)
         if lam0 is not None:
             break
-    if lam0 is None or gw is None or target is None or rest_ideal is None or polar is None:
+    if lam0 is None:
         raise UndefinedLeError(
             "the polar curve meets the first-partial hypersurface improperly "
             "for every admissible coordinate choice"

@@ -25,6 +25,7 @@ from .invariants import (
     order_in_t,
     validate_branch,
 )
+from .orders import DEGREVLEX
 from .rings import Poly, jacobian
 
 
@@ -108,7 +109,9 @@ def relative_polar_ideal(
     cap=None,
 ) -> PolarCurve:
     """The relative polar curve of (f, g): dependency locus of df and dg with
-    every component inside {f = 0} or {g = 0} removed by saturation."""
+    every component inside {f = 0} or {g = 0} removed by saturation.  Its
+    ideal keeps the Jacobian minors when their reduced degrevlex basis is the
+    saturation's (nothing was removed), and that basis otherwise."""
     if f.constant_term() != 0 or g.constant_term() != 0:
         raise ValueError("f and g must vanish at the origin")
     budget = as_budget(cap)
@@ -117,7 +120,10 @@ def relative_polar_ideal(
     if not minors:
         ideal = IdealPresentation(ring, [ring.one()])
         return PolarCurve(ideal, -1, tuple(components))
-    ideal = saturate_single(IdealPresentation(ring, minors), f * g, budget)
+    ideal = IdealPresentation(ring, minors)
+    sat = saturate_single(ideal, f * g, budget)
+    if ideal.standard_basis(DEGREVLEX, budget) != sat.generators:
+        ideal = sat
     dim = dim_at_origin(ideal, budget)
     curve = PolarCurve(ideal, dim, tuple(components))
     for comp in curve.components:

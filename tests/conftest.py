@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 
 import germlab
-from germlab import Poly, PolyRing, load_scenario
+from germlab import DEGREVLEX, IdealPresentation, Poly, PolyRing, load_scenario
 from germlab.verifier import DeformationCase, ScenarioContext
 
 # the directory this germlab was imported from, for child interpreters
@@ -44,6 +44,12 @@ def deformation_case(g: Poly, f: Poly, n: int) -> tuple[ScenarioContext, Deforma
     scenario = load_scenario({"variables": list(g.ring.variables), "g": str(g), "f": str(f)})
     ctx = ScenarioContext(scenario)
     return ctx, ctx.case(n)
+
+
+def same_ideal(I: IdealPresentation, J: IdealPresentation) -> bool:
+    """Whether I and J present one ideal: a reduced Groebner basis is unique
+    (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, 2.7, Prop. 6)."""
+    return I.standard_basis(DEGREVLEX) == J.standard_basis(DEGREVLEX)
 
 
 def from_terms(ring: PolyRing, terms) -> Poly:

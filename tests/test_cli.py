@@ -179,6 +179,16 @@ def test_verify_scenario_file(tmp_path, capsys):
     assert "overall: PASS" in out
 
 
+def test_a_scenario_file_that_is_not_utf8_is_a_schema_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    code = main(["milnor", "--scenario", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: $: not valid UTF-8")
+    assert "Traceback" not in captured.err
+
+
 def usage_error(capsys, *argv) -> str:
     """Run argv, require exit status 2, and return what went to stderr."""
     with pytest.raises(SystemExit) as exc:

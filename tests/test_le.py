@@ -107,6 +107,14 @@ def test_wrong_multiplicity_mismatch_detected():
         le_numbers(X * Y * (X + Y), Z, [fat])
 
 
+@pytest.mark.parametrize("g", [X**2 + Y**2 + Z**2 + 1, X**2 + Y**2 + 1], ids=("isolated", "curve"))
+def test_a_germ_that_does_not_vanish_at_the_origin_is_refused(g):
+    # whether the critical locus is a point or a curve, as milnor_number and
+    # relative_polar_ideal refuse it
+    with pytest.raises(ValueError, match="vanish at the origin"):
+        le_numbers(g, Z)
+
+
 def test_two_dimensional_critical_locus_unsupported():
     ring = PolyRing(("x", "y", "z", "w"))
     g = ring.variable(0) ** 2
@@ -161,4 +169,4 @@ def test_le_work_count_is_pinned():
     # saturation route or pair order moves the count
     budget = Budget(10**5)
     le_numbers(X**2 * Y**2 + Z**3, HEAVY_FORM, cap=budget)
-    assert 10**5 - budget.remaining == 377
+    assert 10**5 - budget.remaining == 251
