@@ -3,7 +3,7 @@ dimension at the origin and saturation.
 
 Global orders use ordinary multivariate division and Buchberger's algorithm;
 the division pops the remainder's monomials from a heap, largest first, each
-one keyed once when it appears, instead of scanning every term for the
+one pushed once when it appears, instead of scanning every term for the
 leading one after each step (Monagan-Pearce, CASC 2007).
 The local order has one reduction loop, which takes the leading term of
 what is left each step.  The local completion runs it within the degree each
@@ -17,10 +17,14 @@ only up to a unit; global membership is `normal_form(...).is_zero`.
 Every loop spends from an iteration budget and raises IterationLimitError
 instead of spinning.
 
-The kernel is fraction-free: it reduces primitive int multiples of the
-polynomials (Poly values with int coefficients, which never leave this
-module) and converts back to Fraction coefficients only at the public
-boundary, taking the same steps as reduction over the rationals.
+The kernel reduces primitive int multiples of the polynomials, as term dicts
+that never leave this module, each monomial one int packed by its order
+(orders._Packing; Bachmann-Schoenemann, ISSAC 1998): a product is one `+`,
+and the leading monomial is the dict's `max`, or its `min` under LOCAL.
+`standard_basis_of`, `normal_form` and `contains` pack on entry and return
+Fraction coefficients on exponent tuples, leading monomial cached, taking
+the steps of rational reduction on tuples.  A degree the packed fields
+cannot hold raises GermlabError.
 """
 
 from __future__ import annotations
@@ -32,14 +36,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import GermlabError, IterationLimitError, RingMismatchError
-from .orders import (
-    ELIM_FIRST,
-    LOCAL,
-    MonomialOrder,
-    leading_monomial,
-    leading_term,
-)
-from .rings import Exponents, Poly, PolyRing, mono_div, mono_divides, mono_lcm, mono_mul
+from .orders import ELIM_FIRST, LOCAL, MonomialOrder, _Packing, leading_monomial
+from .rings import Exponents, Poly, PolyRing, mono_divides, mono_lcm
 
 DEFAULT_REDUCTION_CAP = 10**6
 POWER_CAP = 6  # largest power tried by has_power_in
@@ -77,75 +75,91 @@ def _check_same_ring(polys: Iterable[Poly]) -> PolyRing:
     return ring
 
 
-def _clear_denominators(p: Poly) -> tuple[Poly, int]:
-    """(d*p, d) for the least positive d that makes every coefficient an int."""
+# ---------------------------------------------------------------------------
+# packed term dicts
+#
+# Inside the kernel a polynomial is a dict from packed monomials to ints.  A
+# reduction step multiplies the reduced polynomial h by a positive int a (see
+# _subtract_into).  Global division also returns the product of those
+# factors, its scale: the int remainder is scale times the one rational
+# division of the same input gives.  The local loop returns its result only
+# up to that factor.
+# ---------------------------------------------------------------------------
+
+
+def _packed(p: Poly, pk: _Packing) -> tuple[dict, int]:
+    """(d*p, d) on packed monomials, for the least positive d that makes
+    every coefficient an int."""
     den = math.lcm(*(c.denominator for c in p.terms.values()))
-    terms = {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
-    return Poly._make(p.ring, terms), den
+    pack = pk.pack
+    return {pack(e): c.numerator * (den // c.denominator) for e, c in p.terms.items()}, den
 
 
-def _with_terms(p: Poly, terms: dict) -> Poly:
-    """A Poly on p's support with new coefficients; p's leading monomials carry over."""
-    q = Poly._make(p.ring, terms)
-    if p._lead is not None:
-        object.__setattr__(q, "_lead", dict(p._lead))
-    return q
-
-
-def _primitive(p: Poly, order: MonomialOrder) -> Poly:
-    """p (int coefficients) divided by its content, leading coefficient positive."""
-    _, lc = leading_term(p, order)
-    content = math.gcd(*p.terms.values())
-    if lc < 0:
+def _primitive(h: dict, lm: int) -> dict:
+    """h divided by its content, its coefficient at lm positive."""
+    content = math.gcd(*h.values())
+    if h[lm] < 0:
         content = -content
     if content == 1:
-        return p
-    return _with_terms(p, {e: c // content for e, c in p.terms.items()})
+        return h
+    return {m: c // content for m, c in h.items()}
 
 
-def _integral(p: Poly, order: MonomialOrder) -> Poly:
-    """The primitive integer multiple of p with a positive leading coefficient:
-    the kernel's representative of p up to a nonzero rational factor."""
-    return _primitive(_clear_denominators(p)[0], order)
+def _integral(p: Poly, pk: _Packing) -> dict:
+    """The primitive int multiple of p with a positive leading coefficient,
+    packed: the kernel's representative of p up to a nonzero rational factor."""
+    h = _packed(p, pk)[0]
+    return _primitive(h, pk.lead(h))
 
 
-def _monic_rational(p: Poly, order: MonomialOrder) -> Poly:
-    """p divided by its leading coefficient, with Fraction coefficients."""
-    _, lc = leading_term(p, order)
-    return _with_terms(p, {e: Fraction(c, lc) for e, c in p.terms.items()})
+def _unpacked(ring: PolyRing, h: dict, den: int, pk: _Packing, order: MonomialOrder, lm: int | None) -> Poly:
+    """h / den as a Poly, with lm cached as its leading monomial under order."""
+    unpack = pk.unpack
+    p = Poly._make(ring, {unpack(m): Fraction(c, den) for m, c in h.items()})
+    if lm is not None:
+        object.__setattr__(p, "_lead", {order: unpack(lm)})
+    return p
 
 
-def _shift(p: Poly, exps: Exponents) -> Poly:
-    """x^exps * p."""
-    return Poly._make(p.ring, {mono_mul(e, exps): c for e, c in p.terms.items()})
+def _reducer(h: dict, pk: _Packing, sugar: int | None = None) -> tuple:
+    """(lm, lc, ecart, h, raw, deg): what a reduction step reads of the
+    reducer h, computed once per basis element instead of once per step.
+    raw is lm's raw-exponent fields (see _Packing.divides) and deg the
+    degree of h.  The ecart slot is sugar - |lm| for the sugar the completion
+    gives h, by default deg h (see standard_basis_of)."""
+    lm = pk.lead(h)
+    deg = max(map(pk.degree, h))
+    return lm, h[lm], (deg if sugar is None else sugar) - pk.degree(lm), h, lm & pk.raw, deg
 
 
 def _subtract_into(
-    acc: dict, lch: int, g: Poly, lcg: int, exps: Exponents,
-    corner: int | None = None, fresh: list | None = None,
+    acc: dict, lch: int, g: tuple, shift: int, pk: _Packing,
+    bound: int | None = None, fresh: list | None = None,
 ) -> int:
-    """acc := a*acc - b*x^exps*g in place, with (a, b) = (lcg, lch) / gcd(lch, lcg)
-    and a > 0; returns a.
+    """acc := a*acc - b*x^shift*g in place for the reducer g (see _reducer),
+    with (a, b) = (lc g, lch) / gcd(lch, lc g) and a > 0; returns a.
 
-    For the h that acc holds, that is a*(h - (lch/lcg)*x^exps*g): the rational
-    reduction step times a positive int.  When lch is h's coefficient at
-    x^exps * lm(g) and lcg is g's at lm(g), that term cancels and leaves acc.
-    One pass over the terms of g.  With a corner, the terms of x^exps*g of
-    degree >= corner are left out, so acc gains no such term.  Monomials that
-    enter acc are appended to fresh, if given.
+    For the h that acc holds, that is a*(h - (lch/lc g)*x^shift*g): the
+    rational reduction step times a positive int.  When lch is h's
+    coefficient at x^shift * lm(g), that term cancels and leaves acc.  One
+    pass over the terms of g, after one check that no product reaches the
+    packed degree limit.  With a bound (see _Packing.corner), the products
+    that pack to bound or above are left out, so acc gains no such term.
+    Monomials that enter acc are appended to fresh, if given.
     """
+    pk.check_degree(pk.degree(shift) + g[5])
+    lcg = g[1]
     d = math.gcd(lch, lcg)
     a, b = lcg // d, lch // d
     if a < 0:
         a, b = -a, -b
     if a != 1:
-        for e, c in acc.items():
-            acc[e] = a * c
-    below = None if corner is None else corner - sum(exps)
-    for e, c in g.terms.items():
-        if below is not None and sum(e) >= below:
+        for m, c in acc.items():
+            acc[m] = a * c
+    for e, c in g[3].items():
+        m = e + shift
+        if bound is not None and m >= bound:
             continue
-        m = mono_mul(e, exps)
         s = acc.get(m)
         if s is None:
             acc[m] = -(c * b)
@@ -160,130 +174,108 @@ def _subtract_into(
     return a
 
 
-def _sub_shifted(
-    h: Poly, lch: int, g: Poly, lcg: int, exps: Exponents, corner: int | None = None
-) -> Poly:
-    """a*h - b*x^exps*g as a new Poly: _subtract_into on a copy of h's terms."""
-    acc = dict(h.terms)
-    _subtract_into(acc, lch, g, lcg, exps, corner)
-    return Poly._make(h.ring, acc)
-
-
 # ---------------------------------------------------------------------------
 # normal forms
-#
-# The kernel works on int coefficients.  A reduction step multiplies the
-# reduced polynomial h by a positive int a (see _subtract_into).  Global
-# division also returns the product of those factors, its scale: the int
-# remainder is scale times the one rational division of the same input gives.
-# The local loop returns its result only up to that factor.
 # ---------------------------------------------------------------------------
 
 
-def _reducer(g: Poly, order: MonomialOrder) -> tuple[Exponents, int, int, Poly]:
-    """(lm, lc, ecart, g): what a reduction step reads of the reducer g,
-    computed once per basis element instead of once per normal form.  The
-    ecart deg g - |lm g| is the completion's slot for sugar deg g (see
-    standard_basis_of)."""
-    lm, lc = leading_term(g, order)
-    return lm, lc, g.total_degree() - sum(lm), g
-
-
-def _divide_global(
-    p: Poly, reducers: Sequence[tuple], order: MonomialOrder, budget: Budget
-) -> tuple[Poly, int]:
-    """Fully reduced remainder of p modulo the reducers (see _reducer) for a
+def _divide_global(h: dict, reducers: Sequence[tuple], pk: _Packing, budget: Budget) -> tuple[dict, int]:
+    """Fully reduced remainder of h modulo the reducers (see _reducer) for a
     global order, and its scale.
 
-    The remainder lives in one term dict, and its monomials wait in a heap by
-    order.rank, each pushed when it enters the dict.  A pop whose monomial has
-    since cancelled is skipped, so the first live pop is the leading monomial
-    that max by order.key would find.  A step creates only monomials below the
-    one it reduces, so the steps are those of the classical division loop.
+    The remainder lives in one term dict, and its monomials wait in a heap
+    of negated packed ints, each pushed when it enters the dict, so the
+    largest pops first.  A pop whose monomial has since cancelled is
+    skipped, so the first live pop is the leading monomial, max of the
+    dict.  A step creates only monomials below the one it reduces, so the
+    steps are those of the classical division loop.
     """
-    rank = order.rank
-    acc = dict(p.terms)
-    heap = [(rank(e), e) for e in acc]
+    acc = dict(h)
+    heap = [-m for m in acc]
     heapq.heapify(heap)
-    fresh: list[Exponents] = []
-    tail: list[tuple[Exponents, int, int]] = []
+    guards = pk.guards
+    fresh: list[int] = []
+    tail: list[tuple[int, int, int]] = []
     scale = 1
     while heap:
-        lm = heapq.heappop(heap)[1]
+        lm = -heapq.heappop(heap)
         lc = acc.get(lm)
         if lc is None:
             continue
-        for lmg, lcg, _, g in reducers:
-            if mono_divides(lmg, lm):
+        over = lm | guards
+        for g in reducers:
+            if (over - g[4]) & guards == guards:
                 budget.spend()
-                scale *= _subtract_into(acc, lc, g, lcg, mono_div(lm, lmg), fresh=fresh)
+                scale *= _subtract_into(acc, lc, g, lm - g[0], pk, fresh=fresh)
                 for m in fresh:
-                    heapq.heappush(heap, (rank(m), m))
+                    heapq.heappush(heap, -m)
                 fresh.clear()
                 break
         else:
             tail.append((lm, lc, scale))
             del acc[lm]
     # each tail term was popped at the scale s; bring it to the final scale
-    return Poly._make(p.ring, {lm: lc * (scale // s) for lm, lc, s in tail}), scale
+    return {lm: lc * (scale // s) for lm, lc, s in tail}, scale
 
 
 def _local_weak_normal_form(
-    p: Poly,
+    h: dict,
     reducers: Sequence[tuple],
-    order: MonomialOrder,
+    pk: _Packing,
     budget: Budget,
-    corner: int | None,
+    bound: int | None,
     sugar: int | None = None,
-) -> Poly:
-    """Weak normal form of p modulo the reducers under the local order, up to
+) -> dict:
+    """Weak normal form of h modulo the reducers under the local order, up to
     a positive int factor: its leading term is irreducible, or its sugar
-    leaves no room to reduce it.
+    leaves no room to reduce it.  h is consumed.
 
-    A reducer (lm, lc, e, g) carries the ecart slot e = s - |lm g| for the
-    sugar s of g (see _reducer and standard_basis_of).  Each step reduces the
-    leading term of h by the first reducer of least ecart among those whose
-    leading monomial divides lm(h).  When that ecart exceeds the room h has
-    left, the two callers part:
+    A reducer (see _reducer) carries the ecart slot e = s - |lm g| for the
+    sugar s of g.  Each step reduces the leading term of h by the first
+    reducer of least ecart among those whose leading monomial divides lm(h).
+    When that ecart exceeds the room h has left, the two callers part:
 
     - The completion passes its sugar.  The room is sugar - |lm h|, and the
       loop stops there.  The homogenization t^s * g(x/t) leads with
       t^e * lm(g) under the order that ranks by degree and then locally, so
       these are the steps of homogeneous division in degree `sugar`: every
-      term stays of degree <= sugar and the leading monomial falls.  A nonzero result may lead with a monomial that a
-      reducer of larger ecart divides; the completion keeps it as a basis
-      element.
-    - Membership passes none.  The room is Mora's ecart deg h - |lm h|, and h
-      joins a private copy of the reducers before the step (Mora's normal
-      form, Greuel-Pfister, A Singular Introduction to Commutative Algebra,
-      1.7).  The result r satisfies u*p = q + r in the local ring for a unit u
-      and q in the ideal of the reducers, so r == 0 exactly when p lies in
-      the localized ideal, provided they form a standard basis.
+      term stays of degree <= sugar and the leading monomial falls.  A
+      nonzero result may lead with a monomial that a reducer of larger ecart
+      divides; the completion keeps it as a basis element.
+    - Membership passes none.  The room is Mora's ecart deg h - |lm h|, and a
+      copy of h joins a private copy of the reducers before the step (Mora's
+      normal form, Greuel-Pfister, A Singular Introduction to Commutative
+      Algebra, 1.7).  The result r satisfies u*h = q + r in the local ring
+      for a unit u and q in the ideal of the reducers, so r == 0 exactly
+      when h lies in the localized ideal, provided they form a standard
+      basis.
 
-    With a highest corner D (m^D inside the ideal), p and every intermediate
-    remainder drop their terms of degree >= D.
+    With a highest corner D (m^D inside the ideal) passed as its bound (see
+    _Packing.corner), h and every intermediate remainder drop their terms
+    of degree >= D.
     """
-    h = p
-    if corner is not None:
-        h = Poly._make(p.ring, {e: c for e, c in p.terms.items() if sum(e) < corner})
+    if bound is not None:
+        h = {m: c for m, c in h.items() if m < bound}
     if sugar is None:
         reducers = list(reducers)
-    while not h.is_zero:
-        lm, lc = leading_term(h, order)
+    guards = pk.guards
+    while h:
+        lm = min(h)
+        over = lm | guards
         best = None
-        for r in reducers:
-            if (best is None or r[2] < best[2]) and mono_divides(r[0], lm):
-                best = r
+        for g in reducers:
+            if (best is None or g[2] < best[2]) and (over - g[4]) & guards == guards:
+                best = g
         if best is None:
             break
-        room = (h.total_degree() if sugar is None else sugar) - sum(lm)
+        # LOCAL packs the degree on top, so max(h) has the largest degree
+        room = (pk.degree(max(h)) if sugar is None else sugar) - pk.degree(lm)
         if best[2] > room:
             if sugar is not None:
                 break
-            reducers.append((lm, lc, room, h))
-        lmg, lcg, _, g = best
+            reducers.append(_reducer(dict(h), pk))
         budget.spend()
-        h = _sub_shifted(h, lc, g, lcg, mono_div(lm, lmg), corner)
+        _subtract_into(h, h[lm], best, lm - best[0], pk, bound)
     return h
 
 
@@ -303,11 +295,12 @@ def normal_form(p: Poly, basis: Sequence[Poly], order: MonomialOrder, cap=None) 
     if not basis:
         return p
     _check_same_ring([p, *basis])
-    h, den = _clear_denominators(p)
-    reducers = [_reducer(_integral(g, order), order) for g in basis]
-    r, scale = _divide_global(h, reducers, order, budget)
-    scale *= den
-    return Poly._make(p.ring, {e: Fraction(c, scale) for e, c in r.terms.items()})
+    pk = order._packing(p.ring.nvars)
+    reducers = [_reducer(_integral(g, pk), pk) for g in basis]
+    h, den = _packed(p, pk)
+    r, scale = _divide_global(h, reducers, pk, budget)
+    # the remainder's terms leave the division largest first
+    return _unpacked(p.ring, r, scale * den, pk, order, next(iter(r), None))
 
 
 # ---------------------------------------------------------------------------
@@ -315,30 +308,31 @@ def normal_form(p: Poly, basis: Sequence[Poly], order: MonomialOrder, cap=None) 
 # ---------------------------------------------------------------------------
 
 
-def _spoly(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
-    """The S-polynomial of two int polynomials, up to a positive int factor."""
-    lmf, lcf = leading_term(f, order)
-    lmg, lcg = leading_term(g, order)
-    lcm = mono_lcm(lmf, lmg)
-    return _sub_shifted(_shift(f, mono_div(lcm, lmf)), lcf, g, lcg, mono_div(lcm, lmg))
+def _spoly(f: tuple, g: tuple, lcm: int, pk: _Packing) -> dict:
+    """The S-polynomial of the reducers f and g, whose leading monomials have
+    the lcm lcm, up to a positive int factor."""
+    shift = lcm - f[0]
+    pk.check_degree(pk.degree(shift) + f[5])
+    acc = {m + shift: c for m, c in f[3].items()}
+    _subtract_into(acc, f[1], g, lcm - g[0], pk)
+    return acc
 
 
-def _interreduce_global(basis: list[Poly], order: MonomialOrder, budget: Budget) -> list[Poly]:
-    """Tail-reduce a minimal global basis to the unique reduced basis.
+def _interreduce_global(reducers: list[tuple], pk: _Packing, budget: Budget) -> list[tuple]:
+    """Tail-reduce a minimal global basis, given as its reducers, to the
+    unique reduced basis.
 
     One pass suffices: no leading monomial of a minimal basis divides
     another, so reduction keeps every leading monomial, and a remainder with
     no term divisible by one of them stays reduced when other tails change.
     """
-    reducers = [_reducer(g, order) for g in basis]
-    for i in range(len(basis)):
-        r = _divide_global(basis[i], reducers[:i] + reducers[i + 1 :], order, budget)[0]
-        if r != basis[i]:
-            if r.is_zero:
+    for i, g in enumerate(reducers):
+        r = _divide_global(g[3], reducers[:i] + reducers[i + 1 :], pk, budget)[0]
+        if r != g[3]:
+            if not r:
                 raise GermlabError("interreduction killed a minimal basis element")
-            basis[i] = _primitive(r, order)
-            reducers[i] = _reducer(basis[i], order)
-    return basis
+            reducers[i] = _reducer(_primitive(r, g[0]), pk)
+    return reducers
 
 
 class StandardBasis(tuple):
@@ -466,73 +460,63 @@ def standard_basis_of(
     if not gens:
         return StandardBasis()
     ring = _check_same_ring(gens)
-    gens = [_integral(g, order) for g in gens]
-    gens.sort(key=lambda g: order.key(leading_term(g, order)[0]))
-    basis: list[Poly] = []
-    # (lm, lc, sugar - |lm|, g) per basis element: the _reducer entry, with
-    # the element's sugar in place of its degree
-    reducers: list[tuple] = []
-    lead: list[Exponents] = []
-    pairs: list[tuple] = []  # heap of (key, i, j, lcm, sugar) with i < j
+    pk = order._packing(ring.nvars)
     local = order.is_local
+    packed = [_integral(g, pk) for g in gens]
+    # ascending in the order: the larger int is the larger monomial except
+    # under LOCAL
+    packed.sort(key=pk.lead, reverse=local)
+    # the _reducer entry per basis element, with its sugar
+    reducers: list[tuple] = []
+    lead: list[Exponents] = []  # their leading monomials, unpacked
+    pairs: list[tuple] = []  # heap of (key, i, j, lcm, sugar) with i < j
     stairs = _Staircase(lead, ring.nvars) if local else None
 
-    def append(g: Poly, sugar: int) -> None:
-        j = len(basis)
-        lmj = leading_monomial(g, order)
-        ej = sugar - sum(lmj)
+    def append(h: dict, sugar: int | None = None) -> None:
+        j = len(reducers)
+        rj = _reducer(h, pk, sugar)
+        lmj = pk.unpack(rj[0])
         for i, lmi in enumerate(lead):
             lcm = mono_lcm(lmi, lmj)
-            sug = sum(lcm) + max(reducers[i][2], ej)
-            key = (sug, order.key(lcm)) if local else order.key(lcm)
-            heapq.heappush(pairs, (key, i, j, lcm, sug))
-        basis.append(g)
-        reducers.append((lmj, g.terms[lmj], ej, g))
+            sug = sum(lcm) + max(reducers[i][2], rj[2])
+            m = pk.pack(lcm)
+            heapq.heappush(pairs, ((sug, -m) if local else m, i, j, m, sug))
+        reducers.append(rj)
         lead.append(lmj)
         if stairs is not None:
             stairs.add(lmj)
 
-    for g in gens:
-        if g not in basis:
-            append(g, g.total_degree())
+    for h in packed:
+        if all(h != g[3] for g in reducers):
+            append(h)  # a generator's sugar is its degree
 
     while pairs:
         budget.spend()
         _, i, j, lcm, sugar = heapq.heappop(pairs)
-        if lcm == mono_mul(lead[i], lead[j]):
+        if lcm == reducers[i][0] + reducers[j][0]:
             continue  # coprime leading terms reduce to zero
-        corner = None if stairs is None else stairs.corner
-        if corner is not None and sum(lcm) >= corner:
+        bound = None if stairs is None or stairs.corner is None else pk.corner(stairs.corner)
+        if bound is not None and lcm >= bound:
             continue  # the S-polynomial lies in m^corner
-        s = _spoly(basis[i], basis[j], order)
-        if s.is_zero:
+        s = _spoly(reducers[i], reducers[j], lcm, pk)
+        if not s:
             continue
         if local:
-            r = _local_weak_normal_form(s, reducers, order, budget, corner, sugar)
+            r = _local_weak_normal_form(s, reducers, pk, budget, bound, sugar)
         else:
-            r = _divide_global(s, reducers, order, budget)[0]
-        if r.is_zero:
-            continue
-        append(_primitive(r, order), sugar)
+            r = _divide_global(s, reducers, pk, budget)[0]
+        if r:
+            append(_primitive(r, pk.lead(r)), sugar)
 
     # minimalize: drop elements whose leading monomial is divisible by another
-    keep: list[int] = []
-    for i, lm in enumerate(lead):
-        dominated = False
-        for j, lm2 in enumerate(lead):
-            if i == j:
-                continue
-            if mono_divides(lm2, lm) and (lm2 != lm or j < i):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(i)
-    minimal = [basis[i] for i in keep]
-    minimal.sort(key=lambda g: order.key(leading_term(g, order)[0]))
-    if order.is_global:
-        minimal = _interreduce_global(minimal, order, budget)
-        minimal.sort(key=lambda g: order.key(leading_term(g, order)[0]))
-    monic = (_monic_rational(g, order) for g in minimal)
+    minimal = [
+        g for i, (g, lm) in enumerate(zip(reducers, lead))
+        if not any(j != i and mono_divides(lm2, lm) and (lm2 != lm or j < i) for j, lm2 in enumerate(lead))
+    ]
+    minimal.sort(key=lambda g: g[0], reverse=local)
+    if not local:
+        minimal = _interreduce_global(minimal, pk, budget)
+    monic = (_unpacked(ring, g[3], g[1], pk, order, g[0]) for g in minimal)
     if stairs is None or stairs.monomials is None:
         return StandardBasis(monic)
     return StandardBasis(monic, len(stairs.monomials), stairs.corner)
@@ -591,9 +575,10 @@ def contains(I: IdealPresentation, p: Poly, cap=None) -> bool:
     basis = I.standard_basis(LOCAL, budget)
     if not basis:
         return False
-    reducers = [_reducer(_integral(g, LOCAL), LOCAL) for g in basis]
-    h = _clear_denominators(p)[0]
-    return _local_weak_normal_form(h, reducers, LOCAL, budget, basis.corner).is_zero
+    pk = LOCAL._packing(I.ring.nvars)
+    reducers = [_reducer(_integral(g, pk), pk) for g in basis]
+    bound = None if basis.corner is None else pk.corner(basis.corner)
+    return not _local_weak_normal_form(_packed(p, pk)[0], reducers, pk, budget, bound)
 
 
 # ---------------------------------------------------------------------------

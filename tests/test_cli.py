@@ -34,6 +34,17 @@ def test_milnor_nonisolated_exits_one(capsys):
     assert "positive dimension" in captured.err
 
 
+def test_a_degree_past_the_packed_fields_exits_one(capsys):
+    # each exponent is capped at 255, but nested powers multiply: the partial
+    # of this g in x has degree 255^4 - 1, past the kernel's limit of 2^31
+    code = main(["milnor", "--vars", "x,y", "--g", "(((x^255)^255)^255)^255+y^2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == (
+        "error: monomial degree 4228250624 reaches the limit 2147483648 of the packed exponent fields\n"
+    )
+
+
 def test_milnor_inline(capsys):
     code, out = run_cli(capsys, "milnor", "--vars", "x,y", "--g", "x^3+y^3", "--format", "json")
     assert code == 0

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from germlab import (
+    GermlabError,
     IdealPresentation,
     IterationLimitError,
     RingMismatchError,
@@ -284,6 +285,37 @@ class TestSaturation:
 def test_iteration_cap_fails_loudly():
     with pytest.raises(IterationLimitError):
         standard_basis_of([x**3 - y, y**3 - x, x * y - 1], DEGREVLEX, cap=3)
+
+
+LIMIT = 2**31  # the kernel packs each exponent into a 32-bit field with a guard bit
+
+
+def past_the_limit(degree: int):
+    return pytest.raises(
+        GermlabError,
+        match=f"^monomial degree {degree} reaches the limit {LIMIT} of the packed exponent fields$",
+    )
+
+
+def test_a_degree_past_the_packed_fields_is_refused():
+    big = RING_XY.monomial((LIMIT, 0))
+    # on entry, whichever public route packs it
+    with past_the_limit(LIMIT):
+        standard_basis_of([big + y], DEGREVLEX)
+    with past_the_limit(LIMIT):
+        quotient_dim_local(IdealPresentation(RING_XY, [x, y + big]))
+    with past_the_limit(LIMIT):
+        normal_form(big, [x], DEGREVLEX)
+    with past_the_limit(LIMIT):
+        contains(IdealPresentation(RING_XY, [x, y]), big)
+    # a pair lcm, and a reduction step, whose degree passes the limit
+    top = LIMIT - 1
+    with past_the_limit(2 * top - 2):
+        standard_basis_of([x ** (top - 1) * y, x * y ** (top - 1)], DEGREVLEX)
+    with past_the_limit(LIMIT):  # x leads x - y^top, and y times its tail
+        normal_form(x * y, [x - y**top], ELIM_FIRST)
+    # one below the limit still packs
+    assert list(standard_basis_of([x**top + y**top], DEGREVLEX)) == [x**top + y**top]
 
 
 def test_budget_counts_down():

@@ -170,3 +170,15 @@ def test_le_work_count_is_pinned():
     budget = Budget(10**5)
     le_numbers(X**2 * Y**2 + Z**3, HEAVY_FORM, cap=budget)
     assert 10**5 - budget.remaining == 251
+
+
+@pytest.mark.parametrize("n, mu, steps", [(10, 45, 745), (25, 90, 3102)])
+def test_le_iomdin_formula_in_the_papers_regime(n, mu, steps):
+    # N = 25 is the threshold of the Le-Iomdin formula for this pair, where
+    # the local bases of Jac(g + l^N) reach about 1300 terms
+    g, pair, _ = HEAVY_LE[0]
+    lam0, lam1 = le_numbers(g, HEAVY_FORM).as_pair()
+    assert (lam0, lam1) == pair == (18, 3)
+    budget = Budget(10**5)
+    assert milnor_number(g + HEAVY_FORM**n, budget) == lam0 + (n - 1) * lam1 == mu
+    assert 10**5 - budget.remaining == steps

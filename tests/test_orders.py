@@ -1,5 +1,6 @@
 """Monomial order semantics: global vs local ranking, multiplicativity, the
-elimination block, and the per-order leading-monomial cache."""
+elimination block, the packed monomials of the kernel, and the per-order
+leading-monomial cache."""
 
 from __future__ import annotations
 
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from germlab.orders import DEGREVLEX, ELIM_FIRST, LOCAL, leading_monomial, leading_term
+from germlab.orders import DEGREVLEX, ELIM_FIRST, LOCAL, _DEGREE_LIMIT, leading_monomial, leading_term
+from germlab.rings import mono_divides, mono_mul
 from conftest import RING_XYZ, from_terms, nonzero_poly_strategy
 
 exps3 = st.tuples(*[st.integers(min_value=0, max_value=5)] * 3)
@@ -58,14 +60,32 @@ ORDERS = [DEGREVLEX, LOCAL, ELIM_FIRST]
 
 
 @pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.kind)
-@settings(deadline=None)
-@given(st.lists(exps3, min_size=2, max_size=6))
-def test_rank_ascends_as_key_descends(order, monos):
-    # a heap by rank pops monomials in the order max by key finds them
-    for a in monos:
-        for b in monos:
-            assert (order.rank(a) < order.rank(b)) == (order.key(a) > order.key(b))
-            assert (order.rank(a) == order.rank(b)) == (order.key(a) == order.key(b))
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_packed_monomials_follow_the_order(order, data):
+    # ELIM_FIRST packs up to four variables inside saturation
+    nvars = data.draw(st.integers(1, 4), label="nvars")
+    # small exponents collide and tie often; large ones reach the guard bits
+    exponent = st.one_of(st.integers(0, 4), st.integers(0, (_DEGREE_LIMIT - 1) // nvars))
+    monomial = st.tuples(*[exponent] * nvars)
+    a, c = data.draw(monomial), data.draw(monomial)
+    # a permutation of a ties with it in degree, so the lower fields decide
+    b = data.draw(st.one_of(monomial, st.permutations(a).map(tuple)))
+    pk = order._packing(nvars)
+    pa, pb = pk.pack(a), pk.pack(b)
+    # the larger int is the larger monomial, the smaller one under LOCAL
+    assert ((pb < pa) if order.is_local else (pa < pb)) == (order.key(a) < order.key(b))
+    assert (pa == pb) == (a == b)
+    assert pk.divides(pa, pb) == mono_divides(a, b)
+    if sum(a) + sum(b) < _DEGREE_LIMIT:
+        assert pa + pb == pk.pack(mono_mul(a, b))
+    if sum(a) + sum(c) < _DEGREE_LIMIT:
+        assert pk.divides(pa, pk.pack(mono_mul(a, c)))
+    assert pk.unpack(pa) == a
+    assert pk.degree(pa) == sum(a)
+    if pk.degree_on_top:  # DEGREVLEX, LOCAL, and ELIM_FIRST in one variable
+        d = data.draw(st.sampled_from([0, 1, sum(a), sum(a) + 1, _DEGREE_LIMIT]), label="corner")
+        assert (pa < pk.corner(d)) == (sum(a) < d)
 
 
 @settings(deadline=None, max_examples=60)

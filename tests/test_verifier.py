@@ -26,7 +26,7 @@ from germlab import export_dataset, ideals, invariants, le, verifier
 from germlab import polar as polar_module
 from germlab.polar import GapReport
 from germlab.ideals import Budget
-from germlab.orders import DEGREVLEX, ELIM_FIRST, LOCAL
+from germlab.orders import DEGREVLEX, ELIM_FIRST, LOCAL, leading_monomial
 from germlab.rings import Poly
 from germlab.fixtures_lib import fixture_text, load_fixture
 from germlab.verifier import (
@@ -433,10 +433,13 @@ def test_heavy_tier_spend_is_pinned():
 
 
 def test_heavy_tier_order_key_evaluations_are_pinned(monkeypatch):
-    # global division keys each monomial once, when it enters the remainder;
-    # a scan of every term for the leading one after each step made 89 333,
-    # a second interreduction pass, which reduced nothing, made 8933, and the
-    # saturation's check against a degrevlex basis of its input made 8805
+    # the kernel packs monomials into ints that compare in the order, so keys
+    # are left to leading-monomial queries outside it; a scan of every term
+    # for the leading one after each step made 89 333, a second
+    # interreduction pass, which reduced nothing, made 8933, the saturation's
+    # check against a degrevlex basis of its input made 8805, and key plus
+    # rank evaluations, while global division kept a heap by a per-order
+    # rank, made 7928
     calls = [0]
 
     def counting(real):
@@ -448,12 +451,14 @@ def test_heavy_tier_order_key_evaluations_are_pinned(monkeypatch):
 
     for order in (DEGREVLEX, LOCAL, ELIM_FIRST):
         monkeypatch.setattr(order, "key", counting(order.key))
-        monkeypatch.setattr(order, "rank", counting(order.rank))
     form = next(generic_linear_candidates(RING_XYZ))
     run = {"le": lambda g: le_numbers(g, form), "mu": milnor_number}
     for kind, text in HEAVY_SPEND:
         run[kind](parse_poly(text, RING_XYZ))
-    assert calls[0] == 7928
+    assert calls[0] == 0
+    # the counter is live: a fresh leading-monomial query keys each term
+    leading_monomial(X + Y**2 + Z**3, DEGREVLEX)
+    assert calls[0] == 3
 
 
 @pytest.mark.parametrize("name", ["cylinder", "double-axes"])
