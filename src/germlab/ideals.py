@@ -23,8 +23,9 @@ that never leave this module, each monomial one int packed by its order
 and the leading monomial is the dict's `max`, or its `min` under LOCAL.
 `standard_basis_of`, `normal_form` and `contains` pack on entry and return
 Fraction coefficients on exponent tuples, leading monomial cached, taking
-the steps of rational reduction on tuples.  A degree the packed fields
-cannot hold raises GermlabError.
+the steps of rational reduction on tuples; a StandardBasis unpacks only
+when its polynomials are read.  A degree the packed fields cannot hold
+raises GermlabError.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import GermlabError, IterationLimitError, RingMismatchError
-from .orders import ELIM_FIRST, LOCAL, MonomialOrder, _Packing, leading_monomial
+from .orders import ELIM_FIRST, LOCAL, MonomialOrder, _Packing
 from .rings import Exponents, Poly, PolyRing, mono_divides, mono_lcm
 
 DEFAULT_REDUCTION_CAP = 10**6
@@ -44,12 +45,14 @@ POWER_CAP = 6  # largest power tried by has_power_in
 
 
 class Budget:
-    """A decrementing step counter shared across one top-level computation."""
+    """A decrementing step counter shared across one top-level computation.
+    Its cap, the steps it started with, also bounds the size of each local
+    staircase (see _Staircase)."""
 
-    __slots__ = ("remaining",)
+    __slots__ = ("cap", "remaining")
 
     def __init__(self, cap: int | None = None):
-        self.remaining = DEFAULT_REDUCTION_CAP if cap is None else int(cap)
+        self.cap = self.remaining = DEFAULT_REDUCTION_CAP if cap is None else int(cap)
 
     def spend(self, n: int = 1) -> None:
         self.remaining -= n
@@ -335,37 +338,89 @@ def _interreduce_global(reducers: list[tuple], pk: _Packing, budget: Budget) -> 
     return reducers
 
 
-class StandardBasis(tuple):
-    """The monic basis standard_basis_of returns, a tuple of Poly.
+class StandardBasis:
+    """The monic basis standard_basis_of returns: a sequence of Poly, equal
+    to the tuple of them.
 
-    Under LOCAL it also carries `staircase_size`, the number of standard
-    monomials, and `corner`, the highest corner (see _Staircase); both are
-    None when the quotient is infinite and under global orders.
+    It keeps the kernel's minimal basis, packed, and builds the monic Fraction
+    polynomials on first read (iteration, indexing, equality), once.  Its
+    length and `leading`, the leading monomials as exponent tuples, need no
+    build.  Under LOCAL it also carries `staircase_size`, the number of
+    standard monomials, and `corner`, the highest corner (see _Staircase);
+    both are None when the quotient is infinite and under global orders.
     """
 
-    def __new__(cls, polys=(), staircase_size=None, corner=None):
-        self = super().__new__(cls, polys)
+    __slots__ = ("ring", "order", "elements", "leading", "staircase_size", "corner", "_polys")
+
+    def __init__(
+        self, ring: PolyRing | None = None, order: MonomialOrder | None = None,
+        elements: Sequence[tuple[int, dict]] = (), leading: Sequence[Exponents] = (),
+        staircase_size: int | None = None, corner: int | None = None,
+    ):
+        self.ring = ring
+        self.order = order
+        self.elements = tuple(elements)  # (leading monomial, primitive int dict), packed
+        self.leading = tuple(leading)
         self.staircase_size = staircase_size
         self.corner = corner
-        return self
+        self._polys: tuple[Poly, ...] | None = None
+
+    def _built(self) -> tuple[Poly, ...]:
+        polys = self._polys
+        if polys is None:
+            pk = self.order._packing(self.ring.nvars) if self.elements else None
+            polys = self._polys = tuple(
+                _unpacked(self.ring, h, h[lm], pk, self.order, lm) for lm, h in self.elements
+            )
+        return polys
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __getitem__(self, i):
+        return self._built()[i]
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, StandardBasis):
+            other = other._built()
+        elif not isinstance(other, tuple):
+            return NotImplemented
+        return self._built() == other
+
+    def __hash__(self) -> int:
+        return hash(self._built())
+
+    def __repr__(self) -> str:
+        return repr(self._built())
 
 
-def _standard_monomials(lead: Sequence[Exponents], nvars: int) -> list[Exponents]:
+def _standard_monomials(lead: Sequence[Exponents], nvars: int, limit: int) -> list[Exponents]:
     """The monomials no leading monomial divides; each variable must have a
-    pure power among them.
+    pure power among them.  More than limit of them raises
+    IterationLimitError before they are listed.
 
     The exponents are fixed one variable at a time, keeping only the leading
     monomials whose exponents so far are at most the prefix's.  The exponent of a variable
     rises until that prefix, padded with zeros, is divisible; for the last
     variable the bound is the least exponent left.  So the work goes by
-    prefixes, not by the monomials of the whole box.
+    prefixes, not by the monomials of the whole box.  Each prefix that is
+    walked lists at least one monomial, so the limit bounds the work too.
     """
     found: list[Exponents] = []
 
     def walk(prefix: Exponents, lead: list[Exponents]) -> None:
         k = len(prefix)
         if k == nvars - 1:
-            found.extend((*prefix, a) for a in range(min(lm[k] for lm in lead)))
+            top = min(lm[k] for lm in lead)
+            if len(found) + top > limit:
+                raise IterationLimitError(
+                    f"reduction step cap exceeded: the staircase has at least "
+                    f"{len(found) + top} standard monomials, more than the cap of {limit}"
+                )
+            found.extend((*prefix, a) for a in range(top))
             return
         a = 0
         while True:
@@ -387,34 +442,43 @@ class _Staircase:
     Every monomial of degree >= D is then a leading monomial of the ideal,
     so m^D lies in the ideal in the local ring (Greuel-Pfister, A Singular
     Introduction to Commutative Algebra, 1.7): terms of degree >= D can be
-    dropped without changing the leading ideal.  The monomials are found
-    once, when the last pure power appears; after that each new leading
-    monomial only filters out the ones it divides.
+    dropped without changing the leading ideal.  The monomials are listed
+    on the first read of the corner once every variable has a pure power;
+    after that a read only filters out the ones that leading monomials
+    added since divide.  More than `limit` of them raises
+    IterationLimitError.
     """
 
-    __slots__ = ("lead", "missing", "monomials", "corner")
+    __slots__ = ("lead", "nvars", "limit", "missing", "monomials", "seen", "corner")
 
-    def __init__(self, lead: list[Exponents], nvars: int):
+    def __init__(self, lead: list[Exponents], nvars: int, limit: int):
         self.lead = lead
+        self.nvars = nvars
+        self.limit = limit
         self.missing = set(range(nvars))
         self.monomials: list[Exponents] | None = None
+        self.seen = 0  # how many of lead the monomials account for
         self.corner: int | None = None
 
     def add(self, lm: Exponents) -> None:
         """Account for lm, just appended to lead."""
-        if self.monomials is None:
+        if self.missing:
             support = [i for i, a in enumerate(lm) if a]
             if len(support) <= 1:
                 self.missing.difference_update(support or range(len(lm)))
-            if self.missing:
-                return
-            self.monomials = _standard_monomials(self.lead, len(lm))
+
+    def read(self) -> int | None:
+        """The corner of the whole of lead."""
+        if self.missing or self.seen == len(self.lead):
+            return self.corner
+        if self.monomials is None:
+            self.monomials = _standard_monomials(self.lead, self.nvars, self.limit)
         else:
-            kept = [e for e in self.monomials if not mono_divides(lm, e)]
-            if len(kept) == len(self.monomials):
-                return
-            self.monomials = kept
+            new = self.lead[self.seen :]
+            self.monomials = [e for e in self.monomials if not any(mono_divides(lm, e) for lm in new)]
+        self.seen = len(self.lead)
         self.corner = 1 + max(map(sum, self.monomials), default=-1)
+        return self.corner
 
 
 def standard_basis_of(
@@ -470,7 +534,7 @@ def standard_basis_of(
     reducers: list[tuple] = []
     lead: list[Exponents] = []  # their leading monomials, unpacked
     pairs: list[tuple] = []  # heap of (key, i, j, lcm, sugar) with i < j
-    stairs = _Staircase(lead, ring.nvars) if local else None
+    stairs = _Staircase(lead, ring.nvars, budget.cap) if local else None
 
     def append(h: dict, sugar: int | None = None) -> None:
         j = len(reducers)
@@ -495,7 +559,8 @@ def standard_basis_of(
         _, i, j, lcm, sugar = heapq.heappop(pairs)
         if lcm == reducers[i][0] + reducers[j][0]:
             continue  # coprime leading terms reduce to zero
-        bound = None if stairs is None or stairs.corner is None else pk.corner(stairs.corner)
+        corner = None if stairs is None else stairs.read()
+        bound = None if corner is None else pk.corner(corner)
         if bound is not None and lcm >= bound:
             continue  # the S-polynomial lies in m^corner
         s = _spoly(reducers[i], reducers[j], lcm, pk)
@@ -510,16 +575,18 @@ def standard_basis_of(
 
     # minimalize: drop elements whose leading monomial is divisible by another
     minimal = [
-        g for i, (g, lm) in enumerate(zip(reducers, lead))
+        (g, lm) for i, (g, lm) in enumerate(zip(reducers, lead))
         if not any(j != i and mono_divides(lm2, lm) and (lm2 != lm or j < i) for j, lm2 in enumerate(lead))
     ]
-    minimal.sort(key=lambda g: g[0], reverse=local)
+    minimal.sort(key=lambda gl: gl[0][0], reverse=local)
+    kept = [g for g, _ in minimal]
     if not local:
-        minimal = _interreduce_global(minimal, pk, budget)
-    monic = (_unpacked(ring, g[3], g[1], pk, order, g[0]) for g in minimal)
-    if stairs is None or stairs.monomials is None:
-        return StandardBasis(monic)
-    return StandardBasis(monic, len(stairs.monomials), stairs.corner)
+        kept = _interreduce_global(kept, pk, budget)
+    elements = [(g[0], g[3]) for g in kept]
+    leading = [lm for _, lm in minimal]
+    if stairs is None or stairs.read() is None:
+        return StandardBasis(ring, order, elements, leading)
+    return StandardBasis(ring, order, elements, leading, len(stairs.monomials), stairs.corner)
 
 
 class IdealPresentation:
@@ -576,7 +643,9 @@ def contains(I: IdealPresentation, p: Poly, cap=None) -> bool:
     if not basis:
         return False
     pk = LOCAL._packing(I.ring.nvars)
-    reducers = [_reducer(_integral(g, pk), pk) for g in basis]
+    # the basis keeps each element as its primitive int multiple, which is
+    # what _integral makes of the monic one
+    reducers = [_reducer(h, pk) for _, h in basis.elements]
     bound = None if basis.corner is None else pk.corner(basis.corner)
     return not _local_weak_normal_form(_packed(p, pk)[0], reducers, pk, budget, bound)
 
@@ -603,7 +672,7 @@ def dim_at_origin(I: IdealPresentation, cap=None) -> int:
     Returns -1 for the empty germ (unit ideal).  Computed from the staircase
     of the local leading-term ideal via maximal independent variable sets.
     """
-    lms = [leading_monomial(g, LOCAL) for g in I.standard_basis(LOCAL, cap)]
+    lms = I.standard_basis(LOCAL, cap).leading
     v = I.ring.nvars
     if not lms:
         return v

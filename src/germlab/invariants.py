@@ -150,13 +150,14 @@ def validate_branch(branch: BranchParam, host: IdealPresentation) -> BranchValid
     return BranchValidation(True)
 
 
-def local_degree(f: Poly, branch: BranchParam) -> int:
+def local_degree(f: Poly, branch: BranchParam, image: Poly | None = None) -> int:
     """Order in t of f along the branch (the local degree of f restricted to it).
 
     Compositions are exact, so an order of 8 * trunc or more (three doublings
-    of the declared truncation) means f degenerates on the branch.
+    of the declared truncation) means f degenerates on the branch.  image is
+    the composition f(branch(t)), when the caller has it already.
     """
-    comp = compose_on_branch(f, branch)
+    comp = compose_on_branch(f, branch) if image is None else image
     order = order_in_t(comp)
     if order is None:
         raise DegenerateBranchError(f"{f} vanishes identically on branch {branch.name!r}")

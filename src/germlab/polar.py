@@ -4,9 +4,10 @@ Iomdin threshold, and the polar-decomposition check for deformations g + f^N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 from .errors import ComponentMismatchError, ImproperIntersectionError
 from .ideals import (
@@ -64,11 +65,15 @@ class GapReport:
     (None for an empty curve).  sound_bound is always valid: component ratios
     never exceed that total, so total + 1 certifies N > ratio for every
     component.  exact_max is present only when components are supplied.
+    images holds the exact compositions (g(branch(t)), f(branch(t))) on each
+    component, which do not depend on N; a sweep row builds the image of
+    g + f^N from them (see intersection_number).
     """
 
     ratios: tuple[GapRatio, ...]
     g_intersection: int | None
     exact_max: Fraction | None = None
+    images: tuple[tuple[Poly, Poly], ...] = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
         if self.exact_max is not None and self.exact_max > self.sound_bound:
@@ -138,7 +143,10 @@ def relative_polar_ideal(
 
 
 def intersection_number(
-    curve: PolarCurve | IdealPresentation, h: Poly, cap=None
+    curve: PolarCurve | IdealPresentation,
+    h: Poly,
+    cap=None,
+    images: Sequence[Callable[[int | None], Poly]] | None = None,
 ) -> int:
     """Intersection number at the origin of the (1-dimensional) scheme with
     the hypersurface {h = 0}, as a local quotient dimension.
@@ -151,7 +159,10 @@ def intersection_number(
     Only orders up to the total can add up to it, so each composition is
     first taken modulo t^(total + 1).  When those orders sum to the total the
     check has passed; otherwise the exact compositions are recomputed, so the
-    error names the true orders.
+    error names the true orders.  images, one per component, maps a
+    truncation `below` (None for exact) to h(branch(t)) modulo t^below, for a
+    caller that can build it from compositions it already has; by default
+    each is compose_on_branch(h, component, below).
     """
     ideal = curve.ideal if isinstance(curve, PolarCurve) else curve
     total = quotient_dim_local(ideal.plus([h]), cap)
@@ -160,16 +171,16 @@ def intersection_number(
             f"intersection with {h} has positive dimension at the origin"
         )
     if isinstance(curve, PolarCurve) and curve.components:
-        truncated = [
-            order_in_t(compose_on_branch(h, comp, below=total + 1)) for comp in curve.components
-        ]
+        if images is None:
+            images = [partial(compose_on_branch, h, comp) for comp in curve.components]
+        truncated = [order_in_t(image(total + 1)) for image in images]
         if None not in truncated and total == sum(
             comp.multiplicity * order for comp, order in zip(curve.components, truncated)
         ):
             return total
         by_orders = 0
-        for comp in curve.components:
-            order = order_in_t(compose_on_branch(h, comp))
+        for comp, image in zip(curve.components, images):
+            order = order_in_t(image(None))
             if order is None:
                 raise ImproperIntersectionError(
                     f"{h} vanishes identically on component {comp.name!r}"
@@ -190,13 +201,16 @@ def gap_ratios(f: Poly, g: Poly, curve: PolarCurve, cap=None) -> GapReport:
     if curve.is_empty:
         return GapReport(ratios=(), g_intersection=None)
     total_g = intersection_number(curve, g, cap)
+    images = tuple(
+        (compose_on_branch(g, comp), compose_on_branch(f, comp)) for comp in curve.components
+    )
     ratios = []
-    for comp in curve.components:
-        og = local_degree(g, comp)
-        of = local_degree(f, comp)
+    for comp, (g_image, f_image) in zip(curve.components, images):
+        og = local_degree(g, comp, g_image)
+        of = local_degree(f, comp, f_image)
         ratios.append(GapRatio(comp.name, og, of, Fraction(og, of)))
     exact_max = max((r.ratio for r in ratios), default=None) if curve.components else None
-    return GapReport(ratios=tuple(ratios), g_intersection=total_g, exact_max=exact_max)
+    return GapReport(tuple(ratios), total_g, exact_max, images)
 
 
 def iomdin_threshold(f: Poly, g: Poly, curve: PolarCurve | None = None, cap=None) -> int:

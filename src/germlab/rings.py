@@ -7,6 +7,7 @@ exact; identical inputs produce bit-identical results.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -83,14 +84,28 @@ def mono_lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(map(max, a, b))
 
 
+def _numerators(terms: Mapping[Exponents, Fraction]) -> tuple[dict[Exponents, int], int]:
+    """(d*terms, d) for the least common denominator d of the coefficients:
+    the same terms as int numerators over one denominator."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    if den == 1:
+        return {e: c.numerator for e, c in terms.items()}, 1
+    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
+
+
 def _accumulate(acc: dict[Exponents, Fraction], terms: Mapping[Exponents, Fraction]) -> None:
-    """acc += terms, in place, never storing a zero coefficient."""
+    """acc += terms, in place, never storing a zero coefficient.  A monomial
+    new to acc keeps the Fraction of terms; only a shared one builds a sum."""
     for exps, c in terms.items():
-        s = acc.get(exps, Fraction(0)) + c
+        a = acc.get(exps)
+        if a is None:
+            acc[exps] = c
+            continue
+        s = a + c
         if s:
             acc[exps] = s
         else:
-            acc.pop(exps, None)
+            del acc[exps]
 
 
 class Poly:
@@ -189,16 +204,24 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        acc: dict[Exponents, Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = mono_mul(ea, eb)
-                s = acc.get(e, Fraction(0)) + ca * cb
+        # the products and sums run on int numerators, and each output term
+        # becomes one Fraction over the product of the two denominators
+        na, da = _numerators(self.terms)
+        nb, db = _numerators(other.terms)
+        add = operator.add
+        acc: dict[Exponents, int] = {}
+        for ea, ca in na.items():
+            for eb, cb in nb.items():
+                e = tuple(map(add, ea, eb))
+                s = acc.get(e, 0) + ca * cb
                 if s:
                     acc[e] = s
                 else:
                     acc.pop(e, None)
-        return Poly._make(self.ring, acc)
+        den = da * db
+        if den == 1:
+            return Poly._make(self.ring, {e: Fraction(n) for e, n in acc.items()})
+        return Poly._make(self.ring, {e: Fraction(n, den) for e, n in acc.items()})
 
     __rmul__ = __mul__
 
@@ -241,6 +264,13 @@ class Poly:
             total += val
         return total
 
+    def truncated(self, below: int | None) -> "Poly":
+        """self modulo m^below: the terms of total degree < below (all of
+        them for None)."""
+        if below is None:
+            return self
+        return Poly._make(self.ring, {e: c for e, c in self.terms.items() if sum(e) < below})
+
     def substitute(
         self, target: PolyRing, images: Sequence["Poly"], below: int | None = None
     ) -> "Poly":
@@ -259,18 +289,12 @@ class Poly:
             if im.ring != target:
                 raise RingMismatchError("substitution images must live in the target ring")
         orders = [im.min_degree() for im in images]
-
-        def cut(p: Poly) -> Poly:
-            if below is None:
-                return p
-            return Poly._make(target, {e: c for e, c in p.terms.items() if sum(e) < below})
-
         powers = [[target.one()] for _ in images]
 
         def power(i: int, e: int) -> Poly:
             cached = powers[i]
             while len(cached) <= e:
-                cached.append(cut(cached[-1] * images[i]))
+                cached.append((cached[-1] * images[i]).truncated(below))
             return cached[e]
 
         acc: dict[Exponents, Fraction] = {}
@@ -282,7 +306,7 @@ class Poly:
                 continue
             term = target.constant(c)
             for i in used:
-                term = cut(term * power(i, exps[i]))
+                term = (term * power(i, exps[i])).truncated(below)
             _accumulate(acc, term.terms)
         return Poly._make(target, acc)
 

@@ -16,7 +16,7 @@ any failing identity makes the table (and the CLI) report failure.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Any, Sequence
 
 from .errors import (
@@ -167,18 +167,40 @@ def verify_branch_sum_identities(
     return verdicts, -sign * jump, expansion
 
 
+def _deformed_image(g_image: Poly, f_image: Poly, n: int, below: int | None) -> Poly:
+    """(g + f^n)(branch(t)) modulo t^below (exact for None), from the images
+    g(branch(t)) and f(branch(t)): composition and truncation are ring
+    homomorphisms, so this is g_image + f_image^n in Q[t]/(t^below)."""
+    if below is None:
+        return g_image + f_image**n
+    power = f_image.ring.zero()
+    if f_image.min_degree() * n < below:  # else f^n vanishes modulo t^below
+        power, base = f_image.ring.one(), f_image
+        while n:
+            if n & 1:
+                power = (power * base).truncated(below)
+            n >>= 1
+            if n:
+                base = (base * base).truncated(below)
+    return (g_image + power).truncated(below)
+
+
 def verify_gap_stability(
-    case: DeformationCase, polar: PolarCurve, left: int | None, cap=None
+    case: DeformationCase, polar: PolarCurve, gap: GapReport, cap=None
 ) -> IdentityVerdict:
     """Intersection of the polar curve with V(g) against V(g + f^N).
 
-    left is the g-side number, intersection_number(polar, case.g), which does
-    not depend on N (None for an empty polar curve).
+    The g-side number is gap.g_intersection, which does not depend on N
+    (None for an empty polar curve).  The g + f^N side reads its images on
+    the polar components from the images of g and f that the gap report
+    holds, so a row composes no polynomial on a branch.
     """
+    left = gap.g_intersection
     if polar.is_empty:
         return IdentityVerdict("polar_stability", "SKIPPED", note="empty polar curve")
+    images = [partial(_deformed_image, g_image, f_image, case.n) for g_image, f_image in gap.images]
     try:
-        right = intersection_number(polar, case.g_tilde, cap)
+        right = intersection_number(polar, case.g_tilde, cap, images or None)
     except GermlabError as exc:
         return IdentityVerdict("polar_stability", "FAIL", left=left, right=str(exc))
     return compared("polar_stability", left, right)
@@ -469,7 +491,7 @@ def verify_scenario(
         verdicts = (
             verify_le_number_identity(case, le),
             *sums,
-            verify_gap_stability(case, ctx.polar, ctx.gap.g_intersection, ctx.budget),
+            verify_gap_stability(case, ctx.polar, ctx.gap, ctx.budget),
         )
         return SweepRow(
             n=n,

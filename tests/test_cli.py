@@ -45,6 +45,22 @@ def test_a_degree_past_the_packed_fields_exits_one(capsys):
     )
 
 
+def test_a_staircase_past_the_cap_exits_one_within_seconds():
+    # nested powers again: mu = 255^3 - 1 = 16 581 374 standard monomials,
+    # whose listing alone ran for minutes before the cap bounded it
+    cmd = [
+        sys.executable, "-m", "germlab.cli",
+        "milnor", "--vars", "x,y", "--g", "((x^255)^255)^255+y^2", "--caps", "1000",
+    ]
+    done = subprocess.run(cmd, capture_output=True, env=child_env(), timeout=10)
+    assert done.returncode == 1
+    assert done.stdout == b""
+    assert done.stderr == (
+        b"error: reduction step cap exceeded: the staircase has at least 1001 "
+        b"standard monomials, more than the cap of 1000\n"
+    )
+
+
 def test_milnor_inline(capsys):
     code, out = run_cli(capsys, "milnor", "--vars", "x,y", "--g", "x^3+y^3", "--format", "json")
     assert code == 0

@@ -20,6 +20,7 @@ from germlab import (
     quotient_dim_local,
     standard_basis_of,
 )
+from germlab import ideals
 from germlab.ideals import (
     Budget,
     contains,
@@ -591,3 +592,76 @@ def test_local_basis_of_a_curve_germ_matches_sympy(name):
         below = [e for e in itertools.product(range(degree), repeat=3) if sum(e) < degree]
         count = sum(1 for e in below if not any(mono_divides(lm, e) for lm in lead))
         assert count == sympy_local_quotient_dim([g.terms for g in gens], degree)
+
+
+def test_a_staircase_longer_than_the_cap_raises_naming_its_size():
+    # (x^1000, y^1000) has 10^6 standard monomials; listing them would be
+    # the whole cost, so they count against the cap of 10 000, listed
+    # 1000 per exponent of x until the count passes it
+    I = IdealPresentation(RING_XY, [x**1000, y**1000])
+    budget = Budget(10_000)
+    with pytest.raises(IterationLimitError) as exc:
+        quotient_dim_local(I, budget)
+    assert str(exc.value) == (
+        "reduction step cap exceeded: the staircase has at least 11000 standard "
+        "monomials, more than the cap of 10000"
+    )
+    # the count is not spent: the one (coprime) pair is the only step
+    assert budget.remaining == 10_000 - 1
+
+
+def test_a_staircase_as_long_as_the_cap_is_listed():
+    budget = Budget(10_000)
+    assert quotient_dim_local(IdealPresentation(RING_XY, [x**100, y**100]), budget) == 10_000
+    assert budget.remaining == 10_000 - 1
+
+
+def count_builds(monkeypatch) -> list:
+    """The calls of ideals._unpacked, which turns a packed basis element
+    into a Poly, from now on."""
+    calls = []
+    original = ideals._unpacked
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ideals, "_unpacked", counting)
+    return calls
+
+
+def test_counts_and_dimensions_build_no_fraction_basis(monkeypatch):
+    builds = count_builds(monkeypatch)
+    g = X**2 * Y + Y**4 + Z**5 + X * Y * Z**2
+    assert milnor_number(g) == 20
+    I = IdealPresentation(RING_XYZ, jacobian(g))
+    assert quotient_dim_local(I) == 20
+    assert dim_at_origin(I) == 0
+    assert dim_at_origin(IdealPresentation(RING_XYZ, [X * Y, X * Z])) == 2
+    assert contains(I, (1 + X) * (Y * Z**2 + 2 * X * Y)) and not contains(I, X)
+    assert builds == []
+
+
+def test_a_read_basis_is_built_once_and_equals_its_tuple(monkeypatch):
+    builds = count_builds(monkeypatch)
+    gens = [2 * x**2 - 3 * y**3 + x * y**2, x * y - Fraction(1, 5) * y**4]
+    basis = standard_basis_of(gens, LOCAL)
+    assert (len(basis), basis.staircase_size, basis.corner) == (3, 5, 4)
+    assert basis.leading == ((0, 4), (1, 1), (2, 0))
+    assert builds == []
+    # the tuple the basis equalled while it was built on return
+    expected = (
+        y**4,
+        x * y - Fraction(1, 5) * y**4,
+        x**2 + Fraction(1, 2) * x * y**2 - Fraction(3, 2) * y**3,
+    )
+    assert basis[1] == expected[1]
+    assert len(builds) == 3
+    assert basis == expected and expected == basis
+    assert tuple(basis) == expected and list(basis) == list(expected)
+    assert basis[0] is next(iter(basis))
+    assert [leading_monomial(p, LOCAL) for p in basis] == list(basis.leading)
+    assert hash(basis) == hash(expected)
+    assert basis == standard_basis_of(gens, LOCAL)
+    assert basis != expected[:2] and basis != list(expected)
+    assert len(builds) == 6  # the second basis, built to compare

@@ -130,3 +130,60 @@ def test_truncated_substitution_skips_zero_images_and_high_orders():
     assert p.substitute(T, [t, T.zero()], below=4) == t**3 + 2
     assert p.substitute(T, [t + 1, t**2], below=3) == 4 * t**2 + 3 * t + 3
     assert p.substitute(T, [t, t], below=0).is_zero
+
+
+def schoolbook(a: dict, b: dict, sign: int = 1, product: bool = False) -> dict:
+    """a + sign*b, or a*b with product, term by term in Fractions, in the
+    order Poly keeps: a monomial joins at its first nonzero sum and leaves
+    when its sum cancels."""
+    out: dict = {} if product else dict(a)
+    pairs = (
+        ((tuple(i + j for i, j in zip(ea, eb)), ca * cb) for ea, ca in a.items() for eb, cb in b.items())
+        if product
+        else ((e, sign * c) for e, c in b.items())
+    )
+    for e, c in pairs:
+        s = out.get(e, Fraction(0)) + c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
+def stored_fractions(p) -> bool:
+    return all(type(c) is Fraction and c != 0 for c in p.terms.values())
+
+
+# few monomials and non-integral coefficients, so that sums and products
+# cancel often and denominators differ between terms
+small = poly_strategy(RING_XY, max_degree=2, max_terms=4)
+rational = st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(lambda c: c.denominator > 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small, small, rational)
+def test_arithmetic_matches_schoolbook_fractions(p, q, c):
+    q = q + p * c  # shares monomials with p
+    for got, want in (
+        (p + q, schoolbook(p.terms, q.terms)),
+        (p - q, schoolbook(p.terms, q.terms, sign=-1)),
+        (p * q, schoolbook(p.terms, q.terms, product=True)),
+        (p * c, {e: k * c for e, k in p.terms.items()}),
+    ):
+        assert list(got.terms.items()) == list(want.items())
+        assert stored_fractions(got)
+    # (p + q)(p - q) = p^2 - q^2 cancels the cross terms
+    assert (p + q) * (p - q) == p * p - q * q
+    assert (p - p * 1).is_zero and (p * q - q * p).is_zero
+
+
+@settings(max_examples=100, deadline=None)
+@given(small, st.integers(0, 5))
+def test_powers_match_schoolbook_fractions(p, n):
+    want = {(0, 0): Fraction(1)}
+    for _ in range(n):
+        want = schoolbook(want, p.terms, product=True)
+    got = p**n
+    assert got.terms == want
+    assert stored_fractions(got)

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
 from germlab import (
+    ComponentMismatchError,
     ExponentRangeError,
     GermlabError,
     HypothesisError,
+    IdealPresentation,
     IterationLimitError,
     branch_slice_milnor,
     critical_locus,
@@ -549,3 +552,54 @@ def test_context_terms_are_the_le_terms_for_a_linear_f():
         assert invariants.branch_sum(ctx.terms) == ctx.le.lambda1
     nonlinear = load_scenario({"name": "bent", "variables": ["x", "y", "z"], "g": "x^2+y^2", "f": "z^2+x"})
     assert ScenarioContext(nonlinear).terms is None
+
+
+POLAR_FIXTURES = [
+    name for name in CN_FIXTURES if any(b.host == "polar" for b in load_fixture(name).branches)
+]
+
+
+@pytest.mark.parametrize("name", POLAR_FIXTURES)
+def test_sweep_rows_build_their_branch_images_from_those_of_g_and_f(name, monkeypatch):
+    # every row's polar-stability check gets images of g + f^N, built from
+    # the gap report's g(branch(t)) and f(branch(t)); truncated and exact,
+    # they are the compositions of g + f^N itself
+    seen = []
+    original = verifier.intersection_number
+
+    def recording(curve, h, cap=None, images=None):
+        if images is not None:
+            seen.append((curve, h, images))
+        return original(curve, h, cap, images)
+
+    monkeypatch.setattr(verifier, "intersection_number", recording)
+    scenario = load_fixture(name)
+    verify_scenario(scenario, n_range=(2, 30))
+    ctx = ScenarioContext(scenario)
+    assert [h for _, h, _ in seen] == [ctx.g + ctx.f**n for n in range(2, 31)]
+    for curve, h, images in seen:
+        assert len(images) == len(curve.components) > 0
+        # the row reads its images modulo t^(total + 1), unless the
+        # intersection is improper (total None)
+        total = ideals.quotient_dim_local(curve.ideal.plus([h]))
+        belows = [1, 8, 40, None] + ([] if total is None else [total + 1])
+        for comp, image in zip(curve.components, images):
+            for below in belows:
+                assert image(below) == invariants.compose_on_branch(h, comp, below)
+
+
+def test_a_wrong_multiplicity_reads_the_same_error_from_reused_images():
+    # the axis meets g + z^2 with order 2, counted twice, while the scheme
+    # (x^2, y^3) meets it with length 2 * 3 * 2
+    doubled = BranchParam("axis", (o, o, t), host="polar", multiplicity=2)
+    curve = polar_module.PolarCurve(IdealPresentation(RING_XYZ, [X**2, Y**3]), 1, (doubled,))
+    g, f = X**2 + Y**2 + Z**3, Z
+    images = [partial(verifier._deformed_image, t**3, t, 2)]
+    message = (
+        "component orders sum to 4 but the scheme-side intersection number is 12; "
+        "the component list is incomplete or has wrong multiplicities"
+    )
+    for reused in (images, None):
+        with pytest.raises(ComponentMismatchError) as exc:
+            polar_module.intersection_number(curve, g + f**2, None, reused)
+        assert str(exc.value) == message
