@@ -18,14 +18,15 @@ Every loop spends from an iteration budget and raises IterationLimitError
 instead of spinning.
 
 The kernel reduces primitive int multiples of the polynomials, as term dicts
-that never leave this module, each monomial one int packed by its order
-(orders._Packing; Bachmann-Schoenemann, ISSAC 1998): a product is one `+`,
-and the leading monomial is the dict's `max`, or its `min` under LOCAL.
-`standard_basis_of`, `normal_form` and `contains` pack on entry and return
-Fraction coefficients on exponent tuples, leading monomial cached, taking
-the steps of rational reduction on tuples; a StandardBasis unpacks only
-when its polynomials are read.  A degree the packed fields cannot hold
-raises GermlabError.
+whose monomials are ints packed by the order (orders._Packing;
+Bachmann-Schoenemann, ISSAC 1998): a product is one `+`, and the leading
+monomial is the dict's `max`, or its `min` under LOCAL.  `standard_basis_of`
+packs, then completes (`_complete`, which the sweep rows of
+verifier.ScenarioContext enter with generators built on ints); `normal_form`
+and `contains` pack on entry.  Results return Fraction coefficients on
+exponent tuples, taking the steps of rational reduction on tuples; a
+StandardBasis unpacks only when its polynomials are read.  A degree the
+packed fields cannot hold raises GermlabError.
 """
 
 from __future__ import annotations
@@ -115,13 +116,26 @@ def _integral(p: Poly, pk: _Packing) -> dict:
     return _primitive(h, pk.lead(h))
 
 
-def _unpacked(ring: PolyRing, h: dict, den: int, pk: _Packing, order: MonomialOrder, lm: int | None) -> Poly:
-    """h / den as a Poly, with lm cached as its leading monomial under order."""
+def _unpacked(ring: PolyRing, h: dict, den: int, pk: _Packing) -> Poly:
+    """h / den as a Poly."""
     unpack = pk.unpack
-    p = Poly._make(ring, {unpack(m): Fraction(c, den) for m, c in h.items()})
-    if lm is not None:
-        object.__setattr__(p, "_lead", {order: unpack(lm)})
-    return p
+    return Poly._make(ring, {unpack(m): Fraction(c, den) for m, c in h.items()})
+
+
+def _muladd(x: dict, s: int, a: dict, b: dict, t: int, pk: _Packing) -> dict:
+    """s*x + t*a*b for packed int dicts, with no zero coefficient, under an
+    order that packs the degree on top, so the largest int has the top degree."""
+    pk.check_degree(pk.degree(max(a, default=0)) + pk.degree(max(b, default=0)))
+    acc = {m: s * c for m, c in x.items()} if s else {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = ma + mb
+            c = acc.get(m, 0) + t * ca * cb
+            if c:
+                acc[m] = c
+            else:
+                acc.pop(m, None)
+    return acc
 
 
 def _reducer(h: dict, pk: _Packing, sugar: int | None = None) -> tuple:
@@ -303,7 +317,7 @@ def normal_form(p: Poly, basis: Sequence[Poly], order: MonomialOrder, cap=None) 
     h, den = _packed(p, pk)
     r, scale = _divide_global(h, reducers, pk, budget)
     # the remainder's terms leave the division largest first
-    return _unpacked(p.ring, r, scale * den, pk, order, next(iter(r), None))
+    return _unpacked(p.ring, r, scale * den, pk)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +384,7 @@ class StandardBasis:
         if polys is None:
             pk = self.order._packing(self.ring.nvars) if self.elements else None
             polys = self._polys = tuple(
-                _unpacked(self.ring, h, h[lm], pk, self.order, lm) for lm, h in self.elements
+                _unpacked(self.ring, h, h[lm], pk) for lm, h in self.elements
             )
         return polys
 
@@ -481,10 +495,21 @@ class _Staircase:
         return self.corner
 
 
-def standard_basis_of(
-    generators: Sequence[Poly], order: MonomialOrder, cap=None
-) -> StandardBasis:
-    """Buchberger completion of the generators under the given order.
+def standard_basis_of(generators: Sequence[Poly], order: MonomialOrder, cap=None) -> StandardBasis:
+    """Buchberger completion of the generators under the given order: pack
+    each as its primitive int multiple (see _integral), then complete."""
+    budget = as_budget(cap)
+    gens = [g for g in generators if not g.is_zero]
+    if not gens:
+        return StandardBasis()
+    ring = _check_same_ring(gens)
+    pk = order._packing(ring.nvars)
+    return _complete(ring, order, [_integral(g, pk) for g in gens], budget)
+
+
+def _complete(ring: PolyRing, order: MonomialOrder, packed: list[dict], budget: Budget) -> StandardBasis:
+    """Buchberger completion of the generators, given packed under order as
+    primitive int dicts with positive leading coefficients.
 
     The result is deterministic: pairs are selected by smallest lcm key (ties
     broken by index), the basis is minimalized, made monic, sorted by leading
@@ -519,17 +544,11 @@ def standard_basis_of(
     supports, leading monomials and (to drop duplicate generators) primitive
     forms, so the steps are the same.
     """
-    budget = as_budget(cap)
-    gens = [g for g in generators if not g.is_zero]
-    if not gens:
-        return StandardBasis()
-    ring = _check_same_ring(gens)
     pk = order._packing(ring.nvars)
     local = order.is_local
-    packed = [_integral(g, pk) for g in gens]
     # ascending in the order: the larger int is the larger monomial except
     # under LOCAL
-    packed.sort(key=pk.lead, reverse=local)
+    packed = sorted(packed, key=pk.lead, reverse=local)
     # the _reducer entry per basis element, with its sugar
     reducers: list[tuple] = []
     lead: list[Exponents] = []  # their leading monomials, unpacked

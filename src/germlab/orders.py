@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import functools
 import struct
-from fractions import Fraction
 from itertools import accumulate
-from operator import neg
+from operator import mul, neg
 from typing import Callable
 
 from .errors import GermlabError
@@ -66,14 +65,17 @@ class _Packing:
     (the larger int is the larger monomial under a global order and the
     smaller one under LOCAL), and a | b is one subtraction of raw fields
     whose guard bits survive exactly when no exponent of b is below a's.
+    Being additive, a monomial packs as the sum of its exponents times the
+    packed variables, `units`.
     """
 
-    __slots__ = ("nvars", "fields", "words", "guards", "raw", "top", "degree_on_top", "lead")
+    __slots__ = ("nvars", "words", "units", "guards", "raw", "top", "degree_on_top", "lead")
 
     def __init__(self, order: "MonomialOrder", nvars: int):
         self.nvars = nvars
-        self.fields = order._fields
         self.words = struct.Struct(f">{2 * nvars}I")
+        eye = [tuple(int(i == k) for i in range(nvars)) for k in range(nvars)]
+        self.units = [int.from_bytes(self.words.pack(*order._fields(u), *u), "big") for u in eye]
         ones = sum(1 << (_FIELD_BITS * k) for k in range(nvars))
         self.guards = ones << (_FIELD_BITS - 1)
         self.raw = ones * ((1 << _FIELD_BITS) - 1)
@@ -84,7 +86,7 @@ class _Packing:
 
     def pack(self, e: Exponents) -> int:
         self.check_degree(sum(e))
-        return int.from_bytes(self.words.pack(*self.fields(e), *e), "big")
+        return sum(map(mul, e, self.units))
 
     def unpack(self, m: int) -> Exponents:
         return self.words.unpack(m.to_bytes(self.words.size, "big"))[self.nvars :]
@@ -152,26 +154,5 @@ ELIM_FIRST = MonomialOrder("elim-first", _elim_first_key, _elim_first_fields)
 
 
 def leading_monomial(p: Poly, order: MonomialOrder) -> Exponents:
-    """Exponent vector of the leading term; p must be nonzero.
-
-    The result is cached on p per order: Poly values are immutable, so the
-    leading monomial under a given order never changes.  The first query
-    under an order scans every term once; later ones read the cache.
-    """
-    cache = p._lead
-    if cache is None:
-        if not p.terms:
-            raise ValueError("the zero polynomial has no leading monomial")
-        cache = {}
-        object.__setattr__(p, "_lead", cache)
-    else:
-        lm = cache.get(order)
-        if lm is not None:
-            return lm
-    lm = cache[order] = max(p.terms, key=order.key)
-    return lm
-
-
-def leading_term(p: Poly, order: MonomialOrder) -> tuple[Exponents, Fraction]:
-    lm = leading_monomial(p, order)
-    return lm, p.terms[lm]
+    """Exponent vector of the leading term; p must be nonzero."""
+    return max(p.terms, key=order.key)

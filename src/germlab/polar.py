@@ -165,7 +165,13 @@ def intersection_number(
     each is compose_on_branch(h, component, below).
     """
     ideal = curve.ideal if isinstance(curve, PolarCurve) else curve
-    total = quotient_dim_local(ideal.plus([h]), cap)
+    return checked_intersection(curve, h, quotient_dim_local(ideal.plus([h]), cap), images)
+
+
+def checked_intersection(curve: PolarCurve | IdealPresentation, h: Poly, total: int | None, images=None) -> int:
+    """The scheme-side intersection number total of curve with {h = 0}
+    (None when infinite), for a caller that computed it, checked against the
+    components as intersection_number describes, images defaulting there."""
     if total is None:
         raise ImproperIntersectionError(
             f"intersection with {h} has positive dimension at the origin"

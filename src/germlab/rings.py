@@ -66,10 +66,6 @@ class PolyRing:
         return Poly._make(self, {exps: c} if c else {})
 
 
-def mono_mul(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(map(operator.add, a, b))
-
-
 def mono_divides(a: Exponents, b: Exponents) -> bool:
     """True when the monomial with exponents a divides the one with b."""
     return all(map(operator.le, a, b))
@@ -112,12 +108,10 @@ class Poly:
     """Immutable sparse polynomial over the rationals.
 
     Use the PolyRing factories or parsing.parse_poly to build values; the raw
-    constructor is internal and assumes a clean term map.  The _lead slot holds
-    leading monomials per monomial order, filled lazily by
-    orders.leading_monomial; it is sound because the terms never change.
+    constructor is internal and assumes a clean term map.
     """
 
-    __slots__ = ("ring", "terms", "_hash", "_lead")
+    __slots__ = ("ring", "terms", "_hash")
 
     def __init__(self):  # pragma: no cover - guard against direct construction
         raise TypeError("use PolyRing factories to build Poly values")
@@ -128,7 +122,6 @@ class Poly:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_lead", None)
         return self
 
     def __setattr__(self, name, value):  # enforce immutability

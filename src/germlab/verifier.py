@@ -20,14 +20,17 @@ from functools import cached_property, partial
 from typing import Any, Sequence
 
 from .errors import (
+    ComponentMismatchError,
     DegenerateBranchError,
     ExponentRangeError,
     GenericityError,
     GermlabError,
     HypothesisError,
+    ImproperIntersectionError,
     UndefinedLeError,
 )
 from .ideals import Budget, IdealPresentation, as_budget, dim_at_origin, quotient_dim_local
+from .ideals import _complete, _integral, _muladd, _packed, _primitive, _unpacked
 from .invariants import (
     BranchParam,
     BranchTerm,
@@ -43,11 +46,13 @@ from .le import LeData, euler_char_fibre, le_numbers
 from .polar import (
     GapReport,
     PolarCurve,
+    checked_intersection,
     gap_ratios,
     intersection_number,
     relative_polar_ideal,
 )
-from .rings import Poly, PolyRing
+from .orders import LOCAL
+from .rings import Poly, PolyRing, jacobian
 from .scenario import N_MAX, Scenario
 from .stratified import (
     BranchTableRow,
@@ -77,13 +82,19 @@ def generic_linear_candidates(ring, attempts: int = MAX_LADDER_ATTEMPTS):
 
 @dataclass(frozen=True)
 class DeformationCase:
-    """One deformation g_tilde = g + f^N with its isolation certificate."""
+    """One deformation g_tilde = g + f^N with its isolation certificate.  It
+    holds g + f^N as (d*(g + f^N), d), packed under LOCAL for an int d, and
+    builds g_tilde from it on first read."""
 
     g: Poly
     f: Poly
     n: int
-    g_tilde: Poly
+    packed: tuple[dict, int] = field(repr=False, compare=False)
     certificate: int | None  # local Jacobian quotient dimension, None = infinite
+
+    @cached_property
+    def g_tilde(self) -> Poly:
+        return _unpacked(self.g.ring, *self.packed, LOCAL._packing(self.g.ring.nvars))
 
     @property
     def chi_gtilde(self) -> int | None:
@@ -185,23 +196,26 @@ def _deformed_image(g_image: Poly, f_image: Poly, n: int, below: int | None) -> 
     return (g_image + power).truncated(below)
 
 
-def verify_gap_stability(
-    case: DeformationCase, polar: PolarCurve, gap: GapReport, cap=None
-) -> IdentityVerdict:
+def verify_gap_stability(case: DeformationCase, ctx: ScenarioContext) -> IdentityVerdict:
     """Intersection of the polar curve with V(g) against V(g + f^N).
 
     The g-side number is gap.g_intersection, which does not depend on N
-    (None for an empty polar curve).  The g + f^N side reads its images on
-    the polar components from the images of g and f that the gap report
-    holds, so a row composes no polynomial on a branch.
+    (None for an empty polar curve).  The g + f^N side is the run's packed
+    intersection number (see ScenarioContext.polar_intersection), checked
+    on the polar components against images read from those of g and f that
+    the gap report holds, so a row composes no polynomial on a branch.  A
+    component mismatch or an improper intersection is the verdict's FAIL;
+    any other error, a spent budget among them, ends the run.
     """
+    polar, gap = ctx.polar, ctx.gap
     left = gap.g_intersection
     if polar.is_empty:
         return IdentityVerdict("polar_stability", "SKIPPED", note="empty polar curve")
+    total = ctx.polar_intersection(case)
     images = [partial(_deformed_image, g_image, f_image, case.n) for g_image, f_image in gap.images]
     try:
-        right = intersection_number(polar, case.g_tilde, cap, images or None)
-    except GermlabError as exc:
+        right = checked_intersection(polar, case.g_tilde, total, images or None)
+    except (ComponentMismatchError, ImproperIntersectionError) as exc:
         return IdentityVerdict("polar_stability", "FAIL", left=left, right=str(exc))
     return compared("polar_stability", left, right)
 
@@ -362,7 +376,7 @@ class ScenarioContext:
         self.ring: PolyRing = scenario.ring
         self.g: Poly = scenario.g
         self.budget = Budget(scenario.limits.reduction_cap)
-        self._f_power: tuple[int, Poly] | None = None  # the last (k, f^k) of case()
+        self._f_power: tuple[int, dict, int] | None = None  # the last (k, d*f^k, d) of case()
 
     def _hosted(self, host: str) -> tuple[BranchParam, ...]:
         return tuple(b for b in self.scenario.branches if b.host == host)
@@ -408,6 +422,25 @@ class ScenarioContext:
         return gap_ratios(self.f, self.g, self.polar, self.budget)
 
     @cached_property
+    def _packings(self) -> tuple:
+        """The LOCAL packing with what a sweep row reads packed under it: g,
+        f and the pairs of their partials, each p as (d*p, d) for an int d,
+        and the primitive polar generators, so case(n) reads it after the
+        gap report."""
+        pk = LOCAL._packing(self.ring.nvars)
+        partials = [(_packed(a, pk), _packed(b, pk)) for a, b in zip(jacobian(self.g), jacobian(self.f))]
+        polar = [] if self.polar.is_empty else [_integral(p, pk) for p in self.polar.ideal.generators]
+        return pk, _packed(self.g, pk), _packed(self.f, pk), partials, polar
+
+    def polar_intersection(self, case: DeformationCase) -> int | None:
+        """quotient_dim_local(polar.ideal.plus([case.g_tilde])) on the
+        packed generators."""
+        pk, *_, polar = self._packings
+        h = case.packed[0]
+        gens = polar + ([_primitive(h, pk.lead(h))] if h else [])
+        return _complete(self.ring, LOCAL, gens, as_budget(self.budget)).staircase_size
+
+    @cached_property
     def sigma_dim(self) -> int:
         """The dimension of the critical locus of g, once check_hypotheses
         has found that the case hypotheses hold."""
@@ -431,28 +464,35 @@ class ScenarioContext:
         not isolated although n reached the threshold.  The case hypotheses
         are read before the polar curve whose gap report sets the threshold.
 
-        A sweep asks for increasing n, so the last power f^k is kept and
-        extended by n - k multiplications by f; only the first call, or one
-        with a smaller n, raises f to the full power.
+        The row is built on ints from the packings of g, f and their
+        partials (see _packings), and Jac(g + f^n) by the chain rule:
+        d(g + f^n) = dg + n f^(n-1) df.  A sweep asks for increasing n, so
+        the last power f^k is kept and extended by one product by f per
+        exponent step; the first call, or one with a smaller n, starts
+        again from f.
         """
         self.sigma_dim  # the case hypotheses, before the polar curve
         threshold = self.gap.threshold
         if n < 2:
             raise ValueError("the deformation exponent must be at least 2")
-        if self._f_power is None or self._f_power[0] > n:
-            self._f_power = (n, self.f**n)
-        k, power = self._f_power
-        for _ in range(n - k):
-            power = power * self.f
-        self._f_power = (n, power)
-        g_tilde = self.g + power
-        certificate = quotient_dim_local(jacobian_ideal(g_tilde), self.budget)
+        pk, (g, dg), (f, df), partials, _ = self._packings
+        if self._f_power is None or self._f_power[0] >= n:
+            self._f_power = (1, f, df)
+        k, power, den = self._f_power
+        for _ in range(n - 1 - k):
+            power, den = _muladd({}, 0, power, f, 1, pk), den * df
+        jac = [_muladd(a, den * db, power, b, n * da, pk) for (a, da), (b, db) in partials]
+        jac = [_primitive(h, pk.lead(h)) for h in jac if h]
+        certificate = _complete(self.ring, LOCAL, jac, as_budget(self.budget)).staircase_size
+        power, den = _muladd({}, 0, power, f, 1, pk), den * df
+        self._f_power = (n, power, den)
+        packed = _muladd(g, den, power, {0: 1}, dg, pk), dg * den  # {0: 1} is the packed 1
         if certificate is None and n >= threshold:
             raise HypothesisError(
                 "isolation-at-threshold",
                 f"g + f^{n} has a non-isolated singularity although n >= threshold {threshold}",
             )
-        return DeformationCase(self.g, self.f, n, g_tilde, certificate)
+        return DeformationCase(self.g, self.f, n, packed, certificate)
 
 
 def verify_scenario(
@@ -491,7 +531,7 @@ def verify_scenario(
         verdicts = (
             verify_le_number_identity(case, le),
             *sums,
-            verify_gap_stability(case, ctx.polar, ctx.gap, ctx.budget),
+            verify_gap_stability(case, ctx),
         )
         return SweepRow(
             n=n,

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
+from fractions import Fraction
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from germlab import (
     ComponentMismatchError,
@@ -222,7 +225,10 @@ class TestSweep:
         assert len(table.rows) == 7
         assert len(calls) == 1
 
-    def test_one_budget_spans_the_whole_run(self, monkeypatch):
+    # cylinder has an empty polar curve; double-axes spends its last steps
+    # inside a row's polar intersection
+    @pytest.mark.parametrize("name", ["cylinder", "double-axes"])
+    def test_one_budget_spans_the_whole_run(self, monkeypatch, name):
         made = []
         original = Budget.__init__
 
@@ -231,7 +237,7 @@ class TestSweep:
             made.append(budget)
 
         monkeypatch.setattr(Budget, "__init__", counting)
-        sc = load_fixture("cylinder")
+        sc = load_fixture(name)
         verify_scenario(sc)
         assert len(made) == 1
         spent = sc.limits.reduction_cap - made[0].remaining
@@ -468,35 +474,27 @@ def test_heavy_tier_order_key_evaluations_are_pinned(monkeypatch):
 def test_each_sweep_row_costs_one_multiplication_by_f(monkeypatch, name):
     ctx = ScenarioContext(load_fixture(name))
     ctx.sigma_dim, ctx.gap  # the N-independent data, before counting
-    f = ctx.f
-    powers, products = [], [0]
-    real_pow, real_mul = Poly.__pow__, Poly.__mul__
+    f = ctx._packings[2][0]  # f, packed once per run
+    products = [0]
+    real = verifier._muladd
 
-    def counting_pow(self, n):
-        if self is f:
-            powers.append(n)
-        return real_pow(self, n)
-
-    def counting_mul(self, other):
-        if other is f:
+    def counting(x, s, a, b, t, pk):
+        if b is f:
             products[0] += 1
-        return real_mul(self, other)
+        return real(x, s, a, b, t, pk)
 
-    monkeypatch.setattr(Poly, "__pow__", counting_pow)
-    cases = [ctx.case(2)]
-    monkeypatch.setattr(Poly, "__mul__", counting_mul)
-    per_row = []
-    for n in range(3, 31):
+    monkeypatch.setattr(verifier, "_muladd", counting)
+    cases, per_row = [], []
+    for n in [*range(2, 31), 5]:
         before = products[0]
         cases.append(ctx.case(n))
         per_row.append(products[0] - before)
-    assert powers == [2]
-    assert per_row == [1] * 28
-    cases.append(ctx.case(5))  # a smaller exponent raises f afresh
-    assert powers == [2, 5]
+    # f^(n-1) for the Jacobian is kept from the last row, then f^n is one
+    # product by f; a smaller exponent starts again from f
+    assert per_row == [1] * 29 + [4]
     monkeypatch.undo()
     for case in cases:
-        assert case.g_tilde == ctx.g + f**case.n
+        assert case.g_tilde == ctx.g + ctx.f**case.n
 
 
 @pytest.mark.parametrize("name", ["three-lines", "cylinder"])
@@ -532,7 +530,8 @@ def test_verify_computes_each_branch_slice_milnor_number_once(monkeypatch, name)
 
 def test_export_standard_basis_count_is_pinned(monkeypatch):
     # 26 while the branch terms and the slice Milnor numbers at the origin
-    # were each computed twice
+    # were each computed twice, and 21 while the deformation's Jacobian went
+    # through standard_basis_of instead of packed to the completion
     calls = []
     original = ideals.standard_basis_of
 
@@ -542,7 +541,7 @@ def test_export_standard_basis_count_is_pinned(monkeypatch):
 
     monkeypatch.setattr(ideals, "standard_basis_of", counting)
     export_dataset(load_fixture("three-lines"), 3)
-    assert len(calls) == 21
+    assert len(calls) == 20
 
 
 def test_context_terms_are_the_le_terms_for_a_linear_f():
@@ -565,14 +564,14 @@ def test_sweep_rows_build_their_branch_images_from_those_of_g_and_f(name, monkey
     # the gap report's g(branch(t)) and f(branch(t)); truncated and exact,
     # they are the compositions of g + f^N itself
     seen = []
-    original = verifier.intersection_number
+    original = verifier.checked_intersection
 
-    def recording(curve, h, cap=None, images=None):
+    def recording(curve, h, total, images=None):
         if images is not None:
             seen.append((curve, h, images))
-        return original(curve, h, cap, images)
+        return original(curve, h, total, images)
 
-    monkeypatch.setattr(verifier, "intersection_number", recording)
+    monkeypatch.setattr(verifier, "checked_intersection", recording)
     scenario = load_fixture(name)
     verify_scenario(scenario, n_range=(2, 30))
     ctx = ScenarioContext(scenario)
@@ -603,3 +602,97 @@ def test_a_wrong_multiplicity_reads_the_same_error_from_reused_images():
         with pytest.raises(ComponentMismatchError) as exc:
             polar_module.intersection_number(curve, g + f**2, None, reused)
         assert str(exc.value) == message
+
+
+COEFFICIENTS = st.sampled_from([1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+
+
+@st.composite
+def curve_germs(draw) -> tuple[Poly, Poly]:
+    """(g, f): a germ in two or three variables whose critical locus is a
+    curve, and an isolated f, linear or not, that meets it only at 0."""
+    a, b, c = draw(COEFFICIENTS), draw(COEFFICIENTS), draw(COEFFICIENTS)
+    if draw(st.booleans(), label="three variables"):
+        # the critical locus is the z-axis
+        gs = [a * X**2 + b * Y**2, a * X**2 + b * Y**3, a * X**2 * Y + b * X * Y**2, a * Y**2 * Z + b * X**2]
+        fs = [c * Z, Z + c * X, Z + c * X**2, Z + c * X + Y**2]
+    else:
+        # one axis, or both
+        gs = [a * y**2, a * x**2 * y**2, a * x**2 * y**2 + b * y**5]
+        fs = [x + c * y, x + c * y**2]
+    return draw(st.sampled_from(gs)), draw(st.sampled_from(fs))
+
+
+def spent(run) -> tuple:
+    """run(budget) on a fresh Budget, and the steps it spent."""
+    budget = Budget()
+    return run(budget), budget.cap - budget.remaining
+
+
+def primitive_forms(polys) -> set:
+    """The kernel's packed primitive forms of the nonzero polys, as a set."""
+    pk = LOCAL._packing(polys[0].ring.nvars)
+    return {frozenset(ideals._integral(p, pk).items()) for p in polys if not p.is_zero}
+
+
+@settings(deadline=None, max_examples=40)
+@given(curve_germs(), st.lists(st.integers(2, 12), min_size=2, max_size=4))
+def test_packed_rows_equal_the_poly_route(pair, ns):
+    # an increasing and a decreasing sweep; the decreasing one starts the
+    # kept power of f again at each row, and a repeated n asks for f^n twice
+    g, f = pair
+    scenario = load_scenario({"variables": list(g.ring.variables), "g": str(g), "f": str(f)})
+    completed = []
+    real = verifier._complete
+
+    def recording(ring, order, packed, budget):
+        completed.append({frozenset(h.items()) for h in packed})
+        return real(ring, order, packed, budget)
+
+    for order in (sorted(ns), sorted(ns, reverse=True)):
+        ctx = ScenarioContext(scenario)
+        ctx.sigma_dim, ctx.gap  # the N-independent data, before counting
+        for n in order:
+            g_tilde = g + f**n
+            jacobian = invariants.jacobian_ideal(g_tilde)
+            expected = spent(lambda b: ideals.quotient_dim_local(jacobian, b))
+            before = ctx.budget.remaining
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(verifier, "_complete", recording)
+                try:
+                    case = ctx.case(n)
+                except HypothesisError:
+                    assert expected[0] is None and n >= ctx.gap.threshold
+                    continue
+                assert (case.certificate, before - ctx.budget.remaining) == expected
+                assert completed[-1] == primitive_forms(jacobian.generators)
+                assert case.g_tilde == g_tilde
+                if ctx.polar.is_empty:
+                    continue
+                meeting = ctx.polar.ideal.plus([g_tilde])
+                expected = spent(lambda b: ideals.quotient_dim_local(meeting, b))
+                before = ctx.budget.remaining
+                assert (ctx.polar_intersection(case), before - ctx.budget.remaining) == expected
+                assert completed[-1] == primitive_forms(meeting.generators)
+
+
+@pytest.mark.parametrize("name", ["double-axes", "brieskorn-345"])
+def test_sweep_rows_differentiate_and_pack_nothing(monkeypatch, name):
+    # Poly.diff and ideals._integral run on N-independent data only, so a
+    # longer sweep calls them no more often
+    counts = {}
+    for attr, owner in (("diff", Poly), ("_integral", ideals), ("_integral", verifier)):
+        real = getattr(owner, attr)
+
+        def counting(*args, real=real, attr=attr):
+            counts[attr] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, attr, counting)
+    per_range = []
+    for hi in (3, 30):
+        counts.update(diff=0, _integral=0)
+        verify_scenario(load_fixture(name), n_range=(2, hi))
+        per_range.append(dict(counts))
+    assert per_range[0] == per_range[1]
+    assert per_range[0]["_integral"] > 0
