@@ -5,15 +5,14 @@ Global orders use ordinary multivariate division and Buchberger's algorithm;
 the division pops the remainder's monomials from a heap, largest first, each
 one pushed once when it appears, instead of scanning every term for the
 leading one after each step (Monagan-Pearce, CASC 2007).
-The local order has one reduction loop, which takes the leading term of
-what is left each step.  The local completion runs it within the degree each
-element carries (Lazard's method: Buchberger's algorithm on homogenizations,
-read back in the original variables) and truncates at the highest corner
-once there is one; its bases are standard bases of the localized ideal at
-the origin.  Membership (`contains`) is local only: it runs the same loop
-as Mora's weak normal form, which terminates on polynomial input.
+The local completion has one reduction loop, which takes the leading term
+of what is left each step and runs within the degree each element carries
+(Lazard's method: Buchberger's algorithm on homogenizations, read back in
+the original variables); it truncates at the highest corner once there is
+one, and its bases are standard bases of the localized ideal at the origin.
 `normal_form` takes global orders only, since a local remainder is fixed
-only up to a unit; global membership is `normal_form(...).is_zero`.
+only up to a unit; global membership is `normal_form(...).is_zero`.  Local
+radical membership (`has_power_in`) is one saturation.
 Every loop spends from an iteration budget and raises IterationLimitError
 instead of spinning.
 
@@ -23,10 +22,10 @@ Bachmann-Schoenemann, ISSAC 1998): a product is one `+`, and the leading
 monomial is the dict's `max`, or its `min` under LOCAL.  `standard_basis_of`
 packs, then completes (`_complete`, which the sweep rows of
 verifier.ScenarioContext enter with generators built on ints); `normal_form`
-and `contains` pack on entry.  Results return Fraction coefficients on
-exponent tuples, taking the steps of rational reduction on tuples; a
-StandardBasis unpacks only when its polynomials are read.  A degree the
-packed fields cannot hold raises GermlabError.
+packs on entry.  Results return Fraction coefficients on exponent tuples,
+taking the steps of rational reduction on tuples; a StandardBasis unpacks
+only when its polynomials are read.  A degree the packed fields cannot hold
+raises GermlabError.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from .orders import ELIM_FIRST, LOCAL, MonomialOrder, _Packing
 from .rings import Exponents, Poly, PolyRing, mono_divides, mono_lcm
 
 DEFAULT_REDUCTION_CAP = 10**6
-POWER_CAP = 6  # largest power tried by has_power_in
 
 
 class Budget:
@@ -138,15 +136,16 @@ def _muladd(x: dict, s: int, a: dict, b: dict, t: int, pk: _Packing) -> dict:
     return acc
 
 
-def _reducer(h: dict, pk: _Packing, sugar: int | None = None) -> tuple:
+def _reducer(h: dict, pk: _Packing, sugar: int = 0) -> tuple:
     """(lm, lc, ecart, h, raw, deg): what a reduction step reads of the
     reducer h, computed once per basis element instead of once per step.
     raw is lm's raw-exponent fields (see _Packing.divides) and deg the
-    degree of h.  The ecart slot is sugar - |lm| for the sugar the completion
-    gives h, by default deg h (see standard_basis_of)."""
+    degree of h.  The ecart slot is s - |lm| for the sugar s the completion
+    gives h: the larger of sugar and deg h, which is deg h for a generator
+    and sugar for a reduced S-polynomial (see _local_weak_normal_form)."""
     lm = pk.lead(h)
     deg = max(map(pk.degree, h))
-    return lm, h[lm], (deg if sugar is None else sugar) - pk.degree(lm), h, lm & pk.raw, deg
+    return lm, h[lm], max(sugar, deg) - pk.degree(lm), h, lm & pk.raw, deg
 
 
 def _subtract_into(
@@ -241,31 +240,22 @@ def _local_weak_normal_form(
     pk: _Packing,
     budget: Budget,
     bound: int | None,
-    sugar: int | None = None,
+    sugar: int,
 ) -> dict:
-    """Weak normal form of h modulo the reducers under the local order, up to
-    a positive int factor: its leading term is irreducible, or its sugar
-    leaves no room to reduce it.  h is consumed.
+    """Weak normal form of the S-polynomial h within its sugar, for the local
+    completion, up to a positive int factor: its leading term is
+    irreducible, or its sugar leaves no room to reduce it.  h is consumed.
 
     A reducer (see _reducer) carries the ecart slot e = s - |lm g| for the
     sugar s of g.  Each step reduces the leading term of h by the first
-    reducer of least ecart among those whose leading monomial divides lm(h).
-    When that ecart exceeds the room h has left, the two callers part:
-
-    - The completion passes its sugar.  The room is sugar - |lm h|, and the
-      loop stops there.  The homogenization t^s * g(x/t) leads with
-      t^e * lm(g) under the order that ranks by degree and then locally, so
-      these are the steps of homogeneous division in degree `sugar`: every
-      term stays of degree <= sugar and the leading monomial falls.  A
-      nonzero result may lead with a monomial that a reducer of larger ecart
-      divides; the completion keeps it as a basis element.
-    - Membership passes none.  The room is Mora's ecart deg h - |lm h|, and a
-      copy of h joins a private copy of the reducers before the step (Mora's
-      normal form, Greuel-Pfister, A Singular Introduction to Commutative
-      Algebra, 1.7).  The result r satisfies u*h = q + r in the local ring
-      for a unit u and q in the ideal of the reducers, so r == 0 exactly
-      when h lies in the localized ideal, provided they form a standard
-      basis.
+    reducer of least ecart among those whose leading monomial divides lm(h),
+    and the loop stops when that ecart exceeds the room sugar - |lm h|.  The
+    homogenization t^s * g(x/t) leads with t^e * lm(g) under the order that
+    ranks by degree and then locally, so these are the steps of homogeneous
+    division in degree `sugar`: every term stays of degree <= sugar and the
+    leading monomial falls.  A nonzero result may lead with a monomial that a
+    reducer of larger ecart divides; the completion keeps it as a basis
+    element.
 
     With a highest corner D (m^D inside the ideal) passed as its bound (see
     _Packing.corner), h and every intermediate remainder drop their terms
@@ -273,8 +263,6 @@ def _local_weak_normal_form(
     """
     if bound is not None:
         h = {m: c for m, c in h.items() if m < bound}
-    if sugar is None:
-        reducers = list(reducers)
     guards = pk.guards
     while h:
         lm = min(h)
@@ -283,14 +271,8 @@ def _local_weak_normal_form(
         for g in reducers:
             if (best is None or g[2] < best[2]) and (over - g[4]) & guards == guards:
                 best = g
-        if best is None:
+        if best is None or best[2] > sugar - pk.degree(lm):
             break
-        # LOCAL packs the degree on top, so max(h) has the largest degree
-        room = (pk.degree(max(h)) if sugar is None else sugar) - pk.degree(lm)
-        if best[2] > room:
-            if sugar is not None:
-                break
-            reducers.append(_reducer(dict(h), pk))
         budget.spend()
         _subtract_into(h, h[lm], best, lm - best[0], pk, bound)
     return h
@@ -303,10 +285,10 @@ def normal_form(p: Poly, basis: Sequence[Poly], order: MonomialOrder, cap=None) 
     lies in the ideal generated by the basis.  The division runs on int
     multiples of p and of the basis; dividing by the tracked scale gives the
     exact rational remainder.  A local order raises ValueError: there the
-    remainder is fixed only up to a unit, and membership is `contains`.
+    remainder is fixed only up to a unit.
     """
     if order.is_local:
-        raise ValueError("normal_form takes a global order; under LOCAL use contains for membership")
+        raise ValueError("normal_form takes a global order; a local remainder is fixed only up to a unit")
     budget = as_budget(cap)
     basis = [g for g in basis if not g.is_zero]
     if not basis:
@@ -555,7 +537,7 @@ def _complete(ring: PolyRing, order: MonomialOrder, packed: list[dict], budget: 
     pairs: list[tuple] = []  # heap of (key, i, j, lcm, sugar) with i < j
     stairs = _Staircase(lead, ring.nvars, budget.cap) if local else None
 
-    def append(h: dict, sugar: int | None = None) -> None:
+    def append(h: dict, sugar: int = 0) -> None:
         j = len(reducers)
         rj = _reducer(h, pk, sugar)
         lmj = pk.unpack(rj[0])
@@ -649,26 +631,6 @@ class IdealPresentation:
         return f"Ideal<{gens}>"
 
 
-def contains(I: IdealPresentation, p: Poly, cap=None) -> bool:
-    """Membership of p in the localized ideal at the origin: p is reduced to
-    its Mora weak normal form (see _local_weak_normal_form) by the LOCAL
-    basis, truncated at its corner.  Global membership is
-    `normal_form(p, basis, order).is_zero`."""
-    _check_same_ring([p, *I.generators])
-    if p.is_zero:
-        return True
-    budget = as_budget(cap)
-    basis = I.standard_basis(LOCAL, budget)
-    if not basis:
-        return False
-    pk = LOCAL._packing(I.ring.nvars)
-    # the basis keeps each element as its primitive int multiple, which is
-    # what _integral makes of the monic one
-    reducers = [_reducer(h, pk) for _, h in basis.elements]
-    bound = None if basis.corner is None else pk.corner(basis.corner)
-    return not _local_weak_normal_form(_packed(p, pk)[0], reducers, pk, budget, bound)
-
-
 # ---------------------------------------------------------------------------
 # local quotient dimension and dimension at the origin
 # ---------------------------------------------------------------------------
@@ -719,6 +681,7 @@ def saturate_single(I: IdealPresentation, f: Poly, cap=None) -> IdealPresentatio
     is the reduced monic degrevlex basis of the saturated ideal, which the
     result carries whether or not the saturation removed anything.
     """
+    _check_same_ring([f, *I.generators])
     budget = as_budget(cap)
     ring = I.ring
     if f.is_zero:
@@ -742,13 +705,12 @@ def saturate_single(I: IdealPresentation, f: Poly, cap=None) -> IdealPresentatio
 
 
 def has_power_in(p: Poly, I: IdealPresentation, cap=None) -> bool:
-    """Whether some power p^k (k <= POWER_CAP) lies in I locally at the origin."""
-    if p.is_zero:
-        return True
-    budget = as_budget(cap)
-    q = p.ring.one()
-    for _ in range(POWER_CAP):
-        q = q * p
-        if contains(I, q, budget):
-            return True
-    return False
+    """Whether some power of p lies in I locally at the origin: p lies in the
+    radical of I*O exactly when (I : p^infinity)*O = O (Greuel-Pfister, A
+    Singular Introduction to Commutative Algebra, 1.8).  Saturation commutes
+    with localization, and an ideal generates O exactly when one of its
+    generators does not vanish at the origin, so no local basis is needed;
+    comparing with (1) would be wrong, since (x(x - 1)) : x^infinity is
+    (x - 1), a unit only locally."""
+    sat = saturate_single(I, p, cap)
+    return any(g.constant_term() != 0 for g in sat.generators)

@@ -133,10 +133,6 @@ class MonomialOrder:
         self._fields = fields
 
     @property
-    def is_global(self) -> bool:
-        return self.kind != "negdegrevlex"
-
-    @property
     def is_local(self) -> bool:
         return self.kind == "negdegrevlex"
 

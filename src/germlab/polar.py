@@ -250,10 +250,11 @@ def verify_polar_decomposition(
     """Check, at radical level near the origin, that deforming g to g + f^N
     turns the critical locus of g into polar-curve components.
 
-    Both inclusions are certified by power membership of generators (each
-    generator of one side has a power in the other side's ideal); supplied
-    component parametrizations of either side are additionally validated
-    against the deformed polar ideal.
+    Both inclusions are exact: each generator of one side must have a power,
+    of any degree, in the other side's ideal localized at the origin, which
+    one saturation decides (see ideals.has_power_in).  Supplied component
+    parametrizations of either side are additionally validated against the
+    deformed polar ideal.  No verify row runs this check.
     """
     if n < 2:
         raise ValueError("the deformation exponent must be at least 2")

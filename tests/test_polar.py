@@ -16,6 +16,7 @@ from germlab import (
     gap_ratios,
     intersection_number,
     iomdin_threshold,
+    load_fixture,
     relative_polar_ideal,
     verify_polar_decomposition,
 )
@@ -202,21 +203,28 @@ class TestPolarDecomposition:
         verdict = verify_polar_decomposition(Z, X**2 + Y**2, 3, components=[bad])
         assert verdict.status == "FAIL"
         assert "off-locus" in verdict.witness
+        # at N = 2 the deformation of the double-axes fixture cancels its
+        # -(x - y)^2, and the polar curve of (x - y, x^2 y^2) gains the line
+        # x + y = 0, which lies in neither side of the decomposition
+        scenario = load_fixture("double-axes")
+        verdict = verify_polar_decomposition(scenario.f, scenario.g, 2, components=scenario.branches)
+        assert verdict.status == "FAIL"
+        assert verdict.witness == "no power of x + y lies in Jac(g) * polar(f, g)"
 
     def test_exponent_must_be_at_least_two(self):
         with pytest.raises(ValueError):
             verify_polar_decomposition(Z, X**2 + Y**2, 1)
 
 
-# Budget spends of verify_polar_decomposition, recorded once the polar ideal
-# kept its minors by comparing reduced bases instead of testing membership:
-# equal counts mean the local reduction picks the same reducer at every step
+# Budget spends of verify_polar_decomposition, recorded once each radical
+# membership became one saturation: equal counts mean the same eliminations
+# select and reduce the same pairs
 DECOMPOSITION_SPENDS = {
-    "cylinder": (Z, X**2 + Y**2, (AXIS,), {2: 25, 3: 20, 5: 20}),
-    "three-lines": (Z, X * Y * (X + Y), (AXIS,), {2: 73, 3: 73, 5: 58}),
-    "axis-cubed": (Z, X**2 + Y**2 + Z**3, (), {2: 31, 3: 31, 5: 31}),
-    # about 0.5 s
-    "heavy": (X + 2 * Y + 3 * Z, X**2 * Y**2 + X**2 * Z**2 + Y**2 * Z**2, (), {3: 18542}),
+    "cylinder": (Z, X**2 + Y**2, (AXIS,), {2: 44, 3: 39, 5: 39}),
+    "three-lines": (Z, X * Y * (X + Y), (AXIS,), {2: 128, 3: 128, 5: 113}),
+    "axis-cubed": (Z, X**2 + Y**2 + Z**3, (), {2: 112, 3: 112, 5: 112}),
+    # about 1 s
+    "heavy": (X + 2 * Y + 3 * Z, X**2 * Y**2 + X**2 * Z**2 + Y**2 * Z**2, (), {3: 96239}),
 }
 
 
