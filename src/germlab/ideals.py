@@ -4,7 +4,10 @@ dimension at the origin and saturation.
 Global orders use ordinary multivariate division and Buchberger's algorithm;
 the division pops the remainder's monomials from a heap, largest first, each
 one pushed once when it appears, instead of scanning every term for the
-leading one after each step (Monagan-Pearce, CASC 2007).
+leading one after each step (Monagan-Pearce, CASC 2007).  The global
+completion skips a pair by the product criterion and by Buchberger's chain
+criterion (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, 2.10); the
+local one by the product criterion and its highest corner only.
 The local completion has one reduction loop, which takes the leading term
 of what is left each step and runs within the degree each element carries
 (Lazard's method: Buchberger's algorithm on homogenizations, read back in
@@ -499,6 +502,19 @@ def _complete(ring: PolyRing, order: MonomialOrder, packed: list[dict], budget: 
     heap keyed once, when the pair is formed; basis entries never change after
     they are appended, so the key of a waiting pair stays valid.
 
+    Under a global order a pair (i, j) whose leading monomials are not
+    coprime is also skipped by Buchberger's chain criterion: when some other
+    element k has a leading monomial dividing lcm(lm_i, lm_j) and the pairs
+    {i, k} and {j, k} have both been popped already, whether reduced or
+    skipped (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, 2.10,
+    the form with "not in B").  Then S(i, j) is a sum of monomial multiples
+    of S(i, k) and S(k, j), whose lcms divide lcm(lm_i, lm_j), and both of
+    those pairs are treated, so no selection strategy can make the skip
+    unsound.  The reduced basis is unique, so the result does not change;
+    only the work falls.  The rule is global only: the local completion
+    reduces each S-polynomial within its sugar and drops terms past the
+    corner, and no argument yet shows the rule sound together with those.
+
     Under LOCAL each element carries a sugar: a generator its degree, an
     S-polynomial |lcm| plus the larger ecart slot of its pair.  Pairs are
     selected by smallest sugar first, then by lcm key, and reduced within
@@ -555,11 +571,22 @@ def _complete(ring: PolyRing, order: MonomialOrder, packed: list[dict], budget: 
         if all(h != g[3] for g in reducers):
             append(h)  # a generator's sugar is its degree
 
+    guards = pk.guards
+    popped: set[tuple[int, int]] = set()  # the pairs no longer in the heap
     while pairs:
         budget.spend()
         _, i, j, lcm, sugar = heapq.heappop(pairs)
+        popped.add((i, j))
         if lcm == reducers[i][0] + reducers[j][0]:
             continue  # coprime leading terms reduce to zero
+        if not local:
+            over = lcm | guards
+            if any(
+                k != i and k != j and (over - g[4]) & guards == guards
+                and (min(i, k), max(i, k)) in popped and (min(j, k), max(j, k)) in popped
+                for k, g in enumerate(reducers)
+            ):
+                continue  # Buchberger's chain criterion
         corner = None if stairs is None else stairs.read()
         bound = None if corner is None else pk.corner(corner)
         if bound is not None and lcm >= bound:

@@ -165,20 +165,25 @@ def intersection_number(
     each is compose_on_branch(h, component, below).
     """
     ideal = curve.ideal if isinstance(curve, PolarCurve) else curve
-    return checked_intersection(curve, h, quotient_dim_local(ideal.plus([h]), cap), images)
+    return checked_intersection(curve, lambda: h, quotient_dim_local(ideal.plus([h]), cap), images)
 
 
-def checked_intersection(curve: PolarCurve | IdealPresentation, h: Poly, total: int | None, images=None) -> int:
-    """The scheme-side intersection number total of curve with {h = 0}
+def checked_intersection(
+    curve: PolarCurve | IdealPresentation, h: Callable[[], Poly], total: int | None, images=None
+) -> int:
+    """The scheme-side intersection number total of curve with {h() = 0}
     (None when infinite), for a caller that computed it, checked against the
-    components as intersection_number describes, images defaulting there."""
+    components as intersection_number describes, images defaulting there.
+    h builds the equation; it is called only for an error message or the
+    default images, so a caller with images and a passing check builds none."""
     if total is None:
         raise ImproperIntersectionError(
-            f"intersection with {h} has positive dimension at the origin"
+            f"intersection with {h()} has positive dimension at the origin"
         )
     if isinstance(curve, PolarCurve) and curve.components:
         if images is None:
-            images = [partial(compose_on_branch, h, comp) for comp in curve.components]
+            equation = h()
+            images = [partial(compose_on_branch, equation, comp) for comp in curve.components]
         truncated = [order_in_t(image(total + 1)) for image in images]
         if None not in truncated and total == sum(
             comp.multiplicity * order for comp, order in zip(curve.components, truncated)
@@ -189,7 +194,7 @@ def checked_intersection(curve: PolarCurve | IdealPresentation, h: Poly, total: 
             order = order_in_t(image(None))
             if order is None:
                 raise ImproperIntersectionError(
-                    f"{h} vanishes identically on component {comp.name!r}"
+                    f"{h()} vanishes identically on component {comp.name!r}"
                 )
             by_orders += comp.multiplicity * order
         if by_orders != total:

@@ -214,7 +214,7 @@ def verify_gap_stability(case: DeformationCase, ctx: ScenarioContext) -> Identit
     total = ctx.polar_intersection(case)
     images = [partial(_deformed_image, g_image, f_image, case.n) for g_image, f_image in gap.images]
     try:
-        right = checked_intersection(polar, case.g_tilde, total, images or None)
+        right = checked_intersection(polar, lambda: case.g_tilde, total, images or None)
     except (ComponentMismatchError, ImproperIntersectionError) as exc:
         return IdentityVerdict("polar_stability", "FAIL", left=left, right=str(exc))
     return compared("polar_stability", left, right)

@@ -63,7 +63,7 @@ def test_a_staircase_past_the_cap_exits_one_within_seconds():
 
 def test_a_cap_spent_in_a_polar_intersection_exits_one(capsys):
     # the last steps of this run are spent in the polar intersection of N = 5
-    code = main(["verify", "--fixture", "double-axes", "--N", "2..5", "--caps", "140"])
+    code = main(["verify", "--fixture", "double-axes", "--N", "2..5", "--caps", "91"])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""

@@ -30,7 +30,7 @@ from germlab.orders import DEGREVLEX, ELIM_FIRST, LOCAL, leading_monomial
 from germlab.polar import jacobian_minors
 from germlab.rings import jacobian, mono_div, mono_divides, mono_lcm
 from conftest import RING_XY, RING_XYZ, from_terms, nonzero_poly_strategy, poly_strategy, same_ideal
-from oracles import sympy_local_quotient_dim, sympy_reduced_basis, sympy_remainder
+from oracles import sympy_local_quotient_dim, sympy_reduced_basis, sympy_remainder, sympy_saturation
 
 x, y = RING_XY.variable(0), RING_XY.variable(1)
 X, Y, Z = (RING_XYZ.variable(i) for i in range(3))
@@ -333,8 +333,9 @@ def test_work_counts_match_the_recorded_runs():
     # exact Budget spends recorded before the pair queue became a heap and
     # leading monomials were cached, the local ones again when the local
     # completion began to truncate at the highest corner and once more when
-    # it began to reduce within sugar: equal counts mean pairs are selected,
-    # skipped and reduced in the same order
+    # it began to reduce within sugar, the global one again when it took the
+    # chain criterion: equal counts mean pairs are selected, skipped and
+    # reduced in the same order
     def spent(run) -> int:
         budget = Budget(10**5)
         run(budget)
@@ -345,7 +346,7 @@ def test_work_counts_match_the_recorded_runs():
     assert spent(lambda b: mu.append(milnor_number(g, b))) == 52
     assert mu == [20]
     jac = jacobian(X**3 * Y + Y**3 * Z + Z**3 * X)
-    assert spent(lambda b: standard_basis_of(jac, DEGREVLEX, b)) == 20
+    assert spent(lambda b: standard_basis_of(jac, DEGREVLEX, b)) == 19
     assert spent(lambda b: standard_basis_of(jac, LOCAL, b)) == 19
 
 
@@ -369,17 +370,17 @@ def test_saturation_work_count_is_pinned():
     minors = IdealPresentation(RING_XYZ, jacobian_minors(f, g))
     budget = Budget(10**5)
     sat = saturate_single(minors, f * g, budget)
-    assert 10**5 - budget.remaining == 110
+    assert 10**5 - budget.remaining == 48
     assert sat.generators == (Y - Fraction(3, 2) * Z, X - 3 * Z)
 
 
 def test_int_cap_bounds_the_whole_saturation():
-    # the saturation above spends 110 steps on its elimination; an int cap
+    # the saturation above spends 48 steps on its elimination; an int cap
     # bounds it whole
     f, g = X + 2 * Y + 3 * Z, X * Y * Z
     with pytest.raises(IterationLimitError):
-        saturate_single(IdealPresentation(RING_XYZ, jacobian_minors(f, g)), f * g, cap=109)
-    saturate_single(IdealPresentation(RING_XYZ, jacobian_minors(f, g)), f * g, cap=110)
+        saturate_single(IdealPresentation(RING_XYZ, jacobian_minors(f, g)), f * g, cap=47)
+    saturate_single(IdealPresentation(RING_XYZ, jacobian_minors(f, g)), f * g, cap=48)
 
 
 # global membership is normal_form(...).is_zero, local radical membership is
@@ -452,6 +453,41 @@ def test_reduced_basis_matches_sympy(gens):
     assert sorted(map(sorted, (g.terms.items() for g in basis))) == sorted(
         map(sorted, (t.items() for t in expected))
     )
+
+
+# 4-5 generators in three variables: enough pairs that Buchberger's chain
+# criterion skips some in every global completion, and divisors to saturate by
+CHAIN_IDEALS = st.lists(nonzero_poly_strategy(RING_XYZ, max_degree=2, max_terms=3), min_size=4, max_size=5)
+DIVISORS = nonzero_poly_strategy(RING_XYZ, max_degree=1, max_terms=2)
+
+
+def sorted_terms(term_dicts) -> list:
+    return sorted(sorted(t.items()) for t in term_dicts)
+
+
+@settings(deadline=None, max_examples=25)
+@given(CHAIN_IDEALS, DIVISORS)
+def test_chain_criterion_bases_match_sympy(gens, f):
+    pytest.importorskip("sympy")
+    terms = [g.terms for g in gens]
+    basis = standard_basis_of(gens, DEGREVLEX)
+    assert sorted_terms(g.terms for g in basis) == sorted_terms(sympy_reduced_basis(terms, 3))
+    sat = saturate_single(IdealPresentation(RING_XYZ, gens), f)
+    expected = sympy_reduced_basis(sympy_saturation(terms, f.terms), 3)
+    assert sorted_terms(g.terms for g in sat.generators) == sorted_terms(expected)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data(), CHAIN_IDEALS, DIVISORS)
+def test_bases_do_not_depend_on_generator_order_or_repeats(data, gens, f):
+    # which pairs the chain criterion skips depends on which were popped
+    # first, and so on the generators' order, repeats and redundant members;
+    # the reduced bases do not
+    a, b = data.draw(st.lists(st.sampled_from(gens), min_size=2, max_size=2))
+    other = data.draw(st.permutations(gens)) + [data.draw(SCALARS) * a, a, a + b]
+    assert standard_basis_of(other, DEGREVLEX) == standard_basis_of(gens, DEGREVLEX)
+    sat = saturate_single(IdealPresentation(RING_XYZ, gens), f).generators
+    assert saturate_single(IdealPresentation(RING_XYZ, other), f).generators == sat
 
 
 @settings(deadline=None, max_examples=40)
