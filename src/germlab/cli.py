@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .errors import ExponentRangeError, GermlabError, MissingSliceError, SchemaError
@@ -100,7 +99,7 @@ def _scenario_from_args(parser: argparse.ArgumentParser, args) -> Scenario:
             document["N"] = list(_parse_n_range(parser, args.N))
     scenario = load_scenario(document)
     if args.caps is not None:
-        scenario = replace(scenario, limits=replace(scenario.limits, reduction_cap=args.caps))
+        scenario = scenario._replace(limits=scenario.limits._replace(reduction_cap=args.caps))
     return scenario
 
 
@@ -282,8 +281,7 @@ def cmd_export_dataset(parser, args) -> int:
     scenario = _scenario_from_args(parser, args)
     dataset = export_dataset(scenario, n)
     n = dataset.known["N"]
-    exported = replace(
-        scenario,
+    exported = scenario._replace(
         name=f"{scenario.name}-dataset-N{n}",
         n_range=(n, n),
         dataset=dataset,

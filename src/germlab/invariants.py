@@ -13,9 +13,8 @@ as a validation threshold rather than a floating precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import (
     DegenerateBranchError,
@@ -33,22 +32,28 @@ DEFAULT_TRUNC = 16
 MAX_TAU_HALVINGS = 8
 
 
-@dataclass(frozen=True)
-class BranchParam:
-    """A curve branch through the origin, parametrized by polynomials in t.
-
-    host records which locus the branch claims to lie on ("sigma" for the
-    critical locus, "polar" for the relative polar curve); multiplicity scales
-    intersection orders for non-reduced components.
-    """
-
+class _BranchParamFields(NamedTuple):
     name: str
     components: tuple[Poly, ...]
     trunc: int = DEFAULT_TRUNC
     host: str = "sigma"
     multiplicity: int = 1
 
-    def __post_init__(self):
+
+class BranchParam(_BranchParamFields):
+    """A curve branch through the origin, parametrized by polynomials in t.
+
+    host records which locus the branch claims to lie on ("sigma" for the
+    critical locus, "polar" for the relative polar curve); multiplicity scales
+    intersection orders for non-reduced components.  The fields are checked
+    on construction; _replace skips that check, so build a changed branch
+    with BranchParam(...).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.trunc < 1:
             raise ValueError("truncation order must be at least 1")
         if self.multiplicity < 1:
@@ -62,13 +67,13 @@ class BranchParam:
                 raise ValueError(f"branch {self.name!r} does not pass through the origin")
         if all(c.is_zero for c in self.components):
             raise ValueError(f"branch {self.name!r} is identically the origin")
+        return self
 
     def point_at(self, tau: Fraction) -> tuple[Fraction, ...]:
         return tuple(c.evaluate([tau]) for c in self.components)
 
 
-@dataclass(frozen=True)
-class BranchValidation:
+class BranchValidation(NamedTuple):
     """Outcome of checking a branch against its host ideal."""
 
     ok: bool
@@ -111,8 +116,7 @@ def milnor_number(g: Poly, cap=None) -> int:
     return mu
 
 
-@dataclass(frozen=True)
-class CriticalLocusReport:
+class CriticalLocusReport(NamedTuple):
     """Jacobian ideal of g with its local dimension, plus the optional check
     that the critical locus meets {f = 0} only at the origin."""
 
@@ -275,8 +279,7 @@ def transverse_multiplicity(g: Poly, form: Poly, branch: BranchParam) -> int:
     )
 
 
-@dataclass(frozen=True)
-class BranchTerm:
+class BranchTerm(NamedTuple):
     """Per-branch data entering the branch sum: the local degree of the form
     along the branch and the Milnor number of the slice of g at a branch
     point."""

@@ -16,8 +16,7 @@ must agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ComponentMismatchError, UndefinedLeError
 from .ideals import IdealPresentation, as_budget, dim_at_origin, quotient_dim_local, saturate_single
@@ -36,8 +35,7 @@ from .rings import Poly
 from .stratified import parity_sign
 
 
-@dataclass(frozen=True)
-class LeData:
+class LeData(NamedTuple):
     """The pair (lambda^0, lambda^1) plus how each number was obtained.
 
     terms are the branch terms of lambda^1's branch route: () for an isolated

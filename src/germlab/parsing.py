@@ -14,8 +14,8 @@ declared ring variable.  Exponents are capped at 255.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ParseError
 from .rings import Poly, PolyRing
@@ -23,8 +23,7 @@ from .rings import Poly, PolyRing
 EXPONENT_CAP = 255
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "int", "name", "op", "end"
     value: str
     line: int

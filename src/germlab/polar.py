@@ -4,10 +4,9 @@ Iomdin threshold, and the polar-decomposition check for deformations g + f^N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import ComponentMismatchError, ImproperIntersectionError
 from .ideals import (
@@ -30,8 +29,7 @@ from .orders import DEGREVLEX
 from .rings import Poly, jacobian
 
 
-@dataclass(frozen=True)
-class PolarCurve:
+class PolarCurve(NamedTuple):
     """The symmetric relative polar curve of (f, g) as a scheme at the origin.
 
     ideal is the 2x2-minors ideal of the Jacobian rows of f and g, saturated
@@ -49,16 +47,21 @@ class PolarCurve:
         return self.dim < 0
 
 
-@dataclass(frozen=True)
-class GapRatio:
+class GapRatio(NamedTuple):
     name: str
     ord_g: int
     ord_f: int
     ratio: Fraction
 
 
-@dataclass(frozen=True)
-class GapReport:
+class _GapReportFields(NamedTuple):
+    ratios: tuple[GapRatio, ...]
+    g_intersection: int | None
+    exact_max: Fraction | None = None
+    images: tuple[tuple[Poly, Poly], ...] = ()
+
+
+class GapReport(_GapReportFields):
     """Per-component gap ratios plus a sound a-priori bound.
 
     g_intersection is the polar curve's intersection number with {g = 0}
@@ -67,17 +70,24 @@ class GapReport:
     component.  exact_max is present only when components are supplied.
     images holds the exact compositions (g(branch(t)), f(branch(t))) on each
     component, which do not depend on N; a sweep row builds the image of
-    g + f^N from them (see intersection_number).
+    g + f^N from them (see intersection_number).  The repr leaves images
+    out.  exact_max is checked against the sound bound on construction;
+    _replace skips that check, so build a changed report with GapReport(...).
     """
 
-    ratios: tuple[GapRatio, ...]
-    g_intersection: int | None
-    exact_max: Fraction | None = None
-    images: tuple[tuple[Poly, Poly], ...] = field(default=(), repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.exact_max is not None and self.exact_max > self.sound_bound:
             raise ValueError("exact maximum exceeds the sound bound")
+        return self
+
+    def __repr__(self) -> str:
+        return (
+            f"GapReport(ratios={self.ratios!r}, g_intersection={self.g_intersection!r}, "
+            f"exact_max={self.exact_max!r})"
+        )
 
     @property
     def sound_bound(self) -> int:
@@ -232,8 +242,7 @@ def iomdin_threshold(f: Poly, g: Poly, curve: PolarCurve | None = None, cap=None
     return gap_ratios(f, g, curve, budget).threshold
 
 
-@dataclass(frozen=True)
-class DecompositionVerdict:
+class DecompositionVerdict(NamedTuple):
     """Outcome of checking that the polar curve of (f, g + f^N) equals the
     union of the critical locus of g and the polar curve of (f, g)."""
 
@@ -257,7 +266,10 @@ def verify_polar_decomposition(
 
     Both inclusions are exact: each generator of one side must have a power,
     of any degree, in the other side's ideal localized at the origin, which
-    one saturation decides (see ideals.has_power_in).  Supplied component
+    one saturation decides (see ideals.has_power_in).  Since the radical of
+    a product is the intersection of the radicals, also after localization,
+    a deformed generator is tested against Jac(g) and polar(f, g) apart,
+    never against their product.  Supplied component
     parametrizations of either side are additionally validated against the
     deformed polar ideal.  No verify row runs this check.
     """
@@ -268,8 +280,7 @@ def verify_polar_decomposition(
     deformed = relative_polar_ideal(f, g_tilde, cap=budget).ideal
     base = relative_polar_ideal(f, g, cap=budget).ideal
     jac_g = jacobian_ideal(g)
-    product_gens = [a * b for a in jac_g.generators for b in base.generators]
-    product = IdealPresentation(g.ring, product_gens)
+    product = IdealPresentation(g.ring, [a * b for a in jac_g.generators for b in base.generators])
 
     for p in product.generators:
         if not has_power_in(p, deformed, budget):
@@ -277,7 +288,7 @@ def verify_polar_decomposition(
                 "FAIL", n, witness=f"no power of {p} lies in the deformed polar ideal"
             )
     for q in deformed.generators:
-        if not has_power_in(q, product, budget):
+        if not (has_power_in(q, jac_g, budget) and has_power_in(q, base, budget)):
             return DecompositionVerdict(
                 "FAIL", n, witness=f"no power of {q} lies in Jac(g) * polar(f, g)"
             )

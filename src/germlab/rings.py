@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 from .errors import RingMismatchError
 
@@ -19,17 +18,25 @@ Exponents = tuple[int, ...]
 Scalar = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class PolyRing:
-    """The ring QQ[z_0, ..., z_{v-1}], identified by its variable names."""
-
+class _PolyRingFields(NamedTuple):
     variables: tuple[str, ...]
 
-    def __post_init__(self):
+
+class PolyRing(_PolyRingFields):
+    """The ring QQ[z_0, ..., z_{v-1}], identified by its variable names.
+
+    The names are checked on construction; _replace skips that check, so
+    build a changed ring with PolyRing(...)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.variables:
             raise ValueError("a polynomial ring needs at least one variable")
         if len(set(self.variables)) != len(self.variables):
             raise ValueError(f"duplicate variable names: {self.variables}")
+        return self
 
     @property
     def nvars(self) -> int:

@@ -11,8 +11,7 @@ rejection carries the offending path.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from .errors import ParseError, SchemaError
 from .ideals import DEFAULT_REDUCTION_CAP
@@ -48,16 +47,14 @@ _STRATUM_KEYS = {"name", "dim", "eu", "chi", "in_zero_locus_of", "branches"}
 _LIMIT_KEYS = {"reduction_cap", "trunc"}
 
 
-@dataclass(frozen=True)
-class Limits:
+class Limits(NamedTuple):
     """One reduction-step budget per run, and the default branch truncation."""
 
     reduction_cap: int = DEFAULT_REDUCTION_CAP
     trunc: int = DEFAULT_TRUNC
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     """A fully validated scenario; polynomials are parsed and canonical."""
 
     name: str
@@ -67,7 +64,7 @@ class Scenario:
     n_range: tuple[int, int]
     branches: tuple[BranchParam, ...] = ()
     dataset: StratifiedDataset | None = None
-    limits: Limits = field(default_factory=Limits)
+    limits: Limits = Limits()
     expected: Mapping[str, Any] | None = None
 
 
@@ -352,7 +349,7 @@ def scenario_to_dict(s: Scenario) -> dict:
             known["f_is_linear"] = s.dataset.f_is_linear
         if known:
             out["known"] = known
-    out["limits"] = asdict(s.limits)
+    out["limits"] = s.limits._asdict()
     if s.expected is not None:
         out["expected"] = s.expected
     return out

@@ -8,8 +8,8 @@ Identities whose inputs are incomplete are reported SKIPPED, never guessed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ComponentMismatchError, MissingSliceError, SchemaError
 
@@ -30,6 +30,8 @@ KNOWN_SCALARS = (
     "n_reg",
 )
 
+EMPTY_MAPPING: Mapping = MappingProxyType({})  # the shared, read-only default mapping
+
 BRANCH_FIELDS = (
     "m_f",
     "eu_X_b",
@@ -41,8 +43,7 @@ BRANCH_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class StratumRecord:
+class StratumRecord(NamedTuple):
     """One stratum: name, complex dimension, Euler obstruction of the ambient
     space along it, and Euler characteristics of its slices by the fibres of
     the named functions."""
@@ -50,13 +51,12 @@ class StratumRecord:
     name: str
     dim: int
     eu: int
-    chi: Mapping[str, int] = field(default_factory=dict)
+    chi: Mapping[str, int] = EMPTY_MAPPING
     in_zero_locus_of: frozenset[str] = frozenset()
     branches: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class BranchTableRow:
+class BranchTableRow(NamedTuple):
     """Constant-along-the-branch invariants used by the deformation identities.
 
     Every field except the name is optional; absent data turns the identities
@@ -73,15 +73,14 @@ class BranchTableRow:
     B_f_gtilde_fibre: int | None = None
 
 
-@dataclass(frozen=True)
-class StratifiedDataset:
+class StratifiedDataset(NamedTuple):
     """Stratified inputs: strata records, an optional branch table (None when
     the document supplied none, an empty tuple for an explicitly empty one),
     and known scalar invariants."""
 
     strata: tuple[StratumRecord, ...] = ()
     branch_table: tuple[BranchTableRow, ...] | None = None
-    known: Mapping[str, int] = field(default_factory=dict)
+    known: Mapping[str, int] = EMPTY_MAPPING
     f_is_linear: bool = False
 
     def slice_kinds(self) -> tuple[str, ...]:
@@ -122,8 +121,7 @@ class StratifiedDataset:
                 )
 
 
-@dataclass(frozen=True)
-class IdentityVerdict:
+class IdentityVerdict(NamedTuple):
     name: str
     status: str  # "PASS" | "FAIL" | "SKIPPED"
     left: int | str | None = None

@@ -15,9 +15,8 @@ any failing identity makes the table (and the CLI) report failure.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
 from functools import cached_property, partial
-from typing import Any, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 from .errors import (
     ComponentMismatchError,
@@ -55,6 +54,7 @@ from .orders import LOCAL
 from .rings import Poly, PolyRing, jacobian
 from .scenario import N_MAX, Scenario
 from .stratified import (
+    EMPTY_MAPPING,
     BranchTableRow,
     IdentityVerdict,
     StratifiedDataset,
@@ -80,17 +80,20 @@ def generic_linear_candidates(ring, attempts: int = MAX_LADDER_ATTEMPTS):
         yield form
 
 
-@dataclass(frozen=True)
-class DeformationCase:
-    """One deformation g_tilde = g + f^N with its isolation certificate.  It
-    holds g + f^N as (d*(g + f^N), d), packed under LOCAL for an int d, and
-    builds g_tilde from it on first read."""
-
+class _DeformationCaseFields(NamedTuple):
     g: Poly
     f: Poly
     n: int
-    packed: tuple[dict, int] = field(repr=False, compare=False)
+    packed: tuple[dict, int]
     certificate: int | None  # local Jacobian quotient dimension, None = infinite
+
+
+class DeformationCase(_DeformationCaseFields):
+    """One deformation g_tilde = g + f^N with its isolation certificate.  It
+    holds g + f^N as (d*(g + f^N), d), packed under LOCAL for an int d, and
+    builds g_tilde from it on first read, cached in the instance __dict__.
+    The repr leaves packed out; since packed holds a dict, a case is not
+    hashable."""
 
     @cached_property
     def g_tilde(self) -> Poly:
@@ -103,6 +106,12 @@ class DeformationCase:
         if self.certificate is None:
             return None
         return 1 + parity_sign(self.g.ring.nvars - 1) * self.certificate
+
+    def __repr__(self) -> str:
+        return (
+            f"DeformationCase(g={self.g!r}, f={self.f!r}, n={self.n!r}, "
+            f"certificate={self.certificate!r})"
+        )
 
 
 def check_hypotheses(g: Poly, f: Poly, cap=None) -> int:
@@ -220,8 +229,7 @@ def verify_gap_stability(case: DeformationCase, ctx: ScenarioContext) -> Identit
     return compared("polar_stability", left, right)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     n: int
     in_range: bool
     certificate: int | None
@@ -237,8 +245,7 @@ class SweepRow:
         )
 
 
-@dataclass
-class VerdictTable:
+class VerdictTable(NamedTuple):
     scenario: str
     variables: tuple[str, ...]
     g: str
@@ -247,8 +254,8 @@ class VerdictTable:
     le: LeData
     chi_g: int
     terms: tuple[BranchTerm, ...] | None
-    rows: list[SweepRow] = field(default_factory=list)
-    defaults: dict[str, Any] = field(default_factory=dict)
+    rows: Sequence[SweepRow] = ()
+    defaults: Mapping[str, Any] = EMPTY_MAPPING
 
     @property
     def ok(self) -> bool:
@@ -289,7 +296,7 @@ class VerdictTable:
                 }
                 for t in self.terms
             ],
-            "defaults": self.defaults,
+            "defaults": dict(self.defaults),
             "ok": self.ok,
             "rows": [
                 {
@@ -553,7 +560,7 @@ def verify_scenario(
         chi_g=chi_g,
         terms=terms,
         rows=[make_row(n) for n in range(lo, hi + 1)],
-        defaults={"N": list(scenario.n_range), "limits": asdict(scenario.limits)},
+        defaults={"N": list(scenario.n_range), "limits": scenario.limits._asdict()},
     )
 
 

@@ -30,6 +30,16 @@ def homogeneous_plane_mu(degree: int) -> int:
     return (degree - 1) ** 2
 
 
+def milnor_orlik_mu(weights: list[int], degree: int) -> Fraction:
+    """Milnor number of a weighted-homogeneous germ with an isolated
+    singularity, weights w_i and weighted degree d: prod (d/w_i - 1)
+    (Milnor and Orlik, Topology 9, 1970)."""
+    out = Fraction(1)
+    for w in weights:
+        out *= Fraction(degree, w) - 1
+    return out
+
+
 def monomial_quotient_count(generators: list[tuple[int, ...]]) -> int | None:
     """Dimension of k[x]/I for a monomial ideal by direct enumeration.
 

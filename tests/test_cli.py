@@ -61,6 +61,15 @@ def test_a_staircase_past_the_cap_exits_one_within_seconds():
     )
 
 
+def test_a_cold_start_imports_neither_dataclasses_nor_inspect():
+    # every verb runs in a fresh interpreter; building dataclasses imports
+    # inspect and compiles their methods, which a cold start paid each time
+    code = "import germlab.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, env=child_env(), timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == b"[]\n"
+
+
 def test_a_cap_spent_in_a_polar_intersection_exits_one(capsys):
     # the last steps of this run are spent in the polar intersection of N = 5
     code = main(["verify", "--fixture", "double-axes", "--N", "2..5", "--caps", "91"])

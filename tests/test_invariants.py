@@ -3,10 +3,12 @@ slice Milnor numbers, checked against independent classical oracles."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from germlab import (
@@ -20,7 +22,7 @@ from germlab import (
     milnor_number,
     validate_branch,
 )
-from germlab.ideals import IdealPresentation
+from germlab.ideals import Budget, IdealPresentation
 from germlab.invariants import (
     MAX_TAU_HALVINGS,
     T_RING,
@@ -31,9 +33,11 @@ from germlab.invariants import (
 )
 from germlab.rings import PolyRing, jacobian
 from conftest import RING_XY, RING_XYZ, poly_strategy
+from test_ideals import PROPERTY_CAP
 from oracles import (
     brieskorn_mu,
     homogeneous_plane_mu,
+    milnor_orlik_mu,
     monomial_quotient_count,
     sympy_local_quotient_dim,
     thom_sebastiani,
@@ -227,6 +231,34 @@ class TestStableAlongBranch:
 
 
 RATIONALS = st.fractions(min_value=Fraction(-3), max_value=Fraction(3), max_denominator=4)
+NONZERO_RATIONALS = st.builds(
+    lambda sign, p, q: Fraction(sign * p, q), st.sampled_from((1, -1)), st.integers(1, 9), st.integers(1, 4)
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data(), st.lists(st.integers(min_value=2, max_value=6), min_size=2, max_size=3))
+def test_weighted_homogeneous_mu_matches_milnor_orlik(data, exponents):
+    # x_1^a_1 + ... + x_k^a_k has integer weights w_i = d / a_i for
+    # d = lcm(a_i); one mixed monomial of weighted degree d keeps the germ
+    # weighted homogeneous, and Milnor-Orlik gives mu when it is isolated
+    ring = PolyRing(("x", "y", "z")[: len(exponents)])
+    degree = math.lcm(*exponents)
+    weights = [degree // a for a in exponents]
+    g = sum((ring.variable(i) ** a for i, a in enumerate(exponents)), ring.zero())
+    mixed = [
+        e
+        for e in product(*(range(a) for a in exponents))
+        if sum(1 for k in e if k) >= 2 and sum(k * w for k, w in zip(e, weights)) == degree
+    ]
+    if mixed:
+        g = g + ring.monomial(data.draw(st.sampled_from(mixed)), data.draw(NONZERO_RATIONALS))
+    assert all(sum(k * w for k, w in zip(e, weights)) == degree for e in g.terms)
+    try:
+        mu = milnor_number(g, Budget(PROPERTY_CAP))
+    except NonisolatedError:
+        assume(False)
+    assert mu == milnor_orlik_mu(weights, degree)
 
 
 @settings(deadline=None, max_examples=60)

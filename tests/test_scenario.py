@@ -4,7 +4,6 @@ the load/save round trip, cross-validated against the shipped schema file."""
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -61,7 +60,7 @@ def test_loader_and_schema_agree_on_limits():
     for limits in [*(bad for bad, _ in BAD_LIMITS), *GOOD_LIMITS]:
         doc = {**minimal_doc(), "limits": limits}
         try:
-            loaded = load_scenario(json.dumps(doc)).limits == replace(Limits(), **limits)
+            loaded = load_scenario(json.dumps(doc)).limits == Limits()._replace(**limits)
         except SchemaError:
             loaded = False
         assert loaded == validator.is_valid(doc) == (limits in GOOD_LIMITS), limits

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 
@@ -242,7 +241,7 @@ class TestSweep:
         assert len(made) == 1
         spent = sc.limits.reduction_cap - made[0].remaining
 
-        tight = replace(sc, limits=replace(sc.limits, reduction_cap=spent - 1))
+        tight = sc._replace(limits=sc.limits._replace(reduction_cap=spent - 1))
         with pytest.raises(IterationLimitError):
             verify_scenario(tight)
         # with a fresh budget per kernel call no single call reaches the cap
@@ -262,7 +261,7 @@ class TestSweep:
         export_dataset(sc, 3)
         assert len(made) == 1
         spent = sc.limits.reduction_cap - made[0].remaining
-        tight = replace(sc, limits=replace(sc.limits, reduction_cap=spent - 1))
+        tight = sc._replace(limits=sc.limits._replace(reduction_cap=spent - 1))
         with pytest.raises(IterationLimitError):
             export_dataset(tight, 3)
 
@@ -280,7 +279,7 @@ class TestSweep:
         assert seen == ["x^2 + y^2", "z^3 + x^2 + y^2"]
 
     def test_unbranched_critical_curve_skips_the_branch_sums(self):
-        sc = replace(load_fixture("cylinder"), branches=())
+        sc = load_fixture("cylinder")._replace(branches=())
         table = verify_scenario(sc, n_range=(2, 3))
         assert table.terms is None and table.ok
         for row in table.rows:
@@ -327,7 +326,7 @@ class TestSweep:
         # x(t) vanishes at the ladder points t = 1/2 and 1/4, so the slice
         # data are those of the axis, but 2*x has order 1 along the branch
         off = BranchParam("off", (t * (2 * t - 1) * (4 * t - 1), o, t))
-        sc = replace(load_fixture("cylinder"), branches=(off,))
+        sc = load_fixture("cylinder")._replace(branches=(off,))
         message = "branch 'off' is not on the critical locus: generator 2[*]x vanishes only to order 1"
         with pytest.raises(GermlabError, match=message):
             verify_scenario(sc)
