@@ -13,6 +13,8 @@ of what is left each step and runs within the degree each element carries
 (Lazard's method: Buchberger's algorithm on homogenizations, read back in
 the original variables); it truncates at the highest corner once there is
 one, and its bases are standard bases of the localized ideal at the origin.
+A LOCAL completion can resume: a larger ideal's completion starts from a
+completed base and pairs only the generators it adds (see _complete).
 `normal_form` takes global orders only, since a local remainder is fixed
 only up to a unit; global membership is `normal_form(...).is_zero`.  Local
 radical membership (`has_power_in`) is one saturation.
@@ -23,9 +25,10 @@ The kernel reduces primitive int multiples of the polynomials, as term dicts
 whose monomials are ints packed by the order (orders._Packing;
 Bachmann-Schoenemann, ISSAC 1998): a product is one `+`, and the leading
 monomial is the dict's `max`, or its `min` under LOCAL.  `standard_basis_of`
-packs, then completes (`_complete`, which the sweep rows of
-verifier.ScenarioContext enter with generators built on ints); `normal_form`
-packs on entry.  Results return Fraction coefficients on exponent tuples,
+packs, then completes (`_complete`).  The sweep rows of
+verifier.ScenarioContext enter `_complete` with generators built on ints,
+and resume bases that it completed once per run; `normal_form` packs on
+entry.  Results return Fraction coefficients on exponent tuples,
 taking the steps of rational reduction on tuples; a StandardBasis unpacks
 only when its polynomials are read.  A degree the packed fields cannot hold
 raises GermlabError.
@@ -147,7 +150,8 @@ def _reducer(h: dict, pk: _Packing, sugar: int = 0) -> tuple:
     gives h: the larger of sugar and deg h, which is deg h for a generator
     and sugar for a reduced S-polynomial (see _local_weak_normal_form)."""
     lm = pk.lead(h)
-    deg = max(map(pk.degree, h))
+    # with the degree on top, the largest int has the largest degree
+    deg = max(h) >> pk.top if pk.degree_on_top else max(map(pk.degree, h))
     return lm, h[lm], max(sugar, deg) - pk.degree(lm), h, lm & pk.raw, deg
 
 
@@ -347,14 +351,17 @@ class StandardBasis:
     build.  Under LOCAL it also carries `staircase_size`, the number of
     standard monomials, and `corner`, the highest corner (see _Staircase);
     both are None when the quotient is infinite and under global orders.
+    A LOCAL basis that _complete built keeps its `completion`, from which a
+    larger ideal's completion resumes (see _complete); it is None otherwise.
     """
 
-    __slots__ = ("ring", "order", "elements", "leading", "staircase_size", "corner", "_polys")
+    __slots__ = ("ring", "order", "elements", "leading", "staircase_size", "corner", "completion", "_polys")
 
     def __init__(
         self, ring: PolyRing | None = None, order: MonomialOrder | None = None,
         elements: Sequence[tuple[int, dict]] = (), leading: Sequence[Exponents] = (),
         staircase_size: int | None = None, corner: int | None = None,
+        completion: tuple[tuple[tuple, ...], _Staircase] | None = None,
     ):
         self.ring = ring
         self.order = order
@@ -362,6 +369,9 @@ class StandardBasis:
         self.leading = tuple(leading)
         self.staircase_size = staircase_size
         self.corner = corner
+        # every reducer before minimalization, and the staircase of their
+        # leading monomials
+        self.completion = completion
         self._polys: tuple[Poly, ...] | None = None
 
     def _built(self) -> tuple[Poly, ...]:
@@ -459,6 +469,14 @@ class _Staircase:
         self.seen = 0  # how many of lead the monomials account for
         self.corner: int | None = None
 
+    def copy(self, limit: int) -> "_Staircase":
+        """The same staircase over a copy of lead, which appends to the copy
+        leave this one without; it raises past limit."""
+        twin = _Staircase(list(self.lead), self.nvars, limit)
+        twin.missing = set(self.missing)
+        twin.monomials, twin.seen, twin.corner = self.monomials, self.seen, self.corner
+        return twin
+
     def add(self, lm: Exponents) -> None:
         """Account for lm, just appended to lead."""
         if self.missing:
@@ -492,9 +510,13 @@ def standard_basis_of(generators: Sequence[Poly], order: MonomialOrder, cap=None
     return _complete(ring, order, [_integral(g, pk) for g in gens], budget)
 
 
-def _complete(ring: PolyRing, order: MonomialOrder, packed: list[dict], budget: Budget) -> StandardBasis:
+def _complete(
+    ring: PolyRing, order: MonomialOrder, packed: list[dict], budget: Budget,
+    base: StandardBasis | None = None,
+) -> StandardBasis:
     """Buchberger completion of the generators, given packed under order as
-    primitive int dicts with positive leading coefficients.
+    primitive int dicts with positive leading coefficients; with a LOCAL
+    base that _complete returned, of the base's generators and these.
 
     The result is deterministic: pairs are selected by smallest lcm key (ties
     broken by index), the basis is minimalized, made monic, sorted by leading
@@ -534,6 +556,21 @@ def _complete(ring: PolyRing, order: MonomialOrder, packed: list[dict], budget: 
     drops the terms of degree >= D.  The leading ideal is the same, and an
     ideal with no corner (an infinite quotient) runs untruncated.
 
+    A base resumes its completion: its reducers, with their ecart slots,
+    and its staircase are copied, so the base serves again, and only the
+    pairs that involve a new generator enter the heap.  Every pair among the
+    base's reducers was reduced or skipped when the base was completed.
+    Buchberger's criterion asks only that every pair reduce to zero modulo
+    the final basis, and the homogenized base elements and their reductions
+    stay in the larger homogenized ideal, so Lazard's basis stays a basis
+    when generators are added and only the new pairs are processed; the
+    order in which pairs are selected does not matter for that.  The base's
+    corner D_B, where it has one, bounded its skips and truncations.  Since
+    m^(D_B) lies in the base's ideal, it lies in the larger one, whose
+    corner D is at most D_B, so what was dropped at D_B is also dropped at
+    D.  Only the sweep rows of verifier.ScenarioContext resume, so there is
+    no global variant.
+
     The completion runs fraction-free: each generator and each new basis
     element is kept as its primitive int multiple with a positive leading
     coefficient, and only the returned basis is made monic over the
@@ -547,11 +584,17 @@ def _complete(ring: PolyRing, order: MonomialOrder, packed: list[dict], budget: 
     # ascending in the order: the larger int is the larger monomial except
     # under LOCAL
     packed = sorted(packed, key=pk.lead, reverse=local)
-    # the _reducer entry per basis element, with its sugar
-    reducers: list[tuple] = []
-    lead: list[Exponents] = []  # their leading monomials, unpacked
     pairs: list[tuple] = []  # heap of (key, i, j, lcm, sugar) with i < j
-    stairs = _Staircase(lead, ring.nvars, budget.cap) if local else None
+    if base is None:
+        # the _reducer entry per basis element, with its sugar
+        reducers: list[tuple] = []
+        lead: list[Exponents] = []  # their leading monomials, unpacked
+        stairs = _Staircase(lead, ring.nvars, budget.cap) if local else None
+    else:
+        base_reducers, base_stairs = base.completion
+        reducers = list(base_reducers)
+        stairs = base_stairs.copy(budget.cap)
+        lead = stairs.lead
 
     def append(h: dict, sugar: int = 0) -> None:
         j = len(reducers)
@@ -601,20 +644,26 @@ def _complete(ring: PolyRing, order: MonomialOrder, packed: list[dict], budget: 
         if r:
             append(_primitive(r, pk.lead(r)), sugar)
 
-    # minimalize: drop elements whose leading monomial is divisible by another
-    minimal = [
-        (g, lm) for i, (g, lm) in enumerate(zip(reducers, lead))
-        if not any(j != i and mono_divides(lm2, lm) and (lm2 != lm or j < i) for j, lm2 in enumerate(lead))
-    ]
+    # minimalize: drop elements whose leading monomial another divides, or
+    # equals at a lower index
+    minimal = []
+    for i, (g, lm) in enumerate(zip(reducers, lead)):
+        over = g[0] | guards
+        if not any(
+            (over - h[4]) & guards == guards and (h[0] != g[0] or j < i) for j, h in enumerate(reducers)
+        ):
+            minimal.append((g, lm))
     minimal.sort(key=lambda gl: gl[0][0], reverse=local)
     kept = [g for g, _ in minimal]
+    leading = [lm for _, lm in minimal]
     if not local:
         kept = _interreduce_global(kept, pk, budget)
     elements = [(g[0], g[3]) for g in kept]
-    leading = [lm for _, lm in minimal]
-    if stairs is None or stairs.read() is None:
+    if stairs is None:
         return StandardBasis(ring, order, elements, leading)
-    return StandardBasis(ring, order, elements, leading, len(stairs.monomials), stairs.corner)
+    corner = stairs.read()
+    size = None if corner is None else len(stairs.monomials)
+    return StandardBasis(ring, order, elements, leading, size, corner, (tuple(reducers), stairs))
 
 
 class IdealPresentation:

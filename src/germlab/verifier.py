@@ -29,7 +29,7 @@ from .errors import (
     UndefinedLeError,
 )
 from .ideals import Budget, IdealPresentation, as_budget, dim_at_origin, quotient_dim_local
-from .ideals import _complete, _integral, _muladd, _packed, _primitive, _unpacked
+from .ideals import StandardBasis, _complete, _integral, _muladd, _packed, _primitive
 from .invariants import (
     BranchParam,
     BranchTerm,
@@ -90,14 +90,16 @@ class _DeformationCaseFields(NamedTuple):
 
 class DeformationCase(_DeformationCaseFields):
     """One deformation g_tilde = g + f^N with its isolation certificate.  It
-    holds g + f^N as (d*(g + f^N), d), packed under LOCAL for an int d, and
-    builds g_tilde from it on first read, cached in the instance __dict__.
-    The repr leaves packed out; since packed holds a dict, a case is not
-    hashable."""
+    holds the row's g' + f'^N, the deformation in the run's row coordinates
+    (see ScenarioContext), as (d*(g' + f'^N), d), packed under LOCAL for an
+    int d.  g_tilde, in the original coordinates, is g + f**n, built on
+    first read and cached in the instance __dict__; only the export and
+    error messages read it.  The repr leaves packed out; since packed holds
+    a dict, a case is not hashable."""
 
     @cached_property
     def g_tilde(self) -> Poly:
-        return _unpacked(self.g.ring, *self.packed, LOCAL._packing(self.g.ring.nvars))
+        return self.g + self.f**self.n
 
     @property
     def chi_gtilde(self) -> int | None:
@@ -374,6 +376,25 @@ class ScenarioContext:
     limits.reduction_cap steps.  A caller pays only for what it reads, in
     the order it reads it, so that order also fixes which error a bad input
     hits first.
+
+    The sweep rows work in row coordinates.  The pivot p is the highest
+    index with d_p f(0) != 0.  For a linear f = sum c_i x_i they substitute
+    x_p -> (x_p - sum_{i != p} c_i x_i)/c_p and keep the variable order, so
+    f becomes x_p and f^N one monomial; when f already is x_p they are the
+    original ones, as they are for a nonlinear f.  A local dimension does
+    not depend on the coordinates, and every polynomial, branch and witness
+    that a run prints stays in the original ones.  Each row's ideal is an
+    N-independent base, completed once per run under LOCAL, plus row
+    generators, and the row resumes that completion (see ideals._complete).
+    Since d_p f is a unit in the local ring,
+
+        Jac(g + f^N) = (d_p f d_i g - d_i f d_p g : i != p) + (d_p g + N f^(N-1) d_p f),
+
+    and the polar meeting is the polar ideal plus g + f^N.  So for a linear
+    f the Jacobian base is (d_i g')_{i != p}, and each row adds one
+    generator to each base, which differs from the last row's by one
+    monomial.  When f has no linear part there is no pivot, the Jacobian
+    base is empty and every partial of g + f^N is a row generator.
     """
 
     def __init__(self, scenario: Scenario):
@@ -383,7 +404,7 @@ class ScenarioContext:
         self.ring: PolyRing = scenario.ring
         self.g: Poly = scenario.g
         self.budget = Budget(scenario.limits.reduction_cap)
-        self._f_power: tuple[int, dict, int] | None = None  # the last (k, d*f^k, d) of case()
+        self._f_power: tuple[int, dict, int] | None = None  # the last (k, d*f'^k, d) of case()
 
     def _hosted(self, host: str) -> tuple[BranchParam, ...]:
         return tuple(b for b in self.scenario.branches if b.host == host)
@@ -429,23 +450,57 @@ class ScenarioContext:
         return gap_ratios(self.f, self.g, self.polar, self.budget)
 
     @cached_property
-    def _packings(self) -> tuple:
-        """The LOCAL packing with what a sweep row reads packed under it: g,
-        f and the pairs of their partials, each p as (d*p, d) for an int d,
-        and the primitive polar generators, so case(n) reads it after the
-        gap report."""
+    def _pivot(self) -> tuple[int | None, list[Poly] | None]:
+        """The pivot p, the highest index with d_p f(0) != 0 (None when f
+        has no linear part), and the images of the variables that give the
+        row coordinates (None when those are the original ones)."""
+        ring, f = self.ring, self.f
+        coeffs = [f.terms.get(tuple(int(i == k) for i in range(ring.nvars)), 0) for k in range(ring.nvars)]
+        p = max((k for k, c in enumerate(coeffs) if c), default=None)
+        if p is None or not f.is_linear_form or f == ring.variable(p):
+            return p, None
+        images = [ring.variable(i) for i in range(ring.nvars)]
+        for i, c in enumerate(coeffs):
+            if i != p and c:
+                images[p] = images[p] - images[i] * c
+        images[p] = images[p] * (1 / coeffs[p])
+        return p, images
+
+    def _in_row_coordinates(self, h: Poly) -> Poly:
+        images = self._pivot[1]
+        return h if images is None else h.substitute(self.ring, images)
+
+    @cached_property
+    def _jacobian_rows(self) -> tuple:
+        """The LOCAL packing with what a sweep row reads packed under it, in
+        the row coordinates: g', f' and the pairs (d_i g', d_i f') of the
+        row generators, each h as (d*h, d) for an int d, and the completed
+        Jacobian base."""
         pk = LOCAL._packing(self.ring.nvars)
-        partials = [(_packed(a, pk), _packed(b, pk)) for a, b in zip(jacobian(self.g), jacobian(self.f))]
-        polar = [] if self.polar.is_empty else [_integral(p, pk) for p in self.polar.ideal.generators]
-        return pk, _packed(self.g, pk), _packed(self.f, pk), partials, polar
+        p = self._pivot[0]
+        g, f = self._in_row_coordinates(self.g), self._in_row_coordinates(self.f)
+        dg, df = jacobian(g), jacobian(f)
+        rows = range(self.ring.nvars) if p is None else (p,)
+        gens = [] if p is None else [df[p] * dg[i] - df[i] * dg[p] for i in range(self.ring.nvars) if i != p]
+        base = _complete(self.ring, LOCAL, [_integral(h, pk) for h in gens if not h.is_zero], as_budget(self.budget))
+        partials = [(_packed(dg[i], pk), _packed(df[i], pk)) for i in rows]
+        return pk, _packed(g, pk), _packed(f, pk), partials, base
+
+    @cached_property
+    def _polar_base(self) -> StandardBasis:
+        """The polar ideal in the row coordinates, completed under LOCAL."""
+        pk = LOCAL._packing(self.ring.nvars)
+        gens = [_integral(self._in_row_coordinates(h), pk) for h in self.polar.ideal.generators]
+        return _complete(self.ring, LOCAL, gens, as_budget(self.budget))
 
     def polar_intersection(self, case: DeformationCase) -> int | None:
-        """quotient_dim_local(polar.ideal.plus([case.g_tilde])) on the
-        packed generators."""
-        pk, *_, polar = self._packings
+        """quotient_dim_local(polar.ideal.plus([case.g_tilde])): the polar
+        base resumed with the row's g' + f'^N."""
+        base = self._polar_base
+        pk = LOCAL._packing(self.ring.nvars)
         h = case.packed[0]
-        gens = polar + ([_primitive(h, pk.lead(h))] if h else [])
-        return _complete(self.ring, LOCAL, gens, as_budget(self.budget)).staircase_size
+        gens = [_primitive(h, pk.lead(h))] if h else []
+        return _complete(self.ring, LOCAL, gens, as_budget(self.budget), base).staircase_size
 
     @cached_property
     def sigma_dim(self) -> int:
@@ -471,18 +526,18 @@ class ScenarioContext:
         not isolated although n reached the threshold.  The case hypotheses
         are read before the polar curve whose gap report sets the threshold.
 
-        The row is built on ints from the packings of g, f and their
-        partials (see _packings), and Jac(g + f^n) by the chain rule:
-        d(g + f^n) = dg + n f^(n-1) df.  A sweep asks for increasing n, so
-        the last power f^k is kept and extended by one product by f per
-        exponent step; the first call, or one with a smaller n, starts
-        again from f.
+        The row is built on ints in the row coordinates (see _jacobian_rows):
+        its Jacobian generators by the chain rule, d(g' + f'^n) = dg' +
+        n f'^(n-1) df', and then g' + f'^n.  A sweep asks for increasing n,
+        so the last power f'^k is kept and extended by one product by f' per
+        exponent step; the first call, or one with a smaller n, starts again
+        from f'.
         """
         self.sigma_dim  # the case hypotheses, before the polar curve
         threshold = self.gap.threshold
         if n < 2:
             raise ValueError("the deformation exponent must be at least 2")
-        pk, (g, dg), (f, df), partials, _ = self._packings
+        pk, (g, dg), (f, df), partials, base = self._jacobian_rows
         if self._f_power is None or self._f_power[0] >= n:
             self._f_power = (1, f, df)
         k, power, den = self._f_power
@@ -490,7 +545,7 @@ class ScenarioContext:
             power, den = _muladd({}, 0, power, f, 1, pk), den * df
         jac = [_muladd(a, den * db, power, b, n * da, pk) for (a, da), (b, db) in partials]
         jac = [_primitive(h, pk.lead(h)) for h in jac if h]
-        certificate = _complete(self.ring, LOCAL, jac, as_budget(self.budget)).staircase_size
+        certificate = _complete(self.ring, LOCAL, jac, as_budget(self.budget), base).staircase_size
         power, den = _muladd({}, 0, power, f, 1, pk), den * df
         self._f_power = (n, power, den)
         packed = _muladd(g, den, power, {0: 1}, dg, pk), dg * den  # {0: 1} is the packed 1

@@ -6,7 +6,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from germlab import (
@@ -545,6 +545,44 @@ def test_scaling_generators_changes_neither_basis_nor_spend(data, gens):
     scaled = [g * data.draw(SCALARS) for g in gens]
     for order in (DEGREVLEX, LOCAL, ELIM_FIRST):
         assert basis_and_spend(scaled, order) == basis_and_spend(gens, order)
+
+
+def local_completion(ring, gens, base=None):
+    """The LOCAL completion of gens, packed, resuming base if given; None
+    past the property cap."""
+    pk = LOCAL._packing(ring.nvars)
+    try:
+        return ideals._complete(ring, LOCAL, [ideals._integral(g, pk) for g in gens], Budget(PROPERTY_CAP), base)
+    except IterationLimitError:
+        return None
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data(), IDEALS)
+def test_a_resumed_completion_counts_what_a_fresh_one_does(data, gens):
+    # resuming a completed base pairs only the added generators, and the
+    # staircase and corner belong to the ideal alone; a pure power of each
+    # variable, in the base, among the added generators or left out, makes
+    # most quotients finite and lets the base's corner truncate
+    ring = gens[0].ring
+    base_gens, extra = list(gens), data.draw(
+        st.lists(nonzero_poly_strategy(ring, max_degree=3, max_terms=3), min_size=1, max_size=2)
+    )
+    for i in range(ring.nvars):
+        power = ring.variable(i) ** data.draw(st.integers(2, 5))
+        where = data.draw(st.sampled_from([base_gens, extra, []]))
+        where.append(power)
+    base = local_completion(ring, base_gens)
+    fresh = local_completion(ring, base_gens + extra)
+    assume(base is not None and fresh is not None)
+    for _ in range(2):  # the base serves again
+        resumed = local_completion(ring, extra, base)
+        assume(resumed is not None)
+        assert (resumed.staircase_size, resumed.corner) == (fresh.staircase_size, fresh.corner)
+        if fresh.corner is None:
+            # nothing was truncated, so both lead with the minimal
+            # generators of the leading ideal
+            assert set(resumed.leading) == set(fresh.leading)
 
 
 F = Fraction
