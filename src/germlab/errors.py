@@ -49,7 +49,9 @@ class InstabilityError(GermlabError):
 
 
 class UndefinedLeError(GermlabError):
-    """No admissible coordinate choice makes the Le-number intersections proper."""
+    """No admissible coordinate choice makes the Le-number intersections proper:
+    one pivot decides for all, since at each the remaining partials span one
+    ideal R, the first partial moves by an element of R, and w_0 = form."""
 
 
 class ExponentRangeError(GermlabError):

@@ -44,7 +44,7 @@ from typing import Iterable, Sequence
 
 from .errors import GermlabError, IterationLimitError, RingMismatchError
 from .orders import ELIM_FIRST, LOCAL, MonomialOrder, _Packing
-from .rings import Exponents, Poly, PolyRing, mono_divides, mono_lcm
+from .rings import Exponents, Poly, PolyRing, _numerators, mono_divides, mono_lcm
 
 DEFAULT_REDUCTION_CAP = 10**6
 
@@ -59,8 +59,8 @@ class Budget:
     def __init__(self, cap: int | None = None):
         self.cap = self.remaining = DEFAULT_REDUCTION_CAP if cap is None else int(cap)
 
-    def spend(self, n: int = 1) -> None:
-        self.remaining -= n
+    def spend(self) -> None:
+        self.remaining -= 1
         if self.remaining < 0:
             raise IterationLimitError("reduction step cap exceeded")
 
@@ -98,9 +98,9 @@ def _check_same_ring(polys: Iterable[Poly]) -> PolyRing:
 def _packed(p: Poly, pk: _Packing) -> tuple[dict, int]:
     """(d*p, d) on packed monomials, for the least positive d that makes
     every coefficient an int."""
-    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    terms, den = _numerators(p.terms)
     pack = pk.pack
-    return {pack(e): c.numerator * (den // c.denominator) for e, c in p.terms.items()}, den
+    return {pack(e): c for e, c in terms.items()}, den
 
 
 def _primitive(h: dict, lm: int) -> dict:

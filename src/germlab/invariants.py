@@ -2,9 +2,10 @@
 validation, local degrees along branches, hyperplane slices, and the branch
 terms of the branch sum.
 
-Every hyperplane slice takes one route: align_first trades a pivot variable
-for the form, restrict_to_hyperplane sets that coordinate to 0, and
-slice_germ moves a point to the origin first.
+One routine, _solve_for_pivot, makes a linear form a coordinate w: it sends
+its pivot variable to (w - sum_{i != p} c_i x_i)/c_p.  align_first puts w
+first, the hyperplane slices substitute once into the other variables at
+the form's value, and the sweep rows (verifier) keep x_p in its place.
 
 Branches are supplied as exact polynomial parametrizations in one parameter t;
 compositions are computed exactly, and the declared truncation order is used
@@ -172,20 +173,32 @@ def local_degree(f: Poly, branch: BranchParam, image: Poly | None = None) -> int
     return order
 
 
-def translate(p: Poly, point: Sequence[Fraction]) -> Poly:
-    """p(z + point): move the germ so that point becomes the origin."""
-    ring = p.ring
-    images = [ring.variable(i) + ring.constant(point[i]) for i in range(ring.nvars)]
-    return p.substitute(ring, images)
+def linear_part(p: Poly) -> tuple[list[Fraction], int | None]:
+    """The coefficients c_i = d_i p(0) of the linear part of p, and its pivot:
+    the highest index with c_i != 0 (None when there is none)."""
+    n = p.ring.nvars
+    coeffs = [p.terms.get(tuple(int(i == k) for i in range(n)), Fraction(0)) for k in range(n)]
+    return coeffs, max((k for k, c in enumerate(coeffs) if c), default=None)
 
 
-def linear_coefficients(form: Poly) -> list[Fraction]:
+def _form_pivot(form: Poly, pivot: int | None = None) -> tuple[list[Fraction], int]:
+    """The coefficients of a linear form and its pivot, by default linear_part's."""
     if not form.is_linear_form:
         raise ValueError("expected a nonzero linear form")
-    coeffs = [Fraction(0)] * form.ring.nvars
-    for exps, c in form.terms.items():
-        coeffs[exps.index(1)] = c
-    return coeffs
+    coeffs, last = linear_part(form)
+    if pivot is not None and coeffs[pivot] == 0:
+        raise ValueError(f"variable {pivot} does not occur in the form")
+    return coeffs, last if pivot is None else pivot
+
+
+def _solve_for_pivot(coeffs: list[Fraction], pivot: int, others: list[Poly], w: Poly) -> list[Poly]:
+    """The images under which sum c_i x_i becomes w: others, the images of the
+    variables other than the pivot p in order, with x_p -> (w - sum_{i != p}
+    c_i others_i)/c_p put in at p."""
+    for c, image in zip(coeffs[:pivot] + coeffs[pivot + 1 :], others):
+        if c:
+            w = w - image * c
+    return [*others[:pivot], w * (1 / coeffs[pivot]), *others[pivot:]]
 
 
 def align_first(g: Poly, form: Poly, pivot: int | None = None) -> tuple[Poly, PolyRing, int]:
@@ -195,39 +208,33 @@ def align_first(g: Poly, form: Poly, pivot: int | None = None) -> tuple[Poly, Po
     the original ring that was traded for w_0: by default the highest-index
     variable with a nonzero coefficient in the form.
     """
-    ring = g.ring
-    coeffs = linear_coefficients(form)
-    if pivot is None:
-        pivot = max(i for i, c in enumerate(coeffs) if c != 0)
-    elif coeffs[pivot] == 0:
-        raise ValueError(f"variable {pivot} does not occur in the form")
-    kept = [i for i in range(ring.nvars) if i != pivot]
-    names = [ring.variables[pivot]] + [ring.variables[i] for i in kept]
-    target = PolyRing(tuple(names))
-    # z_pivot = (w_0 - sum c_i w_i)/c_pivot, z_other = its own w slot
-    images: list[Poly] = [target.zero()] * ring.nvars
-    pivot_image = target.variable(0)
-    for slot, i in enumerate(kept, start=1):
-        images[i] = target.variable(slot)
-        if coeffs[i]:
-            pivot_image = pivot_image - target.variable(slot) * coeffs[i]
-    images[pivot] = pivot_image * (1 / coeffs[pivot])
-    return g.substitute(target, images), target, pivot
+    names = g.ring.variables
+    coeffs, pivot = _form_pivot(form, pivot)
+    target = PolyRing(names[pivot : pivot + 1] + names[:pivot] + names[pivot + 1 :])
+    others = [target.variable(slot) for slot in range(1, len(names))]
+    return g.substitute(target, _solve_for_pivot(coeffs, pivot, others, target.variable(0))), target, pivot
+
+
+def _on_hyperplane(p: Poly, form: Poly, point: Sequence[Fraction]) -> Poly:
+    """p on the hyperplane through point parallel to {form = 0}, in the
+    variables other than the pivot, centred at point."""
+    coeffs, pivot = _form_pivot(form)
+    kept = PolyRing(p.ring.variables[:pivot] + p.ring.variables[pivot + 1 :])
+    shifts = [*point[:pivot], *point[pivot + 1 :]]
+    others = [kept.variable(slot) + kept.constant(c) for slot, c in enumerate(shifts)]
+    return p.substitute(kept, _solve_for_pivot(coeffs, pivot, others, kept.constant(form.evaluate(point))))
 
 
 def restrict_to_hyperplane(p: Poly, form: Poly) -> Poly:
     """Restriction of p to {form = 0}: p in align_first's coordinates at
     w_0 = 0, a germ in the variables other than the pivot."""
-    aligned, target, _ = align_first(p, form)
-    kept = PolyRing(target.variables[1:])
-    return Poly._make(kept, {e[1:]: c for e, c in aligned.terms.items() if e[0] == 0})
+    return _on_hyperplane(p, form, [0] * p.ring.nvars)
 
 
 def slice_germ(g: Poly, form: Poly, point: Sequence[Fraction] | None = None) -> Poly:
     """The germ at point (default: the origin) of g restricted to the
     hyperplane through point parallel to {form = 0}, constant term dropped."""
-    moved = g if point is None else translate(g, point)
-    sliced = restrict_to_hyperplane(moved, form)
+    sliced = _on_hyperplane(g, form, [0] * g.ring.nvars if point is None else point)
     return sliced - sliced.constant_term()
 
 

@@ -28,7 +28,6 @@ from .invariants import (
     branch_terms,
     compose_on_branch,
     jacobian_ideal,
-    linear_coefficients,
     order_in_t,
 )
 from .rings import Poly
@@ -100,17 +99,9 @@ def le_numbers(
                 f"the linear form vanishes identically on branch {branch.name!r}"
             )
 
-    # the fixed list of coordinate attempts: every pivot variable the form
-    # can be solved for, highest index first
-    coeffs = linear_coefficients(form)
-    pivots = [i for i in reversed(range(g.ring.nvars)) if coeffs[i] != 0]
-    lam0 = None
-    for pivot in pivots:
-        gw, target, _ = align_first(g, form, pivot)
-        rest_ideal, polar = _polar_ideal_after_alignment(gw, budget)
-        lam0 = quotient_dim_local(polar.plus([gw.diff(0)]), budget)
-        if lam0 is not None:
-            break
+    gw, target, _ = align_first(g, form)
+    rest_ideal, polar = _polar_ideal_after_alignment(gw, budget)
+    lam0 = quotient_dim_local(polar.plus([gw.diff(0)]), budget)
     if lam0 is None:
         raise UndefinedLeError(
             "the polar curve meets the first-partial hypersurface improperly "

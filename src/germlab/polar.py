@@ -8,7 +8,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import ComponentMismatchError, ImproperIntersectionError
+from .errors import ComponentMismatchError, GermlabError, ImproperIntersectionError
 from .ideals import (
     IdealPresentation,
     as_budget,
@@ -152,12 +152,7 @@ def relative_polar_ideal(
     return curve
 
 
-def intersection_number(
-    curve: PolarCurve | IdealPresentation,
-    h: Poly,
-    cap=None,
-    images: Sequence[Callable[[int | None], Poly]] | None = None,
-) -> int:
+def intersection_number(curve: PolarCurve | IdealPresentation, h: Poly, cap=None) -> int:
     """Intersection number at the origin of the (1-dimensional) scheme with
     the hypersurface {h = 0}, as a local quotient dimension.
 
@@ -169,13 +164,10 @@ def intersection_number(
     Only orders up to the total can add up to it, so each composition is
     first taken modulo t^(total + 1).  When those orders sum to the total the
     check has passed; otherwise the exact compositions are recomputed, so the
-    error names the true orders.  images, one per component, maps a
-    truncation `below` (None for exact) to h(branch(t)) modulo t^below, for a
-    caller that can build it from compositions it already has; by default
-    each is compose_on_branch(h, component, below).
+    error names the true orders.
     """
     ideal = curve.ideal if isinstance(curve, PolarCurve) else curve
-    return checked_intersection(curve, lambda: h, quotient_dim_local(ideal.plus([h]), cap), images)
+    return checked_intersection(curve, lambda: h, quotient_dim_local(ideal.plus([h]), cap))
 
 
 def checked_intersection(
@@ -183,9 +175,11 @@ def checked_intersection(
 ) -> int:
     """The scheme-side intersection number total of curve with {h() = 0}
     (None when infinite), for a caller that computed it, checked against the
-    components as intersection_number describes, images defaulting there.
-    h builds the equation; it is called only for an error message or the
-    default images, so a caller with images and a passing check builds none."""
+    components as intersection_number describes.  images, one per component,
+    maps a truncation `below` (None for exact) to h(branch(t)) mod t^below
+    (by default compose_on_branch(h(), component, below)).  h builds the
+    equation; it is called only for an error message or the default
+    images, so a caller with images and a passing check builds none."""
     if total is None:
         raise ImproperIntersectionError(
             f"intersection with {h()} has positive dimension at the origin"
@@ -221,6 +215,11 @@ def gap_ratios(f: Poly, g: Poly, curve: PolarCurve, cap=None) -> GapReport:
     upper bound derived from the total g-intersection number."""
     if curve.is_empty:
         return GapReport(ratios=(), g_intersection=None)
+    if curve.dim > 1:
+        raise GermlabError(
+            f"the relative polar locus of (f = {f}, g = {g}) has dimension {curve.dim} "
+            "at the origin; gap ratios and the threshold need a curve"
+        )
     total_g = intersection_number(curve, g, cap)
     images = tuple(
         (compose_on_branch(g, comp), compose_on_branch(f, comp)) for comp in curve.components

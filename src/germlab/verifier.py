@@ -33,9 +33,11 @@ from .ideals import StandardBasis, _complete, _integral, _muladd, _packed, _prim
 from .invariants import (
     BranchParam,
     BranchTerm,
+    _solve_for_pivot,
     branch_sum,
     critical_locus,
     jacobian_ideal,
+    linear_part,
     milnor_number,
     slice_germ,
     transverse_multiplicity,
@@ -455,16 +457,11 @@ class ScenarioContext:
         has no linear part), and the images of the variables that give the
         row coordinates (None when those are the original ones)."""
         ring, f = self.ring, self.f
-        coeffs = [f.terms.get(tuple(int(i == k) for i in range(ring.nvars)), 0) for k in range(ring.nvars)]
-        p = max((k for k, c in enumerate(coeffs) if c), default=None)
+        coeffs, p = linear_part(f)
         if p is None or not f.is_linear_form or f == ring.variable(p):
             return p, None
-        images = [ring.variable(i) for i in range(ring.nvars)]
-        for i, c in enumerate(coeffs):
-            if i != p and c:
-                images[p] = images[p] - images[i] * c
-        images[p] = images[p] * (1 / coeffs[p])
-        return p, images
+        others = [ring.variable(i) for i in range(ring.nvars) if i != p]
+        return p, _solve_for_pivot(coeffs, p, others, ring.variable(p))
 
     def _in_row_coordinates(self, h: Poly) -> Poly:
         images = self._pivot[1]

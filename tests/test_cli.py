@@ -34,6 +34,20 @@ def test_milnor_nonisolated_exits_one(capsys):
     assert "positive dimension" in captured.err
 
 
+@pytest.mark.parametrize("verb, extra", [("verify", ("--N", "2..4")), ("gap", ())])
+def test_a_polar_surface_names_its_dimension_and_exits_one(capsys, verb, extra):
+    # f is Morse and the critical locus of g, the z-axis, meets {f = 0} only
+    # at 0, so the hypotheses hold; but the minors leave the plane {z = 0}
+    code = main([verb, "--vars", "x,y,z", "--g", "x^2+y^2", "--f", "z^2+x^2+y^2", *extra])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the relative polar locus of (f = x^2 + y^2 + z^2, g = x^2 + y^2) has "
+        "dimension 2 at the origin; gap ratios and the threshold need a curve\n"
+    )
+
+
 def test_a_degree_past_the_packed_fields_exits_one(capsys):
     # each exponent is capped at 255, but nested powers multiply: the partial
     # of this g in x has degree 255^4 - 1, past the kernel's limit of 2^31

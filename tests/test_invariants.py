@@ -29,6 +29,7 @@ from germlab.invariants import (
     compose_on_branch,
     jacobian_ideal,
     restrict_to_hyperplane,
+    slice_germ,
     stable_along_branch,
 )
 from germlab.rings import PolyRing, jacobian
@@ -282,6 +283,29 @@ def test_restriction_agrees_with_p_on_the_hyperplane(data, nvars):
         point[k] = -sum(coeffs[i] * point[i] for i in kept) / coeffs[k]
         assert form.evaluate(point) == 0
         assert sliced.evaluate(q) == p.evaluate(point)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data(), st.integers(min_value=2, max_value=4))
+def test_a_slice_at_a_point_agrees_with_p_on_the_parallel_hyperplane(data, nvars):
+    ring = PolyRing(("x", "y", "z", "w")[:nvars])
+    p = data.draw(poly_strategy(ring, max_degree=3, max_terms=5))
+    coeffs = data.draw(st.lists(RATIONALS, min_size=nvars, max_size=nvars).filter(any))
+    form = sum((ring.variable(i) * c for i, c in enumerate(coeffs) if c), ring.zero())
+    base = data.draw(st.lists(RATIONALS, min_size=nvars, max_size=nvars))
+    sliced = slice_germ(p, form, base)
+    (k,) = [i for i, v in enumerate(ring.variables) if v not in sliced.ring.variables]
+    kept = [i for i in range(nvars) if i != k]
+    assert sliced.constant_term() == 0
+    for _ in range(3):
+        q = data.draw(st.lists(RATIONALS, min_size=nvars - 1, max_size=nvars - 1))
+        point = list(base)
+        for i, value in zip(kept, q):
+            point[i] = base[i] + value
+        # the pivot coordinate solved from form = form(base)
+        point[k] = (form.evaluate(base) - sum(coeffs[i] * point[i] for i in kept)) / coeffs[k]
+        assert form.evaluate(point) == form.evaluate(base)
+        assert sliced.evaluate(q) == p.evaluate(point) - p.evaluate(base)
 
 
 def test_compose_on_branch_is_exact():

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from germlab import (
     BranchParam,
@@ -12,12 +14,13 @@ from germlab import (
     le_numbers,
     milnor_number,
 )
-from germlab.ideals import Budget
-from germlab.invariants import T_RING
-from germlab.le import align_first
+from germlab.ideals import Budget, dim_at_origin, quotient_dim_local
+from germlab.invariants import T_RING, jacobian_ideal
+from germlab.le import _polar_ideal_after_alignment, align_first
 from germlab.rings import PolyRing
 from conftest import RING_XY, RING_XYZ
 from oracles import euler_chi_isolated
+from test_ideals import PROPERTY_CAP
 
 x, y = RING_XY.variable(0), RING_XY.variable(1)
 X, Y, Z = (RING_XYZ.variable(i) for i in range(3))
@@ -130,6 +133,45 @@ def test_align_first_moves_form_to_front():
     # the back-substituted germ evaluates identically
     w0 = form
     assert gw.substitute(RING_XYZ, [w0, X, Y]) == g
+
+
+# the monomials of degree 2 to 4 in x, y, z
+QUARTIC_MONOMIALS = [
+    X**a * Y**b * Z**c for a in range(5) for b in range(5) for c in range(5) if 2 <= a + b + c <= 4
+]
+SMALL = st.sampled_from([-2, -1, 1, 2])
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.lists(st.tuples(st.sampled_from(QUARTIC_MONOMIALS), SMALL), min_size=1, max_size=3),
+    # at least two nonzero coefficients, so at least two pivots
+    st.tuples(SMALL, SMALL, st.integers(-2, 2)).flatmap(st.permutations),
+)
+def test_every_pivot_gives_the_same_le_intersections(terms, coeffs):
+    # le_numbers aligns at the default pivot only: at every pivot the
+    # remaining partials span the same ideal, the first partial moves by an
+    # element of it, and the hyperplane is w_0 = form, so lambda0 (None when
+    # infinite) and the two slice counts cannot depend on the pivot
+    g = sum((m * c for m, c in terms), RING_XYZ.zero())
+    budget = Budget(PROPERTY_CAP)
+    assume(dim_at_origin(jacobian_ideal(g), budget) == 1)
+    form = sum((v * c for v, c in zip((X, Y, Z), coeffs) if c), RING_XYZ.zero())
+    seen = set()
+    for pivot in (i for i, c in enumerate(coeffs) if c):
+        gw, target, _ = align_first(g, form, pivot)
+        rest, polar = _polar_ideal_after_alignment(gw, budget)
+        w0 = target.variable(0)
+        meetings = ((polar, gw.diff(0)), (rest, w0), (polar, w0))
+        seen.add(tuple(quotient_dim_local(ideal.plus([h]), budget) for ideal, h in meetings))
+    assert len(seen) == 1
+
+
+def test_an_improper_polar_meeting_is_refused():
+    # the critical locus of x(z - y) is the line x = 0, y = z, and lambda0 is
+    # infinite, at the default pivot and so at every other
+    with pytest.raises(UndefinedLeError, match="every admissible coordinate choice"):
+        le_numbers(X * Z - X * Y, Z - Y - 2 * X)
 
 
 def test_route_log_mentions_routes():

@@ -605,9 +605,10 @@ def test_a_wrong_multiplicity_reads_the_same_error_from_reused_images():
         "component orders sum to 4 but the scheme-side intersection number is 12; "
         "the component list is incomplete or has wrong multiplicities"
     )
+    total = ideals.quotient_dim_local(curve.ideal.plus([g + f**2]))
     for reused in (images, None):
         with pytest.raises(ComponentMismatchError) as exc:
-            polar_module.intersection_number(curve, g + f**2, None, reused)
+            polar_module.checked_intersection(curve, lambda: g + f**2, total, reused)
         assert str(exc.value) == message
 
 
