@@ -44,7 +44,7 @@ from typing import Iterable, Sequence
 
 from .errors import GermlabError, IterationLimitError, RingMismatchError
 from .orders import ELIM_FIRST, LOCAL, MonomialOrder, _Packing
-from .rings import Exponents, Poly, PolyRing, _numerators, mono_divides, mono_lcm
+from .rings import Exponents, Poly, PolyRing, _numerators, mono_lcm
 
 DEFAULT_REDUCTION_CAP = 10**6
 
@@ -353,9 +353,12 @@ class StandardBasis:
     both are None when the quotient is infinite and under global orders.
     A LOCAL basis that _complete built keeps its `completion`, from which a
     larger ideal's completion resumes (see _complete); it is None otherwise.
+    Such a basis minimalizes its completion (see _minimalized) on the first
+    read of `elements`, `leading` or its length, once, so a caller that
+    reads only the staircase pays for no minimalization.
     """
 
-    __slots__ = ("ring", "order", "elements", "leading", "staircase_size", "corner", "completion", "_polys")
+    __slots__ = ("ring", "order", "_elements", "_leading", "staircase_size", "corner", "completion", "_polys")
 
     def __init__(
         self, ring: PolyRing | None = None, order: MonomialOrder | None = None,
@@ -365,22 +368,41 @@ class StandardBasis:
     ):
         self.ring = ring
         self.order = order
-        self.elements = tuple(elements)  # (leading monomial, primitive int dict), packed
-        self.leading = tuple(leading)
         self.staircase_size = staircase_size
         self.corner = corner
         # every reducer before minimalization, and the staircase of their
-        # leading monomials
+        # leading monomials; given one, elements and leading come from it
         self.completion = completion
+        lazy = completion is not None
+        self._elements: tuple[tuple[int, dict], ...] | None = None if lazy else tuple(elements)
+        self._leading: tuple[Exponents, ...] | None = None if lazy else tuple(leading)
         self._polys: tuple[Poly, ...] | None = None
+
+    def _minimalize(self) -> None:
+        reducers, stairs = self.completion
+        kept, leading = _minimalized(reducers, stairs.lead, self.order._packing(self.ring.nvars), True)
+        self._elements = tuple((g[0], g[3]) for g in kept)
+        self._leading = tuple(leading)
+
+    @property
+    def elements(self) -> tuple[tuple[int, dict], ...]:
+        """(leading monomial, primitive int dict) per element, packed."""
+        if self._elements is None:
+            self._minimalize()
+        return self._elements
+
+    @property
+    def leading(self) -> tuple[Exponents, ...]:
+        if self._leading is None:
+            self._minimalize()
+        return self._leading
 
     def _built(self) -> tuple[Poly, ...]:
         polys = self._polys
         if polys is None:
-            pk = self.order._packing(self.ring.nvars) if self.elements else None
-            polys = self._polys = tuple(
-                _unpacked(self.ring, h, h[lm], pk) for lm, h in self.elements
-            )
+            elements = self.elements
+            pk = self.order._packing(self.ring.nvars) if elements else None
+            polys = self._polys = tuple(_unpacked(self.ring, h, h[lm], pk) for lm, h in elements)
         return polys
 
     def __len__(self) -> int:
@@ -406,67 +428,96 @@ class StandardBasis:
         return repr(self._built())
 
 
-def _standard_monomials(lead: Sequence[Exponents], nvars: int, limit: int) -> list[Exponents]:
-    """The monomials no leading monomial divides; each variable must have a
-    pure power among them.  More than limit of them raises
-    IterationLimitError before they are listed.
+def _minimalized(reducers: Sequence[tuple], lead: Sequence[Exponents], pk: _Packing, local: bool) -> tuple[list, list]:
+    """The reducers of a minimal basis among the given ones, with their
+    leading monomials unpacked, sorted by leading monomial: an element is
+    dropped when another's leading monomial divides its own, or equals it
+    at a lower index."""
+    guards = pk.guards
+    minimal = []
+    for i, (g, lm) in enumerate(zip(reducers, lead)):
+        over = g[0] | guards
+        if not any(
+            (over - h[4]) & guards == guards and (h[0] != g[0] or j < i) for j, h in enumerate(reducers)
+        ):
+            minimal.append((g, lm))
+    minimal.sort(key=lambda gl: gl[0][0], reverse=local)
+    return [g for g, _ in minimal], [lm for _, lm in minimal]
+
+
+def _staircase_count(lead: Sequence[Exponents], nvars: int, limit: int) -> tuple[int, int]:
+    """(the number of monomials no leading monomial divides, 1 + their
+    largest degree); each variable must have a pure power among the leading
+    monomials.  More than limit of them raises IterationLimitError.
 
     The exponents are fixed one variable at a time, keeping only the leading
-    monomials whose exponents so far are at most the prefix's.  The exponent of a variable
-    rises until that prefix, padded with zeros, is divisible; for the last
-    variable the bound is the least exponent left.  So the work goes by
-    prefixes, not by the monomials of the whole box.  Each prefix that is
-    walked lists at least one monomial, so the limit bounds the work too.
+    monomials whose exponents so far are at most the prefix's.  The exponent
+    of a variable rises until that prefix, padded with zeros, is divisible;
+    for the last variable the bound is the least exponent left.  The kept
+    leading monomials change only where the exponent passes one of theirs,
+    so the prefixes between two such exponents have the same count below
+    them, at degrees one apart: each such run is walked once, and the work
+    goes by the leading monomials, not by the monomials of the staircase.
+    No monomial is built.  The limit is checked where a walk over every
+    prefix in turn would check it, so the error names the same count.
     """
-    found: list[Exponents] = []
+    last = nvars - 1
 
-    def walk(prefix: Exponents, lead: list[Exponents]) -> None:
-        k = len(prefix)
-        if k == nvars - 1:
+    def walk(k: int, lead: list[Exponents], before: int) -> tuple[int, int]:
+        """(count, largest degree) over the exponents of variables k..last,
+        with before monomials counted ahead of them."""
+        if k == last:
             top = min(lm[k] for lm in lead)
-            if len(found) + top > limit:
+            if before + top > limit:
                 raise IterationLimitError(
                     f"reduction step cap exceeded: the staircase has at least "
-                    f"{len(found) + top} standard monomials, more than the cap of {limit}"
+                    f"{before + top} standard monomials, more than the cap of {limit}"
                 )
-            found.extend((*prefix, a) for a in range(top))
-            return
-        a = 0
-        while True:
+            return top, top - 1
+        size, degree = 0, -1
+        # the pure power of the last variable keeps 0 among the exponents,
+        # and that of variable k ends the walk before the largest
+        steps = sorted({lm[k] for lm in lead})
+        for a, b in zip(steps, steps[1:]):
             active = [lm for lm in lead if lm[k] <= a]
             if any(not any(lm[k + 1 :]) for lm in active):
-                return
-            walk((*prefix, a), active)
-            a += 1
+                break
+            count, top = walk(k + 1, active, before + size)
+            if before + size + (b - a) * count > limit:
+                # the exponent within the run at which the walk passes the limit
+                walk(k + 1, active, before + size + (limit - before - size) // count * count)
+            size += (b - a) * count
+            degree = max(degree, top + b - 1)
+        return size, degree
 
-    walk((), list(lead))
-    return found
+    size, degree = walk(0, list(lead), 0)
+    return size, degree + 1
 
 
 class _Staircase:
-    """The standard monomials of a growing list `lead` of LOCAL leading
-    monomials, and their highest corner D: 1 + the largest degree of a
-    standard monomial.  Both are None until every variable has a pure power.
+    """The number of standard monomials of a growing list `lead` of LOCAL
+    leading monomials, `size`, and their highest corner D: 1 + the largest
+    degree of a standard monomial.  Both are None until every variable has a
+    pure power.
 
     Every monomial of degree >= D is then a leading monomial of the ideal,
     so m^D lies in the ideal in the local ring (Greuel-Pfister, A Singular
     Introduction to Commutative Algebra, 1.7): terms of degree >= D can be
-    dropped without changing the leading ideal.  The monomials are listed
-    on the first read of the corner once every variable has a pure power;
-    after that a read only filters out the ones that leading monomials
-    added since divide.  More than `limit` of them raises
-    IterationLimitError.
+    dropped without changing the leading ideal.  Both are counted, not
+    listed (see _staircase_count), on a read of the corner once every
+    variable has a pure power and again on a read after lead grew.  More
+    than `limit` standard monomials raise IterationLimitError.
     """
 
-    __slots__ = ("lead", "nvars", "limit", "missing", "monomials", "seen", "corner")
+    __slots__ = ("lead", "nvars", "limit", "missing", "seen", "size", "corner")
 
     def __init__(self, lead: list[Exponents], nvars: int, limit: int):
         self.lead = lead
         self.nvars = nvars
         self.limit = limit
         self.missing = set(range(nvars))
-        self.monomials: list[Exponents] | None = None
-        self.seen = 0  # how many of lead the monomials account for
+        self.seen = 0  # how many of lead the count accounts for
+        self.size: int | None = None
         self.corner: int | None = None
 
     def copy(self, limit: int) -> "_Staircase":
@@ -474,7 +525,7 @@ class _Staircase:
         leave this one without; it raises past limit."""
         twin = _Staircase(list(self.lead), self.nvars, limit)
         twin.missing = set(self.missing)
-        twin.monomials, twin.seen, twin.corner = self.monomials, self.seen, self.corner
+        twin.seen, twin.size, twin.corner = self.seen, self.size, self.corner
         return twin
 
     def add(self, lm: Exponents) -> None:
@@ -488,13 +539,8 @@ class _Staircase:
         """The corner of the whole of lead."""
         if self.missing or self.seen == len(self.lead):
             return self.corner
-        if self.monomials is None:
-            self.monomials = _standard_monomials(self.lead, self.nvars, self.limit)
-        else:
-            new = self.lead[self.seen :]
-            self.monomials = [e for e in self.monomials if not any(mono_divides(lm, e) for lm in new)]
+        self.size, self.corner = _staircase_count(self.lead, self.nvars, self.limit)
         self.seen = len(self.lead)
-        self.corner = 1 + max(map(sum, self.monomials), default=-1)
         return self.corner
 
 
@@ -522,7 +568,16 @@ def _complete(
     broken by index), the basis is minimalized, made monic, sorted by leading
     monomial, and (for global orders) fully tail-reduced.  Pairs wait in a
     heap keyed once, when the pair is formed; basis entries never change after
-    they are appended, so the key of a waiting pair stays valid.
+    they are appended, so the key of a waiting pair stays valid.  A pair with
+    coprime leading monomials reduces to zero (the product criterion) and
+    spends one step.  Under LOCAL it spends that step when it is formed and
+    never enters the heap; the keys of the pairs that do are distinct, so
+    the others pop in the same order and the completion spends the same
+    steps.  Under a global order it waits in the heap like any pair, since
+    the chain criterion below reads which pairs have been popped.
+    A global completion minimalizes and tail-reduces before it returns,
+    since tail reduction spends steps; a LOCAL one returns its completion
+    and minimalizes when the basis is first read (see StandardBasis).
 
     Under a global order a pair (i, j) whose leading monomials are not
     coprime is also skipped by Buchberger's chain criterion: when some other
@@ -550,7 +605,7 @@ def _complete(
     extra reducers, and on an ideal with a curve through the origin that
     chase can run for thousands of steps over ints of 10^4 bits and more.
 
-    The completion also tracks the staircase of its leading monomials (see
+    The completion also counts the staircase of its leading monomials (see
     _Staircase).  Once a highest corner D is known, a pair whose lcm has
     degree >= D is skipped, since its S-polynomial lies in m^D, and reduction
     drops the terms of degree >= D.  The leading ideal is the same, and an
@@ -602,8 +657,11 @@ def _complete(
         lmj = pk.unpack(rj[0])
         for i, lmi in enumerate(lead):
             lcm = mono_lcm(lmi, lmj)
-            sug = sum(lcm) + max(reducers[i][2], rj[2])
             m = pk.pack(lcm)
+            if local and m == reducers[i][0] + rj[0]:
+                budget.spend()  # coprime leading terms reduce to zero
+                continue
+            sug = sum(lcm) + max(reducers[i][2], rj[2])
             heapq.heappush(pairs, ((sug, -m) if local else m, i, j, m, sug))
         reducers.append(rj)
         lead.append(lmj)
@@ -615,14 +673,14 @@ def _complete(
             append(h)  # a generator's sugar is its degree
 
     guards = pk.guards
-    popped: set[tuple[int, int]] = set()  # the pairs no longer in the heap
+    popped: set[tuple[int, int]] = set()  # the global pairs no longer in the heap
     while pairs:
         budget.spend()
         _, i, j, lcm, sugar = heapq.heappop(pairs)
-        popped.add((i, j))
-        if lcm == reducers[i][0] + reducers[j][0]:
-            continue  # coprime leading terms reduce to zero
         if not local:
+            popped.add((i, j))
+            if lcm == reducers[i][0] + reducers[j][0]:
+                continue  # coprime leading terms reduce to zero
             over = lcm | guards
             if any(
                 k != i and k != j and (over - g[4]) & guards == guards
@@ -644,26 +702,13 @@ def _complete(
         if r:
             append(_primitive(r, pk.lead(r)), sugar)
 
-    # minimalize: drop elements whose leading monomial another divides, or
-    # equals at a lower index
-    minimal = []
-    for i, (g, lm) in enumerate(zip(reducers, lead)):
-        over = g[0] | guards
-        if not any(
-            (over - h[4]) & guards == guards and (h[0] != g[0] or j < i) for j, h in enumerate(reducers)
-        ):
-            minimal.append((g, lm))
-    minimal.sort(key=lambda gl: gl[0][0], reverse=local)
-    kept = [g for g, _ in minimal]
-    leading = [lm for _, lm in minimal]
-    if not local:
-        kept = _interreduce_global(kept, pk, budget)
-    elements = [(g[0], g[3]) for g in kept]
-    if stairs is None:
-        return StandardBasis(ring, order, elements, leading)
-    corner = stairs.read()
-    size = None if corner is None else len(stairs.monomials)
-    return StandardBasis(ring, order, elements, leading, size, corner, (tuple(reducers), stairs))
+    if stairs is not None:
+        corner = stairs.read()
+        size = None if corner is None else stairs.size
+        return StandardBasis(ring, order, staircase_size=size, corner=corner, completion=(tuple(reducers), stairs))
+    kept, leading = _minimalized(reducers, lead, pk, local)
+    elements = [(g[0], g[3]) for g in _interreduce_global(kept, pk, budget)]
+    return StandardBasis(ring, order, elements, leading)
 
 
 class IdealPresentation:

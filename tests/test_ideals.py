@@ -579,6 +579,9 @@ def test_a_resumed_completion_counts_what_a_fresh_one_does(data, gens):
         resumed = local_completion(ring, extra, base)
         assume(resumed is not None)
         assert (resumed.staircase_size, resumed.corner) == (fresh.staircase_size, fresh.corner)
+        # both minimal bases lead with the minimal generators of one leading
+        # ideal, read on first use
+        assert len(resumed) == len(fresh)
         if fresh.corner is None:
             # nothing was truncated, so both lead with the minimal
             # generators of the leading ideal
@@ -634,9 +637,8 @@ def test_local_basis_of_a_curve_germ_matches_sympy(name):
 
 
 def test_a_staircase_longer_than_the_cap_raises_naming_its_size():
-    # (x^1000, y^1000) has 10^6 standard monomials; listing them would be
-    # the whole cost, so they count against the cap of 10 000, listed
-    # 1000 per exponent of x until the count passes it
+    # (x^1000, y^1000) has 10^6 standard monomials; they count against the
+    # cap of 10 000, counted 1000 per exponent of x until the count passes it
     I = IdealPresentation(RING_XY, [x**1000, y**1000])
     budget = Budget(10_000)
     with pytest.raises(IterationLimitError) as exc:
@@ -649,10 +651,79 @@ def test_a_staircase_longer_than_the_cap_raises_naming_its_size():
     assert budget.remaining == 10_000 - 1
 
 
-def test_a_staircase_as_long_as_the_cap_is_listed():
+def test_a_staircase_as_long_as_the_cap_is_counted():
     budget = Budget(10_000)
     assert quotient_dim_local(IdealPresentation(RING_XY, [x**100, y**100]), budget) == 10_000
     assert budget.remaining == 10_000 - 1
+
+
+def brute_force_staircase(lead, powers):
+    """The standard monomials of lead in lexicographic order, from the box
+    that the pure powers x_i^powers[i] among lead bound."""
+    box = itertools.product(*(range(a) for a in powers))
+    return [e for e in box if not any(mono_divides(lm, e) for lm in lead)]
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_a_counted_staircase_matches_the_box_it_lies_in(data):
+    nvars = data.draw(st.integers(1, 3))
+    powers = data.draw(st.lists(st.integers(0, 7), min_size=nvars, max_size=nvars))
+    pure = [tuple(a if k == i else 0 for k in range(nvars)) for i, a in enumerate(powers)]
+    others = data.draw(st.lists(st.tuples(*[st.integers(0, 7)] * nvars), max_size=6))
+    lead = data.draw(st.permutations(pure + others))
+    standard = brute_force_staircase(lead, powers)
+    size, corner = len(standard), 1 + max(map(sum, standard), default=-1)
+    assert ideals._staircase_count(lead, nvars, 10**6) == (size, corner)
+    # a staircase read as its lead list grows recounts after each growth
+    stairs = ideals._Staircase([], nvars, 10**6)
+    for lm in lead:
+        stairs.lead.append(lm)
+        stairs.add(lm)
+        stairs.read()
+    assert (stairs.size, stairs.corner) == (size, corner)
+    if size:
+        limit = data.draw(st.integers(0, size - 1))
+        with pytest.raises(IterationLimitError) as exc:
+            ideals._staircase_count(lead, nvars, limit)
+        # the count at the end of the first run of last exponents, taken in
+        # lexicographic order, that passes the limit
+        ends = itertools.accumulate(len(list(run)) for _, run in itertools.groupby(standard, lambda e: e[:-1]))
+        counted = next(n for n in ends if n > limit)
+        assert str(exc.value) == (
+            f"reduction step cap exceeded: the staircase has at least {counted} standard "
+            f"monomials, more than the cap of {limit}"
+        )
+
+
+def count_minimalizations(monkeypatch) -> list:
+    """The calls of ideals._minimalized, which picks a minimal basis out of
+    a completion, from now on."""
+    calls = []
+    original = ideals._minimalized
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ideals, "_minimalized", counting)
+    return calls
+
+
+def test_a_local_basis_is_minimalized_on_first_read_once(monkeypatch):
+    calls = count_minimalizations(monkeypatch)
+    gens = [2 * x**2 - 3 * y**3 + x * y**2, x * y - Fraction(1, 5) * y**4]
+    basis = standard_basis_of(gens, LOCAL)
+    assert (basis.staircase_size, basis.corner) == (5, 4)
+    assert calls == []
+    assert basis.leading == ((0, 4), (1, 1), (2, 0))
+    assert len(calls) == 1
+    assert len(basis) == 3 and len(basis.elements) == 3
+    assert basis == standard_basis_of(gens, LOCAL) and dim_at_origin(IdealPresentation(RING_XY, gens)) == 0
+    assert len(calls) == 3  # the second basis, read to compare, and the presentation's
+    # a global completion minimalizes before it tail-reduces, in the completion
+    standard_basis_of(gens, DEGREVLEX)
+    assert len(calls) == 4
 
 
 def count_builds(monkeypatch) -> list:

@@ -32,7 +32,7 @@ from germlab import polar as polar_module
 from germlab.polar import GapReport
 from germlab.ideals import Budget
 from germlab.orders import DEGREVLEX, ELIM_FIRST, LOCAL, leading_monomial
-from germlab.rings import Poly
+from germlab.rings import Poly, jacobian
 from germlab.fixtures_lib import fixture_text, load_fixture
 from germlab.verifier import (
     ScenarioContext,
@@ -45,6 +45,7 @@ from germlab.verifier import (
 from germlab.invariants import BranchParam, T_RING, branch_terms
 from germlab.le import euler_char_fibre, le_numbers
 from conftest import RING_XY, RING_XYZ, deformation_case
+from oracles import sympy_local_quotient_dim
 
 x, y = RING_XY.variable(0), RING_XY.variable(1)
 X, Y, Z = (RING_XYZ.variable(i) for i in range(3))
@@ -717,3 +718,35 @@ def test_a_passing_row_builds_no_deformation_poly(name, monkeypatch):
     table = verify_scenario(scenario, n_range=(threshold, threshold + 10))
     assert {v.status for row in table.rows for v in row.verdicts if v.name == "polar_stability"} == {"PASS"}
     assert built == []
+
+
+@pytest.mark.parametrize("name", CN_FIXTURES)
+def test_a_sweep_row_minimalizes_no_basis(monkeypatch, name):
+    # a row reads only the staircase of its two resumed completions, so
+    # neither they nor the N-independent bases they resume are minimalized
+    ctx = ScenarioContext(load_fixture(name))
+    ctx.sigma_dim, ctx.gap  # the N-independent work, which reads global bases
+    calls = []
+    real = ideals._minimalized
+    monkeypatch.setattr(ideals, "_minimalized", lambda *args: calls.append(args) or real(*args))
+    for n in range(2, 31):
+        case = ctx.case(n)
+        if not ctx.polar.is_empty:
+            ctx.polar_intersection(case)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", CN_FIXTURES)
+def test_each_fixture_row_mu_matches_sympy(name):
+    # an independent count of mu(g + f^N) at the threshold and one past it:
+    # a highest corner D has m^D inside the Jacobian ideal J, so sympy's
+    # dim O/(J + m^(D+1)) from a global basis is dim O/J
+    pytest.importorskip("sympy")
+    scenario = load_fixture(name)
+    table = verify_scenario(scenario, n_range=(2, 3), relative_to_threshold=True)
+    ctx = ScenarioContext(scenario)
+    assert [row.n for row in table.rows] == [ctx.gap.threshold, ctx.gap.threshold + 1]
+    for row in table.rows:
+        jac = jacobian(ctx.g + ctx.f**row.n)
+        corner = ideals.standard_basis_of(jac, LOCAL).corner
+        assert row.certificate == sympy_local_quotient_dim([p.terms for p in jac if not p.is_zero], corner + 1)
