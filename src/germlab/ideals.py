@@ -1,23 +1,22 @@
 """Ideal arithmetic: normal forms, standard bases, local quotient dimensions,
 dimension at the origin and saturation.
 
-Global orders use ordinary multivariate division and Buchberger's algorithm;
-the division pops the remainder's monomials from a heap, largest first, each
-one pushed once when it appears, instead of scanning every term for the
-leading one after each step (Monagan-Pearce, CASC 2007).  The global
-completion skips a pair by the product criterion and by Buchberger's chain
-criterion (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, 2.10); the
-local one by the product criterion and its highest corner only.
-The local completion has one reduction loop, which takes the leading term
-of what is left each step and runs within the degree each element carries
-(Lazard's method: Buchberger's algorithm on homogenizations, read back in
-the original variables); it truncates at the highest corner once there is
-one, and its bases are standard bases of the localized ideal at the origin.
-A LOCAL completion can resume: a larger ideal's completion starts from a
-completed base and pairs only the generators it adds (see _complete).
-`normal_form` takes global orders only, since a local remainder is fixed
-only up to a unit; global membership is `normal_form(...).is_zero`.  Local
-radical membership (`has_power_in`) is one saturation.
+One completion serves every order (see _complete): Buchberger's algorithm
+on homogenizations, read back in the original variables (Lazard's method),
+with pairs taken by sugar (Giovini-Mora-Niesi-Robbiano-Traverso, ISSAC
+1991) and one reduction loop that runs within the degree each element
+carries.  A pair with coprime leading monomials is settled when it is
+formed; a global completion also skips pairs by Buchberger's chain
+criterion (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, 2.10), and
+a LOCAL one truncates at the highest corner.  LOCAL bases are standard
+bases of the localized ideal at the origin, and a LOCAL completion can
+resume from a completed base, pairing only the generators it adds.
+Full division pops the remainder's monomials from a heap, largest first,
+each pushed once (Monagan-Pearce, CASC 2007); it serves the tail reduction
+of global bases and `normal_form`, which takes global orders only, since a
+local remainder is fixed only up to a unit.  Global membership is
+`normal_form(...).is_zero`; local radical membership (`has_power_in`) is one
+saturation.
 Every loop spends from an iteration budget and raises IterationLimitError
 instead of spinning.
 
@@ -71,16 +70,10 @@ def as_budget(cap) -> Budget:
     return cap if isinstance(cap, Budget) else Budget(cap)
 
 
-def _check_same_ring(polys: Iterable[Poly]) -> PolyRing:
-    ring = None
-    for p in polys:
-        if ring is None:
-            ring = p.ring
-        elif p.ring != ring:
-            raise RingMismatchError("all polynomials must share one ring")
-    if ring is None:
-        raise ValueError("empty polynomial collection")
-    return ring
+def _check_same_ring(polys: Sequence[Poly]) -> PolyRing | None:
+    if any(p.ring != polys[0].ring for p in polys):
+        raise RingMismatchError("all polynomials must share one ring")
+    return polys[0].ring if polys else None
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +141,7 @@ def _reducer(h: dict, pk: _Packing, sugar: int = 0) -> tuple:
     raw is lm's raw-exponent fields (see _Packing.divides) and deg the
     degree of h.  The ecart slot is s - |lm| for the sugar s the completion
     gives h: the larger of sugar and deg h, which is deg h for a generator
-    and sugar for a reduced S-polynomial (see _local_weak_normal_form)."""
+    and sugar for a reduced S-polynomial (see _weak_normal_form)."""
     lm = pk.lead(h)
     # with the degree on top, the largest int has the largest degree
     deg = max(h) >> pk.top if pk.degree_on_top else max(map(pk.degree, h))
@@ -241,7 +234,7 @@ def _divide_global(h: dict, reducers: Sequence[tuple], pk: _Packing, budget: Bud
     return {lm: lc * (scale // s) for lm, lc, s in tail}, scale
 
 
-def _local_weak_normal_form(
+def _weak_normal_form(
     h: dict,
     reducers: Sequence[tuple],
     pk: _Packing,
@@ -249,20 +242,21 @@ def _local_weak_normal_form(
     bound: int | None,
     sugar: int,
 ) -> dict:
-    """Weak normal form of the S-polynomial h within its sugar, for the local
-    completion, up to a positive int factor: its leading term is
-    irreducible, or its sugar leaves no room to reduce it.  h is consumed.
+    """Weak normal form of the S-polynomial h within its sugar, for the
+    completion under any order, up to a positive int factor: its leading
+    term is irreducible, or its sugar leaves no room to reduce it.  h is
+    consumed.
 
     A reducer (see _reducer) carries the ecart slot e = s - |lm g| for the
     sugar s of g.  Each step reduces the leading term of h by the first
     reducer of least ecart among those whose leading monomial divides lm(h),
     and the loop stops when that ecart exceeds the room sugar - |lm h|.  The
     homogenization t^s * g(x/t) leads with t^e * lm(g) under the order that
-    ranks by degree and then locally, so these are the steps of homogeneous
-    division in degree `sugar`: every term stays of degree <= sugar and the
-    leading monomial falls.  A nonzero result may lead with a monomial that a
-    reducer of larger ecart divides; the completion keeps it as a basis
-    element.
+    ranks by degree and then by the given order, so these are the steps of
+    homogeneous division in degree `sugar`: every term stays of degree <=
+    sugar and the leading monomial falls.  A nonzero result may lead with a
+    monomial that a reducer of larger ecart divides; the completion keeps it
+    as a basis element.
 
     With a highest corner D (m^D inside the ideal) passed as its bound (see
     _Packing.corner), h and every intermediate remainder drop their terms
@@ -272,7 +266,7 @@ def _local_weak_normal_form(
         h = {m: c for m, c in h.items() if m < bound}
     guards = pk.guards
     while h:
-        lm = min(h)
+        lm = pk.lead(h)
         over = lm | guards
         best = None
         for g in reducers:
@@ -297,10 +291,10 @@ def normal_form(p: Poly, basis: Sequence[Poly], order: MonomialOrder, cap=None) 
     if order.is_local:
         raise ValueError("normal_form takes a global order; a local remainder is fixed only up to a unit")
     budget = as_budget(cap)
+    _check_same_ring([p, *basis])
     basis = [g for g in basis if not g.is_zero]
     if not basis:
         return p
-    _check_same_ring([p, *basis])
     pk = order._packing(p.ring.nvars)
     reducers = [_reducer(_integral(g, pk), pk) for g in basis]
     h, den = _packed(p, pk)
@@ -548,10 +542,10 @@ def standard_basis_of(generators: Sequence[Poly], order: MonomialOrder, cap=None
     """Buchberger completion of the generators under the given order: pack
     each as its primitive int multiple (see _integral), then complete."""
     budget = as_budget(cap)
+    ring = _check_same_ring(generators)
     gens = [g for g in generators if not g.is_zero]
     if not gens:
         return StandardBasis()
-    ring = _check_same_ring(gens)
     pk = order._packing(ring.nvars)
     return _complete(ring, order, [_integral(g, pk) for g in gens], budget)
 
@@ -562,51 +556,55 @@ def _complete(
 ) -> StandardBasis:
     """Buchberger completion of the generators, given packed under order as
     primitive int dicts with positive leading coefficients; with a LOCAL
-    base that _complete returned, of the base's generators and these.
+    base that _complete returned, of the base's generators and these.  One
+    loop serves every order.
 
-    The result is deterministic: pairs are selected by smallest lcm key (ties
-    broken by index), the basis is minimalized, made monic, sorted by leading
-    monomial, and (for global orders) fully tail-reduced.  Pairs wait in a
-    heap keyed once, when the pair is formed; basis entries never change after
-    they are appended, so the key of a waiting pair stays valid.  A pair with
-    coprime leading monomials reduces to zero (the product criterion) and
-    spends one step.  Under LOCAL it spends that step when it is formed and
-    never enters the heap; the keys of the pairs that do are distinct, so
-    the others pop in the same order and the completion spends the same
-    steps.  Under a global order it waits in the heap like any pair, since
-    the chain criterion below reads which pairs have been popped.
-    A global completion minimalizes and tail-reduces before it returns,
-    since tail reduction spends steps; a LOCAL one returns its completion
-    and minimalizes when the basis is first read (see StandardBasis).
+    Each element carries a sugar: a generator its degree, an S-polynomial
+    |lcm| plus the larger ecart slot of its pair (see _reducer).  Pairs wait
+    in a heap keyed once, when the pair is formed, by sugar, then lcm in the
+    order, then index, and the least pops first; basis entries never change
+    after they are appended, so the key of a waiting pair stays valid.  A
+    pair with coprime leading monomials reduces to zero (the product
+    criterion): it spends its one step when it is formed, never enters the
+    heap, and counts as popped.  Every other S-polynomial is reduced within
+    its sugar (see _weak_normal_form), and what is left joins the basis,
+    even when a reducer of larger ecart divides its leading monomial.  A
+    global completion minimalizes and tail-reduces before it returns, since
+    tail reduction spends steps; a LOCAL one returns its completion and
+    minimalizes when the basis is first read (see StandardBasis).
 
-    Under a global order a pair (i, j) whose leading monomials are not
-    coprime is also skipped by Buchberger's chain criterion: when some other
+    Termination is Lazard's argument (EUROCAL 1983).  Homogenize an element
+    g of sugar s as t^s * g(x/t), under the order that compares degree first
+    and then the given one: a monomial order for LOCAL, DEGREVLEX and
+    ELIM_FIRST alike, under which the homogenization leads with t^e * lm(g)
+    for the ecart slot e.  The loop is Buchberger's algorithm on the
+    homogenizations, so no element's homogenized leading monomial is
+    divisible by an earlier one, and by Dickson's lemma the loop ends.
+
+    Soundness under a global order: each reduction step subtracts a multiple
+    of a reducer whose leading monomial is at most that of what is left, so
+    below the pair's lcm, and the remainder joins the basis; so every reduced
+    pair has a representation by the final basis whose leading monomials lie
+    below its lcm.  A coprime pair has one by the product criterion.  A pair
+    (i, j) is also skipped by Buchberger's chain criterion: when some other
     element k has a leading monomial dividing lcm(lm_i, lm_j) and the pairs
-    {i, k} and {j, k} have both been popped already, whether reduced or
-    skipped (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, 2.10,
-    the form with "not in B").  Then S(i, j) is a sum of monomial multiples
-    of S(i, k) and S(k, j), whose lcms divide lcm(lm_i, lm_j), and both of
-    those pairs are treated, so no selection strategy can make the skip
-    unsound.  The reduced basis is unique, so the result does not change;
-    only the work falls.  The rule is global only: the local completion
-    reduces each S-polynomial within its sugar and drops terms past the
-    corner, and no argument yet shows the rule sound together with those.
+    {i, k} and {j, k} have both been popped already, however they were
+    settled (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, 2.10, the
+    form with "not in B").  Then S(i, j) is a sum of monomial multiples of
+    S(i, k) and S(k, j), whose lcms divide lcm(lm_i, lm_j), and both of those
+    pairs are treated, so no selection strategy can make the skip unsound.
+    By Buchberger's criterion (2.9-2.10) the result is a Groebner basis.  The
+    reduced basis is unique, so the criteria change only the work.
 
-    Under LOCAL each element carries a sugar: a generator its degree, an
-    S-polynomial |lcm| plus the larger ecart slot of its pair.  Pairs are
-    selected by smallest sugar first, then by lcm key, and reduced within
-    their sugar (see _local_weak_normal_form).  This is Buchberger's algorithm on
-    the homogenizations under a degree order, so it terminates (each new
-    element's homogenized leading monomial is divisible by no earlier one)
-    and, read back at t = 1, gives a standard basis (Lazard's method, EUROCAL
-    1983): every S-polynomial that is not skipped divides to zero, which is
-    Buchberger's criterion for standard bases (Greuel-Pfister, 1.7).  Mora's
-    normal form would instead chase one S-polynomial up in degree with its
-    extra reducers, and on an ideal with a curve through the origin that
-    chase can run for thousands of steps over ints of 10^4 bits and more.
+    Soundness under LOCAL: read back at t = 1, the homogenized basis is a
+    standard basis (Lazard's method): every S-polynomial that is not skipped
+    divides to zero, which is Buchberger's criterion for standard bases
+    (Greuel-Pfister, 1.7).  The chain criterion stays off here: no argument
+    yet shows it sound together with the reduction within sugar and the
+    corner truncation.
 
-    The completion also counts the staircase of its leading monomials (see
-    _Staircase).  Once a highest corner D is known, a pair whose lcm has
+    The LOCAL completion also counts the staircase of its leading monomials
+    (see _Staircase).  Once a highest corner D is known, a pair whose lcm has
     degree >= D is skipped, since its S-polynomial lies in m^D, and reduction
     drops the terms of degree >= D.  The leading ideal is the same, and an
     ideal with no corner (an infinite quotient) runs untruncated.
@@ -637,9 +635,11 @@ def _complete(
     pk = order._packing(ring.nvars)
     local = order.is_local
     # ascending in the order: the larger int is the larger monomial except
-    # under LOCAL
+    # under LOCAL, so sign * m ascends with the monomial m
     packed = sorted(packed, key=pk.lead, reverse=local)
-    pairs: list[tuple] = []  # heap of (key, i, j, lcm, sugar) with i < j
+    sign = -1 if local else 1
+    pairs: list[tuple] = []  # heap of (sugar, sign * lcm, i, j, lcm) with i < j
+    popped: set[tuple[int, int]] = set()  # the pairs settled or popped
     if base is None:
         # the _reducer entry per basis element, with its sugar
         reducers: list[tuple] = []
@@ -658,11 +658,12 @@ def _complete(
         for i, lmi in enumerate(lead):
             lcm = mono_lcm(lmi, lmj)
             m = pk.pack(lcm)
-            if local and m == reducers[i][0] + rj[0]:
+            if m == reducers[i][0] + rj[0]:
                 budget.spend()  # coprime leading terms reduce to zero
+                popped.add((i, j))
                 continue
             sug = sum(lcm) + max(reducers[i][2], rj[2])
-            heapq.heappush(pairs, ((sug, -m) if local else m, i, j, m, sug))
+            heapq.heappush(pairs, (sug, sign * m, i, j, m))
         reducers.append(rj)
         lead.append(lmj)
         if stairs is not None:
@@ -673,14 +674,11 @@ def _complete(
             append(h)  # a generator's sugar is its degree
 
     guards = pk.guards
-    popped: set[tuple[int, int]] = set()  # the global pairs no longer in the heap
     while pairs:
         budget.spend()
-        _, i, j, lcm, sugar = heapq.heappop(pairs)
+        sugar, _, i, j, lcm = heapq.heappop(pairs)
+        popped.add((i, j))
         if not local:
-            popped.add((i, j))
-            if lcm == reducers[i][0] + reducers[j][0]:
-                continue  # coprime leading terms reduce to zero
             over = lcm | guards
             if any(
                 k != i and k != j and (over - g[4]) & guards == guards
@@ -695,10 +693,7 @@ def _complete(
         s = _spoly(reducers[i], reducers[j], lcm, pk)
         if not s:
             continue
-        if local:
-            r = _local_weak_normal_form(s, reducers, pk, budget, bound, sugar)
-        else:
-            r = _divide_global(s, reducers, pk, budget)[0]
+        r = _weak_normal_form(s, reducers, pk, budget, bound, sugar)
         if r:
             append(_primitive(r, pk.lead(r)), sugar)
 

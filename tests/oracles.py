@@ -3,7 +3,7 @@
 These deliberately avoid the library's ideal machinery: monomial quotients
 are counted by brute-force box enumeration over exponent tuples, the
 classical product formulas are evaluated directly, and saturations come from
-sympy's Groebner bases.
+sympy's lex Groebner bases.
 """
 
 from __future__ import annotations
@@ -70,11 +70,15 @@ def euler_chi_isolated(v: int, mu: int) -> int:
 def sympy_saturation(
     generators: list[dict[tuple[int, ...], Fraction]], divisor: dict[tuple[int, ...], Fraction]
 ) -> list[dict[tuple[int, ...], Fraction]]:
-    """Reduced grevlex basis of I : f^infinity computed by sympy.
+    """A lex Groebner basis of I : f^infinity computed by sympy.
 
     Polynomials are term dicts {exponents: coefficient}.  The saturation is
-    (I, 1 - t*f) ∩ Q[x] from a lex Groebner basis with t first, rebased to
-    grevlex; the caller must skip the test when sympy is absent.
+    (I, 1 - t*f) ∩ Q[x], and the t-free part of a lex Groebner basis with t
+    first is a lex Groebner basis of it (Cox-Little-O'Shea, Ideals,
+    Varieties, and Algorithms, 3.1, the Elimination Theorem).  It is not
+    rebased to grevlex: from lex elements of degree 20 and more sympy's
+    grevlex basis can take minutes (see sympy_is_reduced_basis_of).  The
+    caller must skip the test when sympy is absent.
     """
     import sympy
 
@@ -89,11 +93,41 @@ def sympy_saturation(
 
     lex = sympy.groebner([*map(expr, generators), 1 - t * expr(divisor)], t, *xs, order="lex")
     kept = [p for p in lex.exprs if t not in p.free_symbols]
-    grevlex = sympy.groebner(kept, *xs, order="grevlex")
     return [
         {exps: Fraction(int(c.p), int(c.q)) for exps, c in sympy.Poly(p, *xs).terms()}
-        for p in grevlex.exprs
+        for p in kept
     ]
+
+
+def sympy_is_reduced_basis_of(
+    basis: list[dict[tuple[int, ...], Fraction]], lex: list[dict[tuple[int, ...], Fraction]], nvars: int
+) -> bool:
+    """Whether basis is the reduced monic grevlex Groebner basis of the ideal
+    that the lex Groebner basis lex generates, checked by sympy.
+
+    Polynomials are term dicts {exponents: coefficient} in nvars variables.
+    sympy's reduced grevlex basis of basis must be basis itself, so basis is
+    a reduced grevlex Groebner basis; then each side lies in the other's
+    ideal when it divides to zero by the other, lex modulo basis under
+    grevlex and basis modulo lex under lex.  A reduced basis is unique, so
+    this says as much as comparing basis with sympy's grevlex basis of lex,
+    without building that.  The caller must skip the test when sympy is
+    absent.
+    """
+    import sympy
+
+    if sorted(sorted(t.items()) for t in sympy_reduced_basis(basis, nvars)) != sorted(
+        sorted(t.items()) for t in basis
+    ):
+        return False
+    xs = sympy.symbols(f"x0:{nvars}")
+    ours = [_sympy_poly(terms, xs) for terms in basis]
+    theirs = [_sympy_poly(terms, xs) for terms in lex]
+    return all(
+        sympy.reduced(p, divisors, *xs, order=order, domain="QQ")[1].is_zero
+        for dividends, divisors, order in ((theirs, ours, "grevlex"), (ours, theirs, "lex"))
+        for p in dividends
+    )
 
 
 def _sympy_poly(terms: dict[tuple[int, ...], Fraction], xs):

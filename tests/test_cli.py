@@ -87,7 +87,7 @@ def test_a_cold_start_imports_neither_dataclasses_nor_inspect():
 def test_a_cap_spent_in_a_polar_intersection_exits_one(capsys):
     # the last steps of this run are spent in the polar intersection of N = 5,
     # whose row resumes the completed polar base with one generator
-    code = main(["verify", "--fixture", "double-axes", "--N", "2..5", "--caps", "67"])
+    code = main(["verify", "--fixture", "double-axes", "--N", "2..5", "--caps", "66"])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""

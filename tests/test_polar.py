@@ -26,8 +26,8 @@ from germlab.ideals import Budget, has_power_in, normal_form, saturate_single
 from germlab.invariants import T_RING
 from germlab.orders import DEGREVLEX
 from germlab.polar import jacobian_minors
-from conftest import RING_XY, RING_XYZ, from_terms, nonzero_poly_strategy, same_ideal
-from oracles import sympy_saturation
+from conftest import RING_XY, RING_XYZ, nonzero_poly_strategy, same_ideal
+from oracles import sympy_is_reduced_basis_of, sympy_saturation
 from test_ideals import PROPERTY_CAP
 
 x, y = RING_XY.variable(0), RING_XY.variable(1)
@@ -222,13 +222,14 @@ class TestPolarDecomposition:
 # Budget spends of verify_polar_decomposition, recorded once each radical
 # membership became one saturation, again when the global completion took
 # the chain criterion, and again when each deformed generator was tested
-# against Jac(g) and polar(f, g) apart instead of their product: equal
+# against Jac(g) and polar(f, g) apart instead of their product, and again
+# when the global completion took the local one's reduction loop: equal
 # counts mean the same eliminations select, skip and reduce the same pairs
 DECOMPOSITION_SPENDS = {
     "cylinder": (Z, X**2 + Y**2, (AXIS,), {2: 43, 3: 41, 5: 41}),
-    "three-lines": (Z, X * Y * (X + Y), (AXIS,), {2: 96, 3: 96, 5: 93}),
+    "three-lines": (Z, X * Y * (X + Y), (AXIS,), {2: 92, 3: 92, 5: 89}),
     "axis-cubed": (Z, X**2 + Y**2 + Z**3, (), {2: 76, 3: 76, 5: 76}),
-    "heavy": (X + 2 * Y + 3 * Z, X**2 * Y**2 + X**2 * Z**2 + Y**2 * Z**2, (), {3: 2183}),
+    "heavy": (X + 2 * Y + 3 * Z, X**2 * Y**2 + X**2 * Z**2 + Y**2 * Z**2, (), {3: 1744}),
 }
 
 
@@ -309,9 +310,9 @@ def test_saturation_matches_sympy(g):
     pytest.importorskip("sympy")
     f = X + 2 * Y + 3 * Z
     minors = jacobian_minors(f, g)
-    expected = sympy_saturation([m.terms for m in minors], (f * g).terms)
+    lex = sympy_saturation([m.terms for m in minors], (f * g).terms)
     sat = saturate_single(IdealPresentation(RING_XYZ, minors), f * g)
-    assert same_ideal(sat, IdealPresentation(RING_XYZ, [from_terms(RING_XYZ, t) for t in expected]))
+    assert sympy_is_reduced_basis_of([s.terms for s in sat.generators], lex, 3)
 
 
 def test_polar_generators_are_canonical():
