@@ -190,7 +190,15 @@ def cmd_gap(parser, args) -> int:
 
 
 def cmd_le(parser, args) -> int:
-    ctx = ScenarioContext(_scenario_from_args(parser, args))
+    scenario = _scenario_from_args(parser, args)
+    form = args.f or args.l
+    if form and scenario.f is not None and not scenario.f.is_linear_form:
+        flag = "--f" if args.f else "--l"
+        parser.error(
+            f"{flag} {form!r} is not a linear form; Le numbers are taken against a linear "
+            f"form, so omit {flag} to use the generic ladder"
+        )
+    ctx = ScenarioContext(scenario)
     le, chi = ctx.le, ctx.chi_g
     payload = {
         "schema_version": SCHEMA_VERSION,

@@ -69,10 +69,12 @@ class GapReport(_GapReportFields):
     never exceed that total, so total + 1 certifies N > ratio for every
     component.  exact_max is present only when components are supplied.
     images holds the exact compositions (g(branch(t)), f(branch(t))) on each
-    component, which do not depend on N; a sweep row builds the image of
-    g + f^N from them (see intersection_number).  The repr leaves images
-    out.  exact_max is checked against the sound bound on construction;
-    _replace skips that check, so build a changed report with GapReport(...).
+    component, which do not depend on N; a sweep row reads the orders of
+    g + f^N from their leading terms and builds its image from them only
+    when those cancel or for an error message (see checked_intersection).
+    The repr leaves images out.  exact_max is checked against the sound
+    bound on construction; _replace skips that check, so build a changed
+    report with GapReport(...).
     """
 
     __slots__ = ()
@@ -170,6 +172,11 @@ def intersection_number(curve: PolarCurve | IdealPresentation, h: Poly, cap=None
     return checked_intersection(curve, lambda: h, quotient_dim_local(ideal.plus([h]), cap))
 
 
+def _order_below(image, below: int) -> int | None:
+    order = getattr(image, "order", None)
+    return order_in_t(image(below)) if order is None else order(below)
+
+
 def checked_intersection(
     curve: PolarCurve | IdealPresentation, h: Callable[[], Poly], total: int | None, images=None
 ) -> int:
@@ -177,9 +184,12 @@ def checked_intersection(
     (None when infinite), for a caller that computed it, checked against the
     components as intersection_number describes.  images, one per component,
     maps a truncation `below` (None for exact) to h(branch(t)) mod t^below
-    (by default compose_on_branch(h(), component, below)).  h builds the
-    equation; it is called only for an error message or the default
-    images, so a caller with images and a passing check builds none."""
+    (by default compose_on_branch(h(), component, below)).  An image with an
+    `order` method answers order(below), the t-order of image(below) (None
+    when that is 0), itself, and the first check reads it so; the exact
+    recomputation always builds the images.  h builds the equation; it is
+    called only for an error message or the default images, so a caller
+    with images and a passing check builds none."""
     if total is None:
         raise ImproperIntersectionError(
             f"intersection with {h()} has positive dimension at the origin"
@@ -188,7 +198,7 @@ def checked_intersection(
         if images is None:
             equation = h()
             images = [partial(compose_on_branch, equation, comp) for comp in curve.components]
-        truncated = [order_in_t(image(total + 1)) for image in images]
+        truncated = [_order_below(image, total + 1) for image in images]
         if None not in truncated and total == sum(
             comp.multiplicity * order for comp, order in zip(curve.components, truncated)
         ):

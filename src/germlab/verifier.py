@@ -15,7 +15,8 @@ any failing identity makes the table (and the CLI) report failure.
 
 from __future__ import annotations
 
-from functools import cached_property, partial
+from fractions import Fraction
+from functools import cached_property
 from typing import Any, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -39,6 +40,7 @@ from .invariants import (
     jacobian_ideal,
     linear_part,
     milnor_number,
+    order_in_t,
     slice_germ,
     transverse_multiplicity,
     validate_branch,
@@ -209,6 +211,37 @@ def _deformed_image(g_image: Poly, f_image: Poly, n: int, below: int | None) -> 
     return (g_image + power).truncated(below)
 
 
+def _leading_term(image: Poly) -> tuple[int, Fraction]:
+    """(t-order, coefficient there) of a nonzero polynomial in t."""
+    order = image.min_degree()
+    return order, image.terms[(order,)]
+
+
+class _DeformedImage(NamedTuple):
+    """(g + f^n)(branch(t)) on one polar component, from the images of g and
+    f there, which do not depend on n; gap_ratios refuses a component on
+    which either image is 0.  Called with a truncation `below`, it builds
+    the image (see _deformed_image)."""
+
+    g_image: Poly
+    f_image: Poly
+    n: int
+
+    def __call__(self, below: int | None) -> Poly:
+        return _deformed_image(self.g_image, self.f_image, self.n, below)
+
+    def order(self, below: int | None) -> int | None:
+        """order_in_t(self(below)), read off the leading terms: g_image +
+        f_image^n has the order of the lower of its two leading terms when
+        their orders differ, and their common order when the coefficients
+        lc_g + lc_f^n do not cancel.  Only a cancelling sum builds the image."""
+        (og, lc_g), (of, lc_f) = _leading_term(self.g_image), _leading_term(self.f_image)
+        if og == self.n * of and lc_g + lc_f**self.n == 0:
+            return order_in_t(self(below))
+        order = min(og, self.n * of)
+        return None if below is not None and order >= below else order
+
+
 def verify_gap_stability(case: DeformationCase, ctx: ScenarioContext) -> IdentityVerdict:
     """Intersection of the polar curve with V(g) against V(g + f^N).
 
@@ -216,16 +249,19 @@ def verify_gap_stability(case: DeformationCase, ctx: ScenarioContext) -> Identit
     (None for an empty polar curve).  The g + f^N side is the run's packed
     intersection number (see ScenarioContext.polar_intersection), checked
     on the polar components against images read from those of g and f that
-    the gap report holds, so a row composes no polynomial on a branch.  A
-    component mismatch or an improper intersection is the verdict's FAIL;
-    any other error, a spent budget among them, ends the run.
+    the gap report holds, so a row composes no polynomial on a branch: each
+    component's order comes from the leading terms of those two images (see
+    _DeformedImage.order), and only a cancelling sum or an error message
+    builds an image.  A component mismatch or an improper intersection is
+    the verdict's FAIL; any other error, a spent budget among them, ends
+    the run.
     """
     polar, gap = ctx.polar, ctx.gap
     left = gap.g_intersection
     if polar.is_empty:
         return IdentityVerdict("polar_stability", "SKIPPED", note="empty polar curve")
     total = ctx.polar_intersection(case)
-    images = [partial(_deformed_image, g_image, f_image, case.n) for g_image, f_image in gap.images]
+    images = [_DeformedImage(g_image, f_image, case.n) for g_image, f_image in gap.images]
     try:
         right = checked_intersection(polar, lambda: case.g_tilde, total, images or None)
     except (ComponentMismatchError, ImproperIntersectionError) as exc:
@@ -397,6 +433,11 @@ class ScenarioContext:
     generator to each base, which differs from the last row's by one
     monomial.  When f has no linear part there is no pivot, the Jacobian
     base is empty and every partial of g + f^N is a row generator.
+
+    Past its determinacy point a row's ideal no longer depends on N, and a
+    later row reuses the number of the row that reached it, its carry (see
+    case and polar_intersection).  The carries belong to the run: they are
+    not options, and no other run reads them.
     """
 
     def __init__(self, scenario: Scenario):
@@ -407,6 +448,10 @@ class ScenarioContext:
         self.g: Poly = scenario.g
         self.budget = Budget(scenario.limits.reduction_cap)
         self._f_power: tuple[int, dict, int] | None = None  # the last (k, d*f'^k, d) of case()
+        # the (m, number) of the row past whose exponent m later rows reuse
+        # its number: mu (see case) and the polar meeting (see polar_intersection)
+        self._jacobian_carry: tuple[int, int] | None = None
+        self._polar_carry: tuple[int, int] | None = None
 
     def _hosted(self, host: str) -> tuple[BranchParam, ...]:
         return tuple(b for b in self.scenario.branches if b.host == host)
@@ -490,14 +535,38 @@ class ScenarioContext:
         gens = [_integral(self._in_row_coordinates(h), pk) for h in self.polar.ideal.generators]
         return _complete(self.ring, LOCAL, gens, as_budget(self.budget))
 
+    @cached_property
+    def _carry_orders(self) -> tuple[int, int]:
+        """ord f' and the least ord d_i f' over the row generators with
+        d_i f' != 0, in the row coordinates: what the carries of case and
+        polar_intersection read of f, once per run."""
+        pk, _, (f, _), partials, _ = self._jacobian_rows
+        return min(map(pk.degree, f)), min(min(map(pk.degree, df)) for _, (df, _) in partials if df)
+
     def polar_intersection(self, case: DeformationCase) -> int | None:
         """quotient_dim_local(polar.ideal.plus([case.g_tilde])): the polar
-        base resumed with the row's g' + f'^N."""
+        base resumed with the row's g' + f'^N, or the carried number.
+
+        The carry is the Jacobian one of case, for the meeting P_N = P +
+        (h_N) with h_N = g' + f'^N: h_N - h_m = f'^m (f'^(N-m) - 1), and the
+        last factor is a unit, so that difference has order m ord f
+        exactly.  When a computed row m with highest corner D' has m ord f
+        >= D' + 1, every N >= m has P_N = P_m, and a later row returns the
+        number of row m with no completion.  The carry is dropped when a
+        row asks for an N below m.
+        """
+        carry = self._polar_carry
+        if carry is not None and case.n >= carry[0]:
+            return carry[1]
         base = self._polar_base
         pk = LOCAL._packing(self.ring.nvars)
         h = case.packed[0]
         gens = [_primitive(h, pk.lead(h))] if h else []
-        return _complete(self.ring, LOCAL, gens, as_budget(self.budget), base).staircase_size
+        meeting = _complete(self.ring, LOCAL, gens, as_budget(self.budget), base)
+        total = meeting.staircase_size
+        determined = total is not None and case.n * self._carry_orders[0] > meeting.corner
+        self._polar_carry = (case.n, total) if determined else None
+        return total
 
     @cached_property
     def sigma_dim(self) -> int:
@@ -529,6 +598,21 @@ class ScenarioContext:
         so the last power f'^k is kept and extended by one product by f' per
         exponent step; the first call, or one with a smaller n, starts again
         from f'.
+
+        Past the determinacy point a row reuses mu (Nakayama's lemma with
+        the highest corner, Greuel-Pfister, A Singular Introduction to
+        Commutative Algebra, 1.7 and 7.2).  Row N's ideal is J_N = B + (q_N,i)
+        for the base B and the row generators q_N,i = d_i g' + N f'^(N-1)
+        d_i f', so q_N,i - q_m,i = d_i f' f'^(m-1) (N f'^(N-m) - m), and the
+        last factor is a unit: that difference has order (m-1) ord f +
+        ord d_i f exactly.  Let row m be computed with a finite mu and
+        highest corner D (m^D inside J_m) and have (m-1) ord f + min_i
+        ord d_i f >= D + 1.  Then for N >= m, J_N lies in J_m + m^(D+1),
+        which is J_m, and J_m lies in J_N + m^(D+1), inside J_N + m J_m, so
+        J_m lies in J_N by Nakayama: J_N = J_m, and row N returns mu of row
+        m with no completion.  A non-isolated g, whose corner grows with N,
+        never gets there.  The carry is dropped when a row asks for an N
+        below m.
         """
         self.sigma_dim  # the case hypotheses, before the polar curve
         threshold = self.gap.threshold
@@ -540,9 +624,17 @@ class ScenarioContext:
         k, power, den = self._f_power
         for _ in range(n - 1 - k):
             power, den = _muladd({}, 0, power, f, 1, pk), den * df
-        jac = [_muladd(a, den * db, power, b, n * da, pk) for (a, da), (b, db) in partials]
-        jac = [_primitive(h, pk.lead(h)) for h in jac if h]
-        certificate = _complete(self.ring, LOCAL, jac, as_budget(self.budget), base).staircase_size
+        carry = self._jacobian_carry
+        if carry is not None and n >= carry[0]:
+            certificate = carry[1]
+        else:
+            jac = [_muladd(a, den * db, power, b, n * da, pk) for (a, da), (b, db) in partials]
+            jac = [_primitive(h, pk.lead(h)) for h in jac if h]
+            row = _complete(self.ring, LOCAL, jac, as_budget(self.budget), base)
+            certificate = row.staircase_size
+            ord_f, ord_df = self._carry_orders
+            determined = certificate is not None and (n - 1) * ord_f + ord_df > row.corner
+            self._jacobian_carry = (n, certificate) if determined else None
         power, den = _muladd({}, 0, power, f, 1, pk), den * df
         self._f_power = (n, power, den)
         packed = _muladd(g, den, power, {0: 1}, dg, pk), dg * den  # {0: 1} is the packed 1

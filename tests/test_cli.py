@@ -337,6 +337,17 @@ def test_caps_below_one_are_a_usage_error(capsys, caps):
     assert f"--caps must be at least 1, got {caps}" in err
 
 
+@pytest.mark.parametrize("flag, form", [("--f", "z+x^2"), ("--l", "x^2+y")])
+def test_le_against_a_nonlinear_form_is_a_usage_error(capsys, flag, form):
+    # Le numbers are taken against a linear form; these exited 0 with the
+    # numbers of the ladder form and never named it
+    err = usage_error(capsys, "le", "--vars", "x,y,z", "--g", "x^2+y^2", flag, form)
+    assert (
+        f"{flag} {form!r} is not a linear form; Le numbers are taken against a linear "
+        f"form, so omit {flag} to use the generic ladder"
+    ) in err
+
+
 def test_f_and_l_together_are_a_usage_error(capsys):
     err = usage_error(capsys, "le", "--vars", "x,y,z", "--g", "x^2+y^2", "--f", "z", "--l", "x")
     assert "--f and --l" in err
