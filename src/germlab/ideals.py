@@ -6,9 +6,8 @@ on homogenizations, read back in the original variables (Lazard's method),
 with pairs taken by sugar (Giovini-Mora-Niesi-Robbiano-Traverso, ISSAC
 1991) and one reduction loop that runs within the degree each element
 carries.  A pair with coprime leading monomials is settled when it is
-formed; a global completion also skips pairs by Buchberger's chain
-criterion (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, 2.10), and
-a LOCAL one truncates at the highest corner.  LOCAL bases are standard
+formed; a global completion drops pairs by Gebauer and Moeller's update,
+and a LOCAL one truncates at the highest corner.  LOCAL bases are standard
 bases of the localized ideal at the origin, and a LOCAL completion can
 resume from a completed base, pairing only the generators it adds.
 Full division pops the remainder's monomials from a heap, largest first,
@@ -539,8 +538,9 @@ class _Staircase:
 
 
 def standard_basis_of(generators: Sequence[Poly], order: MonomialOrder, cap=None) -> StandardBasis:
-    """Buchberger completion of the generators under the given order: pack
-    each as its primitive int multiple (see _integral), then complete."""
+    """Buchberger completion of the generators under the given order (under
+    ELIM_FIRST, the basis of the elimination ideal): pack each as its
+    primitive int multiple (see _integral), then complete."""
     budget = as_budget(cap)
     ring = _check_same_ring(generators)
     gens = [g for g in generators if not g.is_zero]
@@ -550,6 +550,25 @@ def standard_basis_of(generators: Sequence[Poly], order: MonomialOrder, cap=None
     return _complete(ring, order, [_integral(g, pk) for g in gens], budget)
 
 
+def _stripped(packed: list[dict], pk: _Packing, budget: Budget) -> list[dict]:
+    """The generators with every term that a monomial generator divides
+    removed from the others, which stay primitive or, left with no term, go.
+    The ideal is the same; each stripped generator spends one step."""
+    units = {next(iter(h)) for h in packed if len(h) == 1}
+    if not units:
+        return packed
+    guards, out = pk.guards, []
+    for h in packed:
+        by = [u & pk.raw for u in units if len(h) > 1 or u not in h]
+        kept = {m: c for m, c in h.items() if not any(((m | guards) - r) & guards == guards for r in by)}
+        if len(kept) < len(h):
+            budget.spend()
+            h = kept and _primitive(kept, pk.lead(kept))
+        if h:
+            out.append(h)
+    return out
+
+
 def _complete(
     ring: PolyRing, order: MonomialOrder, packed: list[dict], budget: Budget,
     base: StandardBasis | None = None,
@@ -557,20 +576,22 @@ def _complete(
     """Buchberger completion of the generators, given packed under order as
     primitive int dicts with positive leading coefficients; with a LOCAL
     base that _complete returned, of the base's generators and these.  One
-    loop serves every order.
+    loop serves every order.  Under ELIM_FIRST it returns the basis of the
+    elimination ideal: the elements free of the first variable t.
 
-    Each element carries a sugar: a generator its degree, an S-polynomial
-    |lcm| plus the larger ecart slot of its pair (see _reducer).  Pairs wait
-    in a heap keyed once, when the pair is formed, by sugar, then lcm in the
-    order, then index, and the least pops first; basis entries never change
-    after they are appended, so the key of a waiting pair stays valid.  A
-    pair with coprime leading monomials reduces to zero (the product
-    criterion): it spends its one step when it is formed, never enters the
-    heap, and counts as popped.  Every other S-polynomial is reduced within
-    its sugar (see _weak_normal_form), and what is left joins the basis,
-    even when a reducer of larger ecart divides its leading monomial.  A
-    global completion minimalizes and tail-reduces before it returns, since
-    tail reduction spends steps; a LOCAL one returns its completion and
+    A monomial generator first strips its multiples from the others (see
+    _stripped).  Each element carries a sugar: a generator its degree, an
+    S-polynomial |lcm| plus the larger ecart slot of its pair (see
+    _reducer), and a bitmask of the variables in its leading monomial, so
+    two leading monomials are coprime when their masks share no bit.  Pairs
+    wait in a heap keyed once, when the pair is formed, by sugar, then lcm
+    in the order, then index, and the least pops first; basis entries never
+    change after they are appended, so the key of a waiting pair stays
+    valid.  Each popped S-polynomial is reduced within its sugar (see
+    _weak_normal_form), and what is left joins the basis, even when a
+    reducer of larger ecart divides its leading monomial.  A global
+    completion minimalizes and tail-reduces before it returns, since tail
+    reduction spends steps; a LOCAL one returns its completion and
     minimalizes when the basis is first read (see StandardBasis).
 
     Termination is Lazard's argument (EUROCAL 1983).  Homogenize an element
@@ -583,25 +604,30 @@ def _complete(
 
     Soundness under a global order: each reduction step subtracts a multiple
     of a reducer whose leading monomial is at most that of what is left, so
-    below the pair's lcm, and the remainder joins the basis; so every reduced
-    pair has a representation by the final basis whose leading monomials lie
-    below its lcm.  A coprime pair has one by the product criterion.  A pair
-    (i, j) is also skipped by Buchberger's chain criterion: when some other
-    element k has a leading monomial dividing lcm(lm_i, lm_j) and the pairs
-    {i, k} and {j, k} have both been popped already, however they were
-    settled (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, 2.10, the
-    form with "not in B").  Then S(i, j) is a sum of monomial multiples of
-    S(i, k) and S(k, j), whose lcms divide lcm(lm_i, lm_j), and both of those
-    pairs are treated, so no selection strategy can make the skip unsound.
-    By Buchberger's criterion (2.9-2.10) the result is a Groebner basis.  The
-    reduced basis is unique, so the criteria change only the work.
+    below the pair's lcm, and the remainder joins the basis below it too;
+    so, whichever pair the sugar selects first and wherever it stops the
+    reduction, every reduced pair has a representation by the final basis
+    below its lcm.  That is all Gebauer and Moeller's criteria (J. Symb.
+    Comp. 6, 1988) ask of a treated pair, under any selection strategy
+    (Becker-Weispfenning, Groebner Bases, 5.5), so their update runs when an
+    element h is appended, and a pair it drops is never popped.  B drops a
+    waiting pair (i, j) when lm(h) divides its lcm and that lcm differs from
+    lcm(i, h) and lcm(j, h); M drops a new pair (i, h) when another new
+    pair's lcm properly divides its own; F keeps, of new pairs with equal
+    lcms, the one of highest i, and none when one of them is coprime; the
+    product criterion drops a coprime one.  The reduced basis is unique, so
+    the criteria change only the work.  Under ELIM_FIRST, where t
+    dominates, an element with a t-free leading monomial is t-free and no
+    leading monomial with t divides a t-free monomial, so the t-free
+    elements alone are a basis of the elimination ideal.
 
     Soundness under LOCAL: read back at t = 1, the homogenized basis is a
     standard basis (Lazard's method): every S-polynomial that is not skipped
     divides to zero, which is Buchberger's criterion for standard bases
-    (Greuel-Pfister, 1.7).  The chain criterion stays off here: no argument
-    yet shows it sound together with the reduction within sugar and the
-    corner truncation.
+    (Greuel-Pfister, 1.7).  A coprime pair reduces to zero (the product
+    criterion) and spends its one step when it is formed; the other
+    criteria stay off here, since no argument yet shows them sound together
+    with the reduction within sugar and the corner truncation.
 
     The LOCAL completion also counts the staircase of its leading monomials
     (see _Staircase).  Once a highest corner D is known, a pair whose lcm has
@@ -609,10 +635,10 @@ def _complete(
     drops the terms of degree >= D.  The leading ideal is the same, and an
     ideal with no corner (an infinite quotient) runs untruncated.
 
-    A base resumes its completion: its reducers, with their ecart slots,
-    and its staircase are copied, so the base serves again, and only the
-    pairs that involve a new generator enter the heap.  Every pair among the
-    base's reducers was reduced or skipped when the base was completed.
+    A base resumes its completion: its reducers, with their ecart slots and
+    masks, and its staircase are copied, so the base serves again, and only
+    the pairs that involve a new generator enter the heap.  Every pair among
+    the base's reducers was reduced or skipped when the base was completed.
     Buchberger's criterion asks only that every pair reduce to zero modulo
     the final basis, and the homogenized base elements and their reductions
     stay in the larger homogenized ideal, so Lazard's basis stays a basis
@@ -635,13 +661,12 @@ def _complete(
     pk = order._packing(ring.nvars)
     local = order.is_local
     # ascending in the order: the larger int is the larger monomial except
-    # under LOCAL, so sign * m ascends with the monomial m
-    packed = sorted(packed, key=pk.lead, reverse=local)
-    sign = -1 if local else 1
-    pairs: list[tuple] = []  # heap of (sugar, sign * lcm, i, j, lcm) with i < j
-    popped: set[tuple[int, int]] = set()  # the pairs settled or popped
+    # under LOCAL, where -m ascends with the monomial m
+    packed = sorted(_stripped(packed, pk, budget), key=pk.lead, reverse=local)
+    guards, raw = pk.guards, pk.raw
+    pairs: list[tuple] = []  # heap of (sugar, +-lcm as above, i, j, lcm) with i < j
     if base is None:
-        # the _reducer entry per basis element, with its sugar
+        # the _reducer entry per basis element, with its sugar and its mask
         reducers: list[tuple] = []
         lead: list[Exponents] = []  # their leading monomials, unpacked
         stairs = _Staircase(lead, ring.nvars, budget.cap) if local else None
@@ -655,15 +680,36 @@ def _complete(
         j = len(reducers)
         rj = _reducer(h, pk, sugar)
         lmj = pk.unpack(rj[0])
-        for i, lmi in enumerate(lead):
-            lcm = mono_lcm(lmi, lmj)
-            m = pk.pack(lcm)
-            if m == reducers[i][0] + rj[0]:
+        mask = sum(1 << k for k, a in enumerate(lmj) if a)
+        rj += (mask,)
+        coprime = [not g[6] & mask for g in reducers]
+        if local:
+            new = [i for i, c in enumerate(coprime) if not c]
+            for _ in range(len(reducers) - len(new)):
                 budget.spend()  # coprime leading terms reduce to zero
-                popped.add((i, j))
-                continue
-            sug = sum(lcm) + max(reducers[i][2], rj[2])
-            heapq.heappush(pairs, (sug, sign * m, i, j, m))
+        else:
+            # Gebauer-Moeller's B on the waiting pairs, then M and F and the
+            # product criterion on the new ones, all on raw lcm fields
+            lm_raw = rj[4]
+            lcms = [pk.lcm_raw(g[4], lm_raw) for g in reducers]
+            kept = [
+                p for p in pairs
+                if ((p[4] | guards) - lm_raw) & guards != guards
+                or lcms[p[2]] == p[4] & raw or lcms[p[3]] == p[4] & raw
+            ]
+            if len(kept) < len(pairs):
+                pairs[:] = kept
+                heapq.heapify(pairs)
+            new = [
+                i for i, m in enumerate(lcms)
+                if not coprime[i] and not any(
+                    ((m | guards) - mk) & guards == guards and (mk != m or k > i or coprime[k])
+                    for k, mk in enumerate(lcms) if k != i
+                )
+            ]
+        for i in new:
+            m = pk.pack(mono_lcm(lead[i], lmj))
+            heapq.heappush(pairs, (pk.degree(m) + max(reducers[i][2], rj[2]), -m if local else m, i, j, m))
         reducers.append(rj)
         lead.append(lmj)
         if stairs is not None:
@@ -673,19 +719,9 @@ def _complete(
         if all(h != g[3] for g in reducers):
             append(h)  # a generator's sugar is its degree
 
-    guards = pk.guards
     while pairs:
         budget.spend()
         sugar, _, i, j, lcm = heapq.heappop(pairs)
-        popped.add((i, j))
-        if not local:
-            over = lcm | guards
-            if any(
-                k != i and k != j and (over - g[4]) & guards == guards
-                and (min(i, k), max(i, k)) in popped and (min(j, k), max(j, k)) in popped
-                for k, g in enumerate(reducers)
-            ):
-                continue  # Buchberger's chain criterion
         corner = None if stairs is None else stairs.read()
         bound = None if corner is None else pk.corner(corner)
         if bound is not None and lcm >= bound:
@@ -701,6 +737,10 @@ def _complete(
         corner = stairs.read()
         size = None if corner is None else stairs.size
         return StandardBasis(ring, order, staircase_size=size, corner=corner, completion=(tuple(reducers), stairs))
+    if order is ELIM_FIRST:
+        # the elimination ideal: the elements whose leading monomial is t-free
+        free = [k for k, lm in enumerate(lead) if not lm[0]]
+        reducers, lead = [reducers[k] for k in free], [lead[k] for k in free]
     kept, leading = _minimalized(reducers, lead, pk, local)
     elements = [(g[0], g[3]) for g in _interreduce_global(kept, pk, budget)]
     return StandardBasis(ring, order, elements, leading)
@@ -793,9 +833,10 @@ def saturate_single(I: IdealPresentation, f: Poly, cap=None) -> IdealPresentatio
     """The saturation I : <f>^infinity = (I, 1 - t*f) ∩ Q[x] (Rabinowitsch).
 
     The intersection is the t-free part of the reduced ELIM_FIRST basis in
-    Q[t, x]; on t-free monomials ELIM_FIRST ranks like DEGREVLEX, so that part
-    is the reduced monic degrevlex basis of the saturated ideal, which the
-    result carries whether or not the saturation removed anything.
+    Q[t, x], the only part the completion returns (see _complete); on t-free
+    monomials ELIM_FIRST ranks like DEGREVLEX, so that part is the reduced
+    monic degrevlex basis of the saturated ideal, which the result carries
+    whether or not the saturation removed anything.
     """
     _check_same_ring([f, *I.generators])
     budget = as_budget(cap)
@@ -812,12 +853,8 @@ def saturate_single(I: IdealPresentation, f: Poly, cap=None) -> IdealPresentatio
 
     gens = [lift(g) for g in I.generators if not g.is_zero]
     gens.append(ext.one() - ext.variable(0) * lift(f))
-    kept = [
-        Poly._make(ring, {e[1:]: c for e, c in g.terms.items()})
-        for g in standard_basis_of(gens, ELIM_FIRST, budget)
-        if all(e[0] == 0 for e in g.terms)
-    ]
-    return IdealPresentation(ring, kept)
+    basis = standard_basis_of(gens, ELIM_FIRST, budget)
+    return IdealPresentation(ring, [Poly._make(ring, {e[1:]: c for e, c in g.terms.items()}) for g in basis])
 
 
 def has_power_in(p: Poly, I: IdealPresentation, cap=None) -> bool:

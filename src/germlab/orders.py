@@ -69,7 +69,7 @@ class _Packing:
     packed variables, `units`.
     """
 
-    __slots__ = ("nvars", "words", "units", "guards", "raw", "top", "degree_on_top", "lead")
+    __slots__ = ("nvars", "words", "units", "guards", "raw", "fill", "top", "degree_on_top", "lead")
 
     def __init__(self, order: "MonomialOrder", nvars: int):
         self.nvars = nvars
@@ -78,7 +78,8 @@ class _Packing:
         self.units = [int.from_bytes(self.words.pack(*order._fields(u), *u), "big") for u in eye]
         ones = sum(1 << (_FIELD_BITS * k) for k in range(nvars))
         self.guards = ones << (_FIELD_BITS - 1)
-        self.raw = ones * ((1 << _FIELD_BITS) - 1)
+        self.fill = (1 << _FIELD_BITS) - 1
+        self.raw = ones * self.fill
         self.top = _FIELD_BITS * (2 * nvars - 1)
         # ELIM_FIRST tops with the first exponent, the degree only in one variable
         self.degree_on_top = order.kind != "elim-first" or nvars == 1
@@ -95,6 +96,12 @@ class _Packing:
         """Whether the monomial packed as a divides the one packed as b.  The
         reduction loops inline it, with b | guards and a & raw precomputed."""
         return ((b | self.guards) - (a & self.raw)) & self.guards == self.guards
+
+    def lcm_raw(self, a: int, b: int) -> int:
+        """The raw fields of lcm(a, b) from those of a and b: the larger in
+        each field, where the guard bit of a's minus b's survives or not."""
+        ge = ((a | self.guards) - b) & self.guards
+        return b ^ ((a ^ b) & (ge >> (_FIELD_BITS - 1)) * self.fill)
 
     def degree(self, m: int) -> int:
         d = m >> self.top

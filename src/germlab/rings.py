@@ -96,9 +96,27 @@ def _numerators(terms: Mapping[Exponents, Fraction]) -> tuple[dict[Exponents, in
     return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
 
 
-def _accumulate(acc: dict[Exponents, Fraction], terms: Mapping[Exponents, Fraction]) -> None:
+def _packed_product(x: dict[int, int], y: dict[int, int], pk, bound: int | None) -> dict[int, int]:
+    """x*y for int dicts on monomials packed by pk (an orders._Packing with
+    the degree on top), without the terms that pack to bound or above."""
+    pk.check_degree(pk.degree(max(x, default=0)) + pk.degree(max(y, default=0)))
+    acc: dict[int, int] = {}
+    for a, ca in x.items():
+        for b, cb in y.items():
+            m = a + b
+            if bound is not None and m >= bound:
+                continue
+            s = acc.get(m, 0) + ca * cb
+            if s:
+                acc[m] = s
+            else:
+                acc.pop(m, None)
+    return acc
+
+
+def _accumulate(acc: dict, terms: Mapping) -> None:
     """acc += terms, in place, never storing a zero coefficient.  A monomial
-    new to acc keeps the Fraction of terms; only a shared one builds a sum."""
+    new to acc keeps the coefficient of terms; only a shared one builds a sum."""
     for exps, c in terms.items():
         a = acc.get(exps)
         if a is None:
@@ -281,34 +299,43 @@ class Poly:
         ring homomorphism, so this is exact in the quotient.  Source terms
         whose image order sum(e_i * ord(image_i)) reaches below, or that
         multiply a zero image, are skipped, and image powers are built
-        already truncated.
+        already truncated.  The arithmetic runs on int numerators over
+        monomials packed under DEGREVLEX (see orders._Packing), where a
+        truncation is one comparison, with every kept term brought to one
+        common denominator; each output term becomes one Fraction.
         """
         if len(images) != self.ring.nvars:
             raise ValueError("need one image per variable")
         for im in images:
             if im.ring != target:
                 raise RingMismatchError("substitution images must live in the target ring")
+        from .orders import DEGREVLEX  # orders imports this module
+
+        pk = DEGREVLEX._packing(target.nvars)
+        bound = None if below is None else pk.corner(below)
         orders = [im.min_degree() for im in images]
-        powers = [[target.one()] for _ in images]
-
-        def power(i: int, e: int) -> Poly:
-            cached = powers[i]
-            while len(cached) <= e:
-                cached.append((cached[-1] * images[i]).truncated(below))
-            return cached[e]
-
-        acc: dict[Exponents, Fraction] = {}
-        for exps, c in self.terms.items():
-            used = [i for i, e in enumerate(exps) if e]
-            if any(orders[i] < 0 for i in used):
-                continue  # a zero image
-            if below is not None and sum(orders[i] * exps[i] for i in used) >= below:
-                continue
-            term = target.constant(c)
-            for i in used:
-                term = (term * power(i, exps[i])).truncated(below)
-            _accumulate(acc, term.terms)
-        return Poly._make(target, acc)
+        nums, den = _numerators(self.terms)
+        kept = [
+            (exps, c) for exps, c in nums.items()
+            if all(orders[i] >= 0 for i, e in enumerate(exps) if e)  # no zero image
+            and (below is None or sum(map(operator.mul, orders, exps)) < below)
+        ]
+        packed = [({pk.pack(e): c for e, c in t.items()}, d) for t, d in (_numerators(im.terms) for im in images)]
+        tops = [max((exps[i] for exps, _ in kept), default=0) for i in range(len(images))]
+        den *= math.prod(d**top for (_, d), top in zip(packed, tops))
+        powers = [[{0: 1}] for _ in images]  # {0: 1} is the packed 1
+        acc: dict[int, int] = {}
+        for exps, c in kept:
+            term = {0: c * math.prod(d ** (top - e) for (_, d), top, e in zip(packed, tops, exps))}
+            for i, e in enumerate(exps):
+                if e:
+                    cached = powers[i]
+                    while len(cached) <= e:
+                        cached.append(_packed_product(cached[-1], packed[i][0], pk, bound))
+                    term = _packed_product(term, cached[e], pk, bound)
+            _accumulate(acc, term)
+        unpack = pk.unpack
+        return Poly._make(target, {unpack(m): Fraction(n, den) for m, n in acc.items()})
 
     # -- equality, hashing, printing ------------------------------------------
 

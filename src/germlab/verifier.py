@@ -16,8 +16,8 @@ any failing identity makes the table (and the CLI) report failure.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
-from typing import Any, Mapping, NamedTuple, Sequence
+from functools import cached_property, partial
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     ComponentMismatchError,
@@ -88,18 +88,18 @@ class _DeformationCaseFields(NamedTuple):
     g: Poly
     f: Poly
     n: int
-    packed: tuple[dict, int]
+    deformation: Callable[[], tuple[dict, int]]
     certificate: int | None  # local Jacobian quotient dimension, None = infinite
 
 
 class DeformationCase(_DeformationCaseFields):
-    """One deformation g_tilde = g + f^N with its isolation certificate.  It
-    holds the row's g' + f'^N, the deformation in the run's row coordinates
-    (see ScenarioContext), as (d*(g' + f'^N), d), packed under LOCAL for an
-    int d.  g_tilde, in the original coordinates, is g + f**n, built on
+    """One deformation g_tilde = g + f^N with its isolation certificate.
+    deformation() builds the row's g' + f'^N, the deformation in the run's
+    row coordinates (see ScenarioContext), as (d*(g' + f'^N), d), packed
+    under LOCAL for an int d; only a polar meeting that is not carried
+    calls it.  g_tilde, in the original coordinates, is g + f**n, built on
     first read and cached in the instance __dict__; only the export and
-    error messages read it.  The repr leaves packed out; since packed holds
-    a dict, a case is not hashable."""
+    error messages read it.  The repr leaves deformation out."""
 
     @cached_property
     def g_tilde(self) -> Poly:
@@ -383,7 +383,9 @@ def resolve_linear_form(scenario: Scenario, cap=None) -> tuple[Poly, LeData]:
     An explicit linear f is used as given and doubles as the coordinate form.
     Otherwise the Le numbers come from the first rung of the deterministic
     ladder that passes every genericity check, and that form is also the
-    direction when the scenario requests GENERIC-LINEAR.
+    direction when the scenario requests GENERIC-LINEAR.  When the scenario
+    declares a nonlinear f, the lambda0 line of the route log names the
+    ladder form, since the numbers are not taken against f.
     """
     assert scenario.ring is not None and scenario.g is not None
     budget = as_budget(cap)
@@ -398,7 +400,10 @@ def resolve_linear_form(scenario: Scenario, cap=None) -> tuple[Poly, LeData]:
             if dim_at_origin(jacobian_ideal(g).plus([candidate]), budget) > 0:
                 raise GenericityError("candidate form contains a critical branch")
             le = le_numbers(g, candidate, sigma_branches, budget)
-            return scenario.f if scenario.f is not None else candidate, le
+            if scenario.f is None:
+                return candidate, le
+            named = f"{le.route_log[0]}, against the linear form {candidate}, not the nonlinear f = {scenario.f}"
+            return scenario.f, le._replace(route_log=(named, *le.route_log[1:]))
         except (UndefinedLeError, DegenerateBranchError, GenericityError) as exc:
             last_error = exc
     raise GenericityError(f"generic linear ladder exhausted: {last_error}")
@@ -447,7 +452,7 @@ class ScenarioContext:
         self.ring: PolyRing = scenario.ring
         self.g: Poly = scenario.g
         self.budget = Budget(scenario.limits.reduction_cap)
-        self._f_power: tuple[int, dict, int] | None = None  # the last (k, d*f'^k, d) of case()
+        self._f_power_kept: tuple[int, dict, int] | None = None  # the last (k, d*f'^k, d) of _f_power
         # the (m, number) of the row past whose exponent m later rows reuse
         # its number: mu (see case) and the polar meeting (see polar_intersection)
         self._jacobian_carry: tuple[int, int] | None = None
@@ -560,7 +565,7 @@ class ScenarioContext:
             return carry[1]
         base = self._polar_base
         pk = LOCAL._packing(self.ring.nvars)
-        h = case.packed[0]
+        h = case.deformation()[0]
         gens = [_primitive(h, pk.lead(h))] if h else []
         meeting = _complete(self.ring, LOCAL, gens, as_budget(self.budget), base)
         total = meeting.staircase_size
@@ -594,10 +599,9 @@ class ScenarioContext:
 
         The row is built on ints in the row coordinates (see _jacobian_rows):
         its Jacobian generators by the chain rule, d(g' + f'^n) = dg' +
-        n f'^(n-1) df', and then g' + f'^n.  A sweep asks for increasing n,
-        so the last power f'^k is kept and extended by one product by f' per
-        exponent step; the first call, or one with a smaller n, starts again
-        from f'.
+        n f'^(n-1) df' (see _f_power), and g' + f'^n only when an uncarried
+        polar meeting asks for it (see _deformation), so a carried row
+        builds neither.
 
         Past the determinacy point a row reuses mu (Nakayama's lemma with
         the highest corner, Greuel-Pfister, A Singular Introduction to
@@ -618,16 +622,12 @@ class ScenarioContext:
         threshold = self.gap.threshold
         if n < 2:
             raise ValueError("the deformation exponent must be at least 2")
-        pk, (g, dg), (f, df), partials, base = self._jacobian_rows
-        if self._f_power is None or self._f_power[0] >= n:
-            self._f_power = (1, f, df)
-        k, power, den = self._f_power
-        for _ in range(n - 1 - k):
-            power, den = _muladd({}, 0, power, f, 1, pk), den * df
         carry = self._jacobian_carry
         if carry is not None and n >= carry[0]:
             certificate = carry[1]
         else:
+            pk, _, _, partials, base = self._jacobian_rows
+            power, den = self._f_power(n - 1)
             jac = [_muladd(a, den * db, power, b, n * da, pk) for (a, da), (b, db) in partials]
             jac = [_primitive(h, pk.lead(h)) for h in jac if h]
             row = _complete(self.ring, LOCAL, jac, as_budget(self.budget), base)
@@ -635,15 +635,32 @@ class ScenarioContext:
             ord_f, ord_df = self._carry_orders
             determined = certificate is not None and (n - 1) * ord_f + ord_df > row.corner
             self._jacobian_carry = (n, certificate) if determined else None
-        power, den = _muladd({}, 0, power, f, 1, pk), den * df
-        self._f_power = (n, power, den)
-        packed = _muladd(g, den, power, {0: 1}, dg, pk), dg * den  # {0: 1} is the packed 1
         if certificate is None and n >= threshold:
             raise HypothesisError(
                 "isolation-at-threshold",
                 f"g + f^{n} has a non-isolated singularity although n >= threshold {threshold}",
             )
-        return DeformationCase(self.g, self.f, n, packed, certificate)
+        return DeformationCase(self.g, self.f, n, partial(self._deformation, n), certificate)
+
+    def _f_power(self, k: int) -> tuple[dict, int]:
+        """(d*f'^k, d) packed under LOCAL for an int d.  A sweep asks for
+        increasing k, so the last power is kept and extended by one product
+        by f' per exponent step; the first call, or one with a smaller k,
+        starts again from f'."""
+        pk, _, (f, df), _, _ = self._jacobian_rows
+        if self._f_power_kept is None or self._f_power_kept[0] > k:
+            self._f_power_kept = (1, f, df)
+        j, power, den = self._f_power_kept
+        for _ in range(k - j):
+            power, den = _muladd({}, 0, power, f, 1, pk), den * df
+        self._f_power_kept = (k, power, den)
+        return power, den
+
+    def _deformation(self, n: int) -> tuple[dict, int]:
+        """(d*(g' + f'^n), d) packed under LOCAL for an int d."""
+        pk, (g, dg), _, _, _ = self._jacobian_rows
+        power, den = self._f_power(n)
+        return _muladd(g, den, power, {0: 1}, dg, pk), dg * den  # {0: 1} is the packed 1
 
 
 def verify_scenario(

@@ -86,8 +86,10 @@ def test_a_cold_start_imports_neither_dataclasses_nor_inspect():
 
 def test_a_cap_spent_in_a_polar_intersection_exits_one(capsys):
     # the last steps of this run are spent in the polar intersection of N = 5,
-    # whose row resumes the completed polar base with one generator
-    code = main(["verify", "--fixture", "double-axes", "--N", "2..5", "--caps", "66"])
+    # whose row resumes the completed polar base with one generator: 57 steps
+    # in all, the 57th there (67 before global completions updated their
+    # pairs by Gebauer-Moeller)
+    code = main(["verify", "--fixture", "double-axes", "--N", "2..5", "--caps", "56"])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
@@ -346,6 +348,24 @@ def test_le_against_a_nonlinear_form_is_a_usage_error(capsys, flag, form):
         f"{flag} {form!r} is not a linear form; Le numbers are taken against a linear "
         f"form, so omit {flag} to use the generic ladder"
     ) in err
+
+
+def test_le_of_a_scenario_with_a_nonlinear_f_names_its_form(tmp_path, capsys):
+    # a scenario's f is not a flag, so a nonlinear one is kept for the sweep
+    # while the Le numbers come from the ladder form; the lambda0 line names
+    # that form, where it used to read only "in aligned coordinates (z, x, y)"
+    path = tmp_path / "bent.json"
+    path.write_text(json.dumps({"variables": ["x", "y", "z"], "g": "x^2+y^2", "f": "z+x^2"}), encoding="utf-8")
+    code, out = run_cli(capsys, "le", "--scenario", str(path), "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["lambda0"], doc["lambda1"], doc["coords"]) == (0, 1, ["z", "x", "y"])
+    assert doc["provenance"][0] == (
+        "lambda0: intersection of the saturated relative polar curve with the first partial "
+        "derivative in aligned coordinates (z, x, y), against the linear form x + 2*y + 3*z, "
+        "not the nonlinear f = x^2 + z"
+    )
+    assert not any("against" in line for line in doc["provenance"][1:])
 
 
 def test_f_and_l_together_are_a_usage_error(capsys):

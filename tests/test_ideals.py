@@ -341,8 +341,9 @@ def test_work_counts_match_the_recorded_runs():
     # leading monomials were cached, the local ones again when the local
     # completion began to truncate at the highest corner and once more when
     # it began to reduce within sugar, the global one again when it took the
-    # chain criterion: equal counts mean pairs are selected, skipped and
-    # reduced in the same order
+    # chain criterion and once more (19 -> 12) when Gebauer-Moeller's update
+    # replaced it: equal counts mean pairs are selected, skipped and reduced
+    # in the same order
     def spent(run) -> int:
         budget = Budget(10**5)
         run(budget)
@@ -353,7 +354,7 @@ def test_work_counts_match_the_recorded_runs():
     assert spent(lambda b: mu.append(milnor_number(g, b))) == 52
     assert mu == [20]
     jac = jacobian(X**3 * Y + Y**3 * Z + Z**3 * X)
-    assert spent(lambda b: standard_basis_of(jac, DEGREVLEX, b)) == 19
+    assert spent(lambda b: standard_basis_of(jac, DEGREVLEX, b)) == 12
     assert spent(lambda b: standard_basis_of(jac, LOCAL, b)) == 19
 
 
@@ -372,22 +373,23 @@ def test_a_cached_basis_serves_only_the_budget_that_paid_for_it():
 
 def test_saturation_work_count_is_pinned():
     # the polar ideal of (x + 2y + 3z, xyz): one Rabinowitsch elimination and
-    # nothing else; another route or pair order moves the count
+    # nothing else; another route or pair order moves the count (48 before
+    # Gebauer-Moeller's update and the elimination-only tail)
     f, g = X + 2 * Y + 3 * Z, X * Y * Z
     minors = IdealPresentation(RING_XYZ, jacobian_minors(f, g))
     budget = Budget(10**5)
     sat = saturate_single(minors, f * g, budget)
-    assert 10**5 - budget.remaining == 48
+    assert 10**5 - budget.remaining == 19
     assert sat.generators == (Y - Fraction(3, 2) * Z, X - 3 * Z)
 
 
 def test_int_cap_bounds_the_whole_saturation():
-    # the saturation above spends 48 steps on its elimination; an int cap
+    # the saturation above spends 19 steps on its elimination; an int cap
     # bounds it whole
     f, g = X + 2 * Y + 3 * Z, X * Y * Z
     with pytest.raises(IterationLimitError):
-        saturate_single(IdealPresentation(RING_XYZ, jacobian_minors(f, g)), f * g, cap=47)
-    saturate_single(IdealPresentation(RING_XYZ, jacobian_minors(f, g)), f * g, cap=48)
+        saturate_single(IdealPresentation(RING_XYZ, jacobian_minors(f, g)), f * g, cap=18)
+    saturate_single(IdealPresentation(RING_XYZ, jacobian_minors(f, g)), f * g, cap=19)
 
 
 # global membership is normal_form(...).is_zero, local radical membership is
@@ -557,6 +559,44 @@ def test_bases_do_not_depend_on_generator_order_or_repeats(data, gens, f):
     assert standard_basis_of(other, DEGREVLEX) == standard_basis_of(gens, DEGREVLEX)
     sat = saturate_single(IdealPresentation(RING_XYZ, gens), f).generators
     assert saturate_single(IdealPresentation(RING_XYZ, other), f).generators == sat
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.data(), IDEALS)
+def test_saturation_matches_sympy(data, gens):
+    # Gebauer-Moeller's update drops pairs in every elimination, which returns
+    # only its t-free elements; the saturation is still sympy's, whose lex
+    # basis reduces the result to zero and is reduced to zero by it
+    pytest.importorskip("sympy")
+    ring = gens[0].ring
+    f = data.draw(nonzero_poly_strategy(ring, max_degree=2, max_terms=2), label="divisor")
+    sat = saturate_single(IdealPresentation(ring, gens), f, PROPERTY_CAP)
+    lex = sympy_saturation([g.terms for g in gens], f.terms)
+    assert sympy_is_reduced_basis_of([g.terms for g in sat.generators], lex, ring.nvars)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.data(), IDEALS)
+def test_a_variable_generator_strips_its_multiples_locally(data, gens):
+    # x_k removes its multiples from the other generators before the
+    # completion starts; a pure power of every other variable, under terms of
+    # higher degree, keeps the quotient finite, so m^D lies in the ideal at
+    # the highest corner D and sympy counts the same quotient at D and D + 1
+    pytest.importorskip("sympy")
+    ring = gens[0].ring
+    k = data.draw(st.integers(0, ring.nvars - 1), label="variable")
+    powers = []
+    for i in range(ring.nvars):
+        if i != k:
+            a = data.draw(st.integers(1, 3))
+            tail = data.draw(poly_strategy(ring, max_degree=4, max_terms=2))
+            higher = {e: c for e, c in tail.terms.items() if sum(e) > a}
+            powers.append(ring.variable(i) ** a + from_terms(ring, higher))
+    I = IdealPresentation(ring, gens + powers).plus([ring.variable(k)])
+    basis = I.standard_basis(LOCAL, PROPERTY_CAP)
+    terms = [g.terms for g in I.generators]
+    expected = [sympy_local_quotient_dim(terms, d) for d in (basis.corner, basis.corner + 1)]
+    assert [quotient_dim_local(I, PROPERTY_CAP)] * 2 == expected
 
 
 @settings(deadline=None, max_examples=40)

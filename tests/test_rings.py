@@ -123,6 +123,24 @@ def test_truncated_substitution_into_several_variables(p, images, below):
     check_truncated_substitution(p, RING_XY, images, below)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data(), poly_strategy(RING_XYZ), st.one_of(st.none(), st.integers(0, 7)))
+def test_packed_substitution_is_the_termwise_evaluation(data, p, below):
+    # the packed route brings every kept term to one denominator and builds
+    # one Fraction per output term; Poly arithmetic evaluates term by term
+    target = data.draw(st.sampled_from([T, RING_XY]), label="target")
+    images = data.draw(images_strategy(target, 3), label="images")
+    want = target.zero()
+    for exps, c in p.terms.items():
+        term = target.constant(c)
+        for image, e in zip(images, exps):
+            term = term * image**e
+        want = want + term
+    got = p.substitute(target, images, below)
+    assert got.terms == want.truncated(below).terms
+    assert stored_fractions(got)
+
+
 def test_truncated_substitution_skips_zero_images_and_high_orders():
     t = T.variable(0)
     x, y = RING_XY.variable(0), RING_XY.variable(1)
