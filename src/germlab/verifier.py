@@ -15,9 +15,10 @@ any failing identity makes the table (and the CLI) report failure.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from functools import cached_property, partial
-from typing import Any, Callable, Mapping, NamedTuple, Sequence
+from functools import cached_property
+from typing import Any, Mapping, NamedTuple, Sequence
 
 from .errors import (
     ComponentMismatchError,
@@ -88,18 +89,13 @@ class _DeformationCaseFields(NamedTuple):
     g: Poly
     f: Poly
     n: int
-    deformation: Callable[[], tuple[dict, int]]
     certificate: int | None  # local Jacobian quotient dimension, None = infinite
 
 
 class DeformationCase(_DeformationCaseFields):
     """One deformation g_tilde = g + f^N with its isolation certificate.
-    deformation() builds the row's g' + f'^N, the deformation in the run's
-    row coordinates (see ScenarioContext), as (d*(g' + f'^N), d), packed
-    under LOCAL for an int d; only a polar meeting that is not carried
-    calls it.  g_tilde, in the original coordinates, is g + f**n, built on
-    first read and cached in the instance __dict__; only the export and
-    error messages read it.  The repr leaves deformation out."""
+    g_tilde is g + f**n, built on first read and cached in the instance
+    __dict__; only the export and error messages read it."""
 
     @cached_property
     def g_tilde(self) -> Poly:
@@ -112,12 +108,6 @@ class DeformationCase(_DeformationCaseFields):
         if self.certificate is None:
             return None
         return 1 + parity_sign(self.g.ring.nvars - 1) * self.certificate
-
-    def __repr__(self) -> str:
-        return (
-            f"DeformationCase(g={self.g!r}, f={self.f!r}, n={self.n!r}, "
-            f"certificate={self.certificate!r})"
-        )
 
 
 def check_hypotheses(g: Poly, f: Poly, cap=None) -> int:
@@ -409,6 +399,20 @@ def resolve_linear_form(scenario: Scenario, cap=None) -> tuple[Poly, LeData]:
     raise GenericityError(f"generic linear ladder exhausted: {last_error}")
 
 
+class _RowKind(NamedTuple):
+    """One kind of sweep row (see ScenarioContext._row): the N-independent
+    base, completed under LOCAL, and the pairs (a_i, b_i) of the row
+    generators a_i + s_n f'^(n - lag) b_i, each of a_i and b_i packed as
+    (d*h, d) for an int d, with least_order the least ord b_i over the
+    nonzero b_i.  The name keys the run's carry of this kind."""
+
+    name: str
+    base: StandardBasis
+    pairs: list[tuple[tuple[dict, int], tuple[dict, int]]]
+    lag: int
+    least_order: int
+
+
 class ScenarioContext:
     """The N-independent data of one run on a polynomial scenario.
 
@@ -426,23 +430,13 @@ class ScenarioContext:
     f becomes x_p and f^N one monomial; when f already is x_p they are the
     original ones, as they are for a nonlinear f.  A local dimension does
     not depend on the coordinates, and every polynomial, branch and witness
-    that a run prints stays in the original ones.  Each row's ideal is an
-    N-independent base, completed once per run under LOCAL, plus row
-    generators, and the row resumes that completion (see ideals._complete).
-    Since d_p f is a unit in the local ring,
-
-        Jac(g + f^N) = (d_p f d_i g - d_i f d_p g : i != p) + (d_p g + N f^(N-1) d_p f),
-
-    and the polar meeting is the polar ideal plus g + f^N.  So for a linear
-    f the Jacobian base is (d_i g')_{i != p}, and each row adds one
-    generator to each base, which differs from the last row's by one
-    monomial.  When f has no linear part there is no pivot, the Jacobian
-    base is empty and every partial of g + f^N is a row generator.
-
-    Past its determinacy point a row's ideal no longer depends on N, and a
-    later row reuses the number of the row that reached it, its carry (see
-    case and polar_intersection).  The carries belong to the run: they are
-    not options, and no other run reads them.
+    that a run prints stays in the original ones.  A row's two numbers,
+    mu(g + f^N) (see case) and the polar meeting (see polar_intersection),
+    come from one routine, _row, on two kinds of row (see _RowKind): each
+    resumes an N-independent base, completed once per run under LOCAL, with
+    row generators built from a kept power of f', and past its determinacy
+    point reuses the number of an earlier row, its carry.  The carries
+    belong to the run: they are not options, and no other run reads them.
     """
 
     def __init__(self, scenario: Scenario):
@@ -453,10 +447,8 @@ class ScenarioContext:
         self.g: Poly = scenario.g
         self.budget = Budget(scenario.limits.reduction_cap)
         self._f_power_kept: tuple[int, dict, int] | None = None  # the last (k, d*f'^k, d) of _f_power
-        # the (m, number) of the row past whose exponent m later rows reuse
-        # its number: mu (see case) and the polar meeting (see polar_intersection)
-        self._jacobian_carry: tuple[int, int] | None = None
-        self._polar_carry: tuple[int, int] | None = None
+        # per row kind, the (m, number) of the row past whose exponent m later rows reuse its number
+        self._carries: dict[str, tuple[int, int] | None] = {}
 
     def _hosted(self, host: str) -> tuple[BranchParam, ...]:
         return tuple(b for b in self.scenario.branches if b.host == host)
@@ -495,6 +487,14 @@ class ScenarioContext:
 
     @cached_property
     def polar(self) -> PolarCurve:
+        """The relative polar curve of (f, g).  One variable is refused: there
+        the polar locus is the whole line, but with no 2x2 minors the polar
+        ideal would be the unit ideal."""
+        if self.ring.nvars < 2:
+            raise GermlabError(
+                f"the relative polar curve needs at least two variables, and the ring has only "
+                f"{self.ring.variables[0]}"
+            )
         return relative_polar_ideal(self.f, self.g, self._hosted("polar"), self.budget)
 
     @cached_property
@@ -518,60 +518,91 @@ class ScenarioContext:
         return h if images is None else h.substitute(self.ring, images)
 
     @cached_property
-    def _jacobian_rows(self) -> tuple:
-        """The LOCAL packing with what a sweep row reads packed under it, in
-        the row coordinates: g', f' and the pairs (d_i g', d_i f') of the
-        row generators, each h as (d*h, d) for an int d, and the completed
-        Jacobian base."""
+    def _row_germs(self) -> tuple[Poly, Poly]:
+        """g' and f', the germs in the row coordinates."""
+        return self._in_row_coordinates(self.g), self._in_row_coordinates(self.f)
+
+    @cached_property
+    def _row_f(self) -> tuple[dict, int, int]:
+        """(d*f', d) packed under LOCAL for an int d, and ord f'."""
         pk = LOCAL._packing(self.ring.nvars)
-        p = self._pivot[0]
-        g, f = self._in_row_coordinates(self.g), self._in_row_coordinates(self.f)
-        dg, df = jacobian(g), jacobian(f)
-        rows = range(self.ring.nvars) if p is None else (p,)
-        gens = [] if p is None else [df[p] * dg[i] - df[i] * dg[p] for i in range(self.ring.nvars) if i != p]
+        f, den = _packed(self._row_germs[1], pk)
+        return f, den, min(map(pk.degree, f))
+
+    def _row_kind(self, name: str, gens: Sequence[Poly], pairs: Sequence[tuple[Poly, Poly]], lag: int) -> _RowKind:
+        """The row kind with the base gens, completed once per run, and the
+        pairs (a_i, b_i), packed once per run."""
+        pk = LOCAL._packing(self.ring.nvars)
         base = _complete(self.ring, LOCAL, [_integral(h, pk) for h in gens if not h.is_zero], as_budget(self.budget))
-        partials = [(_packed(dg[i], pk), _packed(df[i], pk)) for i in rows]
-        return pk, _packed(g, pk), _packed(f, pk), partials, base
+        packed = [(_packed(a, pk), _packed(b, pk)) for a, b in pairs]
+        least = min(pk.degree(m) for _, (b, _) in packed for m in b)
+        return _RowKind(name, base, packed, lag, least)
 
     @cached_property
-    def _polar_base(self) -> StandardBasis:
-        """The polar ideal in the row coordinates, completed under LOCAL."""
-        pk = LOCAL._packing(self.ring.nvars)
-        gens = [_integral(self._in_row_coordinates(h), pk) for h in self.polar.ideal.generators]
-        return _complete(self.ring, LOCAL, gens, as_budget(self.budget))
+    def _jacobian_rows(self) -> _RowKind:
+        """Jac(g' + f'^n).  Since d_p f' is a unit in the local ring,
+
+            Jac(g' + f'^n) = (d_p f' d_i g' - d_i f' d_p g' : i != p) + (d_p g' + n f'^(n-1) d_p f'),
+
+        so the base is those p-minors, which are (d_i g')_{i != p} for a
+        linear f, and the one pair is (d_p g', d_p f').  When f has no linear
+        part there is no pivot, the base is empty, and the pairs are (d_i
+        g', d_i f') for every i.  The lag is 1, by the chain rule."""
+        p = self._pivot[0]
+        nvars = self.ring.nvars
+        dg, df = (jacobian(h) for h in self._row_germs)
+        minors = [] if p is None else [df[p] * dg[i] - df[i] * dg[p] for i in range(nvars) if i != p]
+        rows = range(nvars) if p is None else (p,)
+        return self._row_kind("jacobian", minors, [(dg[i], df[i]) for i in rows], 1)
 
     @cached_property
-    def _carry_orders(self) -> tuple[int, int]:
-        """ord f' and the least ord d_i f' over the row generators with
-        d_i f' != 0, in the row coordinates: what the carries of case and
-        polar_intersection read of f, once per run."""
-        pk, _, (f, _), partials, _ = self._jacobian_rows
-        return min(map(pk.degree, f)), min(min(map(pk.degree, df)) for _, (df, _) in partials if df)
+    def _polar_rows(self) -> _RowKind:
+        """The polar meeting P + (g' + f'^n): the base is the polar ideal P in
+        the row coordinates, and the one pair is (g', 1), with lag 0."""
+        gens = [self._in_row_coordinates(h) for h in self.polar.ideal.generators]
+        return self._row_kind("polar", gens, [(self._row_germs[0], self.ring.one())], 0)
+
+    def _row(self, rows: _RowKind, n: int) -> int | None:
+        """The local quotient dimension of row n's ideal I_n of the kind
+        rows: its base B resumed with the generators h_n,i = a_i + s_n
+        f'^(n-l) b_i for the lag l and s_n = n!/(n-l)!, built on ints from
+        the kept power of f' (see _f_power), or the number carried from an
+        earlier row, which builds nothing.
+
+        Past the determinacy point a row reuses the number (Nakayama's lemma
+        with the highest corner, Greuel-Pfister, A Singular Introduction to
+        Commutative Algebra, 1.7 and 7.2).  For N > m, h_N,i - h_m,i = b_i
+        f'^(m-l) (s_N f'^(N-m) - s_m), and the last factor is a unit, so that
+        difference has order (m-l) ord f' + ord b_i exactly.  Let row m be
+        computed with a finite number and highest corner D (m^D inside I_m)
+        and have (m-l) ord f' + min_i ord b_i >= D + 1.  Then for N >= m, I_N
+        lies in I_m + m^(D+1), which is I_m, and I_m lies in I_N + m^(D+1),
+        inside I_N + m I_m, so I_m lies in I_N by Nakayama: I_N = I_m, and
+        row N returns the number of row m with no completion.  Requiring
+        only >= D would not be exact: on cylinder (g = x^2 + y^2, f = z) the
+        Jacobian row 2 has mu = 1 and D = 1, but mu(x^2 + y^2 + z^3) = 2.
+        The Jacobian rows of a non-isolated g, whose corner grows with N,
+        never get there.  The carry is dropped when a row asks for an N
+        below m.
+        """
+        carry = self._carries.get(rows.name)
+        if carry is not None and n >= carry[0]:
+            return carry[1]
+        pk, k = LOCAL._packing(self.ring.nvars), n - rows.lag
+        power, den = self._f_power(k)
+        s = math.perm(n, rows.lag)
+        gens = [_muladd(a, den * db, power, b, s * da, pk) for (a, da), (b, db) in rows.pairs]
+        gens = [_primitive(h, pk.lead(h)) for h in gens if h]
+        row = _complete(self.ring, LOCAL, gens, as_budget(self.budget), rows.base)
+        number = row.staircase_size
+        determined = number is not None and k * self._row_f[2] + rows.least_order > row.corner
+        self._carries[rows.name] = (n, number) if determined else None
+        return number
 
     def polar_intersection(self, case: DeformationCase) -> int | None:
-        """quotient_dim_local(polar.ideal.plus([case.g_tilde])): the polar
-        base resumed with the row's g' + f'^N, or the carried number.
-
-        The carry is the Jacobian one of case, for the meeting P_N = P +
-        (h_N) with h_N = g' + f'^N: h_N - h_m = f'^m (f'^(N-m) - 1), and the
-        last factor is a unit, so that difference has order m ord f
-        exactly.  When a computed row m with highest corner D' has m ord f
-        >= D' + 1, every N >= m has P_N = P_m, and a later row returns the
-        number of row m with no completion.  The carry is dropped when a
-        row asks for an N below m.
-        """
-        carry = self._polar_carry
-        if carry is not None and case.n >= carry[0]:
-            return carry[1]
-        base = self._polar_base
-        pk = LOCAL._packing(self.ring.nvars)
-        h = case.deformation()[0]
-        gens = [_primitive(h, pk.lead(h))] if h else []
-        meeting = _complete(self.ring, LOCAL, gens, as_budget(self.budget), base)
-        total = meeting.staircase_size
-        determined = total is not None and case.n * self._carry_orders[0] > meeting.corner
-        self._polar_carry = (case.n, total) if determined else None
-        return total
+        """quotient_dim_local(polar.ideal.plus([case.g_tilde])), the polar
+        kind of row (see _row)."""
+        return self._row(self._polar_rows, case.n)
 
     @cached_property
     def sigma_dim(self) -> int:
@@ -593,61 +624,29 @@ class ScenarioContext:
         return self.le.terms
 
     def case(self, n: int) -> DeformationCase:
-        """g + f^n with its isolation certificate; HypothesisError when it is
-        not isolated although n reached the threshold.  The case hypotheses
-        are read before the polar curve whose gap report sets the threshold.
-
-        The row is built on ints in the row coordinates (see _jacobian_rows):
-        its Jacobian generators by the chain rule, d(g' + f'^n) = dg' +
-        n f'^(n-1) df' (see _f_power), and g' + f'^n only when an uncarried
-        polar meeting asks for it (see _deformation), so a carried row
-        builds neither.
-
-        Past the determinacy point a row reuses mu (Nakayama's lemma with
-        the highest corner, Greuel-Pfister, A Singular Introduction to
-        Commutative Algebra, 1.7 and 7.2).  Row N's ideal is J_N = B + (q_N,i)
-        for the base B and the row generators q_N,i = d_i g' + N f'^(N-1)
-        d_i f', so q_N,i - q_m,i = d_i f' f'^(m-1) (N f'^(N-m) - m), and the
-        last factor is a unit: that difference has order (m-1) ord f +
-        ord d_i f exactly.  Let row m be computed with a finite mu and
-        highest corner D (m^D inside J_m) and have (m-1) ord f + min_i
-        ord d_i f >= D + 1.  Then for N >= m, J_N lies in J_m + m^(D+1),
-        which is J_m, and J_m lies in J_N + m^(D+1), inside J_N + m J_m, so
-        J_m lies in J_N by Nakayama: J_N = J_m, and row N returns mu of row
-        m with no completion.  A non-isolated g, whose corner grows with N,
-        never gets there.  The carry is dropped when a row asks for an N
-        below m.
-        """
+        """g + f^n with its isolation certificate mu, the Jacobian kind of row
+        (see _row); HypothesisError when it is not isolated although n
+        reached the threshold.  The case hypotheses are read before the
+        polar curve whose gap report sets the threshold."""
         self.sigma_dim  # the case hypotheses, before the polar curve
         threshold = self.gap.threshold
         if n < 2:
             raise ValueError("the deformation exponent must be at least 2")
-        carry = self._jacobian_carry
-        if carry is not None and n >= carry[0]:
-            certificate = carry[1]
-        else:
-            pk, _, _, partials, base = self._jacobian_rows
-            power, den = self._f_power(n - 1)
-            jac = [_muladd(a, den * db, power, b, n * da, pk) for (a, da), (b, db) in partials]
-            jac = [_primitive(h, pk.lead(h)) for h in jac if h]
-            row = _complete(self.ring, LOCAL, jac, as_budget(self.budget), base)
-            certificate = row.staircase_size
-            ord_f, ord_df = self._carry_orders
-            determined = certificate is not None and (n - 1) * ord_f + ord_df > row.corner
-            self._jacobian_carry = (n, certificate) if determined else None
+        certificate = self._row(self._jacobian_rows, n)
         if certificate is None and n >= threshold:
             raise HypothesisError(
                 "isolation-at-threshold",
                 f"g + f^{n} has a non-isolated singularity although n >= threshold {threshold}",
             )
-        return DeformationCase(self.g, self.f, n, partial(self._deformation, n), certificate)
+        return DeformationCase(self.g, self.f, n, certificate)
 
     def _f_power(self, k: int) -> tuple[dict, int]:
         """(d*f'^k, d) packed under LOCAL for an int d.  A sweep asks for
         increasing k, so the last power is kept and extended by one product
         by f' per exponent step; the first call, or one with a smaller k,
         starts again from f'."""
-        pk, _, (f, df), _, _ = self._jacobian_rows
+        pk = LOCAL._packing(self.ring.nvars)
+        f, df, _ = self._row_f
         if self._f_power_kept is None or self._f_power_kept[0] > k:
             self._f_power_kept = (1, f, df)
         j, power, den = self._f_power_kept
@@ -655,12 +654,6 @@ class ScenarioContext:
             power, den = _muladd({}, 0, power, f, 1, pk), den * df
         self._f_power_kept = (k, power, den)
         return power, den
-
-    def _deformation(self, n: int) -> tuple[dict, int]:
-        """(d*(g' + f'^n), d) packed under LOCAL for an int d."""
-        pk, (g, dg), _, _, _ = self._jacobian_rows
-        power, den = self._f_power(n)
-        return _muladd(g, den, power, {0: 1}, dg, pk), dg * den  # {0: 1} is the packed 1
 
 
 def verify_scenario(

@@ -48,6 +48,39 @@ def test_a_polar_surface_names_its_dimension_and_exits_one(capsys, verb, extra):
     )
 
 
+@pytest.mark.parametrize(
+    "verb, extra",
+    [
+        ("verify", ("--f", "x", "--N", "2..4")),
+        ("gap", ("--f", "x")),
+        ("polar", ("--f", "x^2")),
+        ("export-dataset", ("--f", "x", "--N", "4")),
+    ],
+)
+def test_a_one_variable_ring_has_no_polar_curve_and_exits_one(capsys, verb, extra):
+    # with one variable the polar locus is the whole line, but there are no
+    # 2x2 minors, so the polar ideal would be the unit ideal
+    code = main([verb, "--vars", "x", "--g", "x^3", *extra])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: the relative polar curve needs at least two variables, and the ring has only x\n"
+
+
+@pytest.mark.parametrize(
+    "verb, extra, line",
+    [
+        ("milnor", (), "mu = 2"),
+        ("le", (), "lambda0 = 2, lambda1 = 0, chi(Milnor fibre) = 3"),
+        ("critical-locus", ("--f", "x"), "meets {f = 0} only at the origin: True"),
+    ],
+)
+def test_one_variable_verbs_that_read_no_polar_curve_still_work(capsys, verb, extra, line):
+    code, out = run_cli(capsys, verb, "--vars", "x", "--g", "x^3", *extra)
+    assert code == 0
+    assert line in out.splitlines()
+
+
 def test_a_degree_past_the_packed_fields_exits_one(capsys):
     # each exponent is capped at 255, but nested powers multiply: the partial
     # of this g in x has degree 255^4 - 1, past the kernel's limit of 2^31

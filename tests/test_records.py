@@ -134,7 +134,7 @@ RECORDS = {
         True,
     ),
     "DeformationCase": (
-        lambda: DeformationCase(X**2, Y, 3, ({}, 1), 2),
+        lambda: DeformationCase(X**2, Y, 3, 2),
         "DeformationCase(g=Poly(x^2), f=Poly(y), n=3, certificate=2)",
         {"certificate": None},
         False,

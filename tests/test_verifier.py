@@ -505,8 +505,8 @@ PRODUCTS_PER_ROW = {
 @pytest.mark.parametrize("name", PRODUCTS_PER_ROW)
 def test_each_sweep_row_costs_one_multiplication_by_f(monkeypatch, name):
     ctx = ScenarioContext(load_fixture(name))
-    ctx.sigma_dim, ctx.gap, ctx._polar_base  # the N-independent data, before counting
-    f = ctx._jacobian_rows[2][0]  # f in the row coordinates, packed once per run
+    ctx.sigma_dim, ctx.gap, ctx._polar_rows  # the N-independent data, before counting
+    f = ctx._row_f[0]  # f in the row coordinates, packed once per run
     products = [0]
     real = verifier._muladd
 
@@ -526,11 +526,15 @@ def test_each_sweep_row_costs_one_multiplication_by_f(monkeypatch, name):
         per_row.append(products[0] - before)
     assert per_row == PRODUCTS_PER_ROW[name]
     monkeypatch.undo()
-    pk = ctx._jacobian_rows[0]
+    pk, polar = LOCAL._packing(ctx.ring.nvars), ctx._polar_rows
+    built, real = [], verifier._complete
+    monkeypatch.setattr(verifier, "_complete", lambda ring, order, gens, *rest: built.append(gens) or real(ring, order, gens, *rest))
     for case in cases:
-        # the row's g' + f'^n, in the row coordinates
-        row = ideals._unpacked(ctx.ring, *case.deformation(), pk)
-        assert row == ctx._in_row_coordinates(ctx.g + ctx.f**case.n)
+        ctx._carries.clear()  # so that the polar kind builds the row generator
+        built.clear()
+        ctx._row(polar, case.n)
+        # the row's g' + f'^n, in the row coordinates, packed as the kernel's representative
+        assert built == [[ideals._integral(ctx._in_row_coordinates(ctx.g + ctx.f**case.n), pk)]]
 
 
 @pytest.mark.parametrize("name", ["three-lines", "cylinder"])
@@ -742,22 +746,26 @@ def test_carried_rows_match_a_fresh_completion(name):
     ctx = ScenarioContext(load_fixture(name))
     for n in range(2, 31):
         assert swept_row(ctx, n) == fresh_row(ctx, n), n
-    carried = tuple(None if carry is None else carry[0] for carry in (ctx._jacobian_carry, ctx._polar_carry))
+    carried = tuple(None if ctx._carries.get(kind) is None else ctx._carries[kind][0] for kind in ("jacobian", "polar"))
     assert carried == CARRIED_FROM[name]
 
 
 @st.composite
 def isolated_germs(draw) -> tuple[Poly, Poly]:
-    """(g, f): an isolated germ in two or three variables and an isolated f:
-    linear, bent (a linear part and more) or singular."""
+    """(g, f): an isolated germ in two or three variables, or the curve germ
+    x^2 + y^2 critical along the z-axis, and an isolated f: linear, bent (a
+    linear part and more) or singular, which meets the critical locus of g
+    only at the origin."""
     a, b, c = draw(COEFFICIENTS), draw(COEFFICIENTS), draw(COEFFICIENTS)
     if draw(st.booleans(), label="three variables"):
-        gs = [a * X**2 + b * Y**2 + c * Z**3, a * X**3 + b * Y**3 + c * Z**3, a * X**2 + b * Y**3 + Z**4 + X * Y * Z]
-        fs = [Z + c * X, X + c * Y**2, X**2 + c * Y**3 + Z**2]
+        curve = a * X**2 + b * Y**2
+        gs = [a * X**2 + b * Y**2 + c * Z**3, a * X**3 + b * Y**3 + c * Z**3, a * X**2 + b * Y**3 + Z**4 + X * Y * Z, curve]
+        g = draw(st.sampled_from(gs))
+        fs = [Z + c * X, (Z + c * X**2) if g == curve else (X + c * Y**2), X**2 + c * Y**3 + Z**2]
     else:
-        gs = [a * x**3 + b * y**4, a * x**2 + b * y**5, a * x**3 + b * x * y**2 + y**5]
+        g = draw(st.sampled_from([a * x**3 + b * y**4, a * x**2 + b * y**5, a * x**3 + b * x * y**2 + y**5]))
         fs = [x + c * y, x + c * y**2, x**2 + c * y**3]
-    return draw(st.sampled_from(gs)), draw(st.sampled_from(fs))
+    return g, draw(st.sampled_from(fs))
 
 
 @settings(deadline=None, max_examples=30)
@@ -778,6 +786,11 @@ def test_carried_rows_of_isolated_germs_match_a_fresh_completion(pair, lo, hi):
             assert row == fresh_row(ctx, n)
 
 
+# the size of the completed polar base of each (g, f) of
+# test_each_row_resumes_one_base, by f
+POLAR_BASE = {"x - y": 1, "z": 1, "y^2 + x": 1, "y^3 + x^2": 1, "x*y + z^2": 2}
+
+
 @pytest.mark.parametrize(
     "g, f, pivot, substituted, base, row",
     [
@@ -795,9 +808,13 @@ def test_each_row_resumes_one_base(g, f, pivot, substituted, base, row):
     ctx, _ = deformation_case(g, f, 3)
     assert ctx._pivot[0] == pivot
     assert (ctx._pivot[1] is not None) == substituted
-    *_, partials, completed = ctx._jacobian_rows
-    assert len(completed.completion[0]) == base
-    assert len(partials) == row
+    jacobian_rows = ctx._jacobian_rows
+    assert len(jacobian_rows.base.completion[0]) == base
+    assert len(jacobian_rows.pairs) == row
+    # the polar meeting resumes the polar ideal with its one pair (g', 1)
+    pk, polar = LOCAL._packing(g.ring.nvars), ctx._polar_rows
+    assert len(polar.base.completion[0]) == POLAR_BASE[str(f)]
+    assert polar.pairs == [(ideals._packed(ctx._in_row_coordinates(g), pk), ({0: 1}, 1))]
     if substituted:
         # f is the pivot variable in the row coordinates
         assert ctx._in_row_coordinates(f) == g.ring.variable(pivot)
@@ -874,7 +891,7 @@ def test_each_fixture_row_mu_matches_sympy(name):
     rows = [(row.n, row.certificate) for row in table.rows]
     if ctx.sigma_dim == 0:
         swept = [ctx.case(n) for n in range(2, 31)]
-        assert ctx._jacobian_carry[0] < 30
+        assert ctx._carries["jacobian"][0] < 30
         rows.append((30, swept[-1].certificate))
     for n, certificate in rows:
         jac = jacobian(ctx.g + ctx.f**n)
