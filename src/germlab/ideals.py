@@ -23,7 +23,8 @@ The kernel reduces primitive int multiples of the polynomials, as term dicts
 whose monomials are ints packed by the order (orders._Packing;
 Bachmann-Schoenemann, ISSAC 1998): a product is one `+`, and the leading
 monomial is the dict's `max`, or its `min` under LOCAL.  `standard_basis_of`
-packs, then completes (`_complete`).  The sweep rows of
+packs, then completes (`_complete`) unless its Budget already holds that
+basis (see Budget.completed).  The sweep rows of
 verifier.ScenarioContext enter `_complete` with generators built on ints,
 and resume bases that it completed once per run; `normal_form` packs on
 entry.  Results return Fraction coefficients on exponent tuples,
@@ -50,17 +51,40 @@ DEFAULT_REDUCTION_CAP = 10**6
 class Budget:
     """A decrementing step counter shared across one top-level computation.
     Its cap, the steps it started with, also bounds the size of each local
-    staircase (see _Staircase)."""
+    staircase (see _Staircase).
 
-    __slots__ = ("cap", "remaining")
+    It also keeps every standard basis it paid for (see completed), so one
+    computation completes each ideal once: the bases live and die with the
+    Budget, and a computation with another Budget completes them again."""
+
+    __slots__ = ("cap", "remaining", "bases")
 
     def __init__(self, cap: int | None = None):
         self.cap = self.remaining = DEFAULT_REDUCTION_CAP if cap is None else int(cap)
+        self.bases: dict[tuple, StandardBasis] = {}
 
     def spend(self) -> None:
         self.remaining -= 1
         if self.remaining < 0:
             raise IterationLimitError("reduction step cap exceeded")
+
+    def completed(self, ring: PolyRing, order: MonomialOrder, packed: list[dict]) -> StandardBasis:
+        """_complete(ring, order, packed, self), completed on the first request
+        and returned again, spending no step, on a later one.
+
+        The key is the ring, the order and the set of the packed generators,
+        each the kernel's primitive int multiple (see _integral), so h and -h
+        share a key and the order of the generators does not matter.  A
+        reduced global basis depends only on the ideal; so do the staircase,
+        the corner and the leading monomials of a LOCAL one, which is all
+        that germlab reads of it besides the completion a row resumes.  The
+        first request of a run is the same on every run, so a hit returns
+        the same basis each time."""
+        key = (ring, order, frozenset(frozenset(h.items()) for h in packed))
+        basis = self.bases.get(key)
+        if basis is None:
+            basis = self.bases[key] = _complete(ring, order, packed, self)
+        return basis
 
 
 def as_budget(cap) -> Budget:
@@ -547,7 +571,7 @@ def standard_basis_of(generators: Sequence[Poly], order: MonomialOrder, cap=None
     if not gens:
         return StandardBasis()
     pk = order._packing(ring.nvars)
-    return _complete(ring, order, [_integral(g, pk) for g in gens], budget)
+    return budget.completed(ring, order, [_integral(g, pk) for g in gens])
 
 
 def _stripped(packed: list[dict], pk: _Packing, budget: Budget) -> list[dict]:
@@ -751,7 +775,9 @@ class IdealPresentation:
 
     The cache is confined to this object and filled on first use, one basis
     per order, kept with the Budget that paid for it; distinct presentations
-    never share state, and germlab starts no threads.
+    never share state, and germlab starts no threads.  Two presentations of
+    the same generators share a basis through that Budget, which keeps every
+    basis it completed (see Budget.completed).
     """
 
     __slots__ = ("ring", "generators", "_bases")

@@ -259,6 +259,7 @@ def branch_slice_milnor(g: Poly, form: Poly, branch: BranchParam, cap=None) -> i
     if form.ring != g.ring:
         raise RingMismatchError("slice form must live in the ring of g")
     budget = as_budget(cap)
+    partials = jacobian(g)
 
     def at(tau: Fraction) -> int:
         point = branch.point_at(tau)
@@ -266,7 +267,7 @@ def branch_slice_milnor(g: Poly, form: Poly, branch: BranchParam, cap=None) -> i
             raise DegenerateBranchError(
                 f"slice level vanishes at branch point of {branch.name!r} (tau={tau})"
             )
-        if any(g.diff(i).evaluate(point) != 0 for i in range(g.ring.nvars)):
+        if any(d.evaluate(point) != 0 for d in partials):
             raise GermlabError(
                 f"branch point of {branch.name!r} at tau={tau} is not a critical point of g"
             )
@@ -297,11 +298,15 @@ class BranchTerm(NamedTuple):
     slice_milnor: int
 
 
-def branch_terms(g: Poly, form: Poly, branches: Sequence[BranchParam], cap=None) -> tuple[BranchTerm, ...]:
+def branch_terms(
+    g: Poly, form: Poly, branches: Sequence[BranchParam], cap=None, images: Sequence[Poly] | None = None
+) -> tuple[BranchTerm, ...]:
+    """The branch terms of g against form; images, when the caller has them,
+    are the compositions form(branch(t)), one per branch."""
     budget = as_budget(cap)
     return tuple(
-        BranchTerm(b.name, b.multiplicity, local_degree(form, b), branch_slice_milnor(g, form, b, budget))
-        for b in branches
+        BranchTerm(b.name, b.multiplicity, local_degree(form, b, image), branch_slice_milnor(g, form, b, budget))
+        for b, image in zip(branches, images or [None] * len(branches))
     )
 
 

@@ -93,8 +93,10 @@ def le_numbers(
             terms=(),
         )
 
+    images = []  # form(branch(t)), composed once for this check and the branch terms
     for branch in branches:
-        if order_in_t(compose_on_branch(form, branch)) is None:
+        images.append(compose_on_branch(form, branch))
+        if order_in_t(images[-1]) is None:
             raise UndefinedLeError(
                 f"the linear form vanishes identically on branch {branch.name!r}"
             )
@@ -115,7 +117,7 @@ def le_numbers(
 
     terms = lam1_branch = None
     if branches:
-        terms = branch_terms(g, form, branches, budget)
+        terms = branch_terms(g, form, branches, budget, images)
         lam1_branch = branch_sum(terms)
         log.append(
             "lambda1: sum over branches of local degree times slice Milnor number"

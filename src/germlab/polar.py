@@ -230,10 +230,13 @@ def gap_ratios(f: Poly, g: Poly, curve: PolarCurve, cap=None) -> GapReport:
             f"the relative polar locus of (f = {f}, g = {g}) has dimension {curve.dim} "
             "at the origin; gap ratios and the threshold need a curve"
         )
-    total_g = intersection_number(curve, g, cap)
-    images = tuple(
+    total_g = quotient_dim_local(curve.ideal.plus([g]), cap)
+    # g and f are composed once per component, once the total is finite;
+    # the component check of the total truncates the exact image of g
+    images = () if total_g is None else tuple(
         (compose_on_branch(g, comp), compose_on_branch(f, comp)) for comp in curve.components
     )
+    checked_intersection(curve, lambda: g, total_g, [g_image.truncated for g_image, _ in images] or None)
     ratios = []
     for comp, (g_image, f_image) in zip(curve.components, images):
         og = local_degree(g, comp, g_image)

@@ -530,10 +530,11 @@ class ScenarioContext:
         return f, den, min(map(pk.degree, f))
 
     def _row_kind(self, name: str, gens: Sequence[Poly], pairs: Sequence[tuple[Poly, Poly]], lag: int) -> _RowKind:
-        """The row kind with the base gens, completed once per run, and the
-        pairs (a_i, b_i), packed once per run."""
+        """The row kind with the base gens, completed once per run (the run's
+        Budget returns a basis it already completed, see Budget.completed),
+        and the pairs (a_i, b_i), packed once per run."""
         pk = LOCAL._packing(self.ring.nvars)
-        base = _complete(self.ring, LOCAL, [_integral(h, pk) for h in gens if not h.is_zero], as_budget(self.budget))
+        base = as_budget(self.budget).completed(self.ring, LOCAL, [_integral(h, pk) for h in gens if not h.is_zero])
         packed = [(_packed(a, pk), _packed(b, pk)) for a, b in pairs]
         least = min(pk.degree(m) for _, (b, _) in packed for m in b)
         return _RowKind(name, base, packed, lag, least)

@@ -117,16 +117,28 @@ def test_a_cold_start_imports_neither_dataclasses_nor_inspect():
     assert done.stdout == b"[]\n"
 
 
-def test_a_cap_spent_in_a_polar_intersection_exits_one(capsys):
+def test_a_cap_spent_in_a_polar_intersection_exits_one(capsys, monkeypatch):
     # the last steps of this run are spent in the polar intersection of N = 5,
-    # whose row resumes the completed polar base with one generator: 57 steps
-    # in all, the 57th there (67 before global completions updated their
-    # pairs by Gebauer-Moeller)
-    code = main(["verify", "--fixture", "double-axes", "--N", "2..5", "--caps", "56"])
+    # whose row resumes the completed polar base with one generator: 50 steps
+    # in all, the 50th there (57 before the run's Budget kept the bases it
+    # completed, 67 before global completions updated their pairs by
+    # Gebauer-Moeller)
+    entered = []
+    real = ScenarioContext.polar_intersection
+
+    def recording(ctx, case):
+        entered.append(case.n)
+        total = real(ctx, case)
+        entered.pop()
+        return total
+
+    monkeypatch.setattr(ScenarioContext, "polar_intersection", recording)
+    code = main(["verify", "--fixture", "double-axes", "--N", "2..5", "--caps", "49"])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
     assert captured.err == "error: reduction step cap exceeded\n"
+    assert entered == [5]  # the cap ran out inside N = 5's polar intersection
 
 
 def test_milnor_inline(capsys):

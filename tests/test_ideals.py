@@ -371,6 +371,31 @@ def test_a_cached_basis_serves_only_the_budget_that_paid_for_it():
     assert quotient_dim_local(I, cap=52) == 20
 
 
+def test_a_budget_completes_each_ideal_once():
+    # the Budget keeps every basis it completed, keyed on the ring, the order
+    # and the set of primitive packed generators: the same generators listed
+    # in another order, negated or scaled, or in another presentation, get
+    # the same basis and spend nothing; another order or another Budget
+    # completes again
+    jac = jacobian(X**2 * Y + Y**4 + Z**5 + X * Y * Z**2)
+    relisted = [-jac[2], 3 * jac[0], jac[1], jac[0]]
+    budget = Budget(10**5)
+    local = standard_basis_of(jac, LOCAL, budget)
+    assert 10**5 - budget.remaining == 52
+    assert standard_basis_of(relisted, LOCAL, budget) is local
+    assert quotient_dim_local(IdealPresentation(RING_XYZ, relisted), budget) == 20
+    assert 10**5 - budget.remaining == 52
+    glob = standard_basis_of(jac, DEGREVLEX, budget)
+    assert 10**5 - budget.remaining > 52
+    spent = 10**5 - budget.remaining
+    assert standard_basis_of(relisted, DEGREVLEX, budget) is glob
+    assert 10**5 - budget.remaining == spent
+    other = Budget(10**5)
+    again = standard_basis_of(relisted, LOCAL, other)
+    assert again is not local and again.staircase_size == local.staircase_size == 20
+    assert 10**5 - other.remaining == 52
+
+
 def test_saturation_work_count_is_pinned():
     # the polar ideal of (x + 2y + 3z, xyz): one Rabinowitsch elimination and
     # nothing else; another route or pair order moves the count (48 before

@@ -395,15 +395,18 @@ def test_verdict_table_json_shape():
 # They spent 87, 73, 52, 78, 67, 180 and 145 (682 in all) before global
 # completions updated their pairs by Gebauer-Moeller, returned only the
 # elimination ideal under ELIM_FIRST and let monomial generators strip their
-# multiples.
+# multiples.  They spent 77, 70, 42, 71, 57, 166 and 137 (620 in all) while
+# one run completed the same ideal more than once: Jac(g), the polar ideal
+# (whose minors are the Jacobian row base's up to sign when f is a
+# coordinate) and the slice Jacobians of the branch ladder.
 SWEEP_SPEND = {
-    "brieskorn-345": 77,
-    "cusp-isolated": 70,
-    "cylinder-z3": 42,
-    "cylinder": 71,
-    "double-axes": 57,
-    "pinch-point": 166,
-    "three-lines": 137,
+    "brieskorn-345": 72,
+    "cusp-isolated": 66,
+    "cylinder-z3": 37,
+    "cylinder": 68,
+    "double-axes": 50,
+    "pinch-point": 162,
+    "three-lines": 123,
 }
 
 
@@ -446,7 +449,19 @@ def test_sweep_spend_is_pinned():
         for name in SWEEP_SPEND
     }
     assert spend == SWEEP_SPEND
-    assert sum(spend.values()) == 620
+    assert sum(spend.values()) == 578
+
+
+@pytest.mark.parametrize("name", SWEEP_SPEND)
+def test_a_scenario_verified_twice_reports_and_spends_the_same(name):
+    # the bases a run completes live in its Budget, not on the Scenario or
+    # its polynomials, so a second run on the same objects pays again
+    scenario = load_fixture(name)
+    tables = []
+    spends = [budget_spend(lambda: tables.append(verify_scenario(scenario, n_range=(2, 30)))) for _ in range(2)]
+    assert spends == [SWEEP_SPEND[name]] * 2
+    first, second = (json.dumps(table.to_json_dict(), sort_keys=True) for table in tables)
+    assert first == second
 
 
 def test_heavy_tier_spend_is_pinned():
@@ -582,6 +597,24 @@ def test_export_standard_basis_count_is_pinned(monkeypatch):
     monkeypatch.setattr(ideals, "standard_basis_of", counting)
     export_dataset(load_fixture("three-lines"), 3)
     assert len(calls) == 20
+
+
+def test_export_completes_each_ideal_once(monkeypatch):
+    # 22 completions, 12 of them distinct, while the run completed Jac(g)
+    # twice under LOCAL, the polar ideal and the Jacobian row base (the same
+    # minors up to sign) apart, and the same slice Jacobian at two rungs of
+    # the branch ladder; the rows' resumed completions are among the 12
+    calls = []
+    real = ideals._complete
+
+    def counting(ring, order, packed, budget, base=None):
+        calls.append((ring, order, frozenset(frozenset(h.items()) for h in packed), id(base)))
+        return real(ring, order, packed, budget, base)
+
+    monkeypatch.setattr(ideals, "_complete", counting)
+    monkeypatch.setattr(verifier, "_complete", counting)
+    export_dataset(load_fixture("three-lines"), 3)
+    assert len(calls) == len(set(calls)) == 12
 
 
 def test_context_terms_are_the_le_terms_for_a_linear_f():
@@ -875,6 +908,36 @@ def test_a_sweep_row_minimalizes_no_basis(monkeypatch, name):
         if not ctx.polar.is_empty:
             ctx.polar_intersection(case)
     assert calls == []
+
+
+@pytest.mark.parametrize("name", CN_FIXTURES)
+def test_each_fixture_polar_meeting_with_g_matches_sympy(name):
+    # gap.g_intersection, dim O/(P + (g)) for the polar ideal P, whose local
+    # basis the run's Budget shares with the Jacobian rows' base, against
+    # sympy's dim O/(P + (g) + m^D) at the highest corner D and one past it
+    ctx = ScenarioContext(load_fixture(name))
+    if ctx.polar.is_empty:
+        assert ctx.gap.g_intersection is None
+        return
+    pytest.importorskip("sympy")
+    gens = [*ctx.polar.ideal.generators, ctx.g]
+    corner = ideals.standard_basis_of(gens, LOCAL).corner
+    terms = [p.terms for p in gens]
+    assert [sympy_local_quotient_dim(terms, d) for d in (corner, corner + 1)] == [ctx.gap.g_intersection] * 2
+
+
+@pytest.mark.parametrize("name", ["brieskorn-345", "cusp-isolated", "cylinder-z3"])
+def test_each_isolated_fixture_mu_of_g_matches_sympy(name):
+    # mu(g), the lambda0 of an isolated g, read off the local basis of Jac(g)
+    # that le_numbers and check_hypotheses now share, against sympy's
+    # dim O/(Jac(g) + m^D) at the highest corner D and one past it
+    pytest.importorskip("sympy")
+    ctx = ScenarioContext(load_fixture(name))
+    assert ctx.sigma_dim == 0 and ctx.le.lambda1 == 0
+    jac = [p for p in jacobian(ctx.g) if not p.is_zero]
+    corner = ideals.standard_basis_of(jac, LOCAL).corner
+    terms = [p.terms for p in jac]
+    assert [sympy_local_quotient_dim(terms, d) for d in (corner, corner + 1)] == [ctx.le.lambda0] * 2
 
 
 @pytest.mark.parametrize("name", CN_FIXTURES)
