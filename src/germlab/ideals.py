@@ -142,22 +142,6 @@ def _unpacked(ring: PolyRing, h: dict, den: int, pk: _Packing) -> Poly:
     return Poly._make(ring, {unpack(m): Fraction(c, den) for m, c in h.items()})
 
 
-def _muladd(x: dict, s: int, a: dict, b: dict, t: int, pk: _Packing) -> dict:
-    """s*x + t*a*b for packed int dicts, with no zero coefficient, under an
-    order that packs the degree on top, so the largest int has the top degree."""
-    pk.check_degree(pk.degree(max(a, default=0)) + pk.degree(max(b, default=0)))
-    acc = {m: s * c for m, c in x.items()} if s else {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            m = ma + mb
-            c = acc.get(m, 0) + t * ca * cb
-            if c:
-                acc[m] = c
-            else:
-                acc.pop(m, None)
-    return acc
-
-
 def _reducer(h: dict, pk: _Packing, sugar: int = 0) -> tuple:
     """(lm, lc, ecart, h, raw, deg): what a reduction step reads of the
     reducer h, computed once per basis element instead of once per step.

@@ -84,12 +84,11 @@ class BranchValidation(NamedTuple):
         return self.ok
 
 
-def compose_on_branch(p: Poly, branch: BranchParam, below: int | None = None) -> Poly:
-    """The exact univariate polynomial p(branch(t)), or with below, its
-    truncation modulo t^below."""
+def compose_on_branch(p: Poly, branch: BranchParam) -> Poly:
+    """The exact univariate polynomial p(branch(t))."""
     if len(branch.components) != p.ring.nvars:
         raise RingMismatchError("branch component count does not match the ring")
-    return p.substitute(T_RING, list(branch.components), below)
+    return p.substitute(T_RING, list(branch.components))
 
 
 def order_in_t(p: Poly) -> int | None:

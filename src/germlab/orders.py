@@ -17,7 +17,7 @@ from operator import mul, neg
 from typing import Callable
 
 from .errors import GermlabError
-from .rings import Exponents, Poly
+from .rings import Exponents
 
 _FIELD_BITS = 32
 _DEGREE_LIMIT = 1 << (_FIELD_BITS - 1)  # the fields' guard bits stay clear below it
@@ -155,7 +155,3 @@ DEGREVLEX = MonomialOrder("degrevlex", _degrevlex_key, _degrevlex_fields)
 LOCAL = MonomialOrder("negdegrevlex", _negdegrevlex_key, _negdegrevlex_fields)
 ELIM_FIRST = MonomialOrder("elim-first", _elim_first_key, _elim_first_fields)
 
-
-def leading_monomial(p: Poly, order: MonomialOrder) -> Exponents:
-    """Exponent vector of the leading term; p must be nonzero."""
-    return max(p.terms, key=order.key)

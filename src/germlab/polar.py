@@ -5,7 +5,6 @@ Iomdin threshold, and the polar-decomposition check for deformations g + f^N.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import ComponentMismatchError, GermlabError, ImproperIntersectionError
@@ -69,9 +68,8 @@ class GapReport(_GapReportFields):
     never exceed that total, so total + 1 certifies N > ratio for every
     component.  exact_max is present only when components are supplied.
     images holds the exact compositions (g(branch(t)), f(branch(t))) on each
-    component, which do not depend on N; a sweep row reads the orders of
-    g + f^N from their leading terms and builds its image from them only
-    when those cancel or for an error message (see checked_intersection).
+    component, which do not depend on N; a sweep row reads the order of
+    g + f^N on each component from them (see deformed_order).
     The repr leaves images out.  exact_max is checked against the sound
     bound on construction; _replace skips that check, so build a changed
     report with GapReport(...).
@@ -162,50 +160,34 @@ def intersection_number(curve: PolarCurve | IdealPresentation, h: Poly, cap=None
     t-orders of h along them (weighted by declared multiplicities) must equal
     the scheme-side number; a disagreement raises ComponentMismatchError
     rather than guessing which route is right.
-
-    Only orders up to the total can add up to it, so each composition is
-    first taken modulo t^(total + 1).  When those orders sum to the total the
-    check has passed; otherwise the exact compositions are recomputed, so the
-    error names the true orders.
     """
     ideal = curve.ideal if isinstance(curve, PolarCurve) else curve
     return checked_intersection(curve, lambda: h, quotient_dim_local(ideal.plus([h]), cap))
 
 
-def _order_below(image, below: int) -> int | None:
-    order = getattr(image, "order", None)
-    return order_in_t(image(below)) if order is None else order(below)
-
-
 def checked_intersection(
-    curve: PolarCurve | IdealPresentation, h: Callable[[], Poly], total: int | None, images=None
+    curve: PolarCurve | IdealPresentation,
+    h: Callable[[], Poly],
+    total: int | None,
+    orders: Sequence[int | None] | None = None,
 ) -> int:
     """The scheme-side intersection number total of curve with {h() = 0}
     (None when infinite), for a caller that computed it, checked against the
-    components as intersection_number describes.  images, one per component,
-    maps a truncation `below` (None for exact) to h(branch(t)) mod t^below
-    (by default compose_on_branch(h(), component, below)).  An image with an
-    `order` method answers order(below), the t-order of image(below) (None
-    when that is 0), itself, and the first check reads it so; the exact
-    recomputation always builds the images.  h builds the equation; it is
-    called only for an error message or the default images, so a caller
-    with images and a passing check builds none."""
+    components as intersection_number describes.  orders holds, per
+    component, the exact t-order of h(branch(t)), None when that is 0 (by
+    default read from compose_on_branch(h(), component)).  h builds the
+    equation; it is called only for an error message or the default orders,
+    so a caller with orders and a passing check builds none."""
     if total is None:
         raise ImproperIntersectionError(
             f"intersection with {h()} has positive dimension at the origin"
         )
     if isinstance(curve, PolarCurve) and curve.components:
-        if images is None:
+        if orders is None:
             equation = h()
-            images = [partial(compose_on_branch, equation, comp) for comp in curve.components]
-        truncated = [_order_below(image, total + 1) for image in images]
-        if None not in truncated and total == sum(
-            comp.multiplicity * order for comp, order in zip(curve.components, truncated)
-        ):
-            return total
+            orders = [order_in_t(compose_on_branch(equation, comp)) for comp in curve.components]
         by_orders = 0
-        for comp, image in zip(curve.components, images):
-            order = order_in_t(image(None))
+        for comp, order in zip(curve.components, orders):
             if order is None:
                 raise ImproperIntersectionError(
                     f"{h()} vanishes identically on component {comp.name!r}"
@@ -220,6 +202,20 @@ def checked_intersection(
     return total
 
 
+def deformed_order(g_image: Poly, f_image: Poly, n: int) -> int | None:
+    """The t-order of g_image + f_image^n, (g + f^n)(branch(t)) for the
+    nonzero images g(branch(t)) and f(branch(t)) of one branch; None when
+    that sum is 0.  The sum has the order of the lower of the two leading
+    terms when their orders differ, and their common order when the
+    coefficients lc_g + lc_f^n do not cancel; only a cancelling sum is built."""
+    og, of = g_image.min_degree(), f_image.min_degree()
+    if og != n * of:
+        return min(og, n * of)
+    if g_image.terms[(og,)] + f_image.terms[(of,)] ** n:
+        return og
+    return order_in_t(g_image + f_image**n)
+
+
 def gap_ratios(f: Poly, g: Poly, curve: PolarCurve, cap=None) -> GapReport:
     """Gap ratios ord_t g / ord_t f of the polar components, plus a sound
     upper bound derived from the total g-intersection number."""
@@ -232,11 +228,11 @@ def gap_ratios(f: Poly, g: Poly, curve: PolarCurve, cap=None) -> GapReport:
         )
     total_g = quotient_dim_local(curve.ideal.plus([g]), cap)
     # g and f are composed once per component, once the total is finite;
-    # the component check of the total truncates the exact image of g
+    # the component check of the total reads the order of the image of g
     images = () if total_g is None else tuple(
         (compose_on_branch(g, comp), compose_on_branch(f, comp)) for comp in curve.components
     )
-    checked_intersection(curve, lambda: g, total_g, [g_image.truncated for g_image, _ in images] or None)
+    checked_intersection(curve, lambda: g, total_g, [order_in_t(g_image) for g_image, _ in images])
     ratios = []
     for comp, (g_image, f_image) in zip(curve.components, images):
         og = local_degree(g, comp, g_image)

@@ -73,16 +73,6 @@ class PolyRing(_PolyRingFields):
         return Poly._make(self, {exps: c} if c else {})
 
 
-def mono_divides(a: Exponents, b: Exponents) -> bool:
-    """True when the monomial with exponents a divides the one with b."""
-    return all(map(operator.le, a, b))
-
-
-def mono_div(a: Exponents, b: Exponents) -> Exponents:
-    """Exponent vector of a/b; caller guarantees divisibility."""
-    return tuple(map(operator.sub, a, b))
-
-
 def mono_lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(map(max, a, b))
 
@@ -96,19 +86,18 @@ def _numerators(terms: Mapping[Exponents, Fraction]) -> tuple[dict[Exponents, in
     return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
 
 
-def _packed_product(x: dict[int, int], y: dict[int, int], pk, bound: int | None) -> dict[int, int]:
-    """x*y for int dicts on monomials packed by pk (an orders._Packing with
-    the degree on top), without the terms that pack to bound or above."""
-    pk.check_degree(pk.degree(max(x, default=0)) + pk.degree(max(y, default=0)))
-    acc: dict[int, int] = {}
-    for a, ca in x.items():
-        for b, cb in y.items():
-            m = a + b
-            if bound is not None and m >= bound:
-                continue
-            s = acc.get(m, 0) + ca * cb
-            if s:
-                acc[m] = s
+def _muladd(x: dict, s: int, a: dict, b: dict, t: int, pk) -> dict:
+    """s*x + t*a*b for int dicts on monomials packed by pk (an
+    orders._Packing), with no zero coefficient, under an order that packs
+    the degree on top, so the largest int has the top degree."""
+    pk.check_degree(pk.degree(max(a, default=0)) + pk.degree(max(b, default=0)))
+    acc = {m: s * c for m, c in x.items()} if s else {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = ma + mb
+            c = acc.get(m, 0) + t * ca * cb
+            if c:
+                acc[m] = c
             else:
                 acc.pop(m, None)
     return acc
@@ -165,12 +154,6 @@ class Poly:
 
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * self.ring.nvars, Fraction(0))
-
-    def total_degree(self) -> int:
-        """Maximal term degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
 
     def min_degree(self) -> int:
         """Minimal term degree (the multiplicity of the germ); -1 for zero."""
@@ -282,27 +265,13 @@ class Poly:
             total += val
         return total
 
-    def truncated(self, below: int | None) -> "Poly":
-        """self modulo m^below: the terms of total degree < below (all of
-        them for None)."""
-        if below is None:
-            return self
-        return Poly._make(self.ring, {e: c for e, c in self.terms.items() if sum(e) < below})
-
-    def substitute(
-        self, target: PolyRing, images: Sequence["Poly"], below: int | None = None
-    ) -> "Poly":
+    def substitute(self, target: PolyRing, images: Sequence["Poly"]) -> "Poly":
         """Evaluate at a vector of polynomials living in the target ring.
 
-        With below, the result is the image modulo m^below: every term of
-        total degree >= below is dropped.  Truncation by total degree is a
-        ring homomorphism, so this is exact in the quotient.  Source terms
-        whose image order sum(e_i * ord(image_i)) reaches below, or that
-        multiply a zero image, are skipped, and image powers are built
-        already truncated.  The arithmetic runs on int numerators over
-        monomials packed under DEGREVLEX (see orders._Packing), where a
-        truncation is one comparison, with every kept term brought to one
-        common denominator; each output term becomes one Fraction.
+        Source terms that multiply a zero image are skipped.  The arithmetic
+        runs on int numerators over monomials packed under DEGREVLEX (see
+        orders._Packing), with every kept term brought to one common
+        denominator; each output term becomes one Fraction.
         """
         if len(images) != self.ring.nvars:
             raise ValueError("need one image per variable")
@@ -312,14 +281,9 @@ class Poly:
         from .orders import DEGREVLEX  # orders imports this module
 
         pk = DEGREVLEX._packing(target.nvars)
-        bound = None if below is None else pk.corner(below)
-        orders = [im.min_degree() for im in images]
+        zero = [im.is_zero for im in images]
         nums, den = _numerators(self.terms)
-        kept = [
-            (exps, c) for exps, c in nums.items()
-            if all(orders[i] >= 0 for i, e in enumerate(exps) if e)  # no zero image
-            and (below is None or sum(map(operator.mul, orders, exps)) < below)
-        ]
+        kept = [(exps, c) for exps, c in nums.items() if not any(e and z for e, z in zip(exps, zero))]
         packed = [({pk.pack(e): c for e, c in t.items()}, d) for t, d in (_numerators(im.terms) for im in images)]
         tops = [max((exps[i] for exps, _ in kept), default=0) for i in range(len(images))]
         den *= math.prod(d**top for (_, d), top in zip(packed, tops))
@@ -331,8 +295,8 @@ class Poly:
                 if e:
                     cached = powers[i]
                     while len(cached) <= e:
-                        cached.append(_packed_product(cached[-1], packed[i][0], pk, bound))
-                    term = _packed_product(term, cached[e], pk, bound)
+                        cached.append(_muladd({}, 0, cached[-1], packed[i][0], 1, pk))
+                    term = _muladd({}, 0, term, cached[e], 1, pk)
             _accumulate(acc, term)
         unpack = pk.unpack
         return Poly._make(target, {unpack(m): Fraction(n, den) for m, n in acc.items()})

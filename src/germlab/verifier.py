@@ -16,7 +16,6 @@ any failing identity makes the table (and the CLI) report failure.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cached_property
 from typing import Any, Mapping, NamedTuple, Sequence
 
@@ -31,7 +30,7 @@ from .errors import (
     UndefinedLeError,
 )
 from .ideals import Budget, IdealPresentation, as_budget, dim_at_origin, quotient_dim_local
-from .ideals import StandardBasis, _complete, _integral, _muladd, _packed, _primitive
+from .ideals import StandardBasis, _complete, _integral, _packed, _primitive
 from .invariants import (
     BranchParam,
     BranchTerm,
@@ -41,7 +40,6 @@ from .invariants import (
     jacobian_ideal,
     linear_part,
     milnor_number,
-    order_in_t,
     slice_germ,
     transverse_multiplicity,
     validate_branch,
@@ -51,12 +49,13 @@ from .polar import (
     GapReport,
     PolarCurve,
     checked_intersection,
+    deformed_order,
     gap_ratios,
     intersection_number,
     relative_polar_ideal,
 )
 from .orders import LOCAL
-from .rings import Poly, PolyRing, jacobian
+from .rings import Poly, PolyRing, _muladd, jacobian
 from .scenario import N_MAX, Scenario
 from .stratified import (
     EMPTY_MAPPING,
@@ -183,77 +182,26 @@ def verify_branch_sum_identities(
     return verdicts, -sign * jump, expansion
 
 
-def _deformed_image(g_image: Poly, f_image: Poly, n: int, below: int | None) -> Poly:
-    """(g + f^n)(branch(t)) modulo t^below (exact for None), from the images
-    g(branch(t)) and f(branch(t)): composition and truncation are ring
-    homomorphisms, so this is g_image + f_image^n in Q[t]/(t^below)."""
-    if below is None:
-        return g_image + f_image**n
-    power = f_image.ring.zero()
-    if f_image.min_degree() * n < below:  # else f^n vanishes modulo t^below
-        power, base = f_image.ring.one(), f_image
-        while n:
-            if n & 1:
-                power = (power * base).truncated(below)
-            n >>= 1
-            if n:
-                base = (base * base).truncated(below)
-    return (g_image + power).truncated(below)
-
-
-def _leading_term(image: Poly) -> tuple[int, Fraction]:
-    """(t-order, coefficient there) of a nonzero polynomial in t."""
-    order = image.min_degree()
-    return order, image.terms[(order,)]
-
-
-class _DeformedImage(NamedTuple):
-    """(g + f^n)(branch(t)) on one polar component, from the images of g and
-    f there, which do not depend on n; gap_ratios refuses a component on
-    which either image is 0.  Called with a truncation `below`, it builds
-    the image (see _deformed_image)."""
-
-    g_image: Poly
-    f_image: Poly
-    n: int
-
-    def __call__(self, below: int | None) -> Poly:
-        return _deformed_image(self.g_image, self.f_image, self.n, below)
-
-    def order(self, below: int | None) -> int | None:
-        """order_in_t(self(below)), read off the leading terms: g_image +
-        f_image^n has the order of the lower of its two leading terms when
-        their orders differ, and their common order when the coefficients
-        lc_g + lc_f^n do not cancel.  Only a cancelling sum builds the image."""
-        (og, lc_g), (of, lc_f) = _leading_term(self.g_image), _leading_term(self.f_image)
-        if og == self.n * of and lc_g + lc_f**self.n == 0:
-            return order_in_t(self(below))
-        order = min(og, self.n * of)
-        return None if below is not None and order >= below else order
-
-
 def verify_gap_stability(case: DeformationCase, ctx: ScenarioContext) -> IdentityVerdict:
     """Intersection of the polar curve with V(g) against V(g + f^N).
 
     The g-side number is gap.g_intersection, which does not depend on N
     (None for an empty polar curve).  The g + f^N side is the run's packed
     intersection number (see ScenarioContext.polar_intersection), checked
-    on the polar components against images read from those of g and f that
-    the gap report holds, so a row composes no polynomial on a branch: each
-    component's order comes from the leading terms of those two images (see
-    _DeformedImage.order), and only a cancelling sum or an error message
-    builds an image.  A component mismatch or an improper intersection is
-    the verdict's FAIL; any other error, a spent budget among them, ends
-    the run.
+    on the polar components against orders read from the images of g and f
+    that the gap report holds (see deformed_order), so a row composes no
+    polynomial on a branch.  A component mismatch or an improper
+    intersection is the verdict's FAIL; any other error, a spent budget
+    among them, ends the run.
     """
     polar, gap = ctx.polar, ctx.gap
     left = gap.g_intersection
     if polar.is_empty:
         return IdentityVerdict("polar_stability", "SKIPPED", note="empty polar curve")
     total = ctx.polar_intersection(case)
-    images = [_DeformedImage(g_image, f_image, case.n) for g_image, f_image in gap.images]
+    orders = [deformed_order(g_image, f_image, case.n) for g_image, f_image in gap.images]
     try:
-        right = checked_intersection(polar, lambda: case.g_tilde, total, images or None)
+        right = checked_intersection(polar, lambda: case.g_tilde, total, orders)
     except (ComponentMismatchError, ImproperIntersectionError) as exc:
         return IdentityVerdict("polar_stability", "FAIL", left=left, right=str(exc))
     return compared("polar_stability", left, right)
@@ -534,7 +482,7 @@ class ScenarioContext:
         Budget returns a basis it already completed, see Budget.completed),
         and the pairs (a_i, b_i), packed once per run."""
         pk = LOCAL._packing(self.ring.nvars)
-        base = as_budget(self.budget).completed(self.ring, LOCAL, [_integral(h, pk) for h in gens if not h.is_zero])
+        base = self.budget.completed(self.ring, LOCAL, [_integral(h, pk) for h in gens if not h.is_zero])
         packed = [(_packed(a, pk), _packed(b, pk)) for a, b in pairs]
         least = min(pk.degree(m) for _, (b, _) in packed for m in b)
         return _RowKind(name, base, packed, lag, least)
@@ -594,7 +542,7 @@ class ScenarioContext:
         s = math.perm(n, rows.lag)
         gens = [_muladd(a, den * db, power, b, s * da, pk) for (a, da), (b, db) in rows.pairs]
         gens = [_primitive(h, pk.lead(h)) for h in gens if h]
-        row = _complete(self.ring, LOCAL, gens, as_budget(self.budget), rows.base)
+        row = _complete(self.ring, LOCAL, gens, self.budget, rows.base)
         number = row.staircase_size
         determined = number is not None and k * self._row_f[2] + rows.least_order > row.corner
         self._carries[rows.name] = (n, number) if determined else None
@@ -672,6 +620,7 @@ def verify_scenario(
     aligned with their thresholds; past N_MAX it raises ExponentRangeError.
     """
     ctx = ScenarioContext(scenario)
+    ctx.sigma_dim  # the case hypotheses first, so a pair that fails them fails there
     f, le, chi_g = ctx.f, ctx.le, ctx.chi_g
     ctx.sigma_branches  # validate the declared branches before the polar curve
     threshold = ctx.gap.threshold
@@ -771,12 +720,12 @@ def export_dataset(scenario: Scenario, n: int | None = None) -> StratifiedDatase
     them to SKIPPED.
     """
     ctx = ScenarioContext(scenario)
+    ctx.sigma_dim  # the case hypotheses first, so a pair that fails them fails there
     budget = ctx.budget
     g, f, chi_g = ctx.g, ctx.f, ctx.chi_g
     v = ctx.ring.nvars
 
     if n is None:
-        ctx.sigma_dim  # read before the polar curve, as case(n) reads it
         threshold = ctx.gap.threshold
         lo, hi = scenario.n_range
         n = max(lo, threshold) if threshold <= hi else lo

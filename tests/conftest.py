@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import operator
 import os
 import sys
 from fractions import Fraction
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 
 import germlab
-from germlab import DEGREVLEX, IdealPresentation, Poly, PolyRing, load_scenario
+from germlab import DEGREVLEX, IdealPresentation, MonomialOrder, Poly, PolyRing, load_scenario
 from germlab.verifier import DeformationCase, ScenarioContext
 
 # the directory this germlab was imported from, for child interpreters
@@ -50,6 +51,26 @@ def same_ideal(I: IdealPresentation, J: IdealPresentation) -> bool:
     """Whether I and J present one ideal: a reduced Groebner basis is unique
     (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, 2.7, Prop. 6)."""
     return I.standard_basis(DEGREVLEX) == J.standard_basis(DEGREVLEX)
+
+
+def leading_monomial(p: Poly, order: MonomialOrder) -> tuple[int, ...]:
+    """Exponent vector of the leading term; p must be nonzero."""
+    return max(p.terms, key=order.key)
+
+
+def mono_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """True when the monomial with exponents a divides the one with b."""
+    return all(map(operator.le, a, b))
+
+
+def mono_div(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Exponent vector of a/b; the caller guarantees divisibility."""
+    return tuple(map(operator.sub, a, b))
+
+
+def total_degree(p: Poly) -> int:
+    """Maximal term degree; -1 for the zero polynomial."""
+    return max((sum(e) for e in p.terms), default=-1)
 
 
 def from_terms(ring: PolyRing, terms) -> Poly:

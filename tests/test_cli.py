@@ -48,6 +48,20 @@ def test_a_polar_surface_names_its_dimension_and_exits_one(capsys, verb, extra):
     )
 
 
+@pytest.mark.parametrize("verb", ["verify", "export-dataset"])
+def test_the_case_hypotheses_are_read_before_the_le_numbers(capsys, verb):
+    # the critical locus of g holds the y-axis, inside {x = 0}; the Le
+    # numbers would fail first, since that curve has no declared branch
+    # and x gives no proper slice of it
+    code = main([verb, "--vars", "x,y,z", "--g", "x^2*y^2+z^3", "--f", "x", "--N", "3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        "error: sigma-meets-f: the critical locus of g meets {f = 0} outside the origin\n"
+    )
+
+
 @pytest.mark.parametrize(
     "verb, extra",
     [

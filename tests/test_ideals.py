@@ -27,10 +27,20 @@ from germlab.ideals import (
     has_power_in,
     saturate_single,
 )
-from germlab.orders import DEGREVLEX, ELIM_FIRST, LOCAL, leading_monomial
+from germlab.orders import DEGREVLEX, ELIM_FIRST, LOCAL
 from germlab.polar import jacobian_minors
-from germlab.rings import PolyRing, jacobian, mono_div, mono_divides, mono_lcm
-from conftest import RING_XY, RING_XYZ, from_terms, nonzero_poly_strategy, poly_strategy, same_ideal
+from germlab.rings import PolyRing, jacobian, mono_lcm
+from conftest import (
+    RING_XY,
+    RING_XYZ,
+    from_terms,
+    leading_monomial,
+    mono_div,
+    mono_divides,
+    nonzero_poly_strategy,
+    poly_strategy,
+    same_ideal,
+)
 from oracles import (
     sympy_is_reduced_basis_of,
     sympy_local_quotient_dim,

@@ -10,9 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from germlab.orders import DEGREVLEX, ELIM_FIRST, LOCAL, _DEGREE_LIMIT, leading_monomial
-from germlab.rings import mono_divides
-from conftest import RING_XYZ
+from germlab.orders import DEGREVLEX, ELIM_FIRST, LOCAL, _DEGREE_LIMIT
+from conftest import RING_XYZ, leading_monomial, mono_divides
 
 exps3 = st.tuples(*[st.integers(min_value=0, max_value=5)] * 3)
 

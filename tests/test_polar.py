@@ -98,8 +98,7 @@ class TestIntersectionNumber:
             intersection_number(curve, Z)
 
     def test_wrong_multiplicity_reports_the_exact_orders(self):
-        # the truncated compositions miss the true order 8 > total 1, so the
-        # message must come from the exact compositions
+        # the true order 8 exceeds the total 1, and the message names it
         slow = BranchParam("slow", (o, o, t**8), host="polar")
         curve = PolarCurve(IdealPresentation(RING_XYZ, [X, Y]), 1, (slow,))
         message = (

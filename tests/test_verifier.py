@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +30,7 @@ from germlab import export_dataset, ideals, invariants, le, verifier
 from germlab import polar as polar_module
 from germlab.polar import GapReport
 from germlab.ideals import Budget
-from germlab.orders import DEGREVLEX, ELIM_FIRST, LOCAL, leading_monomial
+from germlab.orders import DEGREVLEX, ELIM_FIRST, LOCAL
 from germlab.rings import Poly, jacobian
 from germlab.fixtures_lib import fixture_text, load_fixture
 from germlab.verifier import (
@@ -44,7 +43,14 @@ from germlab.verifier import (
 )
 from germlab.invariants import BranchParam, T_RING, branch_terms
 from germlab.le import euler_char_fibre, le_numbers
-from conftest import RING_XY, RING_XYZ, deformation_case
+from conftest import (
+    RING_XY,
+    RING_XYZ,
+    deformation_case,
+    leading_monomial,
+    nonzero_poly_strategy,
+    poly_strategy,
+)
 from oracles import sympy_local_quotient_dim
 
 x, y = RING_XY.variable(0), RING_XY.variable(1)
@@ -245,8 +251,19 @@ class TestSweep:
         tight = sc._replace(limits=sc.limits._replace(reduction_cap=spent - 1))
         with pytest.raises(IterationLimitError):
             verify_scenario(tight)
-        # with a fresh budget per kernel call no single call reaches the cap
-        monkeypatch.setattr(verifier, "Budget", lambda cap: cap)
+        # with a fresh budget per kernel call no single call reaches the cap:
+        # the context keeps the int cap, which each public kernel call turns
+        # into a fresh Budget (see as_budget), and so does each completion of
+        # a row kind's base and of a row
+        class PerCall(int):
+            def completed(self, *args):
+                return Budget(self).completed(*args)
+
+        def fresh(ring, order, gens, cap, base, real=verifier._complete):
+            return real(ring, order, gens, Budget(cap), base)
+
+        monkeypatch.setattr(verifier, "Budget", PerCall)
+        monkeypatch.setattr(verifier, "_complete", fresh)
         assert verify_scenario(tight).ok
 
     def test_export_spends_from_one_budget(self, monkeypatch):
@@ -633,33 +650,25 @@ POLAR_FIXTURES = [
 
 @pytest.mark.parametrize("name", POLAR_FIXTURES)
 def test_sweep_rows_build_their_branch_images_from_those_of_g_and_f(name, monkeypatch):
-    # every row's polar-stability check gets images of g + f^N, built from
-    # the gap report's g(branch(t)) and f(branch(t)); truncated and exact,
-    # they are the compositions of g + f^N itself
+    # every row's polar-stability check gets one t-order per component, read
+    # from the gap report's g(branch(t)) and f(branch(t)) (see
+    # polar.deformed_order); each must be the order of g + f^N itself
     seen = []
     original = verifier.checked_intersection
 
-    def recording(curve, h, total, images=None):
-        if images is not None:
-            seen.append((curve, h(), images))
-        return original(curve, h, total, images)
+    def recording(curve, h, total, orders=None):
+        seen.append((curve, h(), orders))
+        return original(curve, h, total, orders)
 
     monkeypatch.setattr(verifier, "checked_intersection", recording)
     scenario = load_fixture(name)
     verify_scenario(scenario, n_range=(2, 30))
     ctx = ScenarioContext(scenario)
     assert [h for _, h, _ in seen] == [ctx.g + ctx.f**n for n in range(2, 31)]
-    for curve, h, images in seen:
-        assert len(images) == len(curve.components) > 0
-        # a passing row reads only each component's order, off the leading
-        # terms (see _DeformedImage.order); an image is built modulo
-        # t^(total + 1) for a cancelling sum and exactly for an error
-        # message, so each truncation must be that of g + f^N itself
-        total = ideals.quotient_dim_local(curve.ideal.plus([h]))
-        belows = [1, 8, 40, None] + ([] if total is None else [total + 1])
-        for comp, image in zip(curve.components, images):
-            for below in belows:
-                assert image(below) == invariants.compose_on_branch(h, comp, below)
+    for curve, h, orders in seen:
+        assert len(orders) == len(curve.components) > 0
+        exact = [invariants.order_in_t(invariants.compose_on_branch(h, comp)) for comp in curve.components]
+        assert orders == exact
 
 
 @pytest.mark.parametrize(
@@ -675,9 +684,24 @@ def test_sweep_rows_build_their_branch_images_from_those_of_g_and_f(name, monkey
     ],
 )
 def test_component_orders_from_leading_terms_are_those_of_the_images(g_image, f_image, n):
-    image = verifier._DeformedImage(g_image, f_image, n)
-    for below in (*range(1, 9), None):
-        assert image.order(below) == invariants.order_in_t(image(below)), below
+    assert polar_module.deformed_order(g_image, f_image, n) == invariants.order_in_t(g_image + f_image**n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_deformed_order_is_the_order_of_the_sum(data):
+    n = data.draw(st.integers(2, 5), label="n")
+    f_image = data.draw(nonzero_poly_strategy(T_RING, max_degree=3, max_terms=3), label="f_image")
+    if data.draw(st.booleans(), label="cancel"):
+        # og = n*of and lc_g = -lc_f^n, so the leading terms cancel, and
+        # with a monomial f and no tail the whole sum does
+        of = f_image.min_degree()
+        tail = data.draw(poly_strategy(T_RING, max_degree=6, max_terms=3), label="tail")
+        g_image = T_RING.monomial((n * of,), -f_image.terms[(of,)] ** n) + tail * t ** (n * of + 1)
+    else:
+        g_image = data.draw(nonzero_poly_strategy(T_RING, max_degree=12, max_terms=3), label="g_image")
+    want = invariants.order_in_t(g_image + f_image**n)
+    assert polar_module.deformed_order(g_image, f_image, n) == want
 
 
 def test_a_wrong_multiplicity_reads_the_same_error_from_reused_images():
@@ -686,13 +710,13 @@ def test_a_wrong_multiplicity_reads_the_same_error_from_reused_images():
     doubled = BranchParam("axis", (o, o, t), host="polar", multiplicity=2)
     curve = polar_module.PolarCurve(IdealPresentation(RING_XYZ, [X**2, Y**3]), 1, (doubled,))
     g, f = X**2 + Y**2 + Z**3, Z
-    images = [partial(verifier._deformed_image, t**3, t, 2)]
+    orders = [polar_module.deformed_order(t**3, t, 2)]  # from g(axis) = t^3 and f(axis) = t
     message = (
         "component orders sum to 4 but the scheme-side intersection number is 12; "
         "the component list is incomplete or has wrong multiplicities"
     )
     total = ideals.quotient_dim_local(curve.ideal.plus([g + f**2]))
-    for reused in (images, None):
+    for reused in (orders, None):
         with pytest.raises(ComponentMismatchError) as exc:
             polar_module.checked_intersection(curve, lambda: g + f**2, total, reused)
         assert str(exc.value) == message
@@ -878,20 +902,26 @@ def test_sweep_rows_differentiate_and_pack_nothing(monkeypatch, name):
 @pytest.mark.parametrize("name", POLAR_FIXTURES)
 def test_a_passing_row_builds_no_deformation_poly(name, monkeypatch):
     # the polar-stability check reads g + f^N as a Poly only for an error
-    # message or when there are no images, so rows from the threshold on,
-    # which pass on the polar components, build none.  Nor do they build an
-    # image on a branch: each component's order comes from the leading terms
-    # of the images of g and f, which cancel on no fixture
-    scenario = load_fixture(name)
-    threshold = ScenarioContext(scenario).gap.threshold
-    built, images = [], []
+    # message, so rows from the threshold on, which pass on the polar
+    # components, build none.  Nor does a row substitute: each component's
+    # order comes from the gap report's images of g and f (see
+    # polar.deformed_order), and the row generators are built on ints
+    ctx = ScenarioContext(load_fixture(name))
+    threshold, le, chi_g, terms = ctx.gap.threshold, ctx.le, ctx.chi_g, ctx.terms
+    ctx._jacobian_rows, ctx._polar_rows  # the N-independent bases, in the row coordinates
+    built, substituted = [], []
     monkeypatch.setattr(verifier.DeformationCase, "g_tilde", property(lambda case: built.append(case.n)))
-    real = verifier._deformed_image
-    monkeypatch.setattr(verifier, "_deformed_image", lambda *args: images.append(args) or real(*args))
-    table = verify_scenario(scenario, n_range=(threshold, threshold + 10))
-    assert {v.status for row in table.rows for v in row.verdicts if v.name == "polar_stability"} == {"PASS"}
+    real = Poly.substitute
+    monkeypatch.setattr(Poly, "substitute", lambda *args: substituted.append(args) or real(*args))
+    statuses = set()
+    for n in range(threshold, threshold + 11):  # the rows of verify_scenario
+        case = ctx.case(n)
+        verify_le_number_identity(case, le)
+        verify_branch_sum_identities(case, chi_g, terms)
+        statuses.add(verifier.verify_gap_stability(case, ctx).status)
+    assert statuses == {"PASS"}
     assert built == []
-    assert images == []
+    assert substituted == []
 
 
 @pytest.mark.parametrize("name", CN_FIXTURES)
