@@ -157,18 +157,15 @@ def validate_branch(branch: BranchParam, host: IdealPresentation) -> BranchValid
 def local_degree(f: Poly, branch: BranchParam, image: Poly | None = None) -> int:
     """Order in t of f along the branch (the local degree of f restricted to it).
 
-    Compositions are exact, so an order of 8 * trunc or more (three doublings
-    of the declared truncation) means f degenerates on the branch.  image is
-    the composition f(branch(t)), when the caller has it already.
+    Compositions are exact, so the order is exact whatever the branch's
+    trunc, which only validate_branch reads; f degenerates on the branch
+    only when it vanishes identically there.  image is the composition
+    f(branch(t)), when the caller has it already.
     """
     comp = compose_on_branch(f, branch) if image is None else image
     order = order_in_t(comp)
     if order is None:
         raise DegenerateBranchError(f"{f} vanishes identically on branch {branch.name!r}")
-    if order >= 8 * branch.trunc:
-        raise DegenerateBranchError(
-            f"{f} vanishes to order {order} on branch {branch.name!r}, beyond the doubling cap"
-        )
     return order
 
 

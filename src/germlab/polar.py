@@ -126,16 +126,13 @@ def relative_polar_ideal(
     """The relative polar curve of (f, g): dependency locus of df and dg with
     every component inside {f = 0} or {g = 0} removed by saturation.  Its
     ideal keeps the Jacobian minors when their reduced degrevlex basis is the
-    saturation's (nothing was removed), and that basis otherwise."""
+    saturation's (nothing was removed), and that basis otherwise.  When df
+    and dg are dependent everywhere, no minor survives, and the zero ideal
+    saturates to itself: the locus is the whole space, not an empty curve."""
     if f.constant_term() != 0 or g.constant_term() != 0:
         raise ValueError("f and g must vanish at the origin")
     budget = as_budget(cap)
-    ring = f.ring
-    minors = jacobian_minors(f, g)
-    if not minors:
-        ideal = IdealPresentation(ring, [ring.one()])
-        return PolarCurve(ideal, -1, tuple(components))
-    ideal = IdealPresentation(ring, minors)
+    ideal = IdealPresentation(f.ring, jacobian_minors(f, g))
     sat = saturate_single(ideal, f * g, budget)
     if ideal.standard_basis(DEGREVLEX, budget) != sat.generators:
         ideal = sat

@@ -35,7 +35,6 @@ from .invariants import (
     BranchParam,
     BranchTerm,
     _solve_for_pivot,
-    branch_sum,
     critical_locus,
     jacobian_ideal,
     linear_part,
@@ -131,55 +130,48 @@ def check_hypotheses(g: Poly, f: Poly, cap=None) -> int:
     return locus.dim
 
 
-def _no_terms_note(case: DeformationCase) -> str:
-    if case.f.is_linear_form:
-        return "the critical locus is a curve but no sigma branches are declared"
-    return "branch slice data needs a linear deformation direction"
-
-
-def verify_le_number_identity(case: DeformationCase, le: LeData) -> IdentityVerdict:
-    """mu of the deformation against lambda0 + (N-1) * lambda1."""
-    if not case.f.is_linear_form:
-        return IdentityVerdict("massey", "SKIPPED", note="needs a linear deformation direction")
-    if case.certificate is None:
-        return IdentityVerdict("massey", "SKIPPED", note="deformation is not isolated")
-    return compared("massey", case.certificate, le.lambda0 + (case.n - 1) * le.lambda1)
-
-
-def verify_branch_sum_identities(
-    case: DeformationCase, chi_g: int, terms: Sequence[BranchTerm] | None
+def verify_le_iomdin(
+    case: DeformationCase, le: LeData, chi_g: int, terms: Sequence[BranchTerm] | None
 ) -> tuple[tuple[IdentityVerdict, ...], int | None, int | None]:
-    """The deformation formula chi(F_g~) = chi(F_g) + (-1)^(v-1) N B, with the
-    branch sum B = sum m_b d_b mu_b computed once, in three presentations:
-    chi compares the fibre Euler characteristics, tibar their difference
-    (stated for a generic linear form), and morse the Morse-count jump
-    n~ - n read off the chi values against its expansion N B.  B is
-    branch_sum(terms).
+    """The Le-Iomdin formula on one row, in four presentations: massey
+    compares mu(g~) against lambda0 + (N-1) lambda1, and the deformation
+    formula chi(F_g~) = chi(F_g) + (-1)^(v-1) N B is checked as chi (the
+    fibre Euler characteristics), tibar (their difference, stated for a
+    generic linear form) and morse (the Morse-count jump n~ - n read off the
+    chi values against its expansion N B).
 
-    Returns the chi, tibar and morse verdicts with the Morse defect n - n~
-    and the expansion, both None when morse is skipped.
+    All four need a linear f, which then is the form of the Le numbers, so
+    the branch sum B = sum m_b d_b mu_b is lambda1 (Massey, Le Cycles and
+    Hypersurface Singularities, LNM 1615; le_numbers checks it against the
+    branch terms).  B is read from le, and terms only gates the three
+    branch presentations: None when the critical locus is a curve with no
+    declared branch.
+
+    Returns the massey, chi, tibar and morse verdicts with the Morse defect
+    n - n~ and the expansion, both None when morse is skipped.
     """
-    if terms is None:
-        skip = _no_terms_note(case)
-    elif case.chi_gtilde is None:
-        skip = "deformation is not isolated"
+    if not case.f.is_linear_form:
+        sums = "branch slice data needs a linear deformation direction"
+        notes = ("needs a linear deformation direction", sums, "stated for a generic linear form", sums)
     else:
-        skip = None
-    tibar_skip = skip if case.f.is_linear_form else "stated for a generic linear form"
-    if skip is not None:
-        notes = (("chi", skip), ("tibar", tibar_skip), ("morse", skip))
-        return tuple(IdentityVerdict(name, "SKIPPED", note=note) for name, note in notes), None, None
+        isolated = None if case.certificate is not None else "deformation is not isolated"
+        sums = "the critical locus is a curve but no sigma branches are declared" if terms is None else isolated
+        notes = (isolated, sums, sums, sums)
+    names = ("massey", "chi", "tibar", "morse")
+    verdicts = [IdentityVerdict(name, "SKIPPED", note=note) for name, note in zip(names, notes)]
+    if notes[0] is None:
+        verdicts[0] = compared("massey", case.certificate, le.lambda0 + (case.n - 1) * le.lambda1)
+    if sums is not None:
+        return tuple(verdicts), None, None
     sign = parity_sign(case.g.ring.nvars - 1)
-    expansion = case.n * branch_sum(terms)
+    expansion = case.n * le.lambda1
     jump = case.chi_gtilde - chi_g
-    verdicts = (
+    verdicts[1:] = (
         compared("chi", case.chi_gtilde, chi_g + sign * expansion),
-        compared("tibar", jump, sign * expansion)
-        if tibar_skip is None
-        else IdentityVerdict("tibar", "SKIPPED", note=tibar_skip),
+        compared("tibar", jump, sign * expansion),
         compared("morse", sign * jump, expansion, "n~ - n via chi defect vs branch expansion"),
     )
-    return verdicts, -sign * jump, expansion
+    return tuple(verdicts), -sign * jump, expansion
 
 
 def verify_gap_stability(case: DeformationCase, ctx: ScenarioContext) -> IdentityVerdict:
@@ -235,11 +227,16 @@ class VerdictTable(NamedTuple):
     rows: Sequence[SweepRow] = ()
     defaults: Mapping[str, Any] = EMPTY_MAPPING
 
+    def _checked(self) -> bool:
+        """Whether some asserted row holds a verdict that is not SKIPPED."""
+        return any(v.status != "SKIPPED" for row in self.rows if row.in_range for v in row.verdicts)
+
     @property
     def ok(self) -> bool:
-        """Every asserted row passed, and at least one row was asserted."""
-        asserted = [row for row in self.rows if row.in_range]
-        return bool(asserted) and all(row.ok for row in asserted)
+        """Every asserted row passed, and something was checked: a sweep
+        with no asserted row, or whose asserted verdicts are all SKIPPED,
+        fails."""
+        return self._checked() and all(row.ok for row in self.rows if row.in_range)
 
     def to_json_dict(self) -> dict:
         def verdict_dict(v: IdentityVerdict) -> dict:
@@ -309,6 +306,8 @@ class VerdictTable(NamedTuple):
                 lines.append(f"    {v.name:<16} {v.status}{sides}{note}")
         if not any(row.in_range for row in self.rows):
             overall = f"NOTHING ASSERTED (every N below threshold {self.threshold})"
+        elif not self._checked():
+            overall = "NOTHING ASSERTED (every verdict SKIPPED)"
         else:
             overall = "PASS" if self.ok else "FAIL"
         lines.append(f"overall: {overall}")
@@ -436,8 +435,8 @@ class ScenarioContext:
     @cached_property
     def polar(self) -> PolarCurve:
         """The relative polar curve of (f, g).  One variable is refused: there
-        the polar locus is the whole line, but with no 2x2 minors the polar
-        ideal would be the unit ideal."""
+        no 2x2 minor exists, so the polar locus is the whole line, which is
+        no polar curve although it has dimension 1."""
         if self.ring.nvars < 2:
             raise GermlabError(
                 f"the relative polar curve needs at least two variables, and the ring has only "
@@ -638,12 +637,8 @@ def verify_scenario(
 
     def make_row(n: int) -> SweepRow:
         case = ctx.case(n)
-        sums, defect, expansion = verify_branch_sum_identities(case, chi_g, terms)
-        verdicts = (
-            verify_le_number_identity(case, le),
-            *sums,
-            verify_gap_stability(case, ctx),
-        )
+        le_iomdin, defect, expansion = verify_le_iomdin(case, le, chi_g, terms)
+        verdicts = (*le_iomdin, verify_gap_stability(case, ctx))
         return SweepRow(
             n=n,
             in_range=n >= threshold,
@@ -792,17 +787,14 @@ def export_dataset(scenario: Scenario, n: int | None = None) -> StratifiedDatase
         known["B_g_Xf_0"] = chi_slice
         known["B_gtilde_Xf_0"] = chi_slice
         known["B_f_Xgtilde_0"] = chi_slice
-        if v == 2 and rows == () and ctx.sigma_dim <= 0:
+        if v == 2 and rows == ():
             # reduced plane curves: obstructions are germ multiplicities
-            # and the Brasselet numbers of f count slice points exactly
+            # and the Brasselet numbers of f count slice points exactly;
+            # (g + f^N, f) = (g, f), so both curves meet {f = 0} alike
             known["eu_Xg_0"] = g.min_degree()
             known["eu_Xgtilde_0"] = case.g_tilde.min_degree()
-            known["B_f_Xg_0"] = intersection_number(
-                IdealPresentation(g.ring, [g]), f, budget
-            )
-            known["B_f_Xgtilde_0"] = intersection_number(
-                IdealPresentation(g.ring, [case.g_tilde]), f, budget
-            )
+            known["B_f_Xg_0"] = intersection_number(IdealPresentation(g.ring, [g]), f, budget)
+            known["B_f_Xgtilde_0"] = known["B_f_Xg_0"]
         elif v == 3 and certified and rows is not None and all(
             r.eu_Xg_b is not None for r in rows
         ):
@@ -811,8 +803,8 @@ def export_dataset(scenario: Scenario, n: int | None = None) -> StratifiedDatase
             # branch points, then reweighted by the per-branch Euler
             # obstructions
             known["eu_Xgtilde_0"] = chi_slice
-            terms = terms or ()
-            link_chi = chi_slice - parity_sign(v - 2) * branch_sum(terms)
+            # the branch sum of the Le form f is lambda1 (see verify_le_iomdin)
+            link_chi = chi_slice - parity_sign(v - 2) * ctx.le.lambda1
             eu_xg = link_chi + sum(
                 t.multiplicity * t.local_degree * (r.eu_Xg_b - 1) for r, t in zip(rows, terms)
             )

@@ -72,8 +72,8 @@ def test_the_case_hypotheses_are_read_before_the_le_numbers(capsys, verb):
     ],
 )
 def test_a_one_variable_ring_has_no_polar_curve_and_exits_one(capsys, verb, extra):
-    # with one variable the polar locus is the whole line, but there are no
-    # 2x2 minors, so the polar ideal would be the unit ideal
+    # with one variable there are no 2x2 minors, so the polar locus is the
+    # whole line, which has dimension 1 but is no polar curve
     code = main([verb, "--vars", "x", "--g", "x^3", *extra])
     captured = capsys.readouterr()
     assert code == 1
@@ -377,6 +377,100 @@ def test_verify_with_nothing_asserted_does_not_pass(capsys):
         capsys, "verify", "--fixture", "cusp-isolated", "--N", "2..5", "--format", "json"
     )
     assert code == 1 and json.loads(out)["ok"] is False
+
+
+@pytest.mark.parametrize(
+    "variables, g, f", [("x,y", "y^2", "x+y^2"), ("x,y,z", "x^2+y^2", "z+x^2")]
+)
+def test_a_sweep_whose_verdicts_are_all_skipped_does_not_pass(capsys, variables, g, f):
+    # f is nonlinear and the polar curve is empty, so every row is in range
+    # but no identity is checked
+    argv = ("verify", "--vars", variables, "--g", g, "--f", f, "--N", "2..3")
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert "PASS" not in out and "FAIL" not in out
+    assert out.splitlines()[-1] == "overall: NOTHING ASSERTED (every verdict SKIPPED)"
+    code, out = run_cli(capsys, *argv, "--format", "json")
+    assert code == 1 and json.loads(out)["ok"] is False
+
+
+def test_a_nonlinear_f_skips_the_le_iomdin_rows_with_their_notes(capsys):
+    code, out = run_cli(capsys, "verify", "--vars", "x,y", "--g", "x^3+y^4", "--f", "x^2+y^3", "--N", "14..15")
+    assert code == 0
+    assert out.splitlines()[1] == "lambda = (6, 0), chi(F_g) = -5, threshold = 14"
+    row = [
+        "    massey           SKIPPED  (needs a linear deformation direction)",
+        "    chi              SKIPPED  (branch slice data needs a linear deformation direction)",
+        "    tibar            SKIPPED  (stated for a generic linear form)",
+        "    morse            SKIPPED  (branch slice data needs a linear deformation direction)",
+        "    polar_stability  PASS  left=13 right=13",
+    ]
+    assert out.splitlines()[2:] == [
+        "N = 14: mu(g~) = 6", *row, "N = 15: mu(g~) = 6", *row, "overall: PASS"
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("verify", "--vars", "x,y,z", "--g", "x^2", "--f", "z", "--N", "2..3"),
+            "sigma-dimension: critical locus has dimension 2",
+        ),
+        (
+            ("verify", "--vars", "x,y,z", "--g", "x^2+y^2", "--f", "z^2", "--N", "2..3"),
+            "f-isolated: f does not have an isolated singularity at the origin",
+        ),
+        (
+            ("export-dataset", "--vars", "x,y,z", "--g", "x^2+y^2", "--f", "z^2", "--N", "3"),
+            "f-isolated: f does not have an isolated singularity at the origin",
+        ),
+    ],
+)
+def test_a_failed_case_hypothesis_is_named(capsys, argv, message):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_a_dependent_pair_has_a_polar_surface_not_an_empty_curve(capsys):
+    # df and dg are parallel everywhere, so no 2x2 minor survives: the polar
+    # locus is the whole plane, not an empty curve with threshold 2
+    code, out = run_cli(capsys, "polar", "--vars", "x,y", "--g", "(x+y)^2", "--f", "x+y")
+    assert code == 0
+    assert out.splitlines()[1:] == ["ideal: 0", "dimension at the origin: 2"]
+    code = main(["gap", "--vars", "x,y", "--g", "(x+y)^3", "--f", "x+y"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the relative polar locus of (f = x + y, g = x^3 + 3*x^2*y + 3*x*y^2 + y^3) has "
+        "dimension 2 at the origin; gap ratios and the threshold need a curve\n"
+    )
+
+
+@pytest.mark.parametrize("trunc", [1, 2])
+def test_a_gap_ratio_past_the_truncation_is_reported(tmp_path, capsys, trunc):
+    # the declared truncation bounds the validation of the branch, not the
+    # order of g along it
+    path = tmp_path / "axis.json"
+    path.write_text(
+        json.dumps(
+            {
+                "variables": ["x", "y", "z"],
+                "g": "x^2 + y^2 + z^9",
+                "f": "z",
+                "branches": [{"name": "axis", "components": ["0", "0", "t"], "host": "polar", "trunc": trunc}],
+            }
+        ),
+        encoding="utf-8",
+    )
+    code, out = run_cli(capsys, "gap", "--scenario", str(path))
+    assert code == 0
+    assert "  axis: ord_g = 9, ord_f = 1, ratio = 9" in out.splitlines()
+    assert out.splitlines()[-1] == "threshold: 10"
 
 
 @pytest.mark.parametrize("source", ["fixture", "scenario"])

@@ -164,6 +164,12 @@ class TestLocalDegree:
         with pytest.raises(DegenerateBranchError):
             local_degree(X, AXIS)
 
+    def test_an_order_past_the_truncation_is_an_order(self):
+        # compositions are exact, so trunc bounds no order: z^9 has order 9
+        # on the z-axis declared with trunc 1
+        axis = BranchParam("axis", (T_RING.zero(), T_RING.zero(), t), trunc=1)
+        assert local_degree(Z**9 + X**2, axis) == 9
+
     def test_reparametrization_invariance(self):
         cusp = BranchParam("cusp", (t**2, t**3))
         for u in (T_RING.one(), t, 1 - 2 * t + t**2):

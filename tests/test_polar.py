@@ -64,6 +64,13 @@ class TestRelativePolarIdeal:
         with pytest.raises(ValueError):
             relative_polar_ideal(Z + 1, X**2)
 
+    def test_a_dependent_pair_has_the_whole_space_as_polar_locus(self):
+        # d(x + y) and d((x + y)^2) are parallel everywhere, so no minor
+        # survives: the zero ideal, whose locus is the plane, not an empty curve
+        curve = relative_polar_ideal(x + y, (x + y) ** 2)
+        assert curve.ideal.generators == (RING_XY.zero(),)
+        assert curve.dim == 2 and not curve.is_empty
+
     def test_components_inside_g_zero_locus_are_removed(self):
         # the dependency locus of (z, x^2 + y^2 z) contains the y-axis, which
         # lies inside {g = 0} and must not survive into the polar curve

@@ -38,8 +38,7 @@ from germlab.verifier import (
     check_hypotheses,
     generic_linear_candidates,
     resolve_linear_form,
-    verify_branch_sum_identities,
-    verify_le_number_identity,
+    verify_le_iomdin,
 )
 from germlab.invariants import BranchParam, T_RING, branch_terms
 from germlab.le import euler_char_fibre, le_numbers
@@ -109,14 +108,14 @@ class TestIdentityExamples:
         g = X**2 + Y**2
         le = le_numbers(g, Z, [AXIS])
         _, case = deformation_case(g, Z, 5)
-        verdict = verify_le_number_identity(case, le)
+        verdict = verify_le_iomdin(case, le, euler_char_fibre(g, le), None)[0][0]
         assert verdict.status == "PASS" and verdict.left == 4 and verdict.right == 4
 
     def test_massey_three_lines_n3(self):
         g = X * Y * (X + Y)
         le = le_numbers(g, Z, [AXIS])
         _, case = deformation_case(g, Z, 3)
-        verdict = verify_le_number_identity(case, le)
+        verdict = verify_le_iomdin(case, le, euler_char_fibre(g, le), None)[0][0]
         assert verdict.left == 8 and verdict.right == 8
 
     def test_massey_isolated_stability(self):
@@ -124,7 +123,7 @@ class TestIdentityExamples:
         form = x + 2 * y
         le = le_numbers(g, form)
         _, case = deformation_case(g, form, 8)
-        verdict = verify_le_number_identity(case, le)
+        verdict = verify_le_iomdin(case, le, euler_char_fibre(g, le), None)[0][0]
         assert verdict.status == "PASS" and verdict.left == 4
 
     def test_chi_sides_cylinder(self):
@@ -134,7 +133,7 @@ class TestIdentityExamples:
         terms = branch_terms(g, Z, [AXIS])
         for n in range(2, 7):
             _, case = deformation_case(g, Z, n)
-            verdict = verify_branch_sum_identities(case, chi_g, terms)[0][0]
+            verdict = verify_le_iomdin(case, le, chi_g, terms)[0][1]
             assert verdict.left == verdict.right == n
 
     def test_chi_sides_three_lines(self):
@@ -144,7 +143,7 @@ class TestIdentityExamples:
         terms = branch_terms(g, Z, [AXIS])
         for n in range(2, 7):
             _, case = deformation_case(g, Z, n)
-            verdict = verify_branch_sum_identities(case, chi_g, terms)[0][0]
+            verdict = verify_le_iomdin(case, le, chi_g, terms)[0][1]
             assert verdict.left == verdict.right == 4 * n - 3
 
     def test_morse_defect_cylinder_n4(self):
@@ -153,7 +152,7 @@ class TestIdentityExamples:
         chi_g = euler_char_fibre(g, le)
         terms = branch_terms(g, Z, [AXIS])
         _, case = deformation_case(g, Z, 4)
-        (_, _, verdict), defect, expansion = verify_branch_sum_identities(case, chi_g, terms)
+        (*_, verdict), defect, expansion = verify_le_iomdin(case, le, chi_g, terms)
         assert verdict.status == "PASS"
         assert expansion == 4 and defect == -4
 
@@ -162,9 +161,7 @@ class TestIdentityExamples:
         le = le_numbers(g, Z, [AXIS])
         terms = branch_terms(g, Z, [AXIS])
         _, case = deformation_case(g, Z, 2)
-        (_, _, verdict), defect, expansion = verify_branch_sum_identities(
-            case, euler_char_fibre(g, le), terms
-        )
+        (*_, verdict), defect, expansion = verify_le_iomdin(case, le, euler_char_fibre(g, le), terms)
         assert expansion == 8 and verdict.status == "PASS"
 
     def test_morse_defect_isolated_is_zero(self):
@@ -172,9 +169,7 @@ class TestIdentityExamples:
         form = x + 2 * y
         le = le_numbers(g, form)
         _, case = deformation_case(g, form, 8)
-        (_, _, verdict), defect, expansion = verify_branch_sum_identities(
-            case, euler_char_fibre(g, le), ()
-        )
+        (*_, verdict), defect, expansion = verify_le_iomdin(case, le, euler_char_fibre(g, le), ())
         assert defect == 0 and expansion == 0 and verdict.status == "PASS"
 
 
@@ -194,6 +189,8 @@ class TestSweep:
         below = [row for row in table.rows if row.n < table.threshold]
         assert below and all(not row.in_range for row in below)
         assert below[0].certificate is None  # reported, never asserted
+        for v in below[0].verdicts[:4]:  # massey, chi, tibar and morse
+            assert (v.status, v.note) == ("SKIPPED", "deformation is not isolated")
         assert table.ok
 
     def test_tibar_and_chi_defects_agree_row_by_row(self):
@@ -916,8 +913,7 @@ def test_a_passing_row_builds_no_deformation_poly(name, monkeypatch):
     statuses = set()
     for n in range(threshold, threshold + 11):  # the rows of verify_scenario
         case = ctx.case(n)
-        verify_le_number_identity(case, le)
-        verify_branch_sum_identities(case, chi_g, terms)
+        verify_le_iomdin(case, le, chi_g, terms)
         statuses.add(verifier.verify_gap_stability(case, ctx).status)
     assert statuses == {"PASS"}
     assert built == []
