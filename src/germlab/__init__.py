@@ -45,11 +45,11 @@ from .parsing import parse_poly
 from .polar import (
     GapReport,
     PolarCurve,
+    deformed_polar_ideal,
     gap_ratios,
     intersection_number,
     iomdin_threshold,
     relative_polar_ideal,
-    verify_polar_decomposition,
 )
 from .rings import Poly, PolyRing
 from .scenario import Scenario, load_scenario, save_scenario

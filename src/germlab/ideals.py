@@ -14,8 +14,7 @@ Full division pops the remainder's monomials from a heap, largest first,
 each pushed once (Monagan-Pearce, CASC 2007); it serves the tail reduction
 of global bases and `normal_form`, which takes global orders only, since a
 local remainder is fixed only up to a unit.  Global membership is
-`normal_form(...).is_zero`; local radical membership (`has_power_in`) is one
-saturation.
+`normal_form(...).is_zero`.
 Every loop spends from an iteration budget and raises IterationLimitError
 instead of spinning.
 
@@ -865,15 +864,3 @@ def saturate_single(I: IdealPresentation, f: Poly, cap=None) -> IdealPresentatio
     gens.append(ext.one() - ext.variable(0) * lift(f))
     basis = standard_basis_of(gens, ELIM_FIRST, budget)
     return IdealPresentation(ring, [Poly._make(ring, {e[1:]: c for e, c in g.terms.items()}) for g in basis])
-
-
-def has_power_in(p: Poly, I: IdealPresentation, cap=None) -> bool:
-    """Whether some power of p lies in I locally at the origin: p lies in the
-    radical of I*O exactly when (I : p^infinity)*O = O (Greuel-Pfister, A
-    Singular Introduction to Commutative Algebra, 1.8).  Saturation commutes
-    with localization, and an ideal generates O exactly when one of its
-    generators does not vanish at the origin, so no local basis is needed;
-    comparing with (1) would be wrong, since (x(x - 1)) : x^infinity is
-    (x - 1), a unit only locally."""
-    sat = saturate_single(I, p, cap)
-    return any(g.constant_term() != 0 for g in sat.generators)

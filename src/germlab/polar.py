@@ -1,5 +1,6 @@
 """Relative polar curves, intersection numbers at the origin, gap ratios, the
-Iomdin threshold, and the polar-decomposition check for deformations g + f^N.
+Iomdin threshold, and the polar ideal of every isolated deformation g + f^N,
+read once from the pair (f, g).
 """
 
 from __future__ import annotations
@@ -12,14 +13,12 @@ from .ideals import (
     IdealPresentation,
     as_budget,
     dim_at_origin,
-    has_power_in,
     quotient_dim_local,
     saturate_single,
 )
 from .invariants import (
     BranchParam,
     compose_on_branch,
-    jacobian_ideal,
     local_degree,
     order_in_t,
     validate_branch,
@@ -117,6 +116,17 @@ def jacobian_minors(f: Poly, g: Poly) -> list[Poly]:
     return minors
 
 
+def _saturated_minors(f: Poly, g: Poly, h: Poly, budget) -> IdealPresentation:
+    """The Jacobian minors of (f, g) saturated by h.  The minors themselves are
+    kept when their reduced degrevlex basis is the saturation's (nothing was
+    removed), and that basis otherwise."""
+    if f.constant_term() != 0 or g.constant_term() != 0:
+        raise ValueError("f and g must vanish at the origin")
+    ideal = IdealPresentation(f.ring, jacobian_minors(f, g))
+    sat = saturate_single(ideal, h, budget)
+    return ideal if ideal.standard_basis(DEGREVLEX, budget) == sat.generators else sat
+
+
 def relative_polar_ideal(
     f: Poly,
     g: Poly,
@@ -124,18 +134,12 @@ def relative_polar_ideal(
     cap=None,
 ) -> PolarCurve:
     """The relative polar curve of (f, g): dependency locus of df and dg with
-    every component inside {f = 0} or {g = 0} removed by saturation.  Its
-    ideal keeps the Jacobian minors when their reduced degrevlex basis is the
-    saturation's (nothing was removed), and that basis otherwise.  When df
-    and dg are dependent everywhere, no minor survives, and the zero ideal
-    saturates to itself: the locus is the whole space, not an empty curve."""
-    if f.constant_term() != 0 or g.constant_term() != 0:
-        raise ValueError("f and g must vanish at the origin")
+    every component inside {f = 0} or {g = 0} removed by saturation (see
+    _saturated_minors).  When df and dg are dependent everywhere, no minor
+    survives, and the zero ideal saturates to itself: the locus is the whole
+    space, not an empty curve."""
     budget = as_budget(cap)
-    ideal = IdealPresentation(f.ring, jacobian_minors(f, g))
-    sat = saturate_single(ideal, f * g, budget)
-    if ideal.standard_basis(DEGREVLEX, budget) != sat.generators:
-        ideal = sat
+    ideal = _saturated_minors(f, g, f * g, budget)
     dim = dim_at_origin(ideal, budget)
     curve = PolarCurve(ideal, dim, tuple(components))
     for comp in curve.components:
@@ -147,6 +151,27 @@ def relative_polar_ideal(
                 f"generator {gen} has order {order}"
             )
     return curve
+
+
+def deformed_polar_ideal(f: Poly, g: Poly, cap=None) -> IdealPresentation:
+    """The ideal S = M : f^infinity of the Jacobian minors M of (f, g), which is,
+    at the origin, the polar ideal of (f, g + f^N) for every N at which
+    g + f^N has an isolated singularity (see _saturated_minors).
+
+    M is also the minors ideal of (f, g + f^N), since df ^ d(f^N) = 0, so
+    that polar ideal is M : (f*(g + f^N))^infinity = S : (g + f^N)^infinity.
+    Let Z be a component of S through 0.  Then f is not identically 0 on Z,
+    and df != 0 on Z off {f = 0}, since the critical locus of f lies in
+    {f = 0}.  So dg = a*df on Z, and d(g + f^N) = (a + N*f^(N-1))*df.  If
+    g + f^N vanished on Z, so would its derivative along Z; f is not
+    constant on Z, so a + N*f^(N-1) would vanish on Z, and Z would lie in
+    the critical locus of g + f^N.  So when g + f^N is isolated it vanishes
+    on no component of S, and the saturation by it leaves S unchanged at
+    the origin.  S has no embedded point at 0, since f lies in the maximal
+    ideal; where S has a surface component, both S and the polar ideal of
+    (f, g + f^N) meet {f = 0} improperly.  No threshold on N is needed.
+    """
+    return _saturated_minors(f, g, f, as_budget(cap))
 
 
 def intersection_number(curve: PolarCurve | IdealPresentation, h: Poly, cap=None) -> int:
@@ -245,66 +270,3 @@ def iomdin_threshold(f: Poly, g: Poly, curve: PolarCurve | None = None, cap=None
     if curve is None:
         curve = relative_polar_ideal(f, g, cap=budget)
     return gap_ratios(f, g, curve, budget).threshold
-
-
-class DecompositionVerdict(NamedTuple):
-    """Outcome of checking that the polar curve of (f, g + f^N) equals the
-    union of the critical locus of g and the polar curve of (f, g)."""
-
-    status: str  # "PASS" | "FAIL"
-    n: int
-    witness: str = ""
-
-    def __bool__(self) -> bool:
-        return self.status == "PASS"
-
-
-def verify_polar_decomposition(
-    f: Poly,
-    g: Poly,
-    n: int,
-    components: Sequence[BranchParam] = (),
-    cap=None,
-) -> DecompositionVerdict:
-    """Check, at radical level near the origin, that deforming g to g + f^N
-    turns the critical locus of g into polar-curve components.
-
-    Both inclusions are exact: each generator of one side must have a power,
-    of any degree, in the other side's ideal localized at the origin, which
-    one saturation decides (see ideals.has_power_in).  Since the radical of
-    a product is the intersection of the radicals, also after localization,
-    a deformed generator is tested against Jac(g) and polar(f, g) apart,
-    never against their product.  Supplied component
-    parametrizations of either side are additionally validated against the
-    deformed polar ideal.  No verify row runs this check.
-    """
-    if n < 2:
-        raise ValueError("the deformation exponent must be at least 2")
-    budget = as_budget(cap)
-    g_tilde = g + f**n
-    deformed = relative_polar_ideal(f, g_tilde, cap=budget).ideal
-    base = relative_polar_ideal(f, g, cap=budget).ideal
-    jac_g = jacobian_ideal(g)
-    product = IdealPresentation(g.ring, [a * b for a in jac_g.generators for b in base.generators])
-
-    for p in product.generators:
-        if not has_power_in(p, deformed, budget):
-            return DecompositionVerdict(
-                "FAIL", n, witness=f"no power of {p} lies in the deformed polar ideal"
-            )
-    for q in deformed.generators:
-        if not (has_power_in(q, jac_g, budget) and has_power_in(q, base, budget)):
-            return DecompositionVerdict(
-                "FAIL", n, witness=f"no power of {q} lies in Jac(g) * polar(f, g)"
-            )
-    for comp in components:
-        check = validate_branch(comp, deformed)
-        if not check:
-            gen, order = check.violation or ("?", -1)
-            return DecompositionVerdict(
-                "FAIL",
-                n,
-                witness=f"component {comp.name!r} fails against the deformed polar "
-                f"ideal: generator {gen} has order {order}",
-            )
-    return DecompositionVerdict("PASS", n)

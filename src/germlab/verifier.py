@@ -49,6 +49,7 @@ from .polar import (
     PolarCurve,
     checked_intersection,
     deformed_order,
+    deformed_polar_ideal,
     gap_ratios,
     intersection_number,
     relative_polar_ideal,
@@ -749,10 +750,7 @@ def export_dataset(scenario: Scenario, n: int | None = None) -> StratifiedDatase
     }
 
     known["m"] = 0 if ctx.polar.is_empty else intersection_number(ctx.polar, f, budget)
-    deformed_polar = relative_polar_ideal(f, case.g_tilde, cap=budget)
-    known["m_tilde"] = (
-        0 if deformed_polar.is_empty else intersection_number(deformed_polar, f, budget)
-    )
+    known["m_tilde"] = intersection_number(deformed_polar_ideal(f, g, budget), f, budget)
 
     mu_h = _slice_milnor_at_origin(g, f, budget) if f.is_linear_form else None
     certified = f.is_linear_form and _certify_slice_generic(g, f, case.g_tilde, mu_h, budget)

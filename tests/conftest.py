@@ -12,7 +12,16 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 
 import germlab
-from germlab import DEGREVLEX, IdealPresentation, MonomialOrder, Poly, PolyRing, load_scenario
+from germlab import (
+    DEGREVLEX,
+    IdealPresentation,
+    MonomialOrder,
+    Poly,
+    PolyRing,
+    intersection_number,
+    load_scenario,
+    relative_polar_ideal,
+)
 from germlab.verifier import DeformationCase, ScenarioContext
 
 # the directory this germlab was imported from, for child interpreters
@@ -45,6 +54,13 @@ def deformation_case(g: Poly, f: Poly, n: int) -> tuple[ScenarioContext, Deforma
     scenario = load_scenario({"variables": list(g.ring.variables), "g": str(g), "f": str(f)})
     ctx = ScenarioContext(scenario)
     return ctx, ctx.case(n)
+
+
+def per_n_m_tilde(f: Poly, g: Poly, n: int) -> int:
+    """m~ of g + f^n by the per-N route: the polar curve of (f, g + f^n),
+    saturated by f*(g + f^n), met with {f = 0} (0 when that curve is empty)."""
+    curve = relative_polar_ideal(f, g + f**n)
+    return 0 if curve.is_empty else intersection_number(curve, f)
 
 
 def same_ideal(I: IdealPresentation, J: IdealPresentation) -> bool:

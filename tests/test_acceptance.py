@@ -10,20 +10,21 @@ import subprocess
 import sys
 
 from germlab import (
-    BranchParam,
     bls_euler_obstruction,
+    deformed_polar_ideal,
     export_dataset,
+    intersection_number,
     le_numbers,
     load_scenario,
     milnor_number,
     parse_poly,
+    relative_polar_ideal,
     save_scenario,
-    verify_polar_decomposition,
     verify_scenario,
     verify_stratified_identities,
 )
 from germlab.fixtures_lib import fixture_text, list_fixtures, load_fixture
-from conftest import RING_XY, RING_XYZ, child_env
+from conftest import RING_XY, RING_XYZ, child_env, per_n_m_tilde
 from oracles import brieskorn_mu, monomial_quotient_count
 
 X, Y, Z = (RING_XYZ.variable(i) for i in range(3))
@@ -112,20 +113,16 @@ def test_criterion_05_tibar_identity():
 
 
 def test_criterion_06_polar_decomposition():
-    from germlab.invariants import T_RING
-
-    t = T_RING.variable(0)
-    o = T_RING.zero()
-    axis = BranchParam("axis", (o, o, t))
+    # m~ three ways: the polar curve of (z, g + z^N) saturated at that N, the
+    # N-independent deformed polar ideal, and m + lambda1
     ok = True
-    for g, comps in (
-        (X**2 + Y**2, [axis]),
-        (X * Y * (X + Y), [axis]),
-        (X**2 + Y**2 + Z**3, []),
-    ):
-        for n in (2, 3, 5):
-            ok = ok and bool(verify_polar_decomposition(Z, g, n, components=comps))
-    report(6, ok, "polar decomposition of the deformation on the three C3 fixtures")
+    for g, expected in ((X**2 + Y**2, 1), (X * Y * (X + Y), 4), (X**2 + Y**2 + Z**3, 1)):
+        polar = relative_polar_ideal(Z, g)
+        m = 0 if polar.is_empty else intersection_number(polar, Z)
+        routes = {m + le_numbers(g, Z).lambda1, intersection_number(deformed_polar_ideal(Z, g), Z)}
+        routes |= {per_n_m_tilde(Z, g, n) for n in (2, 3, 5)}
+        ok = ok and routes == {expected}
+    report(6, ok, "polar decomposition of the deformation on the three C3 fixtures, as numbers")
 
 
 def test_criterion_07_gap_lemma():

@@ -251,6 +251,8 @@ def test_export_dataset_below_the_threshold_keeps_the_isolation_error(tmp_path, 
     path.write_text(json.dumps(scenario))
     assert main(["export-dataset", "--scenario", str(path)]) == 1
     assert "g + f^2 is not isolated" in capsys.readouterr().err
+    assert main(["export-dataset", "--fixture", "double-axes", "--N", "2"]) == 1
+    assert capsys.readouterr().err.startswith("error: isolation: g + f^2 is not isolated")
 
 
 def test_usage_error_exit_two():

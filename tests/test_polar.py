@@ -1,34 +1,36 @@
 """Relative polar curves, intersection numbers, gap ratios, thresholds, and
-the polar decomposition of deformations."""
+the N-independent polar ideal of the deformations g + f^N."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from germlab import (
     BranchParam,
     ComponentMismatchError,
+    HypothesisError,
     ImproperIntersectionError,
     IdealPresentation,
     PolarCurve,
+    deformed_polar_ideal,
+    export_dataset,
     gap_ratios,
     intersection_number,
     iomdin_threshold,
     load_fixture,
     relative_polar_ideal,
-    verify_polar_decomposition,
+    validate_branch,
 )
-from germlab.ideals import Budget, has_power_in, normal_form, saturate_single
-from germlab.invariants import T_RING
+from germlab.ideals import Budget, normal_form, quotient_dim_local, saturate_single
+from germlab.invariants import T_RING, jacobian_ideal
 from germlab.orders import DEGREVLEX
 from germlab.polar import jacobian_minors
-from conftest import RING_XY, RING_XYZ, nonzero_poly_strategy, same_ideal
+from conftest import RING_XY, RING_XYZ, from_terms, per_n_m_tilde, same_ideal
 from oracles import sympy_is_reduced_basis_of, sympy_saturation
-from test_ideals import PROPERTY_CAP
 
 x, y = RING_XY.variable(0), RING_XY.variable(1)
 X, Y, Z = (RING_XYZ.variable(i) for i in range(3))
@@ -195,80 +197,83 @@ class TestIomdinThreshold:
 
 
 class TestPolarDecomposition:
+    # the polar ideal of (f, g + f^N) is, at every N where g + f^N is
+    # isolated, the one ideal deformed_polar_ideal(f, g): on these germs even
+    # globally, with the critical locus of g, the z-axis, as its curve
+    @staticmethod
+    def assert_decomposes(g, n):
+        deformed = deformed_polar_ideal(Z, g)
+        assert same_ideal(deformed, relative_polar_ideal(Z, g + Z**n).ideal)
+        assert validate_branch(AXIS, deformed)
+
     @pytest.mark.parametrize("n", (2, 3, 5))
     def test_cylinder(self, n):
-        assert verify_polar_decomposition(Z, X**2 + Y**2, n, components=[AXIS])
+        self.assert_decomposes(X**2 + Y**2, n)
 
     @pytest.mark.parametrize("n", (2, 3, 5))
     def test_three_lines(self, n):
-        assert verify_polar_decomposition(Z, X * Y * (X + Y), n, components=[AXIS])
+        self.assert_decomposes(X * Y * (X + Y), n)
 
     @pytest.mark.parametrize("n", (2, 3, 5))
     def test_axis_cubed(self, n):
-        assert verify_polar_decomposition(Z, X**2 + Y**2 + Z**3, n)
+        self.assert_decomposes(X**2 + Y**2 + Z**3, n)
 
     def test_failure_carries_witness(self):
-        bad = BranchParam("off-locus", (t, o, o), host="sigma")
-        verdict = verify_polar_decomposition(Z, X**2 + Y**2, 3, components=[bad])
-        assert verdict.status == "FAIL"
-        assert "off-locus" in verdict.witness
         # at N = 2 the deformation of the double-axes fixture cancels its
-        # -(x - y)^2, and the polar curve of (x - y, x^2 y^2) gains the line
-        # x + y = 0, which lies in neither side of the decomposition
+        # -(x - y)^2, so g + f^2 = x^2 y^2 is not isolated: its polar curve
+        # with f = x - y is the line x + y = 0, met once by {f = 0}, while the
+        # N-independent ideal keeps the two axes and meets {f = 0} 3 times;
+        # the export refuses that exponent by its isolation hypothesis
         scenario = load_fixture("double-axes")
-        verdict = verify_polar_decomposition(scenario.f, scenario.g, 2, components=scenario.branches)
-        assert verdict.status == "FAIL"
-        assert verdict.witness == "no power of x + y lies in Jac(g) * polar(f, g)"
+        f, g = scenario.f, scenario.g
+        assert relative_polar_ideal(f, g + f**2).ideal.generators == (x + y,)
+        assert per_n_m_tilde(f, g, 2) == 1
+        assert intersection_number(deformed_polar_ideal(f, g), f) == 3
+        with pytest.raises(HypothesisError) as raised:
+            export_dataset(scenario, 2)
+        assert raised.value.check == "isolation"
 
-    def test_exponent_must_be_at_least_two(self):
+    def test_f_and_g_must_vanish_at_the_origin(self):
         with pytest.raises(ValueError):
-            verify_polar_decomposition(Z, X**2 + Y**2, 1)
+            deformed_polar_ideal(Z, X**2 + Y**2 + 1)
 
 
-# Budget spends of verify_polar_decomposition, recorded once each radical
-# membership became one saturation, again when the global completion took
-# the chain criterion, and again when each deformed generator was tested
-# against Jac(g) and polar(f, g) apart instead of their product, and again
-# when the global completion took the local one's reduction loop, and again
-# when global completions updated their pairs by Gebauer-Moeller, returned
-# only the elimination ideal under ELIM_FIRST and let monomial generators
-# strip their multiples (cylinder 43/41/41, three-lines 92/92/89, axis-cubed
-# 76 and heavy 1744 before), and again when the Budget kept the bases it
-# completed, so that the two polar ideals and Jac(g) are completed once per
-# order (three-lines 44/44/41, axis-cubed 13, heavy 1020 before): equal
-# counts mean the same eliminations select, skip and reduce the same pairs
+# Budget spends of m~ = (deformed_polar_ideal(f, g) . {f = 0}): one
+# saturation by f and one local quotient serve every N; the radical check
+# of the decomposition that this number replaces spent 9, 39, 12 and 1004
+# steps at N = 3
 DECOMPOSITION_SPENDS = {
-    "cylinder": (Z, X**2 + Y**2, (AXIS,), {2: 9, 3: 9, 5: 9}),
-    "three-lines": (Z, X * Y * (X + Y), (AXIS,), {2: 39, 3: 39, 5: 36}),
-    "axis-cubed": (Z, X**2 + Y**2 + Z**3, (), {2: 12, 3: 12, 5: 12}),
-    "heavy": (X + 2 * Y + 3 * Z, X**2 * Y**2 + X**2 * Z**2 + Y**2 * Z**2, (), {3: 1004}),
+    "cylinder": (Z, X**2 + Y**2, 1, 3),
+    "three-lines": (Z, X * Y * (X + Y), 4, 17),
+    "axis-cubed": (Z, X**2 + Y**2 + Z**3, 1, 3),
+    "heavy": (X + 2 * Y + 3 * Z, X**2 * Y**2 + X**2 * Z**2 + Y**2 * Z**2, 9, 181),
 }
 
 
 @pytest.mark.parametrize("name", DECOMPOSITION_SPENDS)
 def test_decomposition_spend_is_pinned(name):
-    f, g, components, spends = DECOMPOSITION_SPENDS[name]
-    for n, expected in spends.items():
-        budget = Budget(10**5)
-        assert verify_polar_decomposition(f, g, n, components=components, cap=budget)
-        assert 10**5 - budget.remaining == expected
+    f, g, m_tilde, spend = DECOMPOSITION_SPENDS[name]
+    budget = Budget(10**5)
+    assert intersection_number(deformed_polar_ideal(f, g, budget), f, budget) == m_tilde
+    assert 10**5 - budget.remaining == spend
 
 
-SMALL_GENERATORS = st.lists(nonzero_poly_strategy(RING_XY, max_degree=2, max_terms=3), min_size=1, max_size=2)
+# plane germs of 1-3 terms of degree 2-5 with small integer coefficients,
+# and forms f with an isolated singularity, linear or not
+PLANE_GERMS = st.dictionaries(
+    st.sampled_from([(i, d - i) for d in range(2, 6) for i in range(d + 1)]),
+    st.sampled_from((-3, -2, -1, 1, 2, 3)),
+    min_size=1,
+    max_size=3,
+).map(lambda terms: from_terms(RING_XY, terms))
+PLANE_FORMS = st.sampled_from((x, y, x - y, x + 2 * y, x + y**2, y - x**2, x**2 + y**3, x**2 - y**2))
 
 
-@settings(deadline=None, max_examples=40)
-@given(SMALL_GENERATORS, SMALL_GENERATORS, nonzero_poly_strategy(RING_XY, max_degree=2, max_terms=3))
-def test_a_power_in_a_product_is_a_power_in_each_factor(i_gens, j_gens, p):
-    # the radical of IJ is the radical of I meet that of J, also in the
-    # local ring: verify_polar_decomposition tests a deformed generator
-    # against Jac(g) and polar(f, g) apart, never against their product
-    product = IdealPresentation(RING_XY, [a * b for a in i_gens for b in j_gens])
-    budget = Budget(PROPERTY_CAP)
-    apart = has_power_in(p, IdealPresentation(RING_XY, i_gens), budget) and has_power_in(
-        p, IdealPresentation(RING_XY, j_gens), budget
-    )
-    assert has_power_in(p, product, budget) == apart
+@settings(deadline=None, max_examples=100)
+@given(PLANE_GERMS, PLANE_FORMS, st.integers(2, 5))
+def test_deformed_polar_ideal_meets_f_as_the_per_n_polar_curve(g, f, n):
+    assume(quotient_dim_local(jacobian_ideal(g + f**n)) is not None)
+    assert intersection_number(deformed_polar_ideal(f, g), f) == per_n_m_tilde(f, g, n)
 
 
 class TestPairingStability:

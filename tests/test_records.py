@@ -18,7 +18,7 @@ from germlab.invariants import (
 )
 from germlab.le import LeData
 from germlab.parsing import _Token
-from germlab.polar import DecompositionVerdict, GapRatio, GapReport, PolarCurve
+from germlab.polar import GapRatio, GapReport, PolarCurve
 from germlab.scenario import Limits, Scenario
 from germlab.stratified import BranchTableRow, IdentityVerdict, StratifiedDataset, StratumRecord
 from germlab.verifier import DeformationCase, SweepRow, VerdictTable
@@ -88,12 +88,6 @@ RECORDS = {
         "GapReport(ratios=(GapRatio(name='axis', ord_g=3, ord_f=1, ratio=Fraction(3, 1)),), "
         "g_intersection=3, exact_max=Fraction(3, 1))",
         {"exact_max": None},
-        True,
-    ),
-    "DecompositionVerdict": (
-        lambda: DecompositionVerdict("PASS", 3),
-        "DecompositionVerdict(status='PASS', n=3, witness='')",
-        {"n": 4},
         True,
     ),
     "Limits": (lambda: Limits(), "Limits(reduction_cap=1000000, trunc=16)", {"trunc": 8}, True),

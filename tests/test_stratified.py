@@ -131,6 +131,27 @@ class TestExportedIdentityClosure:
         for verdict in verify_stratified_identities(ds):
             assert verdict.status in ("PASS", "SKIPPED"), (name, n, verdict)
 
+    # the polar decomposition as a number, m~ = m + (-1)^(d-1) * sum m_f *
+    # eu_g_f_fibre over the declared branches, on the export at the default N
+    @pytest.mark.parametrize(
+        "name, m_tilde",
+        [
+            ("brieskorn-345", 6),
+            ("cusp-isolated", 2),
+            ("cylinder-z3", 1),
+            ("cylinder", 1),
+            ("double-axes", 3),
+            ("pinch-point", 1),
+            ("three-lines", 4),
+        ],
+    )
+    def test_every_export_passes_the_morse_transfer(self, name, m_tilde):
+        ds = export_dataset(load_fixture(name))
+        assert ds.known["m_tilde"] == m_tilde
+        verdicts = verify_stratified_identities(ds)
+        assert {v.name: v.status for v in verdicts}["morse_transfer"] == "PASS"
+        assert not [v for v in verdicts if v.status == "FAIL"]
+
     def test_cylinder_main_row_values(self):
         ds = export_dataset(load_fixture("cylinder"), 3)
         by_name = {v.name: v for v in verify_stratified_identities(ds)}

@@ -18,9 +18,9 @@ from germlab import (
     IterationLimitError,
     branch_slice_milnor,
     critical_locus,
+    deformed_polar_ideal,
     iomdin_threshold,
     relative_polar_ideal,
-    verify_polar_decomposition,
     load_scenario,
     milnor_number,
     parse_poly,
@@ -48,6 +48,7 @@ from conftest import (
     deformation_case,
     leading_monomial,
     nonzero_poly_strategy,
+    per_n_m_tilde,
     poly_strategy,
 )
 from oracles import sympy_local_quotient_dim
@@ -281,17 +282,20 @@ class TestSweep:
             export_dataset(tight, 3)
 
     def test_export_saturates_each_polar_ideal_once(self, monkeypatch):
+        # the polar ideal of g + f^N is the N-independent deformed one, so no
+        # polar ideal of the deformation is built
         seen = []
-        original = verifier.relative_polar_ideal
+        for name in ("relative_polar_ideal", "deformed_polar_ideal"):
+            original = getattr(verifier, name)
 
-        def counting(f, g, *args, **kwargs):
-            seen.append(str(g))
-            return original(f, g, *args, **kwargs)
+            def counting(f, g, *args, original=original, name=name, **kwargs):
+                seen.append((name, str(g)))
+                return original(f, g, *args, **kwargs)
 
-        monkeypatch.setattr(verifier, "relative_polar_ideal", counting)
-        monkeypatch.setattr(polar_module, "relative_polar_ideal", counting)
+            monkeypatch.setattr(verifier, name, counting)
+            monkeypatch.setattr(polar_module, name, counting)
         export_dataset(load_fixture("cylinder"), 3)
-        assert seen == ["x^2 + y^2", "z^3 + x^2 + y^2"]
+        assert seen == [("relative_polar_ideal", "x^2 + y^2"), ("deformed_polar_ideal", "x^2 + y^2")]
 
     def test_unbranched_critical_curve_skips_the_branch_sums(self):
         sc = load_fixture("cylinder")._replace(branches=())
@@ -355,7 +359,7 @@ FORM = X + 2 * Y + 3 * Z
 PUBLIC_CALLS = {
     "le_numbers": lambda cap: le_numbers(LE_GERM, FORM, cap=cap),
     "relative_polar_ideal": lambda cap: relative_polar_ideal(FORM, POLAR_GERM, cap=cap),
-    "verify_polar_decomposition": lambda cap: verify_polar_decomposition(FORM, X**2 + Y**2, 3, cap=cap),
+    "deformed_polar_ideal": lambda cap: deformed_polar_ideal(FORM, POLAR_GERM, cap=cap),
     "critical_locus": lambda cap: critical_locus(POLAR_GERM, FORM, cap),
     "check_hypotheses": lambda cap: check_hypotheses(X * Y * (X + Y), Z, cap),
     "branch_slice_milnor": lambda cap: branch_slice_milnor(X * Y * (X + Y), Z, AXIS, cap),
@@ -599,8 +603,10 @@ def test_verify_computes_each_branch_slice_milnor_number_once(monkeypatch, name)
 
 def test_export_standard_basis_count_is_pinned(monkeypatch):
     # 26 while the branch terms and the slice Milnor numbers at the origin
-    # were each computed twice, and 21 while the deformation's Jacobian went
-    # through standard_basis_of instead of packed to the completion
+    # were each computed twice, 21 while the deformation's Jacobian went
+    # through standard_basis_of instead of packed to the completion, and 20
+    # while the deformation's polar ideal was saturated at each N and asked
+    # for its dimension at the origin
     calls = []
     original = ideals.standard_basis_of
 
@@ -610,7 +616,7 @@ def test_export_standard_basis_count_is_pinned(monkeypatch):
 
     monkeypatch.setattr(ideals, "standard_basis_of", counting)
     export_dataset(load_fixture("three-lines"), 3)
-    assert len(calls) == 20
+    assert len(calls) == 19
 
 
 def test_export_completes_each_ideal_once(monkeypatch):
@@ -629,6 +635,32 @@ def test_export_completes_each_ideal_once(monkeypatch):
     monkeypatch.setattr(verifier, "_complete", counting)
     export_dataset(load_fixture("three-lines"), 3)
     assert len(calls) == len(set(calls)) == 12
+
+
+# m~ of every export against the per-N route, which saturates the polar
+# ideal of g + f^N at that N: the seven polynomial fixtures at their default
+# N and two past the threshold, and inline pairs
+@pytest.mark.parametrize("name", CN_FIXTURES)
+def test_export_m_tilde_matches_the_per_n_route(name):
+    sc = load_fixture(name)
+    ctx = ScenarioContext(sc)  # a fixture may leave f to the run
+    for n in (None, ctx.gap.threshold + 2):
+        known = export_dataset(sc, n).known
+        assert known["m_tilde"] == per_n_m_tilde(ctx.f, ctx.g, known["N"])
+
+
+@pytest.mark.parametrize(
+    "variables, g, f, n",
+    [
+        ("x,y,z", "x^2*y^2+x^2*z^2+y^2*z^2", "x+2*y+3*z", 3),
+        ("x,y,z", "x^2*y^2+x^2*z^2+y^2*z^2", "x+2*y+3*z", 25),
+        ("x,y", "x^3+y^4", "x+y^2", 5),
+    ],
+    ids=("heavy-3", "heavy-25", "bent-5"),
+)
+def test_inline_export_m_tilde_matches_the_per_n_route(variables, g, f, n):
+    sc = load_scenario({"variables": variables.split(","), "g": g, "f": f})
+    assert export_dataset(sc, n).known["m_tilde"] == per_n_m_tilde(sc.f, sc.g, n)
 
 
 def test_context_terms_are_the_le_terms_for_a_linear_f():
