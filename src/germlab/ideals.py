@@ -62,8 +62,9 @@ class Budget:
         self.cap = self.remaining = DEFAULT_REDUCTION_CAP if cap is None else int(cap)
         self.bases: dict[tuple, StandardBasis] = {}
 
-    def spend(self) -> None:
-        self.remaining -= 1
+    def spend(self, k: int = 1) -> None:
+        """Spend k steps; raise once more than the cap are spent."""
+        self.remaining -= k
         if self.remaining < 0:
             raise IterationLimitError("reduction step cap exceeded")
 
@@ -669,7 +670,8 @@ def _complete(
     local = order.is_local
     # ascending in the order: the larger int is the larger monomial except
     # under LOCAL, where -m ascends with the monomial m
-    packed = sorted(_stripped(packed, pk, budget), key=pk.lead, reverse=local)
+    if len(packed) > 1:  # one generator has nothing to strip or sort
+        packed = sorted(_stripped(packed, pk, budget), key=pk.lead, reverse=local)
     guards, raw = pk.guards, pk.raw
     pairs: list[tuple] = []  # heap of (sugar, +-lcm as above, i, j, lcm) with i < j
     if base is None:
@@ -689,12 +691,11 @@ def _complete(
         lmj = pk.unpack(rj[0])
         mask = sum(1 << k for k, a in enumerate(lmj) if a)
         rj += (mask,)
-        coprime = [not g[6] & mask for g in reducers]
         if local:
-            new = [i for i, c in enumerate(coprime) if not c]
-            for _ in range(len(reducers) - len(new)):
-                budget.spend()  # coprime leading terms reduce to zero
+            new = [i for i, g in enumerate(reducers) if g[6] & mask]
+            budget.spend(len(reducers) - len(new))  # coprime leading terms reduce to zero
         else:
+            coprime = [not g[6] & mask for g in reducers]
             # Gebauer-Moeller's B on the waiting pairs, then M and F and the
             # product criterion on the new ones, all on raw lcm fields
             lm_raw = rj[4]

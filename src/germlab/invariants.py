@@ -221,12 +221,6 @@ def _on_hyperplane(p: Poly, form: Poly, point: Sequence[Fraction]) -> Poly:
     return p.substitute(kept, _solve_for_pivot(coeffs, pivot, others, kept.constant(form.evaluate(point))))
 
 
-def restrict_to_hyperplane(p: Poly, form: Poly) -> Poly:
-    """Restriction of p to {form = 0}: p in align_first's coordinates at
-    w_0 = 0, a germ in the variables other than the pivot."""
-    return _on_hyperplane(p, form, [0] * p.ring.nvars)
-
-
 def slice_germ(g: Poly, form: Poly, point: Sequence[Fraction] | None = None) -> Poly:
     """The germ at point (default: the origin) of g restricted to the
     hyperplane through point parallel to {form = 0}, constant term dropped."""

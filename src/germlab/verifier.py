@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Any, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     ComponentMismatchError,
@@ -151,28 +151,38 @@ def verify_le_iomdin(
     Returns the massey, chi, tibar and morse verdicts with the Morse defect
     n - n~ and the expansion, both None when morse is skipped.
     """
-    if not case.f.is_linear_form:
+    return _le_iomdin_rows(case.f, case.g.ring.nvars, le, chi_g, terms)(case.n, case.certificate)
+
+
+def _le_iomdin_rows(f: Poly, nvars: int, le: LeData, chi_g: int, terms: Sequence[BranchTerm] | None) -> Callable:
+    """verify_le_iomdin for the rows of one run, as a routine of N and mu(g~)
+    (None when g~ is not isolated).  What does not depend on N is decided
+    here, once: whether f is linear, the sign (-1)^(v-1) and the SKIPPED
+    verdicts, which are the same on every row that skips."""
+    linear = f.is_linear_form
+    curve = None if terms is not None else "the critical locus is a curve but no sigma branches are declared"
+    notes = ("deformation is not isolated", *[curve or "deformation is not isolated"] * 3)
+    if not linear:
         sums = "branch slice data needs a linear deformation direction"
         notes = ("needs a linear deformation direction", sums, "stated for a generic linear form", sums)
-    else:
-        isolated = None if case.certificate is not None else "deformation is not isolated"
-        sums = "the critical locus is a curve but no sigma branches are declared" if terms is None else isolated
-        notes = (isolated, sums, sums, sums)
-    names = ("massey", "chi", "tibar", "morse")
-    verdicts = [IdentityVerdict(name, "SKIPPED", note=note) for name, note in zip(names, notes)]
-    if notes[0] is None:
-        verdicts[0] = compared("massey", case.certificate, le.lambda0 + (case.n - 1) * le.lambda1)
-    if sums is not None:
-        return tuple(verdicts), None, None
-    sign = parity_sign(case.g.ring.nvars - 1)
-    expansion = case.n * le.lambda1
-    jump = case.chi_gtilde - chi_g
-    verdicts[1:] = (
-        compared("chi", case.chi_gtilde, chi_g + sign * expansion),
-        compared("tibar", jump, sign * expansion),
-        compared("morse", sign * jump, expansion, "n~ - n via chi defect vs branch expansion"),
-    )
-    return tuple(verdicts), -sign * jump, expansion
+    skipped = tuple(IdentityVerdict(name, "SKIPPED", note=note) for name, note in zip(("massey", "chi", "tibar", "morse"), notes))
+    sign, lambda0, lambda1 = parity_sign(nvars - 1), le.lambda0, le.lambda1
+
+    def row(n: int, mu: int | None) -> tuple[tuple[IdentityVerdict, ...], int | None, int | None]:
+        if not linear or mu is None:
+            return skipped, None, None
+        massey = compared("massey", mu, lambda0 + (n - 1) * lambda1)
+        if curve is not None:
+            return (massey, *skipped[1:]), None, None
+        expansion, jump = n * lambda1, 1 + sign * mu - chi_g  # chi(F_g~) - chi(F_g)
+        return (
+            massey,
+            compared("chi", chi_g + jump, chi_g + sign * expansion),
+            compared("tibar", jump, sign * expansion),
+            compared("morse", sign * jump, expansion, "n~ - n via chi defect vs branch expansion"),
+        ), -sign * jump, expansion
+
+    return row
 
 
 def verify_gap_stability(case: DeformationCase, ctx: ScenarioContext) -> IdentityVerdict:
@@ -613,7 +623,8 @@ def verify_scenario(
     """Run the whole pipeline on a scenario and assemble the verdict table.
 
     Everything that does not depend on N is read once from the run's
-    ScenarioContext, and the sweep rows share its one budget.
+    ScenarioContext or built once with _le_iomdin_rows, and the sweep rows
+    share the context's one budget.
 
     With relative_to_threshold the sweep runs over threshold .. threshold +
     (hi - lo) regardless of the requested bounds, which keeps fixture sweeps
@@ -635,20 +646,13 @@ def verify_scenario(
                 f"plus span {span}), passes N_MAX = {N_MAX}"
             )
     terms = ctx.terms
+    le_iomdin = _le_iomdin_rows(f, ctx.ring.nvars, le, chi_g, terms)
 
     def make_row(n: int) -> SweepRow:
         case = ctx.case(n)
-        le_iomdin, defect, expansion = verify_le_iomdin(case, le, chi_g, terms)
-        verdicts = (*le_iomdin, verify_gap_stability(case, ctx))
-        return SweepRow(
-            n=n,
-            in_range=n >= threshold,
-            certificate=case.certificate,
-            chi_gtilde=case.chi_gtilde,
-            verdicts=verdicts,
-            morse_defect=defect,
-            morse_expansion=expansion,
-        )
+        verdicts, defect, expansion = le_iomdin(n, case.certificate)
+        verdicts = (*verdicts, verify_gap_stability(case, ctx))
+        return SweepRow(n, n >= threshold, case.certificate, case.chi_gtilde, verdicts, defect, expansion)
 
     return VerdictTable(
         scenario=scenario.name,

@@ -334,6 +334,17 @@ def test_budget_counts_down():
         b.spend()
 
 
+def test_budget_spends_k_steps_at_once():
+    # spend(k) is k calls of spend() in one: the same check and message
+    b = Budget(3)
+    b.spend(3)
+    assert b.remaining == 0
+    with pytest.raises(IterationLimitError, match="^reduction step cap exceeded$"):
+        b.spend()
+    with pytest.raises(IterationLimitError, match="^reduction step cap exceeded$"):
+        Budget(3).spend(4)
+
+
 @settings(deadline=None, max_examples=30)
 @given(poly_strategy(RING_XY, max_degree=2, max_terms=3))
 def test_contraction_against_fixed_basis(p):

@@ -28,7 +28,6 @@ from germlab.invariants import (
     T_RING,
     compose_on_branch,
     jacobian_ideal,
-    restrict_to_hyperplane,
     slice_germ,
     stable_along_branch,
 )
@@ -266,29 +265,6 @@ def test_weighted_homogeneous_mu_matches_milnor_orlik(data, exponents):
     except NonisolatedError:
         assume(False)
     assert mu == milnor_orlik_mu(weights, degree)
-
-
-@settings(deadline=None, max_examples=60)
-@given(st.data(), st.integers(min_value=2, max_value=4))
-def test_restriction_agrees_with_p_on_the_hyperplane(data, nvars):
-    ring = PolyRing(("x", "y", "z", "w")[:nvars])
-    p = data.draw(poly_strategy(ring, max_degree=3, max_terms=5))
-    coeffs = data.draw(st.lists(RATIONALS, min_size=nvars, max_size=nvars).filter(any))
-    form = sum((ring.variable(i) * c for i, c in enumerate(coeffs) if c), ring.zero())
-    sliced = restrict_to_hyperplane(p, form)
-    (k,) = [i for i, v in enumerate(ring.variables) if v not in sliced.ring.variables]
-    kept = [i for i in range(nvars) if i != k]
-    assert coeffs[k] != 0
-    assert sliced.ring.variables == tuple(ring.variables[i] for i in kept)
-    for _ in range(3):
-        q = data.draw(st.lists(RATIONALS, min_size=nvars - 1, max_size=nvars - 1))
-        point = [Fraction(0)] * nvars
-        for i, value in zip(kept, q):
-            point[i] = value
-        # the pivot coordinate solved from form = 0
-        point[k] = -sum(coeffs[i] * point[i] for i in kept) / coeffs[k]
-        assert form.evaluate(point) == 0
-        assert sliced.evaluate(q) == p.evaluate(point)
 
 
 @settings(deadline=None, max_examples=60)

@@ -953,6 +953,50 @@ def test_a_passing_row_builds_no_deformation_poly(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", CN_FIXTURES)
+def test_row_work_does_not_grow_with_per_run_decisions(monkeypatch, name):
+    # whether f is linear is decided once per run, so a longer sweep reads it
+    # no more often than a shorter one
+    scenario = load_fixture(name)
+    reads = []
+    real = Poly.is_linear_form.fget
+    monkeypatch.setattr(Poly, "is_linear_form", property(lambda p: reads.append(p) or real(p)))
+    counts = []
+    for hi in (8, 30):
+        reads.clear()
+        verify_scenario(scenario, n_range=(2, hi))
+        counts.append(len(reads))
+    assert counts[0] == counts[1]
+
+
+SKIP_REGIMES = {
+    # (variables, g, f) and the statuses of massey, chi, tibar and morse on every row
+    "nonlinear-f": ("x,y", "x^2*y^2+y^5", "x^2+y^3", ("SKIPPED",) * 4),
+    "curve-no-branches": ("x,y,z", "x^2+y^2", "z", ("PASS", "SKIPPED", "SKIPPED", "SKIPPED")),
+}
+
+
+@pytest.mark.parametrize("name", [*CN_FIXTURES, *SKIP_REGIMES])
+def test_the_public_le_iomdin_routine_agrees_with_the_sweep(name):
+    # a sweep builds the per-run part of the four Le-Iomdin verdicts once;
+    # verify_le_iomdin builds it on each call, and both give every row alike
+    if name in SKIP_REGIMES:
+        variables, g, f, statuses = SKIP_REGIMES[name]
+        scenario = load_scenario({"variables": variables.split(","), "g": g, "f": f})
+    else:
+        scenario = load_fixture(name)
+    table = verify_scenario(scenario, n_range=(2, 30))
+    ctx = ScenarioContext(scenario)
+    for row in table.rows:
+        verdicts, defect, expansion = verify_le_iomdin(ctx.case(row.n), ctx.le, ctx.chi_g, ctx.terms)
+        assert (verdicts, defect, expansion) == (row.verdicts[:4], row.morse_defect, row.morse_expansion)
+    if name in SKIP_REGIMES:
+        assert {tuple(v.status for v in row.verdicts[:4]) for row in table.rows} == {statuses}
+    if name == "double-axes":  # g + f^2 = x^2 y^2 is not isolated
+        assert table.rows[0].certificate is None
+        assert {v.status for v in table.rows[0].verdicts[:4]} == {"SKIPPED"}
+
+
+@pytest.mark.parametrize("name", CN_FIXTURES)
 def test_a_sweep_row_minimalizes_no_basis(monkeypatch, name):
     # a row reads only the staircase of its two resumed completions, so
     # neither they nor the N-independent bases they resume are minimalized
