@@ -38,11 +38,12 @@ import heapq
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import GermlabError, IterationLimitError, RingMismatchError
-from .orders import ELIM_FIRST, LOCAL, MonomialOrder, _Packing
-from .rings import Exponents, Poly, PolyRing, _numerators, mono_lcm
+from .orders import _FIELD_BITS, ELIM_FIRST, LOCAL, MonomialOrder, _Packing
+from .rings import Exponents, Poly, PolyRing, _numerators
 
 DEFAULT_REDUCTION_CAP = 10**6
 
@@ -115,8 +116,8 @@ def _packed(p: Poly, pk: _Packing) -> tuple[dict, int]:
     """(d*p, d) on packed monomials, for the least positive d that makes
     every coefficient an int."""
     terms, den = _numerators(p.terms)
-    pack = pk.pack
-    return {pack(e): c for e, c in terms.items()}, den
+    pk.check_degree(max(map(sum, terms), default=0))
+    return {sum(map(mul, e, pk.units)): c for e, c in terms.items()}, den
 
 
 def _primitive(h: dict, lm: int) -> dict:
@@ -145,13 +146,14 @@ def _unpacked(ring: PolyRing, h: dict, den: int, pk: _Packing) -> Poly:
 def _reducer(h: dict, pk: _Packing, sugar: int = 0) -> tuple:
     """(lm, lc, ecart, h, raw, deg): what a reduction step reads of the
     reducer h, computed once per basis element instead of once per step.
-    raw is lm's raw-exponent fields (see _Packing.divides) and deg the
-    degree of h.  The ecart slot is s - |lm| for the sugar s the completion
-    gives h: the larger of sugar and deg h, which is deg h for a generator
-    and sugar for a reduced S-polynomial (see _weak_normal_form)."""
-    lm = pk.lead(h)
-    # with the degree on top, the largest int has the largest degree
-    deg = max(h) >> pk.top if pk.degree_on_top else max(map(pk.degree, h))
+    raw is lm's raw-exponent fields (see _Packing) and deg the degree of
+    h.  The ecart slot is s - |lm| for the sugar s the completion gives h:
+    the larger of sugar and deg h, which is deg h for a generator and sugar
+    for a reduced S-polynomial (see _weak_normal_form)."""
+    lm, top = pk.lead(h), pk.top
+    # with the degree on top, the largest int has the largest degree; under
+    # ELIM_FIRST the degree is the first exponent plus that of the tail
+    deg = max(h) >> top if pk.degree_on_top else max((m >> top) + (m >> (top - _FIELD_BITS) & pk.fill) for m in h)
     return lm, h[lm], max(sugar, deg) - pk.degree(lm), h, lm & pk.raw, deg
 
 
@@ -257,7 +259,8 @@ def _weak_normal_form(
     A reducer (see _reducer) carries the ecart slot e = s - |lm g| for the
     sugar s of g.  Each step reduces the leading term of h by the first
     reducer of least ecart among those whose leading monomial divides lm(h),
-    and the loop stops when that ecart exceeds the room sugar - |lm h|.  The
+    and the loop stops when that ecart exceeds the room sugar - |lm h|; the
+    scan stops at the first divisor of ecart 0, since none is smaller.  The
     homogenization t^s * g(x/t) leads with t^e * lm(g) under the order that
     ranks by degree and then by the given order, so these are the steps of
     homogeneous division in degree `sugar`: every term stays of degree <=
@@ -279,6 +282,8 @@ def _weak_normal_form(
         for g in reducers:
             if (best is None or g[2] < best[2]) and (over - g[4]) & guards == guards:
                 best = g
+                if not g[2]:
+                    break
         if best is None or best[2] > sugar - pk.degree(lm):
             break
         budget.spend()
@@ -672,7 +677,7 @@ def _complete(
     # under LOCAL, where -m ascends with the monomial m
     if len(packed) > 1:  # one generator has nothing to strip or sort
         packed = sorted(_stripped(packed, pk, budget), key=pk.lead, reverse=local)
-    guards, raw = pk.guards, pk.raw
+    guards, raw, fill, units = pk.guards, pk.raw, pk.fill, pk.units
     pairs: list[tuple] = []  # heap of (sugar, +-lcm as above, i, j, lcm) with i < j
     if base is None:
         # the _reducer entry per basis element, with its sugar and its mask
@@ -697,9 +702,13 @@ def _complete(
         else:
             coprime = [not g[6] & mask for g in reducers]
             # Gebauer-Moeller's B on the waiting pairs, then M and F and the
-            # product criterion on the new ones, all on raw lcm fields
+            # product criterion on the new ones, all on raw lcm fields: the
+            # larger in each, where the guard bit of a difference survives
             lm_raw = rj[4]
-            lcms = [pk.lcm_raw(g[4], lm_raw) for g in reducers]
+            lcms = [
+                lm_raw ^ ((g[4] ^ lm_raw) & ((((g[4] | guards) - lm_raw) & guards) >> (_FIELD_BITS - 1)) * fill)
+                for g in reducers
+            ]
             kept = [
                 p for p in pairs
                 if ((p[4] | guards) - lm_raw) & guards != guards
@@ -708,16 +717,21 @@ def _complete(
             if len(kept) < len(pairs):
                 pairs[:] = kept
                 heapq.heapify(pairs)
-            new = [
-                i for i, m in enumerate(lcms)
-                if not coprime[i] and not any(
-                    ((m | guards) - mk) & guards == guards and (mk != m or k > i or coprime[k])
-                    for k, mk in enumerate(lcms) if k != i
-                )
-            ]
+            new = []
+            for i, m in enumerate(lcms):
+                if coprime[i]:
+                    continue
+                over = m | guards
+                for k, mk in enumerate(lcms):
+                    if (over - mk) & guards == guards and k != i and (mk != m or k > i or coprime[k]):
+                        break
+                else:
+                    new.append(i)
         for i in new:
-            m = pk.pack(mono_lcm(lead[i], lmj))
-            heapq.heappush(pairs, (pk.degree(m) + max(reducers[i][2], rj[2]), -m if local else m, i, j, m))
+            top = list(map(max, lead[i], lmj))
+            pk.check_degree(d := sum(top))
+            m = sum(map(mul, top, units))
+            heapq.heappush(pairs, (d + max(reducers[i][2], rj[2]), -m if local else m, i, j, m))
         reducers.append(rj)
         lead.append(lmj)
         if stairs is not None:

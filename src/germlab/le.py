@@ -10,8 +10,8 @@ since the Jacobian ideal is that ideal plus the first partial, one
 saturation by the first partial alone gives it.  lambda^1 is the branch
 sum over the declared branches (LeData keeps its terms), with a branch-free
 fallback that intersects the remaining-partials scheme with the aligned
-hyperplane and subtracts the polar contribution; when both routes apply they
-must agree.
+hyperplane, computed on the hyperplane, and subtracts the polar
+contribution; when both routes apply they must agree.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .invariants import (
     jacobian_ideal,
     order_in_t,
 )
-from .rings import Poly
+from .rings import Poly, PolyRing
 from .stratified import parity_sign
 
 
@@ -58,6 +58,17 @@ def _polar_ideal_after_alignment(gw: Poly, cap=None) -> tuple[IdealPresentation,
     # Jac(g) = I + (d_0 g) for the remaining-partials ideal I, and
     # (I + (h))^k lies in I + (h^k), so I : Jac^infinity = I : (d_0 g)^infinity
     return rest_ideal, saturate_single(rest_ideal, gw.diff(0), cap)
+
+
+def _hyperplane_slice_dim(I: IdealPresentation, cap=None) -> int | None:
+    """dim O/(I + (w_0)) for the first variable w_0, on H = {w_0 = 0}: it is
+    O_H modulo I restricted to H, each generator without its terms in w_0.
+    In one variable H is the origin: Q unless a generator is a unit."""
+    if I.ring.nvars == 1:
+        return int(not any(g.constant_term() for g in I.generators))
+    plane = PolyRing(I.ring.variables[1:])
+    restricted = [Poly._make(plane, {e[1:]: c for e, c in g.terms.items() if not e[0]}) for g in I.generators]
+    return quotient_dim_local(IdealPresentation(plane, restricted), cap)
 
 
 def le_numbers(
@@ -124,10 +135,9 @@ def le_numbers(
         )
 
     lam1_polar = None
-    hyperplane = target.variable(0)
-    total_slice = quotient_dim_local(rest_ideal.plus([hyperplane]), budget)
+    total_slice = _hyperplane_slice_dim(rest_ideal, budget)
     if total_slice is not None:
-        polar_slice = quotient_dim_local(polar.plus([hyperplane]), budget)
+        polar_slice = _hyperplane_slice_dim(polar, budget)
         if polar_slice is not None:
             lam1_polar = total_slice - polar_slice
             log.append(

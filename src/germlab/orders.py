@@ -92,17 +92,6 @@ class _Packing:
     def unpack(self, m: int) -> Exponents:
         return self.words.unpack(m.to_bytes(self.words.size, "big"))[self.nvars :]
 
-    def divides(self, a: int, b: int) -> bool:
-        """Whether the monomial packed as a divides the one packed as b.  The
-        reduction loops inline it, with b | guards and a & raw precomputed."""
-        return ((b | self.guards) - (a & self.raw)) & self.guards == self.guards
-
-    def lcm_raw(self, a: int, b: int) -> int:
-        """The raw fields of lcm(a, b) from those of a and b: the larger in
-        each field, where the guard bit of a's minus b's survives or not."""
-        ge = ((a | self.guards) - b) & self.guards
-        return b ^ ((a ^ b) & (ge >> (_FIELD_BITS - 1)) * self.fill)
-
     def degree(self, m: int) -> int:
         d = m >> self.top
         if self.degree_on_top:

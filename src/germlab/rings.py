@@ -73,10 +73,6 @@ class PolyRing(_PolyRingFields):
         return Poly._make(self, {exps: c} if c else {})
 
 
-def mono_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(map(max, a, b))
-
-
 def _numerators(terms: Mapping[Exponents, Fraction]) -> tuple[dict[Exponents, int], int]:
     """(d*terms, d) for the least common denominator d of the coefficients:
     the same terms as int numerators over one denominator."""

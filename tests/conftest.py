@@ -79,6 +79,18 @@ def mono_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return all(map(operator.le, a, b))
 
 
+def mono_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Exponent vector of the least common multiple of a and b."""
+    return tuple(map(max, a, b))
+
+
+def packed_divides(pk, a: int, b: int) -> bool:
+    """Whether the monomial packed by pk as a divides the one packed as b:
+    the kernel's test, one subtraction of raw fields whose guard bits
+    survive exactly when no exponent of b is below a's."""
+    return ((b | pk.guards) - (a & pk.raw)) & pk.guards == pk.guards
+
+
 def mono_div(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Exponent vector of a/b; the caller guarantees divisibility."""
     return tuple(map(operator.sub, a, b))

@@ -15,12 +15,12 @@ from germlab import (
     le_numbers,
     milnor_number,
 )
-from germlab.ideals import Budget, dim_at_origin, quotient_dim_local
+from germlab.ideals import Budget, IdealPresentation, dim_at_origin, quotient_dim_local
 from germlab.invariants import T_RING, jacobian_ideal
-from germlab.le import _polar_ideal_after_alignment, align_first
+from germlab.le import _hyperplane_slice_dim, _polar_ideal_after_alignment, align_first
 from germlab.rings import Poly, PolyRing
 from germlab.verifier import generic_linear_candidates
-from conftest import RING_XY, RING_XYZ
+from conftest import RING_XY, RING_XYZ, poly_strategy
 from oracles import euler_chi_isolated
 from test_ideals import PROPERTY_CAP
 
@@ -169,6 +169,44 @@ def test_every_pivot_gives_the_same_le_intersections(terms, coeffs):
     assert len(seen) == 1
 
 
+# 1-3 generators in x, y or in x, y, z, any of them zero or with a constant
+# term
+SLICED_IDEALS = st.sampled_from((RING_XY, RING_XYZ)).flatmap(
+    lambda ring: st.lists(poly_strategy(ring, max_degree=3, max_terms=3), min_size=1, max_size=3)
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(SLICED_IDEALS)
+@example([RING_XY.zero()])
+@example([RING_XYZ.zero(), RING_XYZ.zero()])
+@example([1 + X * Y, Z**2])
+@example([X + Y**2, X**2 - Z**3])
+def test_a_slice_on_the_hyperplane_is_the_slice_by_its_equation(gens):
+    # x_0 is a coordinate, so O/(I + x_0) is O_H modulo I restricted to
+    # H = {x_0 = 0}; the restriction here substitutes 0 for x_0
+    ring = gens[0].ring
+    I = IdealPresentation(ring, gens)
+    plane = PolyRing(ring.variables[1:])
+    images = [plane.zero(), *(plane.variable(i) for i in range(plane.nvars))]
+    on_plane = IdealPresentation(plane, [g.substitute(plane, images) for g in gens])
+    cut = I.plus([ring.variable(0)])
+    expected = quotient_dim_local(cut, PROPERTY_CAP)
+    assert _hyperplane_slice_dim(I, PROPERTY_CAP) == quotient_dim_local(on_plane, PROPERTY_CAP) == expected
+    assert dim_at_origin(on_plane, PROPERTY_CAP) == dim_at_origin(cut, PROPERTY_CAP)
+
+
+@pytest.mark.parametrize("gens, size", [([], 1), ([lambda w: w**2], 1), ([lambda w: 1 + w], 0)])
+def test_in_one_variable_the_hyperplane_is_the_origin(gens, size):
+    # PolyRing refuses zero variables: the slice is Q, or 0 for a unit ideal
+    ring = PolyRing(("w",))
+    w = ring.variable(0)
+    I = IdealPresentation(ring, [make(w) for make in gens])
+    assert _hyperplane_slice_dim(I) == quotient_dim_local(I.plus([w])) == size
+    if not gens:  # the zero germ: no partial survives, and the slice gives lambda^1
+        assert le_numbers(ring.zero(), w).as_pair() == (0, 1)
+
+
 def test_an_improper_polar_meeting_is_refused():
     # the critical locus of x(z - y) is the line x = 0, y = z, and lambda0 is
     # infinite, at the default pivot and so at every other
@@ -212,10 +250,11 @@ def test_le_work_count_is_pinned():
     # one saturation of the remaining partials by the first partial; another
     # saturation route or pair order moves the count (110 before
     # Gebauer-Moeller's update, the elimination-only tail and the monomial
-    # strip of the two hyperplane slices)
+    # strip of the two hyperplane slices, 52 before the slices were
+    # completed on the hyperplane, in the two other variables)
     budget = Budget(10**5)
     le_numbers(X**2 * Y**2 + Z**3, HEAVY_FORM, cap=budget)
-    assert 10**5 - budget.remaining == 52
+    assert 10**5 - budget.remaining == 42
 
 
 @pytest.mark.parametrize("n, mu, steps", [(10, 45, 745), (25, 90, 3102)])
