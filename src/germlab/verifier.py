@@ -131,50 +131,28 @@ def check_hypotheses(g: Poly, f: Poly, cap=None) -> int:
     return locus.dim
 
 
-def verify_le_iomdin(
-    case: DeformationCase, le: LeData, chi_g: int, terms: Sequence[BranchTerm] | None
-) -> tuple[tuple[IdentityVerdict, ...], int | None, int | None]:
-    """The Le-Iomdin formula on one row, in four presentations: massey
-    compares mu(g~) against lambda0 + (N-1) lambda1, and the deformation
-    formula chi(F_g~) = chi(F_g) + (-1)^(v-1) N B is checked as chi (the
-    fibre Euler characteristics), tibar (their difference, stated for a
-    generic linear form) and morse (the Morse-count jump n~ - n read off the
-    chi values against its expansion N B).
-
-    All four need a linear f, which then is the form of the Le numbers, so
-    the branch sum B = sum m_b d_b mu_b is lambda1 (Massey, Le Cycles and
-    Hypersurface Singularities, LNM 1615; le_numbers checks it against the
-    branch terms).  B is read from le, and terms only gates the three
-    branch presentations: None when the critical locus is a curve with no
-    declared branch.
-
-    Returns the massey, chi, tibar and morse verdicts with the Morse defect
-    n - n~ and the expansion, both None when morse is skipped.
+def _le_iomdin_rows(ctx: ScenarioContext) -> Callable:
+    """The Le-Iomdin formula on the rows of one run, as a routine of N and
+    mu(g~) (None when g~ is not isolated) that returns the massey, chi, tibar
+    and morse verdicts with the Morse defect n - n~ and the expansion N B,
+    both None when g~ is not isolated.  massey compares mu(g~) against
+    lambda0 + (N-1) lambda1, which needs a linear f, the form of the Le
+    numbers.  chi, tibar and morse check chi(F_g~) = chi(F_g) + (-1)^(v-1) N B
+    as the fibre Euler characteristics, their difference, and the Morse-count
+    jump n~ - n read off the chi values.  B is the run's branch sum (see
+    ScenarioContext.branch_sum), read on the first isolated row.
     """
-    return _le_iomdin_rows(case.f, case.g.ring.nvars, le, chi_g, terms)(case.n, case.certificate)
-
-
-def _le_iomdin_rows(f: Poly, nvars: int, le: LeData, chi_g: int, terms: Sequence[BranchTerm] | None) -> Callable:
-    """verify_le_iomdin for the rows of one run, as a routine of N and mu(g~)
-    (None when g~ is not isolated).  What does not depend on N is decided
-    here, once: whether f is linear, the sign (-1)^(v-1) and the SKIPPED
-    verdicts, which are the same on every row that skips."""
-    linear = f.is_linear_form
-    curve = None if terms is not None else "the critical locus is a curve but no sigma branches are declared"
-    notes = ("deformation is not isolated", *[curve or "deformation is not isolated"] * 3)
-    if not linear:
-        sums = "branch slice data needs a linear deformation direction"
-        notes = ("needs a linear deformation direction", sums, "stated for a generic linear form", sums)
-    skipped = tuple(IdentityVerdict(name, "SKIPPED", note=note) for name, note in zip(("massey", "chi", "tibar", "morse"), notes))
-    sign, lambda0, lambda1 = parity_sign(nvars - 1), le.lambda0, le.lambda1
+    linear, le, chi_g = ctx.f.is_linear_form, ctx.le, ctx.chi_g
+    names = ("massey", "chi", "tibar", "morse")
+    skipped = tuple(IdentityVerdict(name, "SKIPPED", note="deformation is not isolated") for name in names)
+    no_massey = IdentityVerdict("massey", "SKIPPED", note="needs a linear deformation direction")
+    sign = parity_sign(ctx.ring.nvars - 1)
 
     def row(n: int, mu: int | None) -> tuple[tuple[IdentityVerdict, ...], int | None, int | None]:
-        if not linear or mu is None:
+        if mu is None:
             return skipped, None, None
-        massey = compared("massey", mu, lambda0 + (n - 1) * lambda1)
-        if curve is not None:
-            return (massey, *skipped[1:]), None, None
-        expansion, jump = n * lambda1, 1 + sign * mu - chi_g  # chi(F_g~) - chi(F_g)
+        massey = compared("massey", mu, le.lambda0 + (n - 1) * le.lambda1) if linear else no_massey
+        expansion, jump = n * ctx.branch_sum, 1 + sign * mu - chi_g  # chi(F_g~) - chi(F_g)
         return (
             massey,
             compared("chi", chi_g + jump, chi_g + sign * expansion),
@@ -375,9 +353,10 @@ class ScenarioContext:
     """The N-independent data of one run on a polynomial scenario.
 
     The Le numbers, chi(F_g), the polar curve of (f, g) with its gap report,
-    the case hypotheses (sigma_dim) and the branch terms belong to the pair
-    (f, g); only case(n) depends on the exponent.  Each is computed on first
-    read and kept, and all spend from the run's one budget of
+    the case hypotheses (sigma_dim), the polar meetings, the branch sum and
+    terms belong to the pair (f, g); only case(n) depends on the exponent.
+    Each is computed on first read and kept, and all spend from the run's
+    one budget of
     limits.reduction_cap steps.  A caller pays only for what it reads, in
     the order it reads it, so that order also fixes which error a bad input
     hits first.
@@ -569,14 +548,35 @@ class ScenarioContext:
         has found that the case hypotheses hold."""
         return check_hypotheses(self.g, self.f, self.budget)
 
+    @cached_property
+    def polar_meetings(self) -> tuple[int, int]:
+        """(m, m~) = (Gamma.V(f), S.V(f)): the polar curve of (f, g) and the
+        N-independent polar ideal S of g + f^N (see deformed_polar_ideal)
+        met with {f = 0}; m is 0 for an empty polar curve."""
+        f, budget = self.f, self.budget
+        m = 0 if self.polar.is_empty else intersection_number(self.polar, f, budget)
+        return m, intersection_number(deformed_polar_ideal(f, self.g, budget), f, budget)
+
+    @cached_property
+    def branch_sum(self) -> int:
+        """B = sum m_b d_b mu_b over the branches of the critical locus, the
+        slope of the deformation formula: lambda1 for a linear f, the form of
+        the Le numbers (Massey, Le Cycles and Hypersurface Singularities, LNM
+        1615), and otherwise m~ - m (see polar_meetings), by the export's
+        morse_transfer identity m~ = m + B, which holds once g + f^N is
+        isolated."""
+        if self.f.is_linear_form:
+            return self.le.lambda1
+        m, m_tilde = self.polar_meetings
+        return m_tilde - m
+
     @property
     def terms(self) -> tuple[BranchTerm, ...] | None:
-        """Branch terms for the identity sums; None when f is not linear or the
-        critical locus is a curve with no declared branch (an empty sum is not 0).
-
-        A linear f is the form of the Le numbers, so these are the terms of
-        their branch route, read after the declared branches are validated.
-        """
+        """The branch terms of the JSON branch_terms and the export's branch
+        table; None when f is not linear or the critical locus is a curve
+        with no declared branch (an empty sum is not 0).  A linear f is the
+        form of the Le numbers, so these are the terms of their branch route,
+        read after the declared branches are validated."""
         if not self.f.is_linear_form:
             return None
         self.sigma_branches  # validate the declared branches first
@@ -645,8 +645,7 @@ def verify_scenario(
                 f"the sweep shifted to the threshold, {lo}..{hi} (threshold {threshold} "
                 f"plus span {span}), passes N_MAX = {N_MAX}"
             )
-    terms = ctx.terms
-    le_iomdin = _le_iomdin_rows(f, ctx.ring.nvars, le, chi_g, terms)
+    le_iomdin = _le_iomdin_rows(ctx)
 
     def make_row(n: int) -> SweepRow:
         case = ctx.case(n)
@@ -662,7 +661,7 @@ def verify_scenario(
         threshold=threshold,
         le=le,
         chi_g=chi_g,
-        terms=terms,
+        terms=ctx.terms,
         rows=[make_row(n) for n in range(lo, hi + 1)],
         defaults={"N": list(scenario.n_range), "limits": scenario.limits._asdict()},
     )
@@ -753,8 +752,7 @@ def export_dataset(scenario: Scenario, n: int | None = None) -> StratifiedDatase
         "B_gtilde_X_0": chi_gtilde,
     }
 
-    known["m"] = 0 if ctx.polar.is_empty else intersection_number(ctx.polar, f, budget)
-    known["m_tilde"] = intersection_number(deformed_polar_ideal(f, g, budget), f, budget)
+    known["m"], known["m_tilde"] = ctx.polar_meetings
 
     mu_h = _slice_milnor_at_origin(g, f, budget) if f.is_linear_form else None
     certified = f.is_linear_form and _certify_slice_generic(g, f, case.g_tilde, mu_h, budget)
@@ -805,8 +803,7 @@ def export_dataset(scenario: Scenario, n: int | None = None) -> StratifiedDatase
             # branch points, then reweighted by the per-branch Euler
             # obstructions
             known["eu_Xgtilde_0"] = chi_slice
-            # the branch sum of the Le form f is lambda1 (see verify_le_iomdin)
-            link_chi = chi_slice - parity_sign(v - 2) * ctx.le.lambda1
+            link_chi = chi_slice - parity_sign(v - 2) * ctx.branch_sum
             eu_xg = link_chi + sum(
                 t.multiplicity * t.local_degree * (r.eu_Xg_b - 1) for r, t in zip(rows, terms)
             )

@@ -11,7 +11,9 @@ import pytest
 from germlab.cli import main
 from germlab.fixtures_lib import fixture_text
 from germlab.ideals import Budget
-from germlab.verifier import ScenarioContext
+from germlab.le import LeData
+from germlab.stratified import IdentityVerdict
+from germlab.verifier import ScenarioContext, SweepRow, VerdictTable
 from conftest import child_env
 
 
@@ -381,30 +383,25 @@ def test_verify_with_nothing_asserted_does_not_pass(capsys):
     assert code == 1 and json.loads(out)["ok"] is False
 
 
-@pytest.mark.parametrize(
-    "variables, g, f", [("x,y", "y^2", "x+y^2"), ("x,y,z", "x^2+y^2", "z+x^2")]
-)
-def test_a_sweep_whose_verdicts_are_all_skipped_does_not_pass(capsys, variables, g, f):
-    # f is nonlinear and the polar curve is empty, so every row is in range
-    # but no identity is checked
-    argv = ("verify", "--vars", variables, "--g", g, "--f", f, "--N", "2..3")
-    code, out = run_cli(capsys, *argv)
-    assert code == 1
-    assert "PASS" not in out and "FAIL" not in out
-    assert out.splitlines()[-1] == "overall: NOTHING ASSERTED (every verdict SKIPPED)"
-    code, out = run_cli(capsys, *argv, "--format", "json")
-    assert code == 1 and json.loads(out)["ok"] is False
+def test_a_sweep_whose_verdicts_are_all_skipped_does_not_pass():
+    # every isolated row asserts chi, so no input gives such a sweep: the
+    # table is built by hand, with one in-range, isolated row
+    verdicts = tuple(IdentityVerdict(name, "SKIPPED", note="unchecked") for name in ("massey", "chi"))
+    le = LeData(0, 1, ("x", "y"), (), None)
+    table = VerdictTable("inline", ("x", "y"), "y^2", "x", 2, le, 2, None, [SweepRow(2, True, 1, 0, verdicts, None, None)])
+    assert table.ok is False and table.to_json_dict()["ok"] is False
+    assert table.to_text().endswith("overall: NOTHING ASSERTED (every verdict SKIPPED)")
 
 
-def test_a_nonlinear_f_skips_the_le_iomdin_rows_with_their_notes(capsys):
+def test_a_nonlinear_f_checks_the_deformation_formula_and_skips_massey(capsys):
     code, out = run_cli(capsys, "verify", "--vars", "x,y", "--g", "x^3+y^4", "--f", "x^2+y^3", "--N", "14..15")
     assert code == 0
     assert out.splitlines()[1] == "lambda = (6, 0), chi(F_g) = -5, threshold = 14"
     row = [
         "    massey           SKIPPED  (needs a linear deformation direction)",
-        "    chi              SKIPPED  (branch slice data needs a linear deformation direction)",
-        "    tibar            SKIPPED  (stated for a generic linear form)",
-        "    morse            SKIPPED  (branch slice data needs a linear deformation direction)",
+        "    chi              PASS  left=-5 right=-5",
+        "    tibar            PASS  left=0 right=0",
+        "    morse            PASS  left=0 right=0  (n~ - n via chi defect vs branch expansion)",
         "    polar_stability  PASS  left=13 right=13",
     ]
     assert out.splitlines()[2:] == [
@@ -540,12 +537,14 @@ def test_a_form_flag_with_a_named_input_is_a_usage_error(tmp_path, capsys, sourc
 
 
 def test_inline_critical_curve_without_branches_is_not_a_failure(capsys):
-    # the cylinder germ with no declared branch: the branch sums are unknown,
-    # not zero
+    # the cylinder germ with no declared branch: the branch sum is lambda1 of
+    # the linear f, so chi, tibar and morse are checked with B = 1
     code, out = run_cli(capsys, "verify", "--vars", "x,y,z", "--g", "x^2+y^2", "--f", "z", "--N", "2..3")
     assert code == 0
     assert "FAIL" not in out
-    assert out.count("SKIPPED  (the critical locus is a curve but no sigma branches are declared)") == 6
+    assert "    chi              PASS  left=2 right=2" in out.splitlines()
+    assert "    chi              PASS  left=3 right=3" in out.splitlines()
+    assert out.count("SKIPPED") == out.count("polar_stability  SKIPPED  (empty polar curve)") == 2
     assert out.splitlines()[-1] == "overall: PASS"
 
 

@@ -38,10 +38,9 @@ from germlab.verifier import (
     check_hypotheses,
     generic_linear_candidates,
     resolve_linear_form,
-    verify_le_iomdin,
 )
 from germlab.invariants import BranchParam, T_RING, branch_terms
-from germlab.le import euler_char_fibre, le_numbers
+from germlab.le import le_numbers
 from conftest import (
     RING_XY,
     RING_XYZ,
@@ -104,73 +103,47 @@ class TestBuildDeformation:
             deformation_case(X**2 + Y**2, Z, 1)
 
 
+def le_iomdin(g: Poly, f: Poly, n: int):
+    """Row n's massey, chi, tibar and morse verdicts with the Morse defect and
+    expansion, from the Le-Iomdin routine of the run on (g, f)."""
+    ctx, case = deformation_case(g, f, n)
+    return verifier._le_iomdin_rows(ctx)(n, case.certificate)
+
+
 class TestIdentityExamples:
     def test_massey_cylinder_n5(self):
-        g = X**2 + Y**2
-        le = le_numbers(g, Z, [AXIS])
-        _, case = deformation_case(g, Z, 5)
-        verdict = verify_le_iomdin(case, le, euler_char_fibre(g, le), None)[0][0]
+        verdict = le_iomdin(X**2 + Y**2, Z, 5)[0][0]
         assert verdict.status == "PASS" and verdict.left == 4 and verdict.right == 4
 
     def test_massey_three_lines_n3(self):
-        g = X * Y * (X + Y)
-        le = le_numbers(g, Z, [AXIS])
-        _, case = deformation_case(g, Z, 3)
-        verdict = verify_le_iomdin(case, le, euler_char_fibre(g, le), None)[0][0]
+        verdict = le_iomdin(X * Y * (X + Y), Z, 3)[0][0]
         assert verdict.left == 8 and verdict.right == 8
 
     def test_massey_isolated_stability(self):
-        g = x**3 + y**3
-        form = x + 2 * y
-        le = le_numbers(g, form)
-        _, case = deformation_case(g, form, 8)
-        verdict = verify_le_iomdin(case, le, euler_char_fibre(g, le), None)[0][0]
+        verdict = le_iomdin(x**3 + y**3, x + 2 * y, 8)[0][0]
         assert verdict.status == "PASS" and verdict.left == 4
 
     def test_chi_sides_cylinder(self):
-        g = X**2 + Y**2
-        le = le_numbers(g, Z, [AXIS])
-        chi_g = euler_char_fibre(g, le)
-        terms = branch_terms(g, Z, [AXIS])
         for n in range(2, 7):
-            _, case = deformation_case(g, Z, n)
-            verdict = verify_le_iomdin(case, le, chi_g, terms)[0][1]
+            verdict = le_iomdin(X**2 + Y**2, Z, n)[0][1]
             assert verdict.left == verdict.right == n
 
     def test_chi_sides_three_lines(self):
-        g = X * Y * (X + Y)
-        le = le_numbers(g, Z, [AXIS])
-        chi_g = euler_char_fibre(g, le)
-        terms = branch_terms(g, Z, [AXIS])
         for n in range(2, 7):
-            _, case = deformation_case(g, Z, n)
-            verdict = verify_le_iomdin(case, le, chi_g, terms)[0][1]
+            verdict = le_iomdin(X * Y * (X + Y), Z, n)[0][1]
             assert verdict.left == verdict.right == 4 * n - 3
 
     def test_morse_defect_cylinder_n4(self):
-        g = X**2 + Y**2
-        le = le_numbers(g, Z, [AXIS])
-        chi_g = euler_char_fibre(g, le)
-        terms = branch_terms(g, Z, [AXIS])
-        _, case = deformation_case(g, Z, 4)
-        (*_, verdict), defect, expansion = verify_le_iomdin(case, le, chi_g, terms)
+        (*_, verdict), defect, expansion = le_iomdin(X**2 + Y**2, Z, 4)
         assert verdict.status == "PASS"
         assert expansion == 4 and defect == -4
 
     def test_morse_defect_three_lines_n2(self):
-        g = X * Y * (X + Y)
-        le = le_numbers(g, Z, [AXIS])
-        terms = branch_terms(g, Z, [AXIS])
-        _, case = deformation_case(g, Z, 2)
-        (*_, verdict), defect, expansion = verify_le_iomdin(case, le, euler_char_fibre(g, le), terms)
+        (*_, verdict), defect, expansion = le_iomdin(X * Y * (X + Y), Z, 2)
         assert expansion == 8 and verdict.status == "PASS"
 
     def test_morse_defect_isolated_is_zero(self):
-        g = x**3 + y**3
-        form = x + 2 * y
-        le = le_numbers(g, form)
-        _, case = deformation_case(g, form, 8)
-        (*_, verdict), defect, expansion = verify_le_iomdin(case, le, euler_char_fibre(g, le), ())
+        (*_, verdict), defect, expansion = le_iomdin(x**3 + y**3, x + 2 * y, 8)
         assert defect == 0 and expansion == 0 and verdict.status == "PASS"
 
 
@@ -298,14 +271,15 @@ class TestSweep:
         assert seen == [("relative_polar_ideal", "x^2 + y^2"), ("deformed_polar_ideal", "x^2 + y^2")]
 
     def test_unbranched_critical_curve_skips_the_branch_sums(self):
+        # the verdicts read the run's branch sum, lambda1 for a linear f, so
+        # only the export's branch fields need declared branches
         sc = load_fixture("cylinder")._replace(branches=())
         table = verify_scenario(sc, n_range=(2, 3))
         assert table.terms is None and table.ok
         for row in table.rows:
             by_name = {v.name: v for v in row.verdicts}
             for name in ("chi", "tibar", "morse"):
-                assert by_name[name].status == "SKIPPED"
-                assert "no sigma branches are declared" in by_name[name].note
+                assert by_name[name].status == "PASS"
         ds = export_dataset(sc, 3)
         assert ds.branch_table is None
         assert "eu_Xg_0" not in ds.known and "B_f_Xg_0" not in ds.known
@@ -680,6 +654,59 @@ def test_context_terms_are_the_le_terms_for_a_linear_f():
     assert ScenarioContext(nonlinear).terms is None
 
 
+HEAVY_GERMS = ("x^2*y^2+x^2*z^2+y^2*z^2", "y^2-x^3+z*x^2*y", "x^2*y^2+z^3", "x^3+y^3+x*y*z")
+
+
+@pytest.mark.parametrize("name", [*CN_FIXTURES, *(f"{g}|{rung}" for g in HEAVY_GERMS for rung in range(3))])
+def test_m_tilde_minus_m_is_lambda1_for_a_linear_f(name):
+    # the branch sum's second route: a run reads B = lambda1 for a linear f,
+    # and m~ - m is the same number, on every sweep fixture and on the heavy
+    # Le germs with ladder rungs 0-2 as f
+    if "|" in name:
+        g, rung = name.split("|")
+        *_, form = generic_linear_candidates(RING_XYZ, int(rung) + 1)
+        scenario = load_scenario({"variables": ["x", "y", "z"], "g": g, "f": str(form)})
+    else:
+        scenario = load_fixture(name)
+    ctx = ScenarioContext(scenario)
+    m, m_tilde = ctx.polar_meetings
+    assert m_tilde - m == ctx.le.lambda1 == ctx.branch_sum
+
+
+NONLINEAR_PAIRS = [
+    # (variables, g, f, N range): two pairs with an empty polar curve, then
+    # the nonlinear sweeps of the CI byte-identity loop
+    ("x,y", "y^2", "x+y^2", (2, 3)),
+    ("x,y,z", "x^2+y^2", "z+x^2", (2, 3)),
+    ("x,y", "x^2*y^2+y^5", "x+y^2", (2, 14)),
+    ("x,y", "x^2*y^2+y^5", "x^2+y^3", (2, 8)),
+    ("x,y", "x^3+y^4", "x+y^2", (2, 30)),
+    ("x,y", "x^3+y^4", "x^2+y^3", (2, 30)),
+    ("x,y,z", "x^2+y^2", "z^2+x*y", (2, 30)),
+]
+
+
+@pytest.mark.parametrize("variables, g, f, n_range", NONLINEAR_PAIRS, ids=[f"{p[1]}|{p[2]}" for p in NONLINEAR_PAIRS])
+def test_m_tilde_minus_m_is_the_slope_of_mu_for_a_nonlinear_f(variables, g, f, n_range):
+    # for a nonlinear f the run reads B = m~ - m: chi, tibar and morse pass on
+    # every asserted row, and mu(g + f^N) grows by B from the first asserted
+    # row to the next, both counted by sympy's dim O/(J + m^(D+1)) at the
+    # highest corner D of J
+    pytest.importorskip("sympy")
+    scenario = load_scenario({"variables": variables.split(","), "g": g, "f": f})
+    asserted = [row for row in verify_scenario(scenario, n_range=n_range).rows if row.in_range]
+    assert len(asserted) >= 2
+    assert {tuple(v.status for v in row.verdicts[:4]) for row in asserted} == {("SKIPPED", "PASS", "PASS", "PASS")}
+    ctx = ScenarioContext(scenario)
+    mus = []
+    for row in asserted[:2]:
+        jac = [p for p in jacobian(ctx.g + ctx.f**row.n) if not p.is_zero]
+        corner = ideals.standard_basis_of(jac, LOCAL).corner
+        mus.append(sympy_local_quotient_dim([p.terms for p in jac], corner + 1))
+    assert mus == [row.certificate for row in asserted[:2]]
+    assert mus[1] - mus[0] == ctx.branch_sum
+
+
 POLAR_FIXTURES = [
     name for name in CN_FIXTURES if any(b.host == "polar" for b in load_fixture(name).branches)
 ]
@@ -944,7 +971,7 @@ def test_a_passing_row_builds_no_deformation_poly(name, monkeypatch):
     # order comes from the gap report's images of g and f (see
     # polar.deformed_order), and the row generators are built on ints
     ctx = ScenarioContext(load_fixture(name))
-    threshold, le, chi_g, terms = ctx.gap.threshold, ctx.le, ctx.chi_g, ctx.terms
+    threshold, le_iomdin = ctx.gap.threshold, verifier._le_iomdin_rows(ctx)
     ctx._jacobian_rows, ctx._polar_rows  # the N-independent bases, in the row coordinates
     built, substituted = [], []
     monkeypatch.setattr(verifier.DeformationCase, "g_tilde", property(lambda case: built.append(case.n)))
@@ -953,7 +980,7 @@ def test_a_passing_row_builds_no_deformation_poly(name, monkeypatch):
     statuses = set()
     for n in range(threshold, threshold + 11):  # the rows of verify_scenario
         case = ctx.case(n)
-        verify_le_iomdin(case, le, chi_g, terms)
+        le_iomdin(n, case.certificate)
         statuses.add(verifier.verify_gap_stability(case, ctx).status)
     assert statuses == {"PASS"}
     assert built == []
@@ -976,28 +1003,29 @@ def test_row_work_does_not_grow_with_per_run_decisions(monkeypatch, name):
     assert counts[0] == counts[1]
 
 
-SKIP_REGIMES = {
+INLINE_REGIMES = {
     # (variables, g, f) and the statuses of massey, chi, tibar and morse on every row
-    "nonlinear-f": ("x,y", "x^2*y^2+y^5", "x^2+y^3", ("SKIPPED",) * 4),
-    "curve-no-branches": ("x,y,z", "x^2+y^2", "z", ("PASS", "SKIPPED", "SKIPPED", "SKIPPED")),
+    "nonlinear-f": ("x,y", "x^2*y^2+y^5", "x^2+y^3", ("SKIPPED", "PASS", "PASS", "PASS")),
+    "curve-no-branches": ("x,y,z", "x^2+y^2", "z", ("PASS",) * 4),
 }
 
 
-@pytest.mark.parametrize("name", [*CN_FIXTURES, *SKIP_REGIMES])
+@pytest.mark.parametrize("name", [*CN_FIXTURES, *INLINE_REGIMES])
 def test_the_public_le_iomdin_routine_agrees_with_the_sweep(name):
     # a sweep builds the per-run part of the four Le-Iomdin verdicts once;
-    # verify_le_iomdin builds it on each call, and both give every row alike
-    if name in SKIP_REGIMES:
-        variables, g, f, statuses = SKIP_REGIMES[name]
+    # the routine of a fresh context, asked row by row, gives every row alike
+    if name in INLINE_REGIMES:
+        variables, g, f, statuses = INLINE_REGIMES[name]
         scenario = load_scenario({"variables": variables.split(","), "g": g, "f": f})
     else:
         scenario = load_fixture(name)
     table = verify_scenario(scenario, n_range=(2, 30))
     ctx = ScenarioContext(scenario)
+    le_iomdin = verifier._le_iomdin_rows(ctx)
     for row in table.rows:
-        verdicts, defect, expansion = verify_le_iomdin(ctx.case(row.n), ctx.le, ctx.chi_g, ctx.terms)
+        verdicts, defect, expansion = le_iomdin(row.n, ctx.case(row.n).certificate)
         assert (verdicts, defect, expansion) == (row.verdicts[:4], row.morse_defect, row.morse_expansion)
-    if name in SKIP_REGIMES:
+    if name in INLINE_REGIMES:
         assert {tuple(v.status for v in row.verdicts[:4]) for row in table.rows} == {statuses}
     if name == "double-axes":  # g + f^2 = x^2 y^2 is not isolated
         assert table.rows[0].certificate is None
