@@ -11,9 +11,8 @@ import pytest
 from germlab.cli import main
 from germlab.fixtures_lib import fixture_text
 from germlab.ideals import Budget
-from germlab.le import LeData
-from germlab.stratified import IdentityVerdict
-from germlab.verifier import ScenarioContext, SweepRow, VerdictTable
+from germlab.scenario import load_scenario
+from germlab.verifier import ScenarioContext, verify_scenario
 from conftest import child_env
 
 
@@ -383,14 +382,27 @@ def test_verify_with_nothing_asserted_does_not_pass(capsys):
     assert code == 1 and json.loads(out)["ok"] is False
 
 
-def test_a_sweep_whose_verdicts_are_all_skipped_does_not_pass():
-    # every isolated row asserts chi, so no input gives such a sweep: the
-    # table is built by hand, with one in-range, isolated row
-    verdicts = tuple(IdentityVerdict(name, "SKIPPED", note="unchecked") for name in ("massey", "chi"))
-    le = LeData(0, 1, ("x", "y"), (), None)
-    table = VerdictTable("inline", ("x", "y"), "y^2", "x", 2, le, 2, None, [SweepRow(2, True, 1, 0, verdicts, None, None)])
-    assert table.ok is False and table.to_json_dict()["ok"] is False
-    assert table.to_text().endswith("overall: NOTHING ASSERTED (every verdict SKIPPED)")
+@pytest.mark.parametrize(
+    "variables, g, f", [("x,y", "y^2", "x+y^2"), ("x,y,z", "x^2+y^2", "z+x^2")]
+)
+def test_a_sweep_whose_verdicts_are_all_skipped_does_not_pass(capsys, variables, g, f):
+    # f is nonlinear and the polar curve is empty: chi, tibar and morse are
+    # checked with B = m~ - m, so the sweep passes
+    argv = ("verify", "--vars", variables, "--g", g, "--f", f, "--N", "2..3")
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and "FAIL" not in out
+    assert out.splitlines()[-1] == "overall: PASS"
+    # no input leaves every verdict SKIPPED any more, so the same rows are
+    # skipped by hand: in range and isolated, they still assert nothing
+    scenario = load_scenario({"name": "inline", "variables": variables.split(","), "g": g, "f": f})
+    table = verify_scenario(scenario, n_range=(2, 3))
+    assert table.ok and all(row.in_range and row.certificate is not None for row in table.rows)
+    skipped = table._replace(rows=[
+        row._replace(verdicts=tuple(v._replace(status="SKIPPED", note="unchecked") for v in row.verdicts))
+        for row in table.rows
+    ])
+    assert skipped.ok is False and skipped.to_json_dict()["ok"] is False
+    assert skipped.to_text().endswith("overall: NOTHING ASSERTED (every verdict SKIPPED)")
 
 
 def test_a_nonlinear_f_checks_the_deformation_formula_and_skips_massey(capsys):
