@@ -7,7 +7,8 @@ with pairs taken by sugar (Giovini-Mora-Niesi-Robbiano-Traverso, ISSAC
 1991) and one reduction loop that runs within the degree each element
 carries.  A pair with coprime leading monomials is settled when it is
 formed; a global completion drops pairs by Gebauer and Moeller's update,
-and a LOCAL one truncates at the highest corner.  LOCAL bases are standard
+and a LOCAL one skips a popped pair by Buchberger's chain criterion and
+truncates at the highest corner.  LOCAL bases are standard
 bases of the localized ideal at the origin, and a LOCAL completion can
 resume from a completed base, pairing only the generators it adds.
 Full division pops the remainder's monomials from a heap, largest first,
@@ -634,34 +635,68 @@ def _complete(
     leading monomial with t divides a t-free monomial, so the t-free
     elements alone are a basis of the elimination ideal.
 
-    Soundness under LOCAL: read back at t = 1, the homogenized basis is a
-    standard basis (Lazard's method): every S-polynomial that is not skipped
-    divides to zero, which is Buchberger's criterion for standard bases
-    (Greuel-Pfister, 1.7).  A coprime pair reduces to zero (the product
-    criterion) and spends its one step when it is formed; the other
-    criteria stay off here, since no argument yet shows them sound together
-    with the reduction within sugar and the corner truncation.
-
     The LOCAL completion also counts the staircase of its leading monomials
     (see _Staircase).  Once a highest corner D is known, a pair whose lcm has
     degree >= D is skipped, since its S-polynomial lies in m^D, and reduction
     drops the terms of degree >= D.  The leading ideal is the same, and an
     ideal with no corner (an infinite quotient) runs untruncated.
 
+    Soundness under LOCAL.  Call a pair (i, j) represented when its
+    S-polynomial is, up to a nonzero factor, a sum of a*g over elements g of
+    the final basis with lm(a*g) < lcm(lm_i, lm_j), modulo m^D for the
+    final corner D (exactly when there is none).  If every pair is
+    represented, the basis is a standard basis.  Take f in the ideal with
+    deg lm(f) < D (the leads divide every monomial of degree >= D); a unit
+    multiple of f, with the same leading monomial, is a sum of a_l*g_l over
+    the basis, which generates the ideal.  Among such sums modulo m^D take
+    one whose largest lm(a_l*g_l) of degree < D, delta, is least: delta >=
+    lm(f), and in a degree order only finitely many monomials lie above
+    lm(f), so a least one exists, though the local order has no least
+    monomial.  If delta > lm(f), the terms at delta cancel, so their sum is
+    a combination of multiples (delta / lcm) * S-polynomial (Cox-Little-
+    O'Shea, Ideals, Varieties, and Algorithms, 2.6), and the
+    representations put a sum below delta in its place; so delta = lm(f)
+    is a multiple of some lm(g_l).  Every pair is represented:
+    - coprime: lt(g_j)*g_i - lt(g_i)*g_j is tail(g_i)*g_j - tail(g_j)*g_i,
+      whose two leads lie below the lcm (the product criterion);
+    - skipped at a corner D' >= D: its S-polynomial lies in m^|lcm|,
+      inside m^D, since each term of an element has at least the degree
+      of its leading monomial;
+    - reduced: each step of _weak_normal_form subtracts a multiple whose
+      leading monomial is that of what is left, at most lm of the
+      S-polynomial, which is below the lcm, and a nonzero remainder joins
+      the basis with its leading monomial there too; truncation drops
+      terms in m^D' only, and the corner only falls, so D' >= D;
+    - chain-skipped: when (i, j) is popped and some k, popped with i and
+      with j before, has lm_k dividing lcm(lm_i, lm_j), then lcm(i, k) and
+      lcm(j, k) divide lcm(i, j), and the S-polynomial of (i, j) is a
+      combination of those of (i, k) and (j, k) times the quotients
+      (Buchberger's chain criterion, EUROSAM 1979), so the two
+      representations, multiplied up, represent (i, j).  By induction over
+      the pops, every popped pair is represented, reduced or skipped; the
+      rule reads only pairs popped earlier, never one still waiting, whose
+      representation a cycle of such skips could withhold.  Each element
+      keeps an int mask of its partners in the pairs popped past the corner
+      test (a pair skipped there serves no other: lcm(i, k) dividing
+      lcm(i, j) puts (i, j) past the corner too), so the test is one & and a
+      walk over the common bits, not a scan of the reducers.
+      The homogenized form of the rule, t^e_k * lm_k dividing
+      t^max(e_i, e_j) * lcm, would also ask e_k <= max(e_i, e_j); the
+      descent needs no homogenization, so the rule does not.
+    Every skipped pair still spends its pop step.  Lazard's argument above
+    gives termination, whichever pairs are skipped.
+
     A base resumes its completion: its reducers, with their ecart slots and
     masks, and its staircase are copied, so the base serves again, and only
     the pairs that involve a new generator enter the heap.  Every pair among
-    the base's reducers was reduced or skipped when the base was completed.
-    Buchberger's criterion asks only that every pair reduce to zero modulo
-    the final basis, and the homogenized base elements and their reductions
-    stay in the larger homogenized ideal, so Lazard's basis stays a basis
-    when generators are added and only the new pairs are processed; the
-    order in which pairs are selected does not matter for that.  The base's
-    corner D_B, where it has one, bounded its skips and truncations.  Since
-    m^(D_B) lies in the base's ideal, it lies in the larger one, whose
-    corner D is at most D_B, so what was dropped at D_B is also dropped at
-    D.  Only the sweep rows of verifier.ScenarioContext resume, so there is
-    no global variant.
+    the base's reducers was represented by the base's elements when the
+    base was completed, and they stay in the basis.  The base's corner D_B,
+    where it has one, bounded its skips and truncations.  Since m^(D_B)
+    lies in the base's ideal, it lies in the larger one, whose corner D is
+    at most D_B, so what holds modulo m^(D_B) holds modulo m^D.  The masks
+    start empty, so the chain rule reads only pairs popped in this
+    completion.  Only the sweep rows of verifier.ScenarioContext resume, so
+    there is no global variant.
 
     The completion runs fraction-free: each generator and each new basis
     element is kept as its primitive int multiple with a positive leading
@@ -689,6 +724,7 @@ def _complete(
         reducers = list(base_reducers)
         stairs = base_stairs.copy(budget.cap)
         lead = stairs.lead
+    done = [0] * len(reducers)  # per element, a bit per partner popped past the corner
 
     def append(h: dict, sugar: int = 0) -> None:
         j = len(reducers)
@@ -733,6 +769,7 @@ def _complete(
             m = sum(map(mul, top, units))
             heapq.heappush(pairs, (d + max(reducers[i][2], rj[2]), -m if local else m, i, j, m))
         reducers.append(rj)
+        done.append(0)
         lead.append(lmj)
         if stairs is not None:
             stairs.add(lmj)
@@ -748,6 +785,15 @@ def _complete(
         bound = None if corner is None else pk.corner(corner)
         if bound is not None and lcm >= bound:
             continue  # the S-polynomial lies in m^corner
+        if local:
+            # the chain criterion: some k popped with both i and j has lm_k | lcm
+            common, over = done[i] & done[j], lcm | guards
+            done[i] |= 1 << j
+            done[j] |= 1 << i
+            while common and (over - reducers[(common & -common).bit_length() - 1][4]) & guards != guards:
+                common &= common - 1
+            if common:
+                continue
         s = _spoly(reducers[i], reducers[j], lcm, pk)
         if not s:
             continue

@@ -9,7 +9,10 @@ Grammar (see docs/poly-grammar.ebnf):
     rational = natural [ "/" natural ]
 
 Implicit multiplication is not part of the grammar; every identifier must be a
-declared ring variable.  Exponents are capped at 255.
+declared ring variable.  Exponents are capped at 255, a number at 640 digits
+(the least limit CPython's int conversion can be set to) and the nesting of
+parentheses and unary signs at 100 levels, well inside the interpreter's
+recursion limit.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from .errors import ParseError
 from .rings import Poly, PolyRing
 
 EXPONENT_CAP = 255
+DIGIT_CAP = 640
+NESTING_CAP = 100
 
 
 class _Token(NamedTuple):
@@ -52,6 +57,8 @@ def _tokenize(text: str) -> list[_Token]:
             while i < n and text[i].isdigit():
                 i += 1
                 col += 1
+            if i - start > DIGIT_CAP:
+                raise ParseError(f"a number of {i - start} digits exceeds the cap of {DIGIT_CAP}", line, start_col)
             tokens.append(_Token("int", text[start:i], line, start_col))
             continue
         if ch.isalpha() or ch == "_":
@@ -77,6 +84,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.ring = ring
+        self.depth = 0  # parentheses and unary signs open around the current base
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -137,11 +145,24 @@ class _Parser:
 
     def base(self) -> Poly:
         tok = self.peek()
-        if tok.kind == "op" and tok.value in "+-":
-            # unary sign binds looser than '^': -z^2 means -(z^2)
+        if tok.kind == "op" and tok.value in "+-(":
             self.advance()
-            inner = self.factor()
-            return inner if tok.value == "+" else -inner
+            self.depth += 1
+            if self.depth > NESTING_CAP:
+                self.error(f"parentheses and signs nested deeper than the cap of {NESTING_CAP}", tok)
+            if tok.value == "(":
+                inner = self.expr()
+                closing = self.peek()
+                if not (closing.kind == "op" and closing.value == ")"):
+                    self.error("expected ')'", closing)
+                self.advance()
+            else:
+                # unary sign binds looser than '^': -z^2 means -(z^2)
+                inner = self.factor()
+                if tok.value == "-":
+                    inner = -inner
+            self.depth -= 1
+            return inner
         if tok.kind == "int":
             self.advance()
             numerator = int(tok.value)
@@ -163,14 +184,6 @@ class _Parser:
             except KeyError:
                 self.error(f"unknown identifier {tok.value!r}", tok)
             return self.ring.variable(idx)
-        if tok.kind == "op" and tok.value == "(":
-            self.advance()
-            inner = self.expr()
-            closing = self.peek()
-            if not (closing.kind == "op" and closing.value == ")"):
-                self.error("expected ')'", closing)
-            self.advance()
-            return inner
         self.error(f"unexpected {tok.value or 'end of input'!r}", tok)
         raise AssertionError("unreachable")
 

@@ -160,6 +160,8 @@ def load_scenario(document: str | Mapping[str, Any]) -> Scenario:
             raw = json.loads(document)
         except json.JSONDecodeError as exc:
             raise SchemaError("$", f"not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise SchemaError("$", "not valid JSON: nested too deeply to decode") from None
     else:
         raw = document
     _expect(isinstance(raw, dict), "$", "expected a JSON object")

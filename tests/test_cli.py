@@ -134,8 +134,9 @@ def test_a_cold_start_imports_neither_dataclasses_nor_inspect():
 
 def test_a_cap_spent_in_a_polar_intersection_exits_one(capsys, monkeypatch):
     # the last steps of this run are spent in the polar intersection of N = 5,
-    # whose row resumes the completed polar base with one generator: 50 steps
-    # in all, the 50th there (57 before the run's Budget kept the bases it
+    # whose row resumes the completed polar base with one generator: 48 steps
+    # in all, the 48th there (50 before the LOCAL completion skipped pairs by
+    # the chain criterion, 57 before the run's Budget kept the bases it
     # completed, 67 before global completions updated their pairs by
     # Gebauer-Moeller)
     entered = []
@@ -148,7 +149,7 @@ def test_a_cap_spent_in_a_polar_intersection_exits_one(capsys, monkeypatch):
         return total
 
     monkeypatch.setattr(ScenarioContext, "polar_intersection", recording)
-    code = main(["verify", "--fixture", "double-axes", "--N", "2..5", "--caps", "49"])
+    code = main(["verify", "--fixture", "double-axes", "--N", "2..5", "--caps", "47"])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
@@ -310,6 +311,34 @@ def test_a_scenario_file_that_is_not_utf8_is_a_schema_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("error: $: not valid UTF-8")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "g, message",
+    [
+        ("(" * 300 + "x" + ")" * 300, "parentheses and signs nested deeper than the cap of 100 (line 1, column 101)"),
+        ("4" * 4400 + "*x^2+y^2", "a number of 4400 digits exceeds the cap of 640 (line 1, column 1)"),
+    ],
+    ids=["nested-parentheses", "long-number"],
+)
+def test_a_germ_past_the_grammar_caps_is_a_schema_error(capsys, g, message):
+    # the recursive-descent parser and int() would raise RecursionError and
+    # ValueError here; the caps turn both into the exponent cap's kind of error
+    code = main(["milnor", "--vars", "x,y", "--g", g])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: $.g: {message}\n"
+    assert "Traceback" not in captured.err
+
+
+def test_a_scenario_nested_too_deeply_is_a_schema_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    code = main(["milnor", "--scenario", str(deep)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: $: not valid JSON: nested too deeply to decode\n"
     assert "Traceback" not in captured.err
 
 

@@ -23,6 +23,17 @@ def test_product_expansion():
     assert p == q
 
 
+def test_nesting_and_digits_are_capped_at_the_stated_sizes():
+    ring = PolyRing(("x",))
+    assert parse_poly("(" * 50 + "-" * 50 + "x" + ")" * 50, ring) == parse_poly("x", ring)
+    with pytest.raises(ParseError, match="nested deeper than the cap of 100") as err:
+        parse_poly("-" * 100 + "(x)", ring)
+    assert err.value.column == 101
+    assert parse_poly("9" * 640, ring).constant_term() == int("9" * 640)
+    with pytest.raises(ParseError, match="a number of 641 digits exceeds the cap of 640"):
+        parse_poly("x + 1/" + "9" * 641, ring)
+
+
 def test_negative_exponent_rejected():
     with pytest.raises(ParseError, match="negative exponent"):
         parse_poly("x^-1", PolyRing(("x",)))
