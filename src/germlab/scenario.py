@@ -43,7 +43,7 @@ _TOP_KEYS = {
     "expected",
 }
 _BRANCH_KEYS = {"name", "components", "host", "trunc", "multiplicity"}
-_STRATUM_KEYS = {"name", "dim", "eu", "chi", "in_zero_locus_of", "branches"}
+_STRATUM_KEYS = {"name", "dim", "eu", "chi", "in_zero_locus_of"}
 _LIMIT_KEYS = {"reduction_cap", "trunc"}
 
 
@@ -136,10 +136,7 @@ def _load_stratum(obj, path: str) -> StratumRecord:
     zl_raw = obj.get("in_zero_locus_of", [])
     _expect(isinstance(zl_raw, list), f"{path}.in_zero_locus_of", "expected a list")
     zero_locus = frozenset(_expect_str(k, f"{path}.in_zero_locus_of") for k in zl_raw)
-    br_raw = obj.get("branches", [])
-    _expect(isinstance(br_raw, list), f"{path}.branches", "expected a list of branch names")
-    branches = tuple(_expect_str(b, f"{path}.branches") for b in br_raw)
-    return StratumRecord(name, dim, eu, chi, zero_locus, branches)
+    return StratumRecord(name, dim, eu, chi, zero_locus)
 
 
 def _load_branch_row(obj, path: str) -> BranchTableRow:
@@ -272,16 +269,6 @@ def load_scenario(document: str | Mapping[str, Any]) -> Scenario:
             except SchemaError as exc:
                 raise SchemaError(f"$.{exc.path}", str(exc)) from exc
 
-            # cross references: stratum branch lists must resolve to declared branches
-            declared = {b.name for b in branches} | {r.name for r in dataset.branch_table or ()}
-            for i, stratum in enumerate(dataset.strata):
-                for b in stratum.branches:
-                    _expect(
-                        b in declared,
-                        f"$.strata[{i}].branches",
-                        f"reference to undeclared branch {b!r}",
-                    )
-
     expected = raw.get("expected")
     if expected is not None:
         _expect(isinstance(expected, dict), "$.expected", "expected an object")
@@ -315,8 +302,6 @@ def _stratum_to_dict(s: StratumRecord) -> dict:
         out["chi"] = {k: s.chi[k] for k in sorted(s.chi)}
     if s.in_zero_locus_of:
         out["in_zero_locus_of"] = sorted(s.in_zero_locus_of)
-    if s.branches:
-        out["branches"] = list(s.branches)
     return out
 
 

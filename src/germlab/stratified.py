@@ -53,7 +53,6 @@ class StratumRecord(NamedTuple):
     eu: int
     chi: Mapping[str, int] = EMPTY_MAPPING
     in_zero_locus_of: frozenset[str] = frozenset()
-    branches: tuple[str, ...] = ()
 
 
 class BranchTableRow(NamedTuple):

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from germlab.cli import main
-from germlab.fixtures_lib import fixture_text
+from germlab.fixtures_lib import fixture_text, list_fixtures
 from germlab.ideals import Budget
 from germlab.scenario import load_scenario
 from germlab.verifier import ScenarioContext, verify_scenario
@@ -340,6 +346,73 @@ def test_a_scenario_nested_too_deeply_is_a_schema_error(tmp_path, capsys):
     assert code == 1
     assert captured.err == "error: $: not valid JSON: nested too deeply to decode\n"
     assert "Traceback" not in captured.err
+
+
+VERBS = ("milnor", "critical-locus", "polar", "gap", "le", "verify", "brasselet", "export-dataset")
+FLAGS = ("--scenario", "--fixture", "--vars", "--g", "--f", "--l", "--N", "--caps", "--format", "--relative", "--slice")
+VALUES = ("x,y", "x,y,z", "x", "x^2+y^2", "x*y*(x+y)", "z", "x+2*y", "2..4", "3", "0", "json", "g", "cylinder", "nowhere")
+# short strings of the grammar's characters; no letter of an output flag, so
+# no example writes a file
+SCRAPS = st.text(alphabet="xyz^*+-()0123456789,. ", max_size=6)
+TOKENS = st.sampled_from(("fixtures", *VERBS, *FLAGS, *VALUES, "--help")) | SCRAPS
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-1000, 1000) | st.floats(allow_nan=False) | SCRAPS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(SCRAPS, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _key_paths(node, prefix=()):
+    """The path of every key and list index inside a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield (*prefix, key)
+        yield from _key_paths(child, (*prefix, key))
+
+
+@st.composite
+def mutated_fixtures(draw):
+    """A verb and a bundled fixture document with one key dropped or given a
+    random JSON value."""
+    doc = json.loads(fixture_text(draw(st.sampled_from(list_fixtures()))))
+    *parents, key = draw(st.sampled_from(list(_key_paths(doc))))
+    node = doc
+    for part in parents:
+        node = node[part]
+    if draw(st.booleans()):
+        del node[key]
+    else:
+        node[key] = draw(JSON_VALUES)
+    return [draw(st.sampled_from(VERBS))], json.dumps(doc)
+
+
+ARGV = st.tuples(st.sampled_from(("fixtures", *VERBS)), st.lists(TOKENS, max_size=6)).map(
+    lambda drawn: ([drawn[0], *drawn[1]], None)
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=ARGV | mutated_fixtures())
+@example(case=(["milnor", "--vars", "x,y", "--g", "(" * 300 + "x" + ")" * 300], None))
+@example(case=(["milnor", "--vars", "x,y", "--g", "4" * 4400 + "*x^2+y^2"], None))
+@example(case=(["milnor"], "[" * 200_000 + "]" * 200_000))
+def test_bad_input_ends_with_an_exit_code_not_a_traceback(case):
+    # argv lists and mutated documents, each run under a cap of 200 steps:
+    # a result, a message or argparse's usage error, never another exception
+    argv, document = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if document is not None:
+            path = Path(tmp) / "scenario.json"
+            path.write_text(document, encoding="utf-8")
+            argv = [*argv, "--scenario", str(path)]
+        if argv[0] != "fixtures":
+            argv = [*argv, "--caps", "200"]
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2)
 
 
 def usage_error(capsys, *argv) -> str:

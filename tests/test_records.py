@@ -30,7 +30,7 @@ IDEAL = IdealPresentation(RING, [X, Y])  # compares by identity, so shared
 LE = LeData(1, 2, ("x", "y"), ("isolated",), ())
 VERDICT = IdentityVerdict("le_numbers", "PASS", 1, 1)
 ROW = SweepRow(3, True, 2, -1, (VERDICT,), None, None)
-STRATUM = StratumRecord("regular", 2, 1, {"g": -1}, frozenset({"f"}), ("b",))
+STRATUM = StratumRecord("regular", 2, 1, {"g": -1}, frozenset({"f"}))
 
 # name: (build a fresh record, its repr, one _replace, whether it hashes)
 RECORDS = {
@@ -100,9 +100,8 @@ RECORDS = {
         True,
     ),
     "StratumRecord": (
-        lambda: StratumRecord("regular", 2, 1, {"g": -1}, frozenset({"f"}), ("b",)),
-        "StratumRecord(name='regular', dim=2, eu=1, chi={'g': -1}, in_zero_locus_of=frozenset({'f'}), "
-        "branches=('b',))",
+        lambda: StratumRecord("regular", 2, 1, {"g": -1}, frozenset({"f"})),
+        "StratumRecord(name='regular', dim=2, eu=1, chi={'g': -1}, in_zero_locus_of=frozenset({'f'}))",
         {"eu": 2},
         False,
     ),
@@ -116,7 +115,7 @@ RECORDS = {
     "StratifiedDataset": (
         lambda: StratifiedDataset((STRATUM,), None, {"N": 3}),
         "StratifiedDataset(strata=(StratumRecord(name='regular', dim=2, eu=1, chi={'g': -1}, "
-        "in_zero_locus_of=frozenset({'f'}), branches=('b',)),), branch_table=None, known={'N': 3}, "
+        "in_zero_locus_of=frozenset({'f'})),), branch_table=None, known={'N': 3}, "
         "f_is_linear=False)",
         {"f_is_linear": True},
         False,

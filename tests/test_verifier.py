@@ -649,6 +649,29 @@ def test_inline_export_m_tilde_matches_the_per_n_route(variables, g, f, n):
     assert export_dataset(sc, n).known["m_tilde"] == per_n_m_tilde(sc.f, sc.g, n)
 
 
+@pytest.mark.parametrize(
+    "g, f, n, slices",
+    [
+        ("y^5+x^3+2*y*z+z^2", "y", 2, (2, 1, 2)),
+        ("z^4+3*x^2*z+y*z^2+2*y^2", "x", 3, (3, 2, 3)),
+    ],
+    ids=("quintic", "quartic"),
+)
+def test_an_export_whose_f_slice_of_g_is_not_generic_stays_uncertified(g, f, n, slices):
+    # the f-slice of g and its slice by the ladder form disagree, while the
+    # ladder slice of g~ agrees with the f-slice: only the comparison on g
+    # keeps the generic-slice fields out of the export
+    sc = load_scenario({"variables": ["x", "y", "z"], "g": g, "f": f})
+    form = next(iter(generic_linear_candidates(sc.ring)))
+    slice_milnor = verifier._slice_milnor_at_origin
+    assert (
+        slice_milnor(sc.g, sc.f), slice_milnor(sc.g, form), slice_milnor(sc.g + sc.f**n, form)
+    ) == slices
+    ds = export_dataset(sc, n)
+    assert ds.f_is_linear is False
+    assert not {"eu_Xg_0", "eu_Xgtilde_0", "B_f_Xg_0"} & ds.known.keys()
+
+
 def test_context_terms_are_the_le_terms_for_a_linear_f():
     for name in ("cylinder", "pinch-point", "three-lines", "cusp-isolated"):
         ctx = ScenarioContext(load_fixture(name))
