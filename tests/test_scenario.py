@@ -74,8 +74,9 @@ def test_branch_truncation_defaults():
     assert sc.branches[0].host == "sigma"
 
 
-def test_a_stratum_branch_list_is_an_unknown_key():
-    # no identity reads which branches lie on a stratum, so the key is gone
+def test_dangling_stratum_branch_reference():
+    # no identity reads which branches lie on a stratum, so the key is gone and
+    # a document naming a missing branch there fails on the key itself
     doc = {
         "strata": [
             {"name": "origin", "dim": 0, "eu": 1},
