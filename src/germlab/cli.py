@@ -1,8 +1,9 @@
 """Command-line surface: a batch tool over scenarios and fixtures.
 
 Exit status: 0 when every asserted check passes, 1 on computation errors or
-failing verdicts, 2 on usage errors.  JSON output is deterministic: the same
-scenario produces byte-identical reports across runs.
+failing verdicts, 2 on usage errors, input that fails to parse or validate
+among them.  JSON output is deterministic: the same scenario produces
+byte-identical reports across runs.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def _scenario_from_args(parser: argparse.ArgumentParser, args) -> Scenario:
         try:
             document = Path(args.scenario).read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
-            raise SchemaError("$", f"not valid UTF-8: {exc}") from exc
+            parser.exit(USAGE_EXIT, f"error: $: not valid UTF-8: {exc}\n")
     elif args.fixture:
         document = fixture_text(args.fixture)
     else:
@@ -97,7 +98,10 @@ def _scenario_from_args(parser: argparse.ArgumentParser, args) -> Scenario:
         }
         if getattr(args, "N", None):
             document["N"] = list(_parse_n_range(parser, args.N))
-    scenario = load_scenario(document)
+    try:
+        scenario = load_scenario(document)
+    except SchemaError as exc:  # input that fails to parse or validate
+        parser.exit(USAGE_EXIT, f"error: {exc}\n")
     if args.caps is not None:
         scenario = scenario._replace(limits=scenario.limits._replace(reduction_cap=args.caps))
     return scenario
@@ -388,10 +392,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(parser, args)
-    except GermlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return ERROR_EXIT
-    except OSError as exc:
+    except (GermlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR_EXIT
 

@@ -450,68 +450,78 @@ def _minimalized(reducers: Sequence[tuple], lead: Sequence[Exponents], pk: _Pack
     return [g for g, _ in minimal], [lm for _, lm in minimal]
 
 
-def _staircase_count(lead: Sequence[Exponents], nvars: int, limit: int) -> tuple[int, int]:
+def _staircase_count(lead: list[Exponents], nvars: int, limit: int, k: int = 0, before: int = 0) -> tuple[int, int]:
     """(the number of monomials no leading monomial divides, 1 + their
-    largest degree); each variable must have a pure power among the leading
-    monomials.  More than limit of them raises IterationLimitError.
+    largest degree), over the exponents of variables k.. with `before`
+    monomials counted ahead of them; each variable must have a pure power
+    among the leading monomials.  More than limit of them raises
+    IterationLimitError.
 
     The exponents are fixed one variable at a time, keeping only the leading
-    monomials whose exponents so far are at most the prefix's.  The exponent
-    of a variable rises until that prefix, padded with zeros, is divisible;
-    for the last variable the bound is the least exponent left.  The kept
-    leading monomials change only where the exponent passes one of theirs,
-    so the prefixes between two such exponents have the same count below
-    them, at degrees one apart: each such run is walked once, and the work
-    goes by the leading monomials, not by the monomials of the staircase.
-    No monomial is built.  The limit is checked where a walk over every
-    prefix in turn would check it, so the error names the same count.
+    monomials whose exponents so far are at most the prefix's.  Those change
+    only where the exponent passes one of theirs, so each run of exponents
+    between two such is counted once: the work goes by the leading
+    monomials, not by the staircase, and no monomial is built.  The last two
+    variables take one closed-form pass over the sorted pairs of their
+    exponents: a run a..b-1 of the first holds (b - a) * low monomials, low
+    the least second exponent up to a, until low is 0 at the first's pure
+    power.  The limit is checked there, where a walk over every prefix in
+    turn would pass it, so the error names the same count.
     """
-    last = nvars - 1
-
-    def walk(k: int, lead: list[Exponents], before: int) -> tuple[int, int]:
-        """(count, largest degree) over the exponents of variables k..last,
-        with before monomials counted ahead of them."""
-        if k == last:
-            top = min(lm[k] for lm in lead)
-            if before + top > limit:
-                raise IterationLimitError(
-                    f"reduction step cap exceeded: the staircase has at least "
-                    f"{before + top} standard monomials, more than the cap of {limit}"
-                )
-            return top, top - 1
-        size, degree = 0, -1
+    if k + 2 < nvars:
+        size = corner = 0
         # the pure power of the last variable keeps 0 among the exponents,
         # and that of variable k ends the walk before the largest
         steps = sorted({lm[k] for lm in lead})
         for a, b in zip(steps, steps[1:]):
             active = [lm for lm in lead if lm[k] <= a]
-            if any(not any(lm[k + 1 :]) for lm in active):
+            count, top = _staircase_count(active, nvars, limit, k + 1, before + size)
+            if not count:  # a leading monomial divides the prefix
                 break
-            count, top = walk(k + 1, active, before + size)
             if before + size + (b - a) * count > limit:
                 # the exponent within the run at which the walk passes the limit
-                walk(k + 1, active, before + size + (limit - before - size) // count * count)
+                _staircase_count(active, nvars, limit, k + 1, before + size + (limit - before - size) // count * count)
             size += (b - a) * count
-            degree = max(degree, top + b - 1)
-        return size, degree
-
-    size, degree = walk(0, list(lead), 0)
-    return size, degree + 1
+            corner = max(corner, top + b - 1)
+        return size, corner
+    if nvars - k == 2:
+        pairs = sorted([lm[k:] for lm in lead])
+    else:  # one variable counts as the last of two, the first with pure power x^1
+        pairs = sorted([(0, lm[k]) for lm in lead]) + [(1, 0)]
+    size = corner = 0
+    a, low = pairs[0]
+    for b, last in pairs:
+        if b > a:  # the run a..b-1, below every pair up to a
+            if not low:
+                break
+            if before + size + (b - a) * low > limit:
+                # the end of the first row of the run past the limit
+                count = before + size + (limit - before - size) // low * low + low
+                raise IterationLimitError(
+                    f"reduction step cap exceeded: the staircase has at least "
+                    f"{count} standard monomials, more than the cap of {limit}"
+                )
+            size += (b - a) * low
+            if low + b - 1 > corner:
+                corner = low + b - 1
+            a = b
+        if last < low:
+            low = last
+    return size, corner
 
 
 class _Staircase:
     """The number of standard monomials of a growing list `lead` of LOCAL
     leading monomials, `size`, and their highest corner D: 1 + the largest
-    degree of a standard monomial.  Both are None until every variable has a
-    pure power.
+    degree of a standard monomial.  Both are None while a bit of `missing`
+    marks a variable with no pure power among lead.
 
     Every monomial of degree >= D is then a leading monomial of the ideal,
     so m^D lies in the ideal in the local ring (Greuel-Pfister, A Singular
     Introduction to Commutative Algebra, 1.7): terms of degree >= D can be
-    dropped without changing the leading ideal.  Both are counted, not
-    listed (see _staircase_count), on a read of the corner once every
-    variable has a pure power and again on a read after lead grew.  More
-    than `limit` standard monomials raise IterationLimitError.
+    dropped without changing the leading ideal.  A read of the corner after
+    lead grew counts both, in closed form (see _staircase_count), and the
+    count raises IterationLimitError past `limit` standard monomials.
     """
 
     __slots__ = ("lead", "nvars", "limit", "missing", "seen", "size", "corner")
@@ -520,7 +530,7 @@ class _Staircase:
         self.lead = lead
         self.nvars = nvars
         self.limit = limit
-        self.missing = set(range(nvars))
+        self.missing = (1 << nvars) - 1  # a bit per variable with no pure power yet
         self.seen = 0  # how many of lead the count accounts for
         self.size: int | None = None
         self.corner: int | None = None
@@ -529,16 +539,15 @@ class _Staircase:
         """The same staircase over a copy of lead, which appends to the copy
         leave this one without; it raises past limit."""
         twin = _Staircase(list(self.lead), self.nvars, limit)
-        twin.missing = set(self.missing)
-        twin.seen, twin.size, twin.corner = self.seen, self.size, self.corner
+        twin.missing, twin.seen, twin.size, twin.corner = self.missing, self.seen, self.size, self.corner
         return twin
 
-    def add(self, lm: Exponents) -> None:
-        """Account for lm, just appended to lead."""
-        if self.missing:
-            support = [i for i, a in enumerate(lm) if a]
-            if len(support) <= 1:
-                self.missing.difference_update(support or range(len(lm)))
+    def add(self, mask: int) -> None:
+        """Account for the leading monomial just appended to lead, whose
+        variables are the bits of mask: a pure power clears its variable's
+        bit in missing, and 1 (mask 0) clears them all."""
+        if self.missing and not mask & (mask - 1):
+            self.missing &= ~mask if mask else 0
 
     def read(self) -> int | None:
         """The corner of the whole of lead."""
@@ -770,7 +779,7 @@ def _complete(
         done.append(0)
         lead.append(lmj)
         if stairs is not None:
-            stairs.add(lmj)
+            stairs.add(mask)
 
     for h in packed:
         if all(h != g[3] for g in reducers):

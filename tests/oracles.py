@@ -3,13 +3,17 @@
 These deliberately avoid the library's ideal machinery: monomial quotients
 are counted by brute-force box enumeration over exponent tuples, the
 classical product formulas are evaluated directly, and saturations come from
-sympy's lex Groebner bases.
+sympy's lex Groebner bases.  The staircase count keeps its earlier
+implementation here, a recursive walk over every variable, as the reference
+for the closed form the library counts with.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+
+from germlab.errors import IterationLimitError
 
 
 def brieskorn_mu(*exponents: int) -> int:
@@ -60,6 +64,48 @@ def monomial_quotient_count(generators: list[tuple[int, ...]]) -> int | None:
         if not any(all(e >= ge for e, ge in zip(exps, gen)) for gen in generators):
             count += 1
     return count
+
+
+def staircase_walk(lead: list[tuple[int, ...]], nvars: int, limit: int) -> tuple[int, int]:
+    """(the number of monomials no leading monomial divides, 1 + their
+    largest degree), by the recursive walk that ideals._staircase_count
+    shortens; each variable must have a pure power among lead.  More than
+    limit of them raise IterationLimitError, naming the count at the end of
+    the first row of last exponents, in lexicographic order, past the limit.
+
+    The exponents are fixed one variable at a time, keeping only the leading
+    monomials whose exponents so far are at most the prefix's; each run of
+    exponents over which the kept ones stay the same is walked once, down
+    to the last variable, whose bound is the least exponent left.
+    """
+    last = nvars - 1
+
+    def walk(k: int, lead: list[tuple[int, ...]], before: int) -> tuple[int, int]:
+        """(count, largest degree) over the exponents of variables k..last,
+        with before monomials counted ahead of them."""
+        if k == last:
+            top = min(lm[k] for lm in lead)
+            if before + top > limit:
+                raise IterationLimitError(
+                    f"reduction step cap exceeded: the staircase has at least "
+                    f"{before + top} standard monomials, more than the cap of {limit}"
+                )
+            return top, top - 1
+        size, degree = 0, -1
+        steps = sorted({lm[k] for lm in lead})
+        for a, b in zip(steps, steps[1:]):
+            active = [lm for lm in lead if lm[k] <= a]
+            if any(not any(lm[k + 1 :]) for lm in active):
+                break
+            count, top = walk(k + 1, active, before + size)
+            if before + size + (b - a) * count > limit:
+                walk(k + 1, active, before + size + (limit - before - size) // count * count)
+            size += (b - a) * count
+            degree = max(degree, top + b - 1)
+        return size, degree
+
+    size, degree = walk(0, list(lead), 0)
+    return size, degree + 1
 
 
 def euler_chi_isolated(v: int, mu: int) -> int:

@@ -313,11 +313,9 @@ def test_verify_scenario_file(tmp_path, capsys):
 def test_a_scenario_file_that_is_not_utf8_is_a_schema_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_bytes(b"\xff\xfe{}")
-    code = main(["milnor", "--scenario", str(bad)])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.err.startswith("error: $: not valid UTF-8")
-    assert "Traceback" not in captured.err
+    err = usage_error(capsys, "milnor", "--scenario", str(bad))
+    assert err.startswith("error: $: not valid UTF-8")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -330,22 +328,22 @@ def test_a_scenario_file_that_is_not_utf8_is_a_schema_error(tmp_path, capsys):
 )
 def test_a_germ_past_the_grammar_caps_is_a_schema_error(capsys, g, message):
     # the recursive-descent parser and int() would raise RecursionError and
-    # ValueError here; the caps turn both into the exponent cap's kind of error
-    code = main(["milnor", "--vars", "x,y", "--g", g])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.err == f"error: $.g: {message}\n"
-    assert "Traceback" not in captured.err
+    # ValueError here; the caps turn both into the exponent cap's kind of
+    # error, input that fails to parse, so a usage error
+    assert usage_error(capsys, "milnor", "--vars", "x,y", "--g", g) == f"error: $.g: {message}\n"
+
+
+def test_a_scenario_that_fails_to_validate_is_a_usage_error(capsys):
+    # the CLI parsed it, but the scenario is bad input all the same
+    err = usage_error(capsys, "milnor", "--vars", "x,x", "--g", "x^2")
+    assert err == "error: $.variables: variable names must be distinct\n"
 
 
 def test_a_scenario_nested_too_deeply_is_a_schema_error(tmp_path, capsys):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
-    code = main(["milnor", "--scenario", str(deep)])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.err == "error: $: not valid JSON: nested too deeply to decode\n"
-    assert "Traceback" not in captured.err
+    err = usage_error(capsys, "milnor", "--scenario", str(deep))
+    assert err == "error: $: not valid JSON: nested too deeply to decode\n"
 
 
 VERBS = ("milnor", "critical-locus", "polar", "gap", "le", "verify", "brasselet", "export-dataset")

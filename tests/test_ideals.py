@@ -40,6 +40,7 @@ from conftest import (
     same_ideal,
 )
 from oracles import (
+    staircase_walk,
     sympy_is_reduced_basis_of,
     sympy_local_quotient_dim,
     sympy_reduced_basis,
@@ -786,6 +787,18 @@ def test_a_staircase_longer_than_the_cap_raises_naming_its_size():
     assert budget.remaining == 10_000 - 1
 
 
+def test_a_staircase_in_three_variables_past_the_cap_names_the_first_row_past_it():
+    # (x^9, y^9, z^9) holds 81 monomials per exponent of x: the walk passes
+    # the cap of 100 in the second plane, at the end of its second row of 9
+    I = IdealPresentation(RING_XYZ, [X**9, Y**9, Z**9])
+    with pytest.raises(IterationLimitError) as exc:
+        quotient_dim_local(I, Budget(100))
+    assert str(exc.value) == (
+        "reduction step cap exceeded: the staircase has at least 108 standard "
+        "monomials, more than the cap of 100"
+    )
+
+
 def test_a_staircase_as_long_as_the_cap_is_counted():
     budget = Budget(10_000)
     assert quotient_dim_local(IdealPresentation(RING_XY, [x**100, y**100]), budget) == 10_000
@@ -799,36 +812,66 @@ def brute_force_staircase(lead, powers):
     return [e for e in box if not any(mono_divides(lm, e) for lm in lead)]
 
 
-@settings(deadline=None, max_examples=80)
+def leads_with_pure_powers(data, nvars: int, top: int) -> list:
+    """A shuffled list of leading monomials in nvars variables, exponents up
+    to top, that holds a pure power of each variable, up to six others
+    (which may divide or repeat one another) and up to two repeats."""
+    powers = data.draw(st.lists(st.integers(0, top), min_size=nvars, max_size=nvars))
+    pure = [tuple(a if k == i else 0 for k in range(nvars)) for i, a in enumerate(powers)]
+    others = data.draw(st.lists(st.tuples(*[st.integers(0, top)] * nvars), max_size=6))
+    repeats = data.draw(st.lists(st.sampled_from(pure + others), max_size=2))
+    return data.draw(st.permutations(pure + others + repeats))
+
+
+def counted_or_refused(count, *args):
+    """count(*args), or the text of the IterationLimitError it raises."""
+    try:
+        return count(*args)
+    except IterationLimitError as exc:
+        return str(exc)
+
+
+@settings(deadline=None, max_examples=120)
 @given(st.data())
 def test_a_counted_staircase_matches_the_box_it_lies_in(data):
-    nvars = data.draw(st.integers(1, 3))
-    powers = data.draw(st.lists(st.integers(0, 7), min_size=nvars, max_size=nvars))
-    pure = [tuple(a if k == i else 0 for k in range(nvars)) for i, a in enumerate(powers)]
-    others = data.draw(st.lists(st.tuples(*[st.integers(0, 7)] * nvars), max_size=6))
-    lead = data.draw(st.permutations(pure + others))
+    nvars = data.draw(st.integers(1, 4))
+    lead = leads_with_pure_powers(data, nvars, 7 if nvars < 4 else 5)
+    powers = [min(lm[i] for lm in lead if not any(lm[:i] + lm[i + 1 :])) for i in range(nvars)]
     standard = brute_force_staircase(lead, powers)
     size, corner = len(standard), 1 + max(map(sum, standard), default=-1)
-    assert ideals._staircase_count(lead, nvars, 10**6) == (size, corner)
+    assert ideals._staircase_count(lead, nvars, 10**6) == (size, corner) == staircase_walk(lead, nvars, 10**6)
     # a staircase read as its lead list grows recounts after each growth
     stairs = ideals._Staircase([], nvars, 10**6)
     for lm in lead:
         stairs.lead.append(lm)
-        stairs.add(lm)
+        stairs.add(sum(1 << i for i, a in enumerate(lm) if a))
         stairs.read()
     assert (stairs.size, stairs.corner) == (size, corner)
     if size:
         limit = data.draw(st.integers(0, size - 1))
-        with pytest.raises(IterationLimitError) as exc:
-            ideals._staircase_count(lead, nvars, limit)
         # the count at the end of the first run of last exponents, taken in
         # lexicographic order, that passes the limit
         ends = itertools.accumulate(len(list(run)) for _, run in itertools.groupby(standard, lambda e: e[:-1]))
         counted = next(n for n in ends if n > limit)
-        assert str(exc.value) == (
+        message = (
             f"reduction step cap exceeded: the staircase has at least {counted} standard "
             f"monomials, more than the cap of {limit}"
         )
+        assert counted_or_refused(ideals._staircase_count, lead, nvars, limit) == message
+        assert counted_or_refused(staircase_walk, lead, nvars, limit) == message
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_the_closed_form_count_is_the_reference_walk(data):
+    # exponents too large for a box: the count, its corner and the text of
+    # the cap's error, at caps above and below the size, are the walk's
+    nvars = data.draw(st.integers(1, 4))
+    lead = leads_with_pure_powers(data, nvars, data.draw(st.sampled_from((3, 30, 300))))
+    limit = data.draw(st.integers(1, 10**6) | st.integers(1, 60))
+    assert counted_or_refused(ideals._staircase_count, lead, nvars, limit) == counted_or_refused(
+        staircase_walk, lead, nvars, limit
+    )
 
 
 def count_minimalizations(monkeypatch) -> list:

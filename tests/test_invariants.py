@@ -268,6 +268,29 @@ def test_weighted_homogeneous_mu_matches_milnor_orlik(data, exponents):
 
 
 @settings(deadline=None, max_examples=60)
+@given(
+    st.data(),
+    st.lists(st.integers(min_value=2, max_value=16), min_size=2, max_size=2)
+    | st.lists(st.integers(min_value=2, max_value=7), min_size=3, max_size=3),
+)
+def test_a_semi_quasihomogeneous_germ_has_the_milnor_number_of_its_principal_part(data, exponents):
+    # x^a + y^b [+ z^c] plus terms strictly above its Newton diagram, where
+    # i/a + j/b [+ k/c] > 1, keeps mu = (a-1)(b-1)[(c-1)] (Arnold, Normal
+    # forms of functions near degenerate critical points, 1974): local
+    # staircases of up to 225 monomials, counted at the default cap
+    ring = PolyRing(("x", "y", "z")[: len(exponents)])
+    above = [
+        e
+        for e in product(*(range(a + 1) for a in exponents))
+        if sum(Fraction(k, a) for k, a in zip(e, exponents)) > 1
+    ]
+    g = sum((ring.variable(i) ** a for i, a in enumerate(exponents)), ring.zero())
+    for e in data.draw(st.lists(st.sampled_from(above), min_size=1, max_size=3, unique=True)):
+        g = g + ring.monomial(e, data.draw(NONZERO_RATIONALS))
+    assert milnor_number(g) == brieskorn_mu(*exponents)
+
+
+@settings(deadline=None, max_examples=60)
 @given(st.data(), st.integers(min_value=2, max_value=4))
 def test_a_slice_at_a_point_agrees_with_p_on_the_parallel_hyperplane(data, nvars):
     ring = PolyRing(("x", "y", "z", "w")[:nvars])
