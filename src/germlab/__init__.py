@@ -27,7 +27,6 @@ from .errors import (
 from .ideals import (
     IdealPresentation,
     dim_at_origin,
-    normal_form,
     quotient_dim_local,
     standard_basis_of,
 )
@@ -63,11 +62,10 @@ from .stratified import (
     verify_stratified_identities,
 )
 from .verifier import (
-    DeformationCase,
     VerdictTable,
     export_dataset,
     verify_scenario,
 )
-from .fixtures_lib import fixture_expected, list_fixtures, load_fixture
+from .fixtures_lib import list_fixtures, load_fixture
 
 __version__ = "0.1.0"

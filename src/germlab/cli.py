@@ -1,9 +1,10 @@
 """Command-line surface: a batch tool over scenarios and fixtures.
 
 Exit status: 0 when every asserted check passes, 1 on computation errors or
-failing verdicts, 2 on usage errors, input that fails to parse or validate
-among them.  JSON output is deterministic: the same scenario produces
-byte-identical reports across runs.
+failing verdicts, 2 on usage errors, an unknown fixture, an unreadable
+scenario file and input that fails to parse or validate among them.  JSON
+output is deterministic: the same scenario produces byte-identical reports
+across runs.
 """
 
 from __future__ import annotations
@@ -77,13 +78,16 @@ def _scenario_from_args(parser: argparse.ArgumentParser, args) -> Scenario:
         flag = "--f" if f is not None else "--l"
         parser.error(f"{flag} is inline input; a --fixture or --scenario declares its own f")
     document: str | dict
-    if args.scenario:
+    if args.scenario or args.fixture:
         try:
-            document = Path(args.scenario).read_text(encoding="utf-8")
+            if args.scenario:
+                document = Path(args.scenario).read_text(encoding="utf-8")
+            else:
+                document = fixture_text(args.fixture)
         except UnicodeDecodeError as exc:
             parser.exit(USAGE_EXIT, f"error: $: not valid UTF-8: {exc}\n")
-    elif args.fixture:
-        document = fixture_text(args.fixture)
+        except (GermlabError, OSError) as exc:  # an unknown fixture, an unreadable file
+            parser.exit(USAGE_EXIT, f"error: {exc}\n")
     else:
         if not args.vars or not args.g:
             parser.error("inline input needs both --vars and --g")

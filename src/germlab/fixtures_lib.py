@@ -8,7 +8,6 @@ equality.
 
 from __future__ import annotations
 
-import json
 from importlib import resources
 
 from .errors import GermlabError
@@ -41,9 +40,3 @@ def fixture_text(name: str) -> str:
 def load_fixture(name: str) -> Scenario:
     """Load a bundled fixture by name; unknown names list the alternatives."""
     return load_scenario(fixture_text(name))
-
-
-def fixture_expected(name: str) -> dict:
-    """The frozen expected block of a fixture (empty when absent)."""
-    doc = json.loads(fixture_text(name))
-    return doc.get("expected", {})

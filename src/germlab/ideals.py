@@ -1,5 +1,5 @@
-"""Ideal arithmetic: normal forms, standard bases, local quotient dimensions,
-dimension at the origin and saturation.
+"""Ideal arithmetic: standard bases, local quotient dimensions, dimension at
+the origin and saturation.
 
 One completion serves every order (see _complete): Buchberger's algorithm
 on homogenizations, read back in the original variables (Lazard's method),
@@ -12,13 +12,11 @@ truncates at the highest corner.  LOCAL bases are standard
 bases of the localized ideal at the origin, and a LOCAL completion can
 resume from a completed base, pairing only the generators it adds.
 Full division takes its leading monomial with `pk.lead` each step, as
-every other kernel loop does; it serves the tail reduction of global bases
-and `normal_form`, which takes global orders only, since a local remainder
-is fixed only up to a unit.  Their remainders are a few terms long, so a
-heap of pending monomials (Monagan-Pearce, CASC 2007) saved no measurable
-time and was dropped.  Global membership is `normal_form(...).is_zero`.
-Every loop spends from an iteration budget and raises IterationLimitError
-instead of spinning.
+every other kernel loop does; it serves only the tail reduction of global
+bases, whose remainders are a few terms long, so a heap of pending
+monomials (Monagan-Pearce, CASC 2007) saved no measurable time and was
+dropped.  Every loop spends from an iteration budget and raises
+IterationLimitError instead of spinning.
 
 The kernel reduces primitive int multiples of the polynomials, as term dicts
 whose monomials are ints packed by the order (orders._Packing;
@@ -27,11 +25,10 @@ monomial is the dict's `max`, or its `min` under LOCAL.  `standard_basis_of`
 packs, then completes (`_complete`) unless its Budget already holds that
 basis (see Budget.completed).  The sweep rows of
 verifier.ScenarioContext enter `_complete` with generators built on ints,
-and resume bases that it completed once per run; `normal_form` packs on
-entry.  Results return Fraction coefficients on exponent tuples,
-taking the steps of rational reduction on tuples; a StandardBasis unpacks
-only when its polynomials are read.  A degree the packed fields cannot hold
-raises GermlabError.
+and resume bases that it completed once per run.  Results return Fraction
+coefficients on exponent tuples, taking the steps of rational reduction on
+tuples; a StandardBasis unpacks only when its polynomials are read.  A
+degree the packed fields cannot hold raises GermlabError.
 """
 
 from __future__ import annotations
@@ -203,9 +200,9 @@ def _subtract_into(
 # ---------------------------------------------------------------------------
 
 
-def _divide_global(h: dict, reducers: Sequence[tuple], pk: _Packing, budget: Budget) -> tuple[dict, int]:
+def _divide_global(h: dict, reducers: Sequence[tuple], pk: _Packing, budget: Budget) -> dict:
     """Fully reduced remainder of h modulo the reducers (see _reducer) for a
-    global order, and its scale.
+    global order, up to a positive int factor.
 
     The remainder lives in one term dict.  Each step takes its leading
     monomial with `pk.lead`, as every other kernel loop does, and reduces
@@ -213,8 +210,9 @@ def _divide_global(h: dict, reducers: Sequence[tuple], pk: _Packing, budget: Bud
     irreducible leading term moves to the tail.  The scan reads the whole
     dict each step.  A heap of pending monomials (Monagan-Pearce, CASC
     2007) took the same steps and saved no measurable time, since the
-    remainders of tail reduction and of `normal_form`'s callers are a few
-    terms long, so it was dropped.
+    remainders of tail reduction are a few terms long, so it was dropped.
+    The terms moved to the tail are brought to the final scale, so the
+    remainder is one multiple, as interreduction needs.
     """
     acc = dict(h)
     guards = pk.guards
@@ -233,7 +231,7 @@ def _divide_global(h: dict, reducers: Sequence[tuple], pk: _Packing, budget: Bud
             tail.append((lm, lc, scale))
             del acc[lm]
     # each tail term was taken at the scale s; bring it to the final scale
-    return {lm: lc * (scale // s) for lm, lc, s in tail}, scale
+    return {lm: lc * (scale // s) for lm, lc, s in tail}
 
 
 def _weak_normal_form(
@@ -284,36 +282,6 @@ def _weak_normal_form(
     return h
 
 
-def normal_form(p: Poly, basis: Sequence[Poly], order: MonomialOrder, cap=None) -> Poly:
-    """Remainder of p on division by basis under a global order.
-
-    No term of the result is divisible by a basis leading term, and p - result
-    lies in the ideal generated by the basis.  The division runs on int
-    multiples of p and of the basis; dividing by the tracked scale gives the
-    exact rational remainder.  A local order raises ValueError: there the
-    remainder is fixed only up to a unit.
-
-    Each division step scans the whole remainder for its leading monomial,
-    so a dividend of hundreds of terms costs tens of milliseconds: 42 ms for
-    the 1771 terms of (1 + x + 2y + 3z)^20 modulo (x^3 - yz, y^4 - xz^2),
-    where a heap of pending monomials took 9 ms (CPython 3.11, one core of
-    a shared Xeon).  No command divides a remainder that large.
-    """
-    if order.is_local:
-        raise ValueError("normal_form takes a global order; a local remainder is fixed only up to a unit")
-    budget = as_budget(cap)
-    _check_same_ring([p, *basis])
-    basis = [g for g in basis if not g.is_zero]
-    if not basis:
-        return p
-    pk = order._packing(p.ring.nvars)
-    reducers = [_reducer(_integral(g, pk), pk) for g in basis]
-    h, den = _packed(p, pk)
-    r, scale = _divide_global(h, reducers, pk, budget)
-    # the remainder's terms leave the division largest first
-    return _unpacked(p.ring, r, scale * den, pk)
-
-
 # ---------------------------------------------------------------------------
 # standard bases
 # ---------------------------------------------------------------------------
@@ -338,7 +306,7 @@ def _interreduce_global(reducers: list[tuple], pk: _Packing, budget: Budget) -> 
     no term divisible by one of them stays reduced when other tails change.
     """
     for i, g in enumerate(reducers):
-        r = _divide_global(g[3], reducers[:i] + reducers[i + 1 :], pk, budget)[0]
+        r = _divide_global(g[3], reducers[:i] + reducers[i + 1 :], pk, budget)
         if r != g[3]:
             if not r:
                 raise GermlabError("interreduction killed a minimal basis element")
@@ -637,7 +605,11 @@ def _complete(
     pair's lcm properly divides its own; F keeps, of new pairs with equal
     lcms, the one of highest i, and none when one of them is coprime; the
     product criterion drops a coprime one.  The reduced basis is unique, so
-    the criteria change only the work.  Under ELIM_FIRST, where t
+    the criteria change only the work.  Each order keeps its own criteria,
+    by measurement: the chain criterion in place of the update spent more
+    steps on every benchmark workload, and the update under LOCAL, with or
+    without the chain criterion, ran a curve germ whose LOCAL basis takes
+    1822 steps past 90 s.  Under ELIM_FIRST, where t
     dominates, an element with a t-free leading monomial is t-free and no
     leading monomial with t divides a t-free monomial, so the t-free
     elements alone are a basis of the elimination ideal.

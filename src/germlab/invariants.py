@@ -74,16 +74,6 @@ class BranchParam(_BranchParamFields):
         return tuple(c.evaluate([tau]) for c in self.components)
 
 
-class BranchValidation(NamedTuple):
-    """Outcome of checking a branch against its host ideal."""
-
-    ok: bool
-    violation: tuple[str, int] | None = None  # (generator, offending order)
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 def compose_on_branch(p: Poly, branch: BranchParam) -> Poly:
     """The exact univariate polynomial p(branch(t))."""
     if len(branch.components) != p.ring.nvars:
@@ -143,15 +133,15 @@ def critical_locus(g: Poly, f: Poly | None = None, cap=None) -> CriticalLocusRep
     return CriticalLocusReport(ideal, dim, f_slice_dim)
 
 
-def validate_branch(branch: BranchParam, host: IdealPresentation) -> BranchValidation:
+def validate_branch(branch: BranchParam, host: IdealPresentation) -> tuple[str, int] | None:
     """Check that every generator of the host ideal vanishes along the branch
-    modulo t^trunc; report the first generator that does not."""
+    modulo t^trunc: the first (generator, order) that does not, or None."""
     for gen in host.generators:
         comp = compose_on_branch(gen, branch)
         order = order_in_t(comp)
         if order is not None and order < branch.trunc:
-            return BranchValidation(False, violation=(str(gen), order))
-    return BranchValidation(True)
+            return str(gen), order
+    return None
 
 
 def local_degree(f: Poly, branch: BranchParam, image: Poly | None = None) -> int:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .errors import ComponentMismatchError, UndefinedLeError
-from .ideals import IdealPresentation, as_budget, dim_at_origin, quotient_dim_local, saturate_single
+from .ideals import Budget, IdealPresentation, as_budget, dim_at_origin, quotient_dim_local, saturate_single
 from .invariants import (
     BranchParam,
     BranchTerm,
@@ -51,16 +51,16 @@ class LeData(NamedTuple):
         return (self.lambda0, self.lambda1)
 
 
-def _polar_ideal_after_alignment(gw: Poly, cap=None) -> tuple[IdealPresentation, IdealPresentation]:
+def _polar_ideal_after_alignment(gw: Poly, budget: Budget) -> tuple[IdealPresentation, IdealPresentation]:
     """The remaining-partials ideal, and that ideal saturated along the
     critical locus of g."""
     rest_ideal = IdealPresentation(gw.ring, [gw.diff(i) for i in range(1, gw.ring.nvars)])
     # Jac(g) = I + (d_0 g) for the remaining-partials ideal I, and
     # (I + (h))^k lies in I + (h^k), so I : Jac^infinity = I : (d_0 g)^infinity
-    return rest_ideal, saturate_single(rest_ideal, gw.diff(0), cap)
+    return rest_ideal, saturate_single(rest_ideal, gw.diff(0), budget)
 
 
-def _hyperplane_slice_dim(I: IdealPresentation, cap=None) -> int | None:
+def _hyperplane_slice_dim(I: IdealPresentation, budget: Budget) -> int | None:
     """dim O/(I + (w_0)) for the first variable w_0, on H = {w_0 = 0}: it is
     O_H modulo I restricted to H, each generator without its terms in w_0.
     In one variable H is the origin: Q unless a generator is a unit."""
@@ -68,7 +68,7 @@ def _hyperplane_slice_dim(I: IdealPresentation, cap=None) -> int | None:
         return int(not any(g.constant_term() for g in I.generators))
     plane = PolyRing(I.ring.variables[1:])
     restricted = [Poly._make(plane, {e[1:]: c for e, c in g.terms.items() if not e[0]}) for g in I.generators]
-    return quotient_dim_local(IdealPresentation(plane, restricted), cap)
+    return quotient_dim_local(IdealPresentation(plane, restricted), budget)
 
 
 def le_numbers(

@@ -143,9 +143,9 @@ def relative_polar_ideal(
     dim = dim_at_origin(ideal, budget)
     curve = PolarCurve(ideal, dim, tuple(components))
     for comp in curve.components:
-        check = validate_branch(comp, ideal)
-        if not check:
-            gen, order = check.violation or ("?", -1)
+        violation = validate_branch(comp, ideal)
+        if violation is not None:
+            gen, order = violation
             raise ComponentMismatchError(
                 f"component {comp.name!r} is not on the polar curve: "
                 f"generator {gen} has order {order}"

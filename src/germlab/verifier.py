@@ -3,9 +3,9 @@ isolation, and checks the deformation identities row by row.
 
 A ScenarioContext holds the N-independent data of the pair (f, g): the case
 hypotheses (check_hypotheses, the one check of them), the Le numbers, the
-polar curve and its threshold.  Its case(n) is the only builder of a
-DeformationCase, so the hypotheses and the threshold are computed once per
-run, not once per exponent.
+polar curve and its threshold.  Only its mu(n) and polar_intersection(n)
+depend on the exponent, so the hypotheses and the threshold are computed
+once per run, not once per exponent.
 
 Rows below the gap-ratio threshold are labeled OUT-OF-RANGE and evaluated for
 information only; their outcomes are never asserted.  Rows at or above the
@@ -84,31 +84,6 @@ def generic_linear_candidates(ring, attempts: int = MAX_LADDER_ATTEMPTS):
         yield form
 
 
-class _DeformationCaseFields(NamedTuple):
-    g: Poly
-    f: Poly
-    n: int
-    certificate: int | None  # local Jacobian quotient dimension, None = infinite
-
-
-class DeformationCase(_DeformationCaseFields):
-    """One deformation g_tilde = g + f^N with its isolation certificate.
-    g_tilde is g + f**n, built on first read and cached in the instance
-    __dict__; only the export and error messages read it."""
-
-    @cached_property
-    def g_tilde(self) -> Poly:
-        return self.g + self.f**self.n
-
-    @property
-    def chi_gtilde(self) -> int | None:
-        """Euler characteristic of the Milnor fibre of g_tilde; None when the
-        deformation is not isolated."""
-        if self.certificate is None:
-            return None
-        return 1 + parity_sign(self.g.ring.nvars - 1) * self.certificate
-
-
 def check_hypotheses(g: Poly, f: Poly, cap=None) -> int:
     """The N-independent case hypotheses; returns the dimension of the
     critical locus of g.
@@ -163,7 +138,7 @@ def _le_iomdin_rows(ctx: ScenarioContext) -> Callable:
     return row
 
 
-def verify_gap_stability(case: DeformationCase, ctx: ScenarioContext) -> IdentityVerdict:
+def verify_gap_stability(n: int, ctx: ScenarioContext) -> IdentityVerdict:
     """Intersection of the polar curve with V(g) against V(g + f^N).
 
     The g-side number is gap.g_intersection, which does not depend on N
@@ -171,18 +146,18 @@ def verify_gap_stability(case: DeformationCase, ctx: ScenarioContext) -> Identit
     intersection number (see ScenarioContext.polar_intersection), checked
     on the polar components against orders read from the images of g and f
     that the gap report holds (see deformed_order), so a row composes no
-    polynomial on a branch.  A component mismatch or an improper
-    intersection is the verdict's FAIL; any other error, a spent budget
-    among them, ends the run.
+    polynomial on a branch, and builds g + f^N only for an error message.
+    A component mismatch or an improper intersection is the verdict's
+    FAIL; any other error, a spent budget among them, ends the run.
     """
     polar, gap = ctx.polar, ctx.gap
     left = gap.g_intersection
     if polar.is_empty:
         return IdentityVerdict("polar_stability", "SKIPPED", note="empty polar curve")
-    total = ctx.polar_intersection(case)
-    orders = [deformed_order(g_image, f_image, case.n) for g_image, f_image in gap.images]
+    total = ctx.polar_intersection(n)
+    orders = [deformed_order(g_image, f_image, n) for g_image, f_image in gap.images]
     try:
-        right = checked_intersection(polar, lambda: case.g_tilde, total, orders)
+        right = checked_intersection(polar, lambda: ctx.g + ctx.f**n, total, orders)
     except (ComponentMismatchError, ImproperIntersectionError) as exc:
         return IdentityVerdict("polar_stability", "FAIL", left=left, right=str(exc))
     return compared("polar_stability", left, right)
@@ -354,7 +329,8 @@ class ScenarioContext:
 
     The Le numbers, chi(F_g), the polar curve of (f, g) with its gap report,
     the case hypotheses (sigma_dim), the polar meetings, the branch sum and
-    terms belong to the pair (f, g); only case(n) depends on the exponent.
+    terms belong to the pair (f, g); only mu(n) and polar_intersection(n)
+    depend on the exponent.
     Each is computed on first read and kept, and all spend from the run's
     one budget of
     limits.reduction_cap steps.  A caller pays only for what it reads, in
@@ -368,7 +344,7 @@ class ScenarioContext:
     original ones, as they are for a nonlinear f.  A local dimension does
     not depend on the coordinates, and every polynomial, branch and witness
     that a run prints stays in the original ones.  A row's two numbers,
-    mu(g + f^N) (see case) and the polar meeting (see polar_intersection),
+    mu(g + f^N) (see mu) and the polar meeting (see polar_intersection),
     come from one routine, _row, on two kinds of row (see _RowKind): each
     resumes an N-independent base, completed once per run under LOCAL, with
     row generators built from a kept power of f', and past its determinacy
@@ -413,9 +389,9 @@ class ScenarioContext:
         branches = self._hosted("sigma")
         jac_g = jacobian_ideal(self.g)
         for b in branches:
-            check = validate_branch(b, jac_g)
-            if not check:
-                gen, order = check.violation or ("?", -1)
+            violation = validate_branch(b, jac_g)
+            if violation is not None:
+                gen, order = violation
                 raise GermlabError(
                     f"branch {b.name!r} is not on the critical locus: generator {gen} "
                     f"vanishes only to order {order}"
@@ -537,10 +513,10 @@ class ScenarioContext:
         self._carries[rows.name] = (n, number) if determined else None
         return number
 
-    def polar_intersection(self, case: DeformationCase) -> int | None:
-        """quotient_dim_local(polar.ideal.plus([case.g_tilde])), the polar
-        kind of row (see _row)."""
-        return self._row(self._polar_rows, case.n)
+    def polar_intersection(self, n: int) -> int | None:
+        """quotient_dim_local(polar.ideal.plus([g + f^n])), the polar kind of
+        row (see _row)."""
+        return self._row(self._polar_rows, n)
 
     @cached_property
     def sigma_dim(self) -> int:
@@ -582,22 +558,22 @@ class ScenarioContext:
         self.sigma_branches  # validate the declared branches first
         return self.le.terms
 
-    def case(self, n: int) -> DeformationCase:
-        """g + f^n with its isolation certificate mu, the Jacobian kind of row
-        (see _row); HypothesisError when it is not isolated although n
+    def mu(self, n: int) -> int | None:
+        """mu(g + f^n), the Jacobian kind of row (see _row), None when g + f^n
+        is not isolated; HypothesisError when it is not isolated although n
         reached the threshold.  The case hypotheses are read before the
         polar curve whose gap report sets the threshold."""
         self.sigma_dim  # the case hypotheses, before the polar curve
         threshold = self.gap.threshold
         if n < 2:
             raise ValueError("the deformation exponent must be at least 2")
-        certificate = self._row(self._jacobian_rows, n)
-        if certificate is None and n >= threshold:
+        mu = self._row(self._jacobian_rows, n)
+        if mu is None and n >= threshold:
             raise HypothesisError(
                 "isolation-at-threshold",
                 f"g + f^{n} has a non-isolated singularity although n >= threshold {threshold}",
             )
-        return DeformationCase(self.g, self.f, n, certificate)
+        return mu
 
     def _f_power(self, k: int) -> tuple[dict, int]:
         """(d*f'^k, d) packed under LOCAL for an int d.  A sweep asks for
@@ -646,12 +622,14 @@ def verify_scenario(
                 f"plus span {span}), passes N_MAX = {N_MAX}"
             )
     le_iomdin = _le_iomdin_rows(ctx)
+    sign = parity_sign(ctx.ring.nvars - 1)
 
     def make_row(n: int) -> SweepRow:
-        case = ctx.case(n)
-        verdicts, defect, expansion = le_iomdin(n, case.certificate)
-        verdicts = (*verdicts, verify_gap_stability(case, ctx))
-        return SweepRow(n, n >= threshold, case.certificate, case.chi_gtilde, verdicts, defect, expansion)
+        mu = ctx.mu(n)
+        verdicts, defect, expansion = le_iomdin(n, mu)
+        verdicts = (*verdicts, verify_gap_stability(n, ctx))
+        chi = None if mu is None else 1 + sign * mu  # chi(F_g~)
+        return SweepRow(n, n >= threshold, mu, chi, verdicts, defect, expansion)
 
     return VerdictTable(
         scenario=scenario.name,
@@ -672,12 +650,12 @@ def verify_scenario(
 # ---------------------------------------------------------------------------
 
 
-def _slice_milnor_at_origin(g: Poly, form: Poly, cap=None) -> int | None:
+def _slice_milnor_at_origin(g: Poly, form: Poly, budget: Budget) -> int | None:
     """Milnor number of g restricted to {form = 0}; None when non-isolated."""
-    return quotient_dim_local(jacobian_ideal(slice_germ(g, form)), cap)
+    return quotient_dim_local(jacobian_ideal(slice_germ(g, form)), budget)
 
 
-def _certify_slice_generic(g: Poly, f: Poly, g_tilde: Poly, mu_h: int | None, cap=None) -> bool:
+def _certify_slice_generic(g: Poly, f: Poly, g_tilde: Poly, mu_h: int | None, budget: Budget) -> bool:
     """Whether the f-hyperplane slices of g and of the deformation carry the
     same Milnor numbers as slices by a ladder-generic form.
 
@@ -693,12 +671,12 @@ def _certify_slice_generic(g: Poly, f: Poly, g_tilde: Poly, mu_h: int | None, ca
     for candidate in generic_linear_candidates(g.ring):
         if candidate == f:
             return True
-        via_l = _slice_milnor_at_origin(g, candidate, cap)
+        via_l = _slice_milnor_at_origin(g, candidate, budget)
         if via_l is None:
             continue  # unlucky ladder rung, try the next form
         if mu_h != via_l:
             return False
-        return mu_h == _slice_milnor_at_origin(g_tilde, candidate, cap)
+        return mu_h == _slice_milnor_at_origin(g_tilde, candidate, budget)
     return False
 
 
@@ -728,10 +706,10 @@ def export_dataset(scenario: Scenario, n: int | None = None) -> StratifiedDatase
         threshold = ctx.gap.threshold
         lo, hi = scenario.n_range
         n = max(lo, threshold) if threshold <= hi else lo
-    case = ctx.case(n)
-    chi_gtilde = case.chi_gtilde
-    if chi_gtilde is None:
+    mu = ctx.mu(n)
+    if mu is None:
         raise HypothesisError("isolation", f"g + f^{n} is not isolated; export needs an isolated deformation")
+    chi_gtilde = 1 + parity_sign(v - 1) * mu
 
     # check_hypotheses required f to be isolated, so its Milnor number exists
     chi_f_fibre = 1 + parity_sign(v - 1) * milnor_number(f, budget)
@@ -754,8 +732,9 @@ def export_dataset(scenario: Scenario, n: int | None = None) -> StratifiedDatase
 
     known["m"], known["m_tilde"] = ctx.polar_meetings
 
+    g_tilde = g + f**n if f.is_linear_form else None  # only the slices of a linear f read it
     mu_h = _slice_milnor_at_origin(g, f, budget) if f.is_linear_form else None
-    certified = f.is_linear_form and _certify_slice_generic(g, f, case.g_tilde, mu_h, budget)
+    certified = f.is_linear_form and _certify_slice_generic(g, f, g_tilde, mu_h, budget)
 
     rows: tuple[BranchTableRow, ...] | None = None
     if terms is not None:
@@ -792,7 +771,7 @@ def export_dataset(scenario: Scenario, n: int | None = None) -> StratifiedDatase
             # and the Brasselet numbers of f count slice points exactly;
             # (g + f^N, f) = (g, f), so both curves meet {f = 0} alike
             known["eu_Xg_0"] = g.min_degree()
-            known["eu_Xgtilde_0"] = case.g_tilde.min_degree()
+            known["eu_Xgtilde_0"] = g_tilde.min_degree()
             known["B_f_Xg_0"] = intersection_number(IdealPresentation(g.ring, [g]), f, budget)
             known["B_f_Xgtilde_0"] = known["B_f_Xg_0"]
         elif v == 3 and certified and rows is not None and all(

@@ -22,7 +22,7 @@ from germlab import (
     load_scenario,
     relative_polar_ideal,
 )
-from germlab.verifier import DeformationCase, ScenarioContext
+from germlab.verifier import ScenarioContext
 
 # the directory this germlab was imported from, for child interpreters
 GERMLAB_SRC = str(Path(germlab.__file__).resolve().parent.parent)
@@ -49,11 +49,12 @@ def ring_xyz() -> PolyRing:
     return RING_XYZ
 
 
-def deformation_case(g: Poly, f: Poly, n: int) -> tuple[ScenarioContext, DeformationCase]:
-    """The run context of the scenario (g, f) and its deformation g + f^n."""
+def deformation_mu(g: Poly, f: Poly, n: int) -> tuple[ScenarioContext, int | None]:
+    """The run context of the scenario (g, f) and mu(g + f^n) as its row n
+    reads it (None when g + f^n is not isolated)."""
     scenario = load_scenario({"variables": list(g.ring.variables), "g": str(g), "f": str(f)})
     ctx = ScenarioContext(scenario)
-    return ctx, ctx.case(n)
+    return ctx, ctx.mu(n)
 
 
 def per_n_m_tilde(f: Poly, g: Poly, n: int) -> int:

@@ -176,6 +176,15 @@ def sympy_is_reduced_basis_of(
     )
 
 
+def sympy_reduces_to_zero(
+    p: dict[tuple[int, ...], Fraction], basis: list[dict[tuple[int, ...], Fraction]], nvars: int
+) -> bool:
+    """Whether p divides to zero by basis under grevlex, checked by sympy
+    (see sympy_remainder).  By a grevlex Groebner basis that is membership
+    in its ideal; the caller must skip the test when sympy is absent."""
+    return not sympy_remainder(p, basis, nvars)
+
+
 def _sympy_poly(terms: dict[tuple[int, ...], Fraction], xs):
     """The term dict {exponents: coefficient} as a sympy Poly over QQ in xs."""
     import sympy

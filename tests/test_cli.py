@@ -148,9 +148,9 @@ def test_a_cap_spent_in_a_polar_intersection_exits_one(capsys, monkeypatch):
     entered = []
     real = ScenarioContext.polar_intersection
 
-    def recording(ctx, case):
-        entered.append(case.n)
-        total = real(ctx, case)
+    def recording(ctx, n):
+        entered.append(n)
+        total = real(ctx, n)
         entered.pop()
         return total
 
@@ -344,6 +344,24 @@ def test_a_scenario_nested_too_deeply_is_a_schema_error(tmp_path, capsys):
     deep.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
     err = usage_error(capsys, "milnor", "--scenario", str(deep))
     assert err == "error: $: not valid JSON: nested too deeply to decode\n"
+
+
+def test_an_unknown_fixture_is_a_usage_error(capsys):
+    err = usage_error(capsys, "milnor", "--fixture", "nowhere")
+    assert err.startswith("error: unknown fixture 'nowhere'; available: brieskorn-345, ")
+
+
+def test_a_missing_scenario_file_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    err = usage_error(capsys, "milnor", "--scenario", str(missing))
+    assert err.startswith("error: ") and str(missing) in err
+
+
+def test_an_output_file_that_cannot_be_written_exits_one(tmp_path, capsys):
+    # the input is valid; the write fails after the export is computed
+    out = tmp_path / "no-dir" / "x.json"
+    assert main(["export-dataset", "--fixture", "cylinder", "--N", "3", "-o", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 VERBS = ("milnor", "critical-locus", "polar", "gap", "le", "verify", "brasselet", "export-dataset")

@@ -5,12 +5,7 @@ from __future__ import annotations
 import pytest
 
 from germlab import export_dataset, verify_scenario, verify_stratified_identities
-from germlab.fixtures_lib import (
-    fixture_expected,
-    fixture_text,
-    list_fixtures,
-    load_fixture,
-)
+from germlab.fixtures_lib import fixture_text, list_fixtures, load_fixture
 from germlab.scenario import load_scenario
 
 CN_FIXTURES = [
@@ -34,7 +29,7 @@ def test_minimum_corpus_present():
 
 def test_every_expected_number_carries_an_oracle_tag():
     for name in list_fixtures():
-        expected = fixture_expected(name)
+        expected = load_fixture(name).expected
         assert expected, name
         notes = expected.get("oracle", {})
         for key in expected:
@@ -46,7 +41,7 @@ def test_every_expected_number_carries_an_oracle_tag():
 @pytest.mark.parametrize("name", CN_FIXTURES)
 def test_polynomial_fixture_reproduces_expected(name):
     scenario = load_fixture(name)
-    expected = fixture_expected(name)
+    expected = scenario.expected
     table = verify_scenario(scenario)
     assert table.le.lambda0 == expected["lambda0"]
     assert table.le.lambda1 == expected["lambda1"]
@@ -84,7 +79,7 @@ def test_dataset_fixture_reproduces_expected(name):
     from germlab import bls_euler_obstruction
 
     scenario = load_scenario(fixture_text(name))
-    expected = fixture_expected(name)
+    expected = scenario.expected
     assert scenario.dataset is not None
     assert bls_euler_obstruction(scenario.dataset) == expected["eu_X_0"]
     assert scenario.dataset.known["eu_X_0"] == expected["eu_X_0"]
@@ -93,7 +88,7 @@ def test_dataset_fixture_reproduces_expected(name):
 @pytest.mark.parametrize("name", NEGATIVE_FIXTURES)
 def test_negative_fixture_fails_where_declared(name):
     scenario = load_scenario(fixture_text(name))
-    expected = fixture_expected(name)
+    expected = scenario.expected
     assert scenario.dataset is not None
     verdicts = verify_stratified_identities(scenario.dataset)
     failing = {v.name: v for v in verdicts if v.status == "FAIL"}

@@ -192,7 +192,7 @@ def test_a_slice_on_the_hyperplane_is_the_slice_by_its_equation(gens):
     on_plane = IdealPresentation(plane, [g.substitute(plane, images) for g in gens])
     cut = I.plus([ring.variable(0)])
     expected = quotient_dim_local(cut, PROPERTY_CAP)
-    assert _hyperplane_slice_dim(I, PROPERTY_CAP) == quotient_dim_local(on_plane, PROPERTY_CAP) == expected
+    assert _hyperplane_slice_dim(I, Budget(PROPERTY_CAP)) == quotient_dim_local(on_plane, PROPERTY_CAP) == expected
     assert dim_at_origin(on_plane, PROPERTY_CAP) == dim_at_origin(cut, PROPERTY_CAP)
 
 
@@ -202,7 +202,7 @@ def test_in_one_variable_the_hyperplane_is_the_origin(gens, size):
     ring = PolyRing(("w",))
     w = ring.variable(0)
     I = IdealPresentation(ring, [make(w) for make in gens])
-    assert _hyperplane_slice_dim(I) == quotient_dim_local(I.plus([w])) == size
+    assert _hyperplane_slice_dim(I, Budget(PROPERTY_CAP)) == quotient_dim_local(I.plus([w])) == size
     if not gens:  # the zero germ: no partial survives, and the slice gives lambda^1
         assert le_numbers(ring.zero(), w).as_pair() == (0, 1)
 

@@ -25,12 +25,11 @@ from germlab import (
     relative_polar_ideal,
     validate_branch,
 )
-from germlab.ideals import Budget, normal_form, quotient_dim_local, saturate_single
+from germlab.ideals import Budget, quotient_dim_local, saturate_single
 from germlab.invariants import T_RING, jacobian_ideal
-from germlab.orders import DEGREVLEX
 from germlab.polar import jacobian_minors
 from conftest import RING_XY, RING_XYZ, from_terms, per_n_m_tilde, same_ideal
-from oracles import sympy_is_reduced_basis_of, sympy_saturation
+from oracles import sympy_is_reduced_basis_of, sympy_reduces_to_zero, sympy_saturation
 
 x, y = RING_XY.variable(0), RING_XY.variable(1)
 X, Y, Z = (RING_XYZ.variable(i) for i in range(3))
@@ -204,7 +203,7 @@ class TestPolarDecomposition:
     def assert_decomposes(g, n):
         deformed = deformed_polar_ideal(Z, g)
         assert same_ideal(deformed, relative_polar_ideal(Z, g + Z**n).ideal)
-        assert validate_branch(AXIS, deformed)
+        assert validate_branch(AXIS, deformed) is None
 
     @pytest.mark.parametrize("n", (2, 3, 5))
     def test_cylinder(self, n):
@@ -346,7 +345,8 @@ def test_saturation_matches_sympy(g):
 
 
 def test_polar_generators_are_canonical():
+    pytest.importorskip("sympy")
     a = relative_polar_ideal(Z, X**2 + Y**2 + Z**3).ideal.generators
     b = relative_polar_ideal(Z, X**2 + Y**2 + Z**3).ideal.generators
     assert a == b
-    assert all(normal_form(g, a, DEGREVLEX).is_zero for g in (X, Y))
+    assert all(sympy_reduces_to_zero(g.terms, [h.terms for h in a], 3) for g in (X, Y))

@@ -13,7 +13,6 @@ from germlab.invariants import (
     T_RING,
     BranchParam,
     BranchTerm,
-    BranchValidation,
     CriticalLocusReport,
 )
 from germlab.le import LeData
@@ -21,7 +20,7 @@ from germlab.parsing import _Token
 from germlab.polar import GapRatio, GapReport, PolarCurve
 from germlab.scenario import Limits, Scenario
 from germlab.stratified import BranchTableRow, IdentityVerdict, StratifiedDataset, StratumRecord
-from germlab.verifier import DeformationCase, SweepRow, VerdictTable
+from germlab.verifier import SweepRow, VerdictTable
 
 RING = PolyRing(("x", "y"))
 X, Y = RING.variable(0), RING.variable(1)
@@ -45,12 +44,6 @@ RECORDS = {
         lambda: BranchParam("axis", (O, T)),
         "BranchParam(name='axis', components=(Poly(0), Poly(t)), trunc=16, host='sigma', multiplicity=1)",
         {"trunc": 8},
-        True,
-    ),
-    "BranchValidation": (
-        lambda: BranchValidation(False, ("x", 1)),
-        "BranchValidation(ok=False, violation=('x', 1))",
-        {"ok": True},
         True,
     ),
     "CriticalLocusReport": (
@@ -125,12 +118,6 @@ RECORDS = {
         "IdentityVerdict(name='le_numbers', status='PASS', left=1, right=1, note='')",
         {"status": "FAIL"},
         True,
-    ),
-    "DeformationCase": (
-        lambda: DeformationCase(X**2, Y, 3, 2),
-        "DeformationCase(g=Poly(x^2), f=Poly(y), n=3, certificate=2)",
-        {"certificate": None},
-        False,
     ),
     "SweepRow": (
         lambda: SweepRow(3, True, 2, -1, (VERDICT,), None, None),

@@ -17,7 +17,7 @@ from germlab import (
     load_scenario,
     verify_stratified_identities,
 )
-from germlab.fixtures_lib import fixture_expected, fixture_text, load_fixture
+from germlab.fixtures_lib import fixture_text, load_fixture
 
 
 def dataset_of(name: str) -> StratifiedDataset:
@@ -205,5 +205,5 @@ def test_branch_row_invariant_guard():
 
 def test_expected_blocks_match(tmp_path):
     for name in ("cusp-curve", "node-curve"):
-        expected = fixture_expected(name)
+        expected = load_fixture(name).expected
         assert bls_euler_obstruction(dataset_of(name)) == expected["eu_X_0"]

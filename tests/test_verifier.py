@@ -44,7 +44,7 @@ from germlab.le import le_numbers
 from conftest import (
     RING_XY,
     RING_XYZ,
-    deformation_case,
+    deformation_mu,
     leading_monomial,
     nonzero_poly_strategy,
     per_n_m_tilde,
@@ -71,43 +71,40 @@ CN_FIXTURES = [
 
 class TestBuildDeformation:
     def test_cylinder_case(self):
-        _, case = deformation_case(X**2 + Y**2, Z, 3)
-        assert case.certificate == 2
-        assert case.g_tilde == X**2 + Y**2 + Z**3
+        assert deformation_mu(X**2 + Y**2, Z, 3)[1] == 2
 
     def test_three_lines_case(self):
-        _, case = deformation_case(X * Y * (X + Y), Z, 2)
-        assert case.certificate == 4
+        assert deformation_mu(X * Y * (X + Y), Z, 2)[1] == 4
 
     def test_hypothesis_failure(self):
         # the critical axis of the cylinder lies inside {x = 0}
         with pytest.raises(HypothesisError, match="sigma-meets-f"):
-            deformation_case(X**2 + Y**2, X, 3)
+            deformation_mu(X**2 + Y**2, X, 3)
 
     def test_subthreshold_nonisolation_is_reported_not_fatal(self):
         g = x**2 * y**2 - (x - y) ** 2
-        ctx, case = deformation_case(g, x - y, 2)
-        assert case.certificate is None
+        ctx, mu = deformation_mu(g, x - y, 2)
+        assert mu is None
         # without parametrized components only the sound bound is available
         assert ctx.gap.threshold == 7
 
     def test_nonisolation_at_threshold_is_fatal(self):
         g = x**2 * y**2 - (x - y) ** 2
-        ctx, _ = deformation_case(g, x - y, 2)
+        ctx, _ = deformation_mu(g, x - y, 2)
         ctx.gap = GapReport(ratios=(), g_intersection=1)  # threshold 2
         with pytest.raises(HypothesisError, match="isolation-at-threshold"):
-            ctx.case(2)
+            ctx.mu(2)
 
     def test_exponent_lower_bound(self):
         with pytest.raises(ValueError):
-            deformation_case(X**2 + Y**2, Z, 1)
+            deformation_mu(X**2 + Y**2, Z, 1)
 
 
 def le_iomdin(g: Poly, f: Poly, n: int):
     """Row n's massey, chi, tibar and morse verdicts with the Morse defect and
     expansion, from the Le-Iomdin routine of the run on (g, f)."""
-    ctx, case = deformation_case(g, f, n)
-    return verifier._le_iomdin_rows(ctx)(n, case.certificate)
+    ctx, mu = deformation_mu(g, f, n)
+    return verifier._le_iomdin_rows(ctx)(n, mu)
 
 
 class TestIdentityExamples:
@@ -382,7 +379,7 @@ def test_verdict_table_json_shape():
 # double-axes spent 118 while global completions divided S-polynomials fully.
 # The four isolated fixtures spent 255, 448, 260 and 117 (1483 in all) while
 # every row ran both completions; past its determinacy point a row now reuses
-# the last computed numbers (see ScenarioContext.case), and the three fixtures
+# the last computed numbers (see ScenarioContext._row), and the three fixtures
 # whose g is not isolated never get there, so they spend what they spent.
 # They spent 87, 73, 52, 78, 67, 180 and 145 (682 in all) before global
 # completions updated their pairs by Gebauer-Moeller, returned only the
@@ -532,25 +529,24 @@ def test_each_sweep_row_costs_one_multiplication_by_f(monkeypatch, name):
         return real(x, s, a, b, t, pk)
 
     monkeypatch.setattr(verifier, "_muladd", counting)
-    cases, per_row = [], []
-    for n in [*range(2, 31), 5]:
+    ns, per_row = [*range(2, 31), 5], []
+    for n in ns:
         before = products[0]
-        case = ctx.case(n)
+        ctx.mu(n)
         if not ctx.polar.is_empty:  # as verify_gap_stability reads it
-            ctx.polar_intersection(case)
-        cases.append(case)
+            ctx.polar_intersection(n)
         per_row.append(products[0] - before)
     assert per_row == PRODUCTS_PER_ROW[name]
     monkeypatch.undo()
     pk, polar = LOCAL._packing(ctx.ring.nvars), ctx._polar_rows
     built, real = [], verifier._complete
     monkeypatch.setattr(verifier, "_complete", lambda ring, order, gens, *rest: built.append(gens) or real(ring, order, gens, *rest))
-    for case in cases:
+    for n in ns:
         ctx._carries.clear()  # so that the polar kind builds the row generator
         built.clear()
-        ctx._row(polar, case.n)
+        ctx._row(polar, n)
         # the row's g' + f'^n, in the row coordinates, packed as the kernel's representative
-        assert built == [[ideals._integral(ctx._in_row_coordinates(ctx.g + ctx.f**case.n), pk)]]
+        assert built == [[ideals._integral(ctx._in_row_coordinates(ctx.g + ctx.f**n), pk)]]
 
 
 @pytest.mark.parametrize("name", ["three-lines", "cylinder"])
@@ -558,9 +554,9 @@ def test_export_computes_each_slice_milnor_number_once(monkeypatch, name):
     calls = []
     original = verifier._slice_milnor_at_origin
 
-    def counting(g, form, cap=None):
+    def counting(g, form, budget):
         calls.append((str(g), str(form)))
-        return original(g, form, cap)
+        return original(g, form, budget)
 
     monkeypatch.setattr(verifier, "_slice_milnor_at_origin", counting)
     export_dataset(load_fixture(name), 3)
@@ -663,7 +659,9 @@ def test_an_export_whose_f_slice_of_g_is_not_generic_stays_uncertified(g, f, n, 
     # keeps the generic-slice fields out of the export
     sc = load_scenario({"variables": ["x", "y", "z"], "g": g, "f": f})
     form = next(iter(generic_linear_candidates(sc.ring)))
-    slice_milnor = verifier._slice_milnor_at_origin
+    def slice_milnor(h, form):
+        return verifier._slice_milnor_at_origin(h, form, Budget(10**6))
+
     assert (
         slice_milnor(sc.g, sc.f), slice_milnor(sc.g, form), slice_milnor(sc.g + sc.f**n, form)
     ) == slices
@@ -848,15 +846,13 @@ def test_packed_rows_equal_the_poly_route(pair, ns):
             g_tilde = g + f**n
             mu = ideals.quotient_dim_local(invariants.jacobian_ideal(g_tilde))
             try:
-                case = ctx.case(n)
+                assert ctx.mu(n) == mu
             except HypothesisError:
                 assert mu is None and n >= ctx.gap.threshold
                 continue
-            assert case.certificate == mu
-            assert case.g_tilde == g_tilde
             if not ctx.polar.is_empty:
                 meeting = ctx.polar.ideal.plus([g_tilde])
-                assert ctx.polar_intersection(case) == ideals.quotient_dim_local(meeting)
+                assert ctx.polar_intersection(n) == ideals.quotient_dim_local(meeting)
 
 
 def fresh_row(ctx: ScenarioContext, n: int) -> tuple[int | None, int | None]:
@@ -871,12 +867,11 @@ def fresh_row(ctx: ScenarioContext, n: int) -> tuple[int | None, int | None]:
 
 def swept_row(ctx: ScenarioContext, n: int) -> tuple[int | None, int | None]:
     """The same two numbers as the run's row n gives them."""
-    case = ctx.case(n)
-    return case.certificate, None if ctx.polar.is_empty else ctx.polar_intersection(case)
+    return ctx.mu(n), None if ctx.polar.is_empty else ctx.polar_intersection(n)
 
 
 # the exponent m of the row from which a sweep over N = 2..30 reuses mu and
-# the polar meeting (see ScenarioContext.case); a g that is not isolated,
+# the polar meeting (see ScenarioContext._row); a g that is not isolated,
 # whose highest corner grows with N, never gets there
 CARRIED_FROM = {
     "brieskorn-345": (9, 9),
@@ -953,7 +948,7 @@ POLAR_BASE = {"x - y": 1, "z": 1, "y^2 + x": 1, "y^3 + x^2": 1, "x*y + z^2": 2}
     ],
 )
 def test_each_row_resumes_one_base(g, f, pivot, substituted, base, row):
-    ctx, _ = deformation_case(g, f, 3)
+    ctx, _ = deformation_mu(g, f, 3)
     assert ctx._pivot[0] == pivot
     assert (ctx._pivot[1] is not None) == substituted
     jacobian_rows = ctx._jacobian_rows
@@ -992,23 +987,22 @@ def test_sweep_rows_differentiate_and_pack_nothing(monkeypatch, name):
 
 @pytest.mark.parametrize("name", POLAR_FIXTURES)
 def test_a_passing_row_builds_no_deformation_poly(name, monkeypatch):
-    # the polar-stability check reads g + f^N as a Poly only for an error
+    # the polar-stability check builds g + f^N as a Poly only for an error
     # message, so rows from the threshold on, which pass on the polar
-    # components, build none.  Nor does a row substitute: each component's
-    # order comes from the gap report's images of g and f (see
+    # components, raise no Poly to a power.  Nor does a row substitute: each
+    # component's order comes from the gap report's images of g and f (see
     # polar.deformed_order), and the row generators are built on ints
     ctx = ScenarioContext(load_fixture(name))
     threshold, le_iomdin = ctx.gap.threshold, verifier._le_iomdin_rows(ctx)
     ctx._jacobian_rows, ctx._polar_rows  # the N-independent bases, in the row coordinates
     built, substituted = [], []
-    monkeypatch.setattr(verifier.DeformationCase, "g_tilde", property(lambda case: built.append(case.n)))
-    real = Poly.substitute
+    real_pow, real = Poly.__pow__, Poly.substitute
+    monkeypatch.setattr(Poly, "__pow__", lambda p, k: built.append(k) or real_pow(p, k))
     monkeypatch.setattr(Poly, "substitute", lambda *args: substituted.append(args) or real(*args))
     statuses = set()
     for n in range(threshold, threshold + 11):  # the rows of verify_scenario
-        case = ctx.case(n)
-        le_iomdin(n, case.certificate)
-        statuses.add(verifier.verify_gap_stability(case, ctx).status)
+        le_iomdin(n, ctx.mu(n))
+        statuses.add(verifier.verify_gap_stability(n, ctx).status)
     assert statuses == {"PASS"}
     assert built == []
     assert substituted == []
@@ -1050,7 +1044,7 @@ def test_the_public_le_iomdin_routine_agrees_with_the_sweep(name):
     ctx = ScenarioContext(scenario)
     le_iomdin = verifier._le_iomdin_rows(ctx)
     for row in table.rows:
-        verdicts, defect, expansion = le_iomdin(row.n, ctx.case(row.n).certificate)
+        verdicts, defect, expansion = le_iomdin(row.n, ctx.mu(row.n))
         assert (verdicts, defect, expansion) == (row.verdicts[:4], row.morse_defect, row.morse_expansion)
     if name in INLINE_REGIMES:
         assert {tuple(v.status for v in row.verdicts[:4]) for row in table.rows} == {statuses}
@@ -1069,9 +1063,9 @@ def test_a_sweep_row_minimalizes_no_basis(monkeypatch, name):
     real = ideals._minimalized
     monkeypatch.setattr(ideals, "_minimalized", lambda *args: calls.append(args) or real(*args))
     for n in range(2, 31):
-        case = ctx.case(n)
+        ctx.mu(n)
         if not ctx.polar.is_empty:
-            ctx.polar_intersection(case)
+            ctx.polar_intersection(n)
     assert calls == []
 
 
@@ -1118,9 +1112,9 @@ def test_each_fixture_row_mu_matches_sympy(name):
     assert [row.n for row in table.rows] == [ctx.gap.threshold, ctx.gap.threshold + 1]
     rows = [(row.n, row.certificate) for row in table.rows]
     if ctx.sigma_dim == 0:
-        swept = [ctx.case(n) for n in range(2, 31)]
+        swept = [ctx.mu(n) for n in range(2, 31)]
         assert ctx._carries["jacobian"][0] < 30
-        rows.append((30, swept[-1].certificate))
+        rows.append((30, swept[-1]))
     for n, certificate in rows:
         jac = jacobian(ctx.g + ctx.f**n)
         corner = ideals.standard_basis_of(jac, LOCAL).corner
