@@ -886,12 +886,17 @@ def saturate_single(I: IdealPresentation, f: Poly, cap=None) -> IdealPresentatio
     monomials ELIM_FIRST ranks like DEGREVLEX, so that part is the reduced
     monic degrevlex basis of the saturated ideal, which the result carries
     whether or not the saturation removed anything.
+
+    I : f^infinity depends only on the radical of (f), so the monomial factor x^a
+    of f is cut to x^min(a, 1) first: the result divides f, and f a power of it.
     """
     _check_same_ring([f, *I.generators])
     budget = as_budget(cap)
     ring = I.ring
     if f.is_zero:
         return IdealPresentation(ring, [ring.one()])
+    low = [min(column) for column in zip(*f.terms)]
+    f = Poly._make(ring, {tuple(k - a + min(a, 1) for k, a in zip(e, low)): c for e, c in f.terms.items()})
     tag = "_t"
     while tag in ring.variables:
         tag += "_"

@@ -221,7 +221,9 @@ def slice_germ(g: Poly, form: Poly, point: Sequence[Fraction] | None = None) -> 
 def stable_along_branch(what: str, branch: BranchParam, at: Callable[[Fraction], int]) -> int:
     """at(tau) once two consecutive values on the ladder tau = 1/2, 1/4, ...
     agree, which steps past branch points where the value degenerates by
-    accident; InstabilityError when MAX_TAU_HALVINGS halvings never agree."""
+    accident; InstabilityError when MAX_TAU_HALVINGS halvings never agree.
+    Agreement is a heuristic: le_numbers' slices are certified instead when
+    the branch list is complete (see _certified_terms), and fall back here."""
     tau = Fraction(1, 2)
     previous = at(tau)
     for _ in range(MAX_TAU_HALVINGS):
@@ -233,27 +235,24 @@ def stable_along_branch(what: str, branch: BranchParam, at: Callable[[Fraction],
     raise InstabilityError(f"{what} along branch {branch.name!r} never stabilized")
 
 
+def _slice_milnor_at(g: Poly, form: Poly, branch: BranchParam, tau: Fraction, budget) -> int:
+    """Milnor number of g on the hyperplane {form = form(p)} at p = branch(tau)."""
+    point = branch.point_at(tau)
+    if form.evaluate(point) == 0:
+        raise DegenerateBranchError(f"slice level vanishes at branch point of {branch.name!r} (tau={tau})")
+    if any(d.evaluate(point) != 0 for d in jacobian(g)):
+        raise GermlabError(f"branch point of {branch.name!r} at tau={tau} is not a critical point of g")
+    return milnor_number(slice_germ(g, form, point), budget)
+
+
 def branch_slice_milnor(g: Poly, form: Poly, branch: BranchParam, cap=None) -> int:
     """Milnor number of g restricted to the hyperplane {form = form(p)} at the
-    branch point p = branch(tau), stabilized along the tau-halving ladder."""
+    branch point p = branch(tau), stabilized along the tau-halving ladder;
+    le_numbers reads it only where no rung certifies (see _certified_terms)."""
     if form.ring != g.ring:
         raise RingMismatchError("slice form must live in the ring of g")
     budget = as_budget(cap)
-    partials = jacobian(g)
-
-    def at(tau: Fraction) -> int:
-        point = branch.point_at(tau)
-        if form.evaluate(point) == 0:
-            raise DegenerateBranchError(
-                f"slice level vanishes at branch point of {branch.name!r} (tau={tau})"
-            )
-        if any(d.evaluate(point) != 0 for d in partials):
-            raise GermlabError(
-                f"branch point of {branch.name!r} at tau={tau} is not a critical point of g"
-            )
-        return milnor_number(slice_germ(g, form, point), budget)
-
-    return stable_along_branch("slice Milnor number", branch, at)
+    return stable_along_branch("slice Milnor number", branch, lambda tau: _slice_milnor_at(g, form, branch, tau, budget))
 
 
 def transverse_multiplicity(g: Poly, form: Poly, branch: BranchParam) -> int:
@@ -288,6 +287,28 @@ def branch_terms(
         BranchTerm(b.name, b.multiplicity, local_degree(form, b, image), branch_slice_milnor(g, form, b, budget))
         for b, image in zip(branches, images or [None] * len(branches))
     )
+
+
+def _certified_terms(
+    g: Poly, form: Poly, branches: Sequence[BranchParam], budget, images: Sequence[Poly], total: int
+) -> tuple[BranchTerm, ...] | None:
+    """The branch terms at the first tau = 1/2, 1/4, ... whose sum of
+    m_b d_b mu_b(tau) is total, lambda^1 by le_numbers' polar-slice route.
+    Each mu_b(tau) is at least b's generic slice Milnor number (upper
+    semicontinuity), and if the branches are all of Sigma(g) the generic
+    values sum to lambda^1: an equal sum proves every value generic, a
+    smaller one the list incomplete.  None then, when no rung gives the sum
+    or when a rung raises; branch_terms' ladder decides instead."""
+    degrees = [local_degree(form, b, image) for b, image in zip(branches, images)]
+    for k in range(1, MAX_TAU_HALVINGS + 2):
+        try:
+            slices = [_slice_milnor_at(g, form, b, Fraction(1, 2**k), budget) for b in branches]
+        except GermlabError:
+            return None
+        terms = tuple(BranchTerm(b.name, b.multiplicity, d, mu) for b, d, mu in zip(branches, degrees, slices))
+        if (found := branch_sum(terms)) <= total:
+            return terms if found == total else None
+    return None
 
 
 def branch_sum(terms: Sequence[BranchTerm]) -> int:

@@ -23,6 +23,7 @@ from .ideals import Budget, IdealPresentation, as_budget, dim_at_origin, quotien
 from .invariants import (
     BranchParam,
     BranchTerm,
+    _certified_terms,
     align_first,
     branch_sum,
     branch_terms,
@@ -126,24 +127,21 @@ def le_numbers(
         f"({', '.join(target.variables)})"
     ]
 
+    total_slice = _hyperplane_slice_dim(rest_ideal, budget)
+    polar_slice = None if total_slice is None else _hyperplane_slice_dim(polar, budget)
+    lam1_polar = None if polar_slice is None else total_slice - polar_slice
+
     terms = lam1_branch = None
     if branches:
-        terms = branch_terms(g, form, branches, budget, images)
+        certified = None if lam1_polar is None else _certified_terms(g, form, branches, budget, images, lam1_polar)
+        terms = certified or branch_terms(g, form, branches, budget, images)
         lam1_branch = branch_sum(terms)
+        log.append("lambda1: sum over branches of local degree times slice Milnor number")
+    if lam1_polar is not None:
         log.append(
-            "lambda1: sum over branches of local degree times slice Milnor number"
+            "lambda1 cross-route: remaining-partials scheme sliced by the "
+            "aligned hyperplane minus the polar contribution"
         )
-
-    lam1_polar = None
-    total_slice = _hyperplane_slice_dim(rest_ideal, budget)
-    if total_slice is not None:
-        polar_slice = _hyperplane_slice_dim(polar, budget)
-        if polar_slice is not None:
-            lam1_polar = total_slice - polar_slice
-            log.append(
-                "lambda1 cross-route: remaining-partials scheme sliced by the "
-                "aligned hyperplane minus the polar contribution"
-            )
 
     if lam1_branch is not None and lam1_polar is not None and lam1_branch != lam1_polar:
         raise ComponentMismatchError(

@@ -133,7 +133,7 @@ class IdentityVerdict(NamedTuple):
 
 def compared(name: str, left, right, note: str = "") -> IdentityVerdict:
     """PASS when the two evaluated sides agree, FAIL otherwise."""
-    return IdentityVerdict(name, "PASS" if left == right else "FAIL", left=left, right=right, note=note)
+    return IdentityVerdict(name, "PASS" if left == right else "FAIL", left, right, note)
 
 
 def parity_sign(k: int) -> int:

@@ -532,6 +532,37 @@ def test_saturation_matches_sympy(data, gens):
     assert sympy_is_reduced_basis_of([g.terms for g in sat.generators], lex, ring.nvars)
 
 
+def eliminated(gens, f):
+    """The t-free part of the ELIM_FIRST basis of (gens, 1 - t*f) in Q[t, x]."""
+    ring = f.ring
+    ext = PolyRing(("t", *ring.variables))
+    lift = [from_terms(ext, {(0, *e): c for e, c in p.terms.items()}) for p in (*gens, f)]
+    basis = standard_basis_of([*lift[:-1], ext.one() - ext.variable(0) * lift[-1]], ELIM_FIRST, PROPERTY_CAP)
+    return tuple(from_terms(ring, {e[1:]: c for e, c in p.terms.items()}) for p in basis if all(e[0] == 0 for e in p.terms))
+
+
+def with_factors(gens):
+    """gens, a monic monomial m with exponents up to 3, and h of degree <= 1."""
+    ring = gens[0].ring
+    monomial = st.tuples(*[st.integers(0, 3)] * ring.nvars).map(lambda e: from_terms(ring, {e: 1}))
+    return st.tuples(st.just(gens), monomial, nonzero_poly_strategy(ring, max_degree=1, max_terms=2))
+
+
+@settings(deadline=None, max_examples=30)
+@given(IDEALS.flatmap(with_factors))
+# (x*y) : (x^2)^infinity = (y): the factor x^2 is cut to x, never dropped
+@example(([x * y], x**2, RING_XY.one()))
+def test_saturation_by_a_monomial_factor_reads_only_its_support(case):
+    # I : (m*h)^infinity = I : (support(m)*h)^infinity, and both are the
+    # elimination of t from (I, 1 - t*m*h) with m*h left whole
+    gens, m, h = case
+    ring = m.ring
+    support = from_terms(ring, {tuple(min(a, 1) for a in next(iter(m.terms))): 1})
+    I = IdealPresentation(ring, gens)
+    sat = saturate_single(I, m * h, PROPERTY_CAP).generators
+    assert sat == saturate_single(I, support * h, PROPERTY_CAP).generators == eliminated(gens, m * h)
+
+
 @settings(deadline=None, max_examples=30)
 @given(st.data(), IDEALS)
 def test_a_variable_generator_strips_its_multiples_locally(data, gens):

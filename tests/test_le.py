@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -9,14 +11,18 @@ from hypothesis import strategies as st
 from germlab import (
     BranchParam,
     ComponentMismatchError,
+    DegenerateBranchError,
     UndefinedLeError,
     euler_char_fibre,
     iomdin_threshold,
     le_numbers,
     milnor_number,
 )
+from germlab import invariants
+from germlab import le as le_module
+from germlab.fixtures_lib import load_fixture
 from germlab.ideals import Budget, IdealPresentation, dim_at_origin, quotient_dim_local
-from germlab.invariants import T_RING, jacobian_ideal
+from germlab.invariants import T_RING, BranchTerm, jacobian_ideal, local_degree
 from germlab.le import _hyperplane_slice_dim, _polar_ideal_after_alignment, align_first
 from germlab.rings import Poly, PolyRing
 from germlab.verifier import generic_linear_candidates
@@ -309,3 +315,89 @@ def test_le_iomdin_holds_at_the_threshold(g, form):
     gw, target, _ = align_first(g, form)
     for exponent in (n, n + 1):
         assert milnor_number(gw + target.variable(0) ** exponent, budget) == lam0 + (exponent - 1) * lam1
+
+
+def slice_points(monkeypatch) -> list:
+    """The (branch, tau) of every slice Milnor number the calls below take."""
+    seen = []
+    original = invariants._slice_milnor_at
+
+    def counting(g, form, branch, tau, budget):
+        seen.append((branch.name, tau))
+        return original(g, form, branch, tau, budget)
+
+    monkeypatch.setattr(invariants, "_slice_milnor_at", counting)
+    return seen
+
+
+# the slice at z = 1/2 is x^2 + y^4 (mu 3), and Morse below it: the ladder
+# read 3, 1, 1, the certificate reads 3, then 1, whose sum is lambda1
+CERTIFICATE_GERM = X**2 + Y**2 * (Z - Fraction(1, 2)) ** 2 + Y**4
+
+
+def test_the_first_rung_whose_sum_is_the_polar_route_certifies(monkeypatch):
+    seen = slice_points(monkeypatch)
+    le = le_numbers(CERTIFICATE_GERM, Z, [AXIS])
+    assert le.as_pair() == (0, 1)
+    assert [term.slice_milnor for term in le.terms] == [1]
+    assert seen == [("axis", Fraction(1, 2)), ("axis", Fraction(1, 4))]
+
+
+def test_a_rung_taken_without_its_sum_is_refused(monkeypatch):
+    # the certificate with its sum check removed takes mu = 3 at tau = 1/2,
+    # and the polar-slice route refuses that branch sum
+    def first_rung(g, form, branches, budget, images, total):
+        mus = [invariants._slice_milnor_at(g, form, b, Fraction(1, 2), budget) for b in branches]
+        return tuple(
+            BranchTerm(b.name, b.multiplicity, local_degree(form, b, image), mu)
+            for b, image, mu in zip(branches, images, mus)
+        )
+
+    monkeypatch.setattr(le_module, "_certified_terms", first_rung)
+    with pytest.raises(ComponentMismatchError, match="branch-route lambda1 = 3 but polar-slice route gives 1"):
+        le_numbers(CERTIFICATE_GERM, Z, [AXIS])
+
+
+# slice points each branch fixture evaluates: one where the polar-slice route
+# certifies the first rung; pinch-point's polar curve, the y-axis, lies in
+# {z = 0}, so it has no such route and the ladder reads tau = 1/2 and 1/4
+FIXTURE_SLICE_POINTS = {"cylinder": 1, "pinch-point": 2, "three-lines": 1}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_SLICE_POINTS))
+def test_branch_fixtures_evaluate_each_slice_once(monkeypatch, name):
+    seen = slice_points(monkeypatch)
+    scenario = load_fixture(name)
+    le = le_numbers(scenario.g, scenario.f, [b for b in scenario.branches if b.host == "sigma"])
+    assert le.as_pair() == (scenario.expected["lambda0"], scenario.expected["lambda1"])
+    assert len(seen) == len(set(seen)) == FIXTURE_SLICE_POINTS[name]
+
+
+# the critical locus of x^2*y^2 + x^2*z^2 + y^2*z^2 is the three axes, each
+# with a Morse slice and degree 1 against x + 2y + 3z
+AXES = [BranchParam(name, comps) for name, comps in (("x", (t, o, o)), ("y", (o, t, o)), ("z", (o, o, t)))]
+
+
+def test_three_axes_certify_at_the_first_rung(monkeypatch):
+    seen = slice_points(monkeypatch)
+    le = le_numbers(HEAVY_LE[0][0], HEAVY_FORM, AXES)
+    assert le.as_pair() == (18, 3)
+    assert seen == [(b.name, Fraction(1, 2)) for b in AXES]
+
+
+def test_a_dropped_axis_still_raises_the_mismatch():
+    # the sum over two axes falls short of the polar-slice route at the first
+    # rung, so the ladder decides and the routes disagree as before
+    with pytest.raises(
+        ComponentMismatchError,
+        match=r"^branch-route lambda1 = 2 but polar-slice route gives 3; the branch list looks incomplete$",
+    ):
+        le_numbers(HEAVY_LE[0][0], HEAVY_FORM, AXES[:2])
+
+
+def test_a_rung_that_raises_leaves_the_ladder_its_error():
+    # z = t - 2t^2 vanishes at tau = 1/2: the certificate stops there, and the
+    # ladder raises what it raised before the certificate
+    branch = BranchParam("bent", (o, o, t - 2 * t**2))
+    with pytest.raises(DegenerateBranchError, match=r"^slice level vanishes at branch point of 'bent' \(tau=1/2\)$"):
+        le_numbers(X**2 + Y**2, Z, [branch])
